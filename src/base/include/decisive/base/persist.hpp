@@ -1,12 +1,12 @@
-// Shared building blocks of the line/token on-disk formats (session result
-// cache, campaign journal): token escaping, exact numeric round-trips, the
-// FNV-1a checksum both formats frame records with, and crash-safe whole-file
-// replacement.
+// Shared building blocks of the persisted artefacts: token escaping, exact
+// numeric round-trips and the FNV-1a checksum the campaign journal frames
+// its records with, and crash-safe whole-file replacement.
 //
 // Durability rules every persisted artefact follows:
-//  - snapshot files (the result cache) are replaced atomically — write the
-//    full new content to a sibling temp file, flush, then rename over the
-//    target, so a crash mid-save can never truncate the previous version;
+//  - snapshot files (the progress heartbeats) are replaced atomically —
+//    write the full new content to a sibling temp file, flush, then rename
+//    over the target, so a crash mid-save can never truncate the previous
+//    version;
 //  - append-only files (the campaign journal) carry a checksum per record,
 //    so a torn tail from a crash mid-append is detected and trimmed on
 //    recovery instead of poisoning the replay.

@@ -5,7 +5,7 @@
 // tasks that have no checkpointed result — with the final FMEDA byte-
 // identical to an uninterrupted run at any job or shard count.
 //
-// Format (line/token text, same family as the session result cache):
+// Format (line/token text, built from the base/persist.hpp token helpers):
 //
 //   journal <version> <fingerprint> <task-count> <shard-index> <shard-count> <cksum>
 //   skip <escaped-warning> <cksum>                (one per campaign skip warning)

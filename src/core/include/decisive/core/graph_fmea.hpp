@@ -52,65 +52,9 @@ struct GraphFmeaOptions {
   double heartbeat_interval_seconds = 1.0;
 };
 
-// ---------------------------------------------------------------------------
-// Incremental re-analysis hooks (consumed by decisive::session)
-// ---------------------------------------------------------------------------
-
-/// One failure-mode verdict write-back, recorded so a cached unit can replay
-/// its model mutations without re-running the analysis.
-struct UnitVerdict {
-  ssam::ObjectId failure_mode = model::kNullObject;
-  bool safety_related = false;
-  EffectClass effect = EffectClass::None;
-};
-
-/// Everything Algorithm 1 emits for one direct subcomponent of a unit: the
-/// FMEDA rows, the diagnostics, and the verdict write-backs — in emission
-/// order.
-struct UnitSubRecord {
-  ssam::ObjectId sub = model::kNullObject;
-  std::vector<FmedaRow> rows;
-  std::vector<std::string> warnings;
-  std::vector<UnitVerdict> verdicts;
-};
-
-/// The complete recorded output of one analysis unit — a composite component
-/// the recursive walk visits. Replaying the records of every unit, in walk
-/// order, reproduces a cold run byte for byte.
-struct UnitRecord {
-  ssam::ObjectId component = model::kNullObject;
-  std::string path;  ///< qualified path from the analysis root
-  std::vector<UnitSubRecord> subs;
-};
-
-/// Result-cache interface consumed by analyze_component. For every unit the
-/// walk visits, lookup() is consulted first: a non-null record is replayed
-/// verbatim (graph construction and the single-point analysis are skipped);
-/// on nullptr the unit is analysed fresh and store() receives the record.
-/// Implementations decide validity — decisive::session keys entries by
-/// content fingerprints so a stale record is never returned. Returned
-/// pointers must stay valid until analyze_component returns.
-class UnitResultCache {
- public:
-  virtual ~UnitResultCache() = default;
-  [[nodiscard]] virtual const UnitRecord* lookup(ssam::ObjectId component,
-                                                 const std::string& path) = 0;
-  virtual void store(UnitRecord record) = 0;
-};
-
 /// Observability of one analyze_component run.
 struct GraphFmeaStats {
-  size_t units = 0;        ///< composite components the walk visited
-  size_t cache_hits = 0;   ///< units replayed from the cache
-  size_t cache_misses = 0; ///< units analysed fresh
-  double collect_seconds = 0.0;  ///< phase A: unit enumeration
-  double analyze_seconds = 0.0;  ///< phase B: graph + single-point analyses
-  double emit_seconds = 0.0;     ///< phase C: row emission / cache replay
-
-  /// Fraction of units served from the cache (0 when no units).
-  [[nodiscard]] double hit_rate() const noexcept {
-    return units == 0 ? 0.0 : static_cast<double>(cache_hits) / static_cast<double>(units);
-  }
+  size_t units = 0;  ///< composite components the walk visited
 };
 
 /// Runs Algorithm 1 on `component` (a composite SSAM Component). Mutates the
@@ -118,12 +62,9 @@ struct GraphFmeaStats {
 /// FailureEffect. Throws AnalysisError when the component has no boundary
 /// IONodes or an IONode carries an invalid `direction`.
 ///
-/// `cache` (optional) serves per-unit results across runs — see
-/// UnitResultCache; the output is byte-identical with or without it as long
-/// as the cache only returns records valid for the current model state.
-/// `stats` (optional) receives per-phase timings and hit counts.
+/// `stats` (optional) receives the number of analysis units.
 FmedaResult analyze_component(ssam::SsamModel& ssam, ssam::ObjectId component,
                               const GraphFmeaOptions& options = {},
-                              UnitResultCache* cache = nullptr, GraphFmeaStats* stats = nullptr);
+                              GraphFmeaStats* stats = nullptr);
 
 }  // namespace decisive::core

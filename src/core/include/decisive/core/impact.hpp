@@ -43,11 +43,4 @@ struct ImpactReport {
 /// Throws ModelError when `component` is not a Component.
 ImpactReport impact_of_change(const ssam::SsamModel& ssam, ssam::ObjectId component);
 
-/// Batch form: one report per component, sharing a single reverse-index pass
-/// over the repository. Equivalent to calling impact_of_change per element,
-/// but O(model + impacts) instead of O(components × model) — the shape the
-/// incremental session's dirty-set widening needs on every reanalyze.
-std::vector<ImpactReport> impact_of_changes(const ssam::SsamModel& ssam,
-                                            const std::vector<ssam::ObjectId>& components);
-
 }  // namespace decisive::core

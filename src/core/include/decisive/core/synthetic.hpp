@@ -51,12 +51,12 @@ SafetyMechanismModel synthetic_sm_catalogue();
 /// deployment-search scaling workload of bench_ablation_search.
 SafetyMechanismModel scaled_sm_catalogue();
 
-/// A hierarchical Table-VI-style scalability subject for the *incremental*
-/// workload: a system of `composites` serial composite units, each wrapping
-/// a serial chain of `leaves` leaf components with loss-of-function failure
-/// modes and FIT data. Every composite is an independent analysis unit of
-/// the graph FMEA, so a single-component edit dirties O(1) of the
-/// `composites + 1` units — the shape the fingerprint cache exploits.
+/// A hierarchical Table-VI-style scalability subject for the edit →
+/// re-analyse workload: a system of `composites` serial composite units,
+/// each wrapping a serial chain of `leaves` leaf components with
+/// loss-of-function failure modes and FIT data. Every composite is an
+/// independent analysis unit of the graph FMEA, so a single-component edit
+/// touches O(1) of the `composites + 1` units.
 /// (composites=40, leaves=16 lands near the paper's Set3 element count.)
 ///
 /// `width` replicates every composite stage into `width` parallel units

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <map>
 #include <optional>
 #include <thread>
 #include <utility>
 
-#include "decisive/base/error.hpp"
 #include "decisive/base/strings.hpp"
 #include "decisive/obs/progress.hpp"
 #include "decisive/obs/registry.hpp"
@@ -27,8 +25,6 @@ using ssam::SsamModel;
 struct GraphFmeaMetrics {
   obs::Counter& runs;
   obs::Counter& units;
-  obs::Counter& cache_hits;
-  obs::Counter& cache_misses;
   obs::Histogram& collect_seconds;
   obs::Histogram& analyze_seconds;
   obs::Histogram& emit_seconds;
@@ -39,8 +35,6 @@ struct GraphFmeaMetrics {
     static GraphFmeaMetrics metrics{
         registry.counter("decisive_graph_fmea_runs_total"),
         registry.counter("decisive_graph_fmea_units_total"),
-        registry.counter("decisive_graph_fmea_unit_cache_hits_total"),
-        registry.counter("decisive_graph_fmea_unit_cache_misses_total"),
         registry.histogram("decisive_graph_fmea_collect_seconds"),
         registry.histogram("decisive_graph_fmea_analyze_seconds"),
         registry.histogram("decisive_graph_fmea_emit_seconds"),
@@ -139,25 +133,16 @@ std::vector<Unit> collect_units(const SsamModel& ssam, ObjectId root,
 }
 
 /// Phase B: build each unit's graph and run the single-point analysis —
-/// independent const reads of the model, safe to run on a pool. Units with a
-/// cached record (`cached[i] != nullptr`) are skipped: their verdicts will be
-/// replayed, so paying for the graph again would defeat the cache. Errors are
+/// independent const reads of the model, safe to run on a pool. Errors are
 /// captured per unit; the caller rethrows the first one in walk order so
 /// behaviour is deterministic for any job count.
 std::vector<UnitAnalysis> analyze_units(const SsamModel& ssam, const std::vector<Unit>& units,
-                                        const GraphFmeaOptions& options,
-                                        const std::vector<const UnitRecord*>& cached) {
+                                        const GraphFmeaOptions& options) {
   std::vector<UnitAnalysis> analyses(units.size());
-  std::vector<size_t> pending;
-  pending.reserve(units.size());
-  for (size_t i = 0; i < units.size(); ++i) {
-    if (cached[i] == nullptr) pending.push_back(i);
-  }
-
   unsigned jobs = options.jobs > 0 ? static_cast<unsigned>(options.jobs)
                                    : std::max(1u, std::thread::hardware_concurrency());
   const unsigned jobs_configured = jobs;
-  if (pending.size() < jobs) jobs = static_cast<unsigned>(std::max<size_t>(pending.size(), 1));
+  if (units.size() < jobs) jobs = static_cast<unsigned>(std::max<size_t>(units.size(), 1));
 
   obs::ProgressReporterOptions reporter_options;
   reporter_options.path = options.heartbeat_path;
@@ -166,9 +151,6 @@ std::vector<UnitAnalysis> analyze_units(const SsamModel& ssam, const std::vector
   reporter_options.workers = static_cast<int>(jobs_configured);
   reporter_options.interval_seconds = options.heartbeat_interval_seconds;
   obs::ProgressReporter reporter(reporter_options);
-  for (size_t i = 0; i < units.size(); ++i) {
-    if (cached[i] != nullptr) reporter.task_done(0, "CacheHit");
-  }
 
   const auto analyze_one = [&](size_t i, int worker_id) {
     obs::Span span("graph_fmea.unit", &GraphFmeaMetrics::get().unit_seconds);
@@ -182,12 +164,12 @@ std::vector<UnitAnalysis> analyze_units(const SsamModel& ssam, const std::vector
   };
 
   if (jobs <= 1) {
-    for (const size_t i : pending) analyze_one(i, 0);
+    for (size_t i = 0; i < units.size(); ++i) analyze_one(i, 0);
   } else {
     std::atomic<size_t> next{0};
     auto worker = [&](int worker_id) {
-      for (size_t p = next.fetch_add(1); p < pending.size(); p = next.fetch_add(1)) {
-        analyze_one(pending[p], worker_id);
+      for (size_t i = next.fetch_add(1); i < units.size(); i = next.fetch_add(1)) {
+        analyze_one(i, worker_id);
       }
     };
     std::vector<std::thread> pool;
@@ -203,15 +185,11 @@ std::vector<UnitAnalysis> analyze_units(const SsamModel& ssam, const std::vector
   return analyses;
 }
 
-/// Produces the record for one subcomponent of one unit (Algorithm 1 lines
-/// 5–12): rows, warnings and verdict write-backs, in emission order. Pure
-/// function of the model state — what the unit fingerprint covers — so the
-/// record can be cached and replayed on a later run.
-UnitSubRecord produce_sub_record(const SsamModel& ssam, const Unit& unit,
-                                 const ssam::SinglePointAnalysis& analysis, ObjectId sub,
-                                 const GraphFmeaOptions& options) {
-  UnitSubRecord record;
-  record.sub = sub;
+/// Emits one subcomponent of one unit (Algorithm 1 lines 5–12): appends its
+/// rows and warnings to the result and writes each verdict back into the
+/// model (component safety analysis model, Step 4a output).
+void emit_sub(SsamModel& ssam, const Unit& unit, const ssam::SinglePointAnalysis& analysis,
+              ObjectId sub, const GraphFmeaOptions& options, FmedaResult& result) {
   const std::string sub_name = ssam.obj(sub).get_string("name");
   const bool single_point = analysis.is_single_point(sub);
 
@@ -247,7 +225,7 @@ UnitSubRecord produce_sub_record(const SsamModel& ssam, const Unit& unit,
         row.effect = any_critical ? EffectClass::IVF : EffectClass::None;
       } else {
         // Algorithm 1 line 11.
-        record.warnings.push_back("failure mode '" + row.failure_mode + "' of '" + sub_name +
+        result.warnings.push_back("failure mode '" + row.failure_mode + "' of '" + sub_name +
                                   "' has nature '" + nature +
                                   "' and no affected-component traceability; manual review "
                                   "required");
@@ -262,94 +240,49 @@ UnitSubRecord produce_sub_record(const SsamModel& ssam, const Unit& unit,
       }
     }
 
-    record.verdicts.push_back({fm, row.safety_related, row.effect});
-    record.rows.push_back(std::move(row));
+    ssam.obj(fm).set_bool("safetyRelated", row.safety_related);
+    attach_effect(ssam, fm, row.effect);
+    result.rows.push_back(std::move(row));
   }
 
-  // The walk-level diagnostic belongs to the sub record too, so a cached
-  // replay reproduces it at the same position in the warning stream.
   if (options.recursive && !ssam.obj(sub).refs("subcomponents").empty() &&
       ssam.obj(sub).refs("ioNodes").empty()) {
-    record.warnings.push_back("composite subcomponent '" + sub_name +
+    result.warnings.push_back("composite subcomponent '" + sub_name +
                               "' has no IONodes; cannot recurse");
   }
-  return record;
-}
-
-/// Applies one sub record: appends its rows/warnings to the result and
-/// writes the verdicts back into the model (component safety analysis model,
-/// Step 4a output). Both the fresh and the cached path funnel through here,
-/// which is what makes incremental output byte-identical by construction.
-void apply_sub_record(SsamModel& ssam, const UnitSubRecord& record, FmedaResult& result) {
-  result.rows.insert(result.rows.end(), record.rows.begin(), record.rows.end());
-  result.warnings.insert(result.warnings.end(), record.warnings.begin(), record.warnings.end());
-  for (const UnitVerdict& verdict : record.verdicts) {
-    ssam.obj(verdict.failure_mode).set_bool("safetyRelated", verdict.safety_related);
-    attach_effect(ssam, verdict.failure_mode, verdict.effect);
-  }
-}
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
 }  // namespace
 
 FmedaResult analyze_component(SsamModel& ssam, ObjectId component,
-                              const GraphFmeaOptions& options, UnitResultCache* cache,
-                              GraphFmeaStats* stats) {
+                              const GraphFmeaOptions& options, GraphFmeaStats* stats) {
   GraphFmeaMetrics& metrics = GraphFmeaMetrics::get();
   metrics.runs.add();
   FmedaResult result;
   result.system = ssam.obj(component).get_string("name");
 
-  // Phase A: enumerate the composite components the walk will visit, and ask
-  // the cache which of them it can replay.
-  const auto collect_start = std::chrono::steady_clock::now();
+  // Phase A: enumerate the composite components the walk will visit.
   std::vector<Unit> units;
-  std::vector<const UnitRecord*> cached;
   {
     obs::Span collect_span("graph_fmea.collect", &metrics.collect_seconds);
     units = collect_units(ssam, component, options);
-    cached.assign(units.size(), nullptr);
-    if (cache != nullptr) {
-      for (size_t i = 0; i < units.size(); ++i) {
-        cached[i] = cache->lookup(units[i].component, units[i].path);
-      }
-    }
   }
-  size_t hit_count = 0;
-  for (const auto* record : cached) hit_count += record != nullptr ? 1 : 0;
   metrics.units.add(units.size());
-  metrics.cache_hits.add(hit_count);
-  metrics.cache_misses.add(units.size() - hit_count);
-  if (stats != nullptr) {
-    stats->units = units.size();
-    stats->cache_hits = hit_count;
-    stats->cache_misses = units.size() - hit_count;
-    stats->collect_seconds = seconds_since(collect_start);
-  }
+  if (stats != nullptr) stats->units = units.size();
 
-  // Phase B: per-unit single-point analyses (parallel, const model reads) —
-  // cache hits skip the phase entirely, which is where the incremental
-  // speed-up comes from.
-  const auto analyze_start = std::chrono::steady_clock::now();
+  // Phase B: per-unit single-point analyses (parallel, const model reads).
   std::vector<UnitAnalysis> analyses;
   {
     obs::Span analyze_span("graph_fmea.analyze", &metrics.analyze_seconds);
-    analyses = analyze_units(ssam, units, options, cached);
+    analyses = analyze_units(ssam, units, options);
   }
-  if (stats != nullptr) stats->analyze_seconds = seconds_since(analyze_start);
   std::map<ObjectId, size_t> unit_index;
   for (size_t i = 0; i < units.size(); ++i) unit_index[units[i].component] = i;
 
   // Phase C (serial): replay the recursive walk of Algorithm 1 with an
   // explicit stack, emitting rows/warnings and mutating the model in the
-  // exact order the old recursion used — deterministic for any job count and
-  // any cache-hit pattern.
-  const auto emit_start = std::chrono::steady_clock::now();
+  // exact order the old recursion used — deterministic for any job count.
   obs::Span emit_span("graph_fmea.emit", &metrics.emit_seconds);
-  std::vector<UnitRecord> fresh(units.size());  ///< records under construction
   struct Frame {
     size_t unit;
     std::vector<ObjectId> subs;  ///< copied: write-backs create repo objects
@@ -366,37 +299,15 @@ FmedaResult analyze_component(SsamModel& ssam, ObjectId component,
       continue;
     }
     const size_t unit_i = frame.unit;
-    const size_t sub_i = frame.next;
     const ObjectId sub = frame.subs[frame.next++];
-    if (cached[unit_i] != nullptr) {
-      const UnitRecord& record = *cached[unit_i];
-      if (sub_i >= record.subs.size() || record.subs[sub_i].sub != sub) {
-        throw AnalysisError("stale unit cache record for '" + units[unit_i].path +
-                            "' — the cache returned a record for a different model state");
-      }
-      apply_sub_record(ssam, record.subs[sub_i], result);
-    } else {
-      fresh[unit_i].subs.push_back(
-          produce_sub_record(ssam, units[unit_i], *analyses[unit_i].analysis, sub, options));
-      apply_sub_record(ssam, fresh[unit_i].subs.back(), result);
-    }
+    emit_sub(ssam, units[unit_i], *analyses[unit_i].analysis, sub, options, result);
 
     // Algorithm 1 line 14: repeat for composite subcomponents.
     if (options.recursive && !ssam.obj(sub).refs("subcomponents").empty() &&
         !ssam.obj(sub).refs("ioNodes").empty()) {
-      const size_t child = unit_index.at(sub);
-      stack.push_back({child, ssam.obj(sub).refs("subcomponents"), 0});
+      stack.push_back({unit_index.at(sub), ssam.obj(sub).refs("subcomponents"), 0});
     }
   }
-  if (cache != nullptr) {
-    for (size_t i = 0; i < units.size(); ++i) {
-      if (cached[i] != nullptr) continue;
-      fresh[i].component = units[i].component;
-      fresh[i].path = units[i].path;
-      cache->store(std::move(fresh[i]));
-    }
-  }
-  if (stats != nullptr) stats->emit_seconds = seconds_since(emit_start);
 
   if (!result.has_safety_related()) {
     result.warnings.push_back(

@@ -18,8 +18,7 @@ void add_unique(std::vector<ObjectId>& list, ObjectId id) {
 }
 
 /// Reverse indices over the model, built in one repository pass so a report
-/// never rescans the repository per ancestor or per relationship endpoint
-/// (the session's reanalyze loop widens every dirty seed through here).
+/// never rescans the repository per ancestor or per relationship endpoint.
 struct ImpactIndex {
   std::map<ObjectId, std::vector<ObjectId>> containers;  ///< object -> containing objects
   std::map<ObjectId, ObjectId> node_owner;               ///< IONode -> owning Component
@@ -49,12 +48,14 @@ struct ImpactIndex {
   }
 };
 
-ImpactReport impact_with_index(const SsamModel& ssam, ObjectId component,
-                               const ImpactIndex& index) {
+}  // namespace
+
+ImpactReport impact_of_change(const SsamModel& ssam, ObjectId component) {
   const auto& comp = ssam.obj(component);
   if (!comp.is_kind_of(ssam.meta().get(ssam::cls::Component))) {
     throw ModelError("impact_of_change expects a Component");
   }
+  const ImpactIndex index(ssam);
 
   ImpactReport report;
   report.changed = component;
@@ -128,8 +129,6 @@ ImpactReport impact_with_index(const SsamModel& ssam, ObjectId component,
   return report;
 }
 
-}  // namespace
-
 std::string ImpactReport::to_text(const SsamModel& ssam) const {
   auto names = [&](const std::vector<ObjectId>& ids) {
     std::string out;
@@ -149,22 +148,6 @@ std::string ImpactReport::to_text(const SsamModel& ssam) const {
              ? "  => safety-related failure modes affected: re-run Step 4a before merging\n"
              : "  => no safety-related failure mode affected\n";
   return out;
-}
-
-ImpactReport impact_of_change(const SsamModel& ssam, ObjectId component) {
-  return impact_with_index(ssam, component, ImpactIndex(ssam));
-}
-
-std::vector<ImpactReport> impact_of_changes(const SsamModel& ssam,
-                                            const std::vector<ObjectId>& components) {
-  std::vector<ImpactReport> reports;
-  if (components.empty()) return reports;
-  const ImpactIndex index(ssam);
-  reports.reserve(components.size());
-  for (const ObjectId component : components) {
-    reports.push_back(impact_with_index(ssam, component, index));
-  }
-  return reports;
 }
 
 }  // namespace decisive::core

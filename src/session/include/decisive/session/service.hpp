@@ -1,7 +1,7 @@
 // The `same session` service: a long-lived line-protocol loop that keeps one
-// SSAM model and its incremental analysis state resident, so the DECISIVE
-// Step 4a/4b iteration (edit → re-analyze → inspect) never pays a model
-// reload or a cold analysis again.
+// SSAM model and its last analysis resident, so the DECISIVE Step 4a/4b
+// iteration (edit → re-analyze → inspect) never pays a model reload, and a
+// re-analysis with no edit since the last one replays the resident result.
 //
 // Protocol (full grammar in DESIGN.md §9): one request per line; every
 // request is answered by zero or more informational lines followed by a
@@ -20,7 +20,6 @@ namespace decisive::session {
 struct ServiceOptions {
   std::string model_path;  ///< optional: model to load before the loop starts
   std::string component;   ///< root component name (required with model_path)
-  std::string cache_path;  ///< optional: result cache to load before the loop
   core::GraphFmeaOptions analysis;  ///< analysis settings for every reanalyze
 };
 

@@ -1,17 +1,20 @@
 #include "decisive/session/service.hpp"
 
+#include <chrono>
 #include <cstdio>
 #include <istream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 #include "decisive/base/csv.hpp"
 #include "decisive/base/error.hpp"
 #include "decisive/base/strings.hpp"
 #include "decisive/core/circuit_fmea.hpp"
+#include "decisive/core/graph_fmea.hpp"
 #include "decisive/core/impact.hpp"
 #include "decisive/core/sm_search.hpp"
 #include "decisive/fta/engine.hpp"
@@ -24,7 +27,6 @@
 #include "decisive/obs/log.hpp"
 #include "decisive/obs/registry.hpp"
 #include "decisive/obs/span.hpp"
-#include "decisive/session/incremental.hpp"
 #include "decisive/ssam/model.hpp"
 
 namespace decisive::session {
@@ -36,17 +38,25 @@ using ssam::SsamModel;
 
 std::string format_ms(double seconds) { return format_number(seconds * 1e3, 3) + "ms"; }
 
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
 /// Service-level instrumentation. Registered up front (not lazily) so a
 /// `metrics` request always exposes the full catalogue — including the
-/// session cache and latency series — even before the first reanalyze.
+/// re-analysis and latency series — even before the first reanalyze.
 struct ServiceMetrics {
   obs::Counter& requests;
   obs::Counter& request_errors;
   obs::Counter& model_loads;
+  obs::Counter& reanalyses;
+  obs::Counter& short_circuits;
+  obs::Counter& fta_cache_hits;
+  obs::Counter& fta_cache_misses;
   obs::Gauge& spfm;
   obs::Gauge& rows;
-  obs::Gauge& cache_entries;
   obs::Histogram& request_seconds;
+  obs::Histogram& reanalyze_seconds;
 
   static ServiceMetrics& get() {
     auto& registry = obs::Registry::global();
@@ -54,35 +64,25 @@ struct ServiceMetrics {
         registry.counter("decisive_session_requests_total"),
         registry.counter("decisive_session_request_errors_total"),
         registry.counter("decisive_session_model_loads_total"),
+        registry.counter("decisive_session_reanalyses_total"),
+        registry.counter("decisive_session_short_circuits_total"),
+        registry.counter("decisive_fta_request_cache_hits_total"),
+        registry.counter("decisive_fta_request_cache_misses_total"),
         registry.gauge("decisive_session_spfm"),
         registry.gauge("decisive_session_rows"),
-        registry.gauge("decisive_session_cache_entries"),
-        registry.histogram("decisive_session_request_seconds")};
+        registry.histogram("decisive_session_request_seconds"),
+        registry.histogram("decisive_session_reanalyze_seconds")};
     return metrics;
-  }
-
-  /// Touches every series other layers register lazily, so the exposition is
-  /// complete from the first request of a fresh process.
-  static void preregister() {
-    auto& registry = obs::Registry::global();
-    registry.counter("decisive_session_reanalyses_total");
-    registry.counter("decisive_session_short_circuits_total");
-    registry.counter("decisive_session_cache_hits_total");
-    registry.counter("decisive_session_cache_misses_total");
-    registry.counter("decisive_session_invalidations_total");
-    registry.counter("decisive_fta_request_cache_hits_total");
-    registry.counter("decisive_fta_request_cache_misses_total");
-    get();
   }
 };
 
-/// The resident state of one service run.
+/// The resident state of one service run: the loaded model, its analysis
+/// root, the last FMEDA and the number of edits made since it was computed.
 class Service {
  public:
-  Service(std::ostream& out, const core::GraphFmeaOptions& analysis,
-          std::string default_cache_path)
-      : out_(out), analysis_(analysis), default_cache_path_(std::move(default_cache_path)) {
-    ServiceMetrics::preregister();
+  Service(std::ostream& out, const core::GraphFmeaOptions& analysis)
+      : out_(out), analysis_(analysis) {
+    ServiceMetrics::get();  // registers the whole catalogue
   }
 
   /// Dispatches one request line; returns false when the loop should end.
@@ -115,8 +115,6 @@ class Service {
       else if (command == "metrics") cmd_metrics();
       else if (command == "stats") cmd_stats();
       else if (command == "save") cmd_save(tokens);
-      else if (command == "save-cache") cmd_save_cache(tokens);
-      else if (command == "load-cache") cmd_load_cache(tokens);
       else throw ModelError("unknown command '" + command + "' (try: help)");
       out_ << "ok\n";
     } catch (const Error& error) {
@@ -131,42 +129,48 @@ class Service {
     return true;
   }
 
-  bool load(const std::string& path, const std::string& component_name) {
+  void load(const std::string& path, const std::string& component_name) {
     auto model = std::make_unique<SsamModel>();
     model::load_xmi_file(model->repo(), model->meta(), path);
     const ObjectId root = model->find_by_name(ssam::cls::Component, component_name);
     if (root == model::kNullObject) {
       throw ModelError("no component named '" + component_name + "' in " + path);
     }
-    session_.reset();  // order matters: the session references the old model
     model_ = std::move(model);
-    session_.emplace(*model_, root, analysis_);
+    root_ = root;
+    last_result_.reset();
+    note_edit();
     ServiceMetrics::get().model_loads.add();
     out_ << "loaded " << path << " (" << model_->size() << " elements), root '"
          << component_name << "'\n";
-    return true;
-  }
-
-  void load_cache(const std::string& path) {
-    const ResultCache::LoadReport report = require_session().cache().load_file(path);
-    if (report.loaded) {
-      out_ << "cache loaded: " << report.entries << " entries\n";
-    } else {
-      obs::log(obs::LogLevel::Warn, "result cache at '" + path + "' rebuilt: " + report.note);
-      out_ << "cache rebuilt: " << report.note << "\n";
-    }
   }
 
  private:
-  AnalysisSession& require_session() {
-    if (!session_.has_value()) {
-      throw ModelError("no model loaded (use: load <model.ssam> <component>)");
-    }
-    return *session_;
+  SsamModel& require_model() {
+    if (!model_) throw ModelError("no model loaded (use: load <model.ssam> <component>)");
+    return *model_;
+  }
+
+  /// Called after every change to the resident model (each write verb and
+  /// `load`): the last result and the cached `fta` replies describe the
+  /// model as it was before.
+  void note_edit() {
+    ++pending_edits_;
+    fta_replies_.clear();
+  }
+
+  /// True when the last result describes the current model state.
+  [[nodiscard]] bool up_to_date() const { return last_result_ && pending_edits_ == 0; }
+
+  /// The FMEA of the current model state, re-analysing first when an edit
+  /// is pending — no reader may combine the edited model with an old FMEA.
+  const core::FmedaResult& current_result() {
+    if (!up_to_date()) cmd_reanalyze();
+    return *last_result_;
   }
 
   ObjectId component_named(const std::string& name) {
-    require_session();
+    require_model();
     const ObjectId id = model_->find_by_name(ssam::cls::Component, name);
     if (id == model::kNullObject) throw ModelError("no component named '" + name + "'");
     return id;
@@ -199,14 +203,14 @@ class Service {
             "  pareto <catalogue> [<epsilon>]     (cost, SPFM) deployment front as CSV\n"
             "  fta [<mission-hours> [<max-order>]]  ZBDD fault tree of the root:\n"
             "      cut sets, exact top-event probability, importance, LFM\n"
-            "      (reply cached on the root subtree fingerprint)\n"
-            "  reanalyze                          incremental FMEA + stats\n"
+            "      (reply cached until the next edit)\n"
+            "  reanalyze                          FMEA + stats (replays the last\n"
+            "      result when nothing was edited since)\n"
             "  table                              last FMEDA table\n"
             "  result                             last SPFM / ASIL\n"
             "  metrics                            Prometheus-style instrumentation dump\n"
             "  stats                              cumulative session stats\n"
             "  save <model.ssam>                  persist the model\n"
-            "  save-cache [<path>] / load-cache [<path>]   default: the --cache path\n"
             "  quit\n";
   }
 
@@ -219,7 +223,7 @@ class Service {
     expect_arity(tokens, 3, "set-fit <component> <fit>");
     const ObjectId component = component_named(tokens[1]);
     model_->obj(component).set_real("fit", parse_double(tokens[2]));
-    session_->note_edit(component);
+    note_edit();
     out_ << "fit(" << tokens[1] << ") = " << tokens[2] << "\n";
   }
 
@@ -227,7 +231,7 @@ class Service {
     expect_arity(tokens, 4, "rewire <parent> <source-io> <target-io>");
     const ObjectId parent = component_named(tokens[1]);
     model_->connect(parent, io_node_named(tokens[2]), io_node_named(tokens[3]));
-    session_->note_edit(parent);
+    note_edit();
     out_ << "wired " << tokens[2] << " -> " << tokens[3] << " in " << tokens[1] << "\n";
   }
 
@@ -235,7 +239,7 @@ class Service {
     expect_arity(tokens, 5, "add-failure-mode <component> <name> <distribution> <nature>");
     const ObjectId component = component_named(tokens[1]);
     model_->add_failure_mode(component, tokens[2], parse_double(tokens[3]), tokens[4]);
-    session_->note_edit(component);
+    note_edit();
     out_ << "failure mode '" << tokens[2] << "' added to " << tokens[1] << "\n";
   }
 
@@ -256,21 +260,20 @@ class Service {
     }
     model_->add_safety_mechanism(component, tokens[2], parse_double(tokens[3]),
                                  parse_double(tokens[4]), covers);
-    session_->note_edit(component);
+    note_edit();
     out_ << "mechanism '" << tokens[2] << "' deployed on " << tokens[1] << "\n";
   }
 
   void cmd_impact(const std::vector<std::string>& tokens) {
     expect_arity(tokens, 2, "impact <component>");
-    const core::ImpactReport report =
-        core::impact_of_change(*model_, component_named(tokens[1]));
-    out_ << report.to_text(*model_);
+    const ObjectId component = component_named(tokens[1]);
+    out_ << core::impact_of_change(*model_, component).to_text(*model_);
   }
 
   /// Journal-backed circuit campaign, independent of the resident SSAM
-  /// session: it touches neither model_ nor the result cache, so an ongoing
-  /// incremental-analysis session (reanalyze etc.) is unaffected by
-  /// campaigns run through the same service.
+  /// model: it touches neither model_ nor the last result, so the resident
+  /// analysis (reanalyze etc.) is unaffected by campaigns run through the
+  /// same service.
   void cmd_campaign(const std::vector<std::string>& tokens) {
     if (tokens.size() < 3 || tokens.size() > 5) {
       throw ModelError("usage: campaign <model.mdl> <reliability-dir> [<journal> [<heartbeat>]]");
@@ -308,8 +311,7 @@ class Service {
     if (tokens.size() != 2 && tokens.size() != 3) {
       throw ModelError("usage: pareto <catalogue> [<epsilon>]");
     }
-    AnalysisSession& session = require_session();
-    if (!session.has_result()) cmd_reanalyze();  // the front needs an FMEA
+    const core::FmedaResult& fmea = current_result();
     const auto source = drivers::DriverRegistry::global().open(tokens[1]);
     const std::string_view table_name =
         source->table("SafetyMechanisms") != nullptr ? "SafetyMechanisms" : "";
@@ -317,40 +319,36 @@ class Service {
     core::ParetoOptions options;
     options.jobs = analysis_.jobs;
     if (tokens.size() == 3) options.epsilon = parse_double(tokens[2]);
-    const auto front = core::pareto_front(session.last_result(), catalogue, options);
-    out_ << write_csv(core::front_to_csv(session.last_result(), front));
+    const auto front = core::pareto_front(fmea, catalogue, options);
+    out_ << write_csv(core::front_to_csv(fmea, front));
     out_ << "front: " << front.size() << " deployment(s)\n";
   }
 
   /// ZBDD fault-tree analysis of the session root: minimal cut sets, exact
   /// quantification and the ISO 26262 latent/multi-point classification
-  /// against the session's FMEA. The rendered reply is cached on the root's
-  /// *subtree fingerprint* (plus the request parameters), so repeated
-  /// requests on an unchanged model replay without re-synthesising — the
-  /// same invalidation discipline as the per-unit FMEA cache.
+  /// against the FMEA of the current model state. The rendered reply is
+  /// cached per (mission, max-order) until the next edit, so repeated
+  /// requests on an unchanged model replay without re-synthesising.
   void cmd_fta(const std::vector<std::string>& tokens) {
     if (tokens.size() > 3) throw ModelError("usage: fta [<mission-hours> [<max-order>]]");
-    AnalysisSession& session = require_session();
-    if (!session.has_result()) cmd_reanalyze();  // the LFM needs an FMEA
+    const core::FmedaResult& fmea = current_result();
     const double mission = tokens.size() > 1 ? parse_double(tokens[1]) : 10000.0;
     const size_t max_order =
         tokens.size() > 2 ? static_cast<size_t>(parse_int(tokens[2])) : 0;
 
-    auto& registry = obs::Registry::global();
-    const ModelFingerprints fps = fingerprint_model(*model_, session.root(), analysis_);
-    const std::string key = to_hex(fps.subtree.at(session.root())) + "|" +
-                            format_number(mission, 6) + "|" + std::to_string(max_order);
+    ServiceMetrics& metrics = ServiceMetrics::get();
+    const std::pair key{mission, max_order};
     if (const auto it = fta_replies_.find(key); it != fta_replies_.end()) {
-      registry.counter("decisive_fta_request_cache_hits_total").add();
+      metrics.fta_cache_hits.add();
       out_ << it->second;
       return;
     }
-    registry.counter("decisive_fta_request_cache_misses_total").add();
+    metrics.fta_cache_misses.add();
 
     const auto tree =
-        fta::synthesize_fault_tree_zbdd(*model_, session.root(), {.max_order = max_order});
+        fta::synthesize_fault_tree_zbdd(*model_, root_, {.max_order = max_order});
     const auto quant = fta::quantify(tree, mission);
-    const auto lfm = fta::classify_latent(*model_, tree, session.last_result());
+    const auto lfm = fta::classify_latent(*model_, tree, fmea);
     char line[160];
     std::snprintf(line, sizeof line,
                   "cut-sets %zu exact %.6e rare-event %.6e mission %.0fh\n",
@@ -364,44 +362,65 @@ class Service {
       reply += line;
     }
     reply += lfm.to_text();
-    // The cache is fingerprint-keyed, so entries for edited models are never
-    // replayed — they are merely dead. Bound the footprint anyway.
+    // Edits clear the cache; bound the footprint between them too.
     if (fta_replies_.size() >= 64) fta_replies_.clear();
     fta_replies_.emplace(key, reply);
     out_ << reply;
   }
 
+  /// Replays the last result when no edit is pending; otherwise runs a cold
+  /// analysis of the current model state. The reply's unit, dirty and time
+  /// fields keep the layout clients parse: a cold run counts every unit as
+  /// a miss, a replay every unit as a hit, `dirty changed` is the number of
+  /// edits absorbed, and the fingerprint time and widening are always zero.
   void cmd_reanalyze() {
-    AnalysisSession& session = require_session();
-    const core::FmedaResult& result = session.reanalyze();
-    const AnalysisSession::Stats& stats = session.last_stats();
+    require_model();
     ServiceMetrics& metrics = ServiceMetrics::get();
+    metrics.reanalyses.add();
+    obs::Span span("session.reanalyze", &metrics.reanalyze_seconds);
+    const auto start = std::chrono::steady_clock::now();
+    const size_t edits = pending_edits_;
+    const bool short_circuit = up_to_date();
+    double analyze_seconds = 0.0;
+    if (short_circuit) {
+      metrics.short_circuits.add();
+    } else {
+      core::GraphFmeaStats stats;
+      last_result_ = core::analyze_component(*model_, root_, analysis_, &stats);
+      units_ = stats.units;
+      pending_edits_ = 0;
+      analyze_seconds = seconds_since(start);
+    }
+    const core::FmedaResult& result = *last_result_;
     metrics.spfm.set(result.spfm());
     metrics.rows.set(static_cast<double>(result.rows.size()));
-    metrics.cache_entries.set(static_cast<double>(session.cache().size()));
-    if (stats.short_circuited) out_ << "short-circuit (model unchanged)\n";
+    const size_t hits = short_circuit ? units_ : 0;
+    if (short_circuit) out_ << "short-circuit (model unchanged)\n";
     out_ << "rows " << result.rows.size() << " spfm " << format_percent(result.spfm()) << " "
          << result.asil_label() << "\n";
-    out_ << "units " << stats.units << " hits " << stats.cache_hits << " misses "
-         << stats.cache_misses << " hit-rate " << format_percent(stats.hit_rate()) << "\n";
-    out_ << "dirty changed " << stats.changed_components << " widened "
-         << stats.widened_components << "\n";
-    out_ << "time fingerprint " << format_ms(stats.fingerprint_seconds) << " analyze "
-         << format_ms(stats.analyze_seconds) << " total " << format_ms(stats.total_seconds)
-         << "\n";
+    out_ << "units " << units_ << " hits " << hits << " misses " << units_ - hits
+         << " hit-rate " << format_percent(hits > 0 ? 1.0 : 0.0) << "\n";
+    out_ << "dirty changed " << edits << " widened 0\n";
+    out_ << "time fingerprint " << format_ms(0.0) << " analyze " << format_ms(analyze_seconds)
+         << " total " << format_ms(seconds_since(start)) << "\n";
+  }
+
+  const core::FmedaResult& last_result() {
+    require_model();
+    if (!last_result_) throw ModelError("no analysis yet (use: reanalyze)");
+    return *last_result_;
   }
 
   void cmd_table() {
-    if (!require_session().has_result()) throw ModelError("no analysis yet (use: reanalyze)");
-    out_ << session_->last_result().to_text().render() << "\n";
-    for (const auto& warning : session_->last_result().warnings) {
+    const core::FmedaResult& result = last_result();
+    out_ << result.to_text().render() << "\n";
+    for (const auto& warning : result.warnings) {
       out_ << "note: " << warning << "\n";
     }
   }
 
   void cmd_result() {
-    if (!require_session().has_result()) throw ModelError("no analysis yet (use: reanalyze)");
-    const core::FmedaResult& result = session_->last_result();
+    const core::FmedaResult& result = last_result();
     out_ << "spfm " << format_percent(result.spfm()) << "\n";
     out_ << "asil " << result.asil_label() << "\n";
     out_ << "rows " << result.rows.size() << " safety-related "
@@ -409,74 +428,40 @@ class Service {
          << result.warnings.size() << "\n";
   }
 
-  void cmd_metrics() {
-    if (session_.has_value()) {
-      ServiceMetrics::get().cache_entries.set(static_cast<double>(session_->cache().size()));
-    }
-    out_ << obs::Registry::global().to_prometheus();
-  }
+  void cmd_metrics() { out_ << obs::Registry::global().to_prometheus(); }
 
   void cmd_stats() {
-    auto& registry = obs::Registry::global();
-    const std::uint64_t hits = registry.counter("decisive_session_cache_hits_total").value();
-    const std::uint64_t misses =
-        registry.counter("decisive_session_cache_misses_total").value();
-    out_ << "requests " << ServiceMetrics::get().requests.value() << " reanalyses "
-         << registry.counter("decisive_session_reanalyses_total").value() << " model-loads "
-         << ServiceMetrics::get().model_loads.value() << "\n";
-    out_ << "cache entries " << (session_.has_value() ? session_->cache().size() : 0)
-         << " cumulative-hit-rate "
-         << format_percent(hits + misses == 0
-                               ? 0.0
-                               : static_cast<double>(hits) /
-                                     static_cast<double>(hits + misses))
-         << "\n";
+    ServiceMetrics& metrics = ServiceMetrics::get();
+    out_ << "requests " << metrics.requests.value() << " reanalyses "
+         << metrics.reanalyses.value() << " model-loads " << metrics.model_loads.value() << "\n";
+    out_ << "short-circuits " << metrics.short_circuits.value() << " pending-edits "
+         << pending_edits_ << "\n";
   }
 
   void cmd_save(const std::vector<std::string>& tokens) {
     expect_arity(tokens, 2, "save <model.ssam>");
-    require_session();
-    model::save_xmi_file(tokens[1], model_->repo(), model_->meta());
+    model::save_xmi_file(tokens[1], require_model().repo(), model_->meta());
     out_ << "model saved to " << tokens[1] << "\n";
-  }
-
-  /// The explicit argument wins; without one, fall back to the --cache path
-  /// the service was started with.
-  std::string cache_path_from(const std::vector<std::string>& tokens, const char* usage) {
-    if (tokens.size() == 1 && !default_cache_path_.empty()) return default_cache_path_;
-    if (tokens.size() != 2) throw ModelError(std::string("usage: ") + usage);
-    return tokens[1];
-  }
-
-  void cmd_save_cache(const std::vector<std::string>& tokens) {
-    const std::string path =
-        cache_path_from(tokens, "save-cache <path> (no default: started without --cache)");
-    require_session().cache().save_file(path);
-    out_ << "cache saved to " << path << " (" << session_->cache().size() << " entries)\n";
-  }
-
-  void cmd_load_cache(const std::vector<std::string>& tokens) {
-    load_cache(cache_path_from(tokens, "load-cache <path> (no default: started without --cache)"));
   }
 
   std::ostream& out_;
   core::GraphFmeaOptions analysis_;
-  std::string default_cache_path_;
   std::unique_ptr<SsamModel> model_;
-  std::optional<AnalysisSession> session_;
-  /// Rendered `fta` replies keyed on (root subtree fingerprint, mission,
-  /// max-order) — see cmd_fta.
-  std::map<std::string, std::string> fta_replies_;
+  ObjectId root_ = model::kNullObject;
+  std::optional<core::FmedaResult> last_result_;
+  size_t units_ = 0;          ///< analysis units of last_result_
+  size_t pending_edits_ = 0;  ///< edits since last_result_ was computed
+  /// Rendered `fta` replies keyed on (mission, max-order) — see cmd_fta.
+  std::map<std::pair<double, size_t>, std::string> fta_replies_;
 };
 
 }  // namespace
 
 int run_service(std::istream& in, std::ostream& out, const ServiceOptions& options) {
-  Service service(out, options.analysis, options.cache_path);
+  Service service(out, options.analysis);
   if (!options.model_path.empty()) {
     try {
       service.load(options.model_path, options.component);
-      if (!options.cache_path.empty()) service.load_cache(options.cache_path);
     } catch (const Error& error) {
       obs::log(obs::LogLevel::Error,
                std::string("session initial load failed: ") + error.what());

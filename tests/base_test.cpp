@@ -1,11 +1,17 @@
 // Unit tests for decisive_base: strings, LangString, CSV, XML, JSON, tables,
-// and the deterministic PRNG.
+// the deterministic PRNG, and crash-safe file replacement.
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <unistd.h>
 
 #include "decisive/base/csv.hpp"
 #include "decisive/base/error.hpp"
 #include "decisive/base/json.hpp"
 #include "decisive/base/lang_string.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/base/strings.hpp"
 #include "decisive/base/table.hpp"
 #include "decisive/base/xml.hpp"
@@ -308,4 +314,35 @@ TEST(Rng, BelowStaysInBounds) {
   Rng rng(9);
   for (int i = 0; i < 1000; ++i) EXPECT_LT(rng.below(13), 13u);
   EXPECT_EQ(rng.below(0), 0u);
+}
+
+// ---------------------------------------------------------------- persist --
+
+TEST(Persist, AtomicWriteReplacesWholeContentAndLeavesNoTempSibling) {
+  // atomic_write_file writes a sibling temp file and renames it over the
+  // target, so the target holds the old or the new content, never a mix;
+  // the CLI test InterruptedHeartbeatWriteLeavesThePreviousHeartbeatIntact
+  // kills a writer inside that window.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("decisive-persist-" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const auto path = (dir / "state.json").string();
+  {
+    std::ofstream out(path);
+    out << "previous generation, longer than the content that replaces it\n";
+  }
+
+  atomic_write_file(path, "new\n");
+
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream content;
+  content << in.rdbuf();
+  EXPECT_EQ(content.str(), "new\n");
+  size_t entries = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    ++entries;
+    EXPECT_EQ(entry.path().filename().string(), "state.json");
+  }
+  EXPECT_EQ(entries, 1u);
+  std::filesystem::remove_all(dir);
 }

@@ -271,7 +271,7 @@ TEST(Cli, SessionRunsAScriptedLoop) {
   EXPECT_NE(result.output.find("spfm"), std::string::npos);
   // The `metrics` request answers Prometheus text from the process-wide
   // instrumentation registry.
-  EXPECT_NE(result.output.find("decisive_session_cache_hits_total"), std::string::npos);
+  EXPECT_NE(result.output.find("decisive_session_reanalyses_total"), std::string::npos);
   EXPECT_NE(result.output.find("decisive_session_request_seconds_bucket"),
             std::string::npos);
 }
@@ -634,40 +634,28 @@ TEST(Cli, UnanalysableBaselineExitsFourAndBestEffortDegrades) {
   EXPECT_NE(degraded.output.find("NotApplicable"), std::string::npos);
 }
 
-TEST(Cli, InterruptedCacheSaveLeavesThePreviousCacheIntact) {
+TEST(Cli, InterruptedHeartbeatWriteLeavesThePreviousHeartbeatIntact) {
   TempDir tmp;
-  const auto cache = (tmp.path / "session.cache").string();
-  const auto script = (tmp.path / "script").string();
-  const std::string session_args =
-      "session " + kAssets + "/brake_chain.ssam --component BrakeChain < " + script;
+  const auto journal = (tmp.path / "campaign.journal").string();
+  const auto heartbeat = journal + ".heartbeat.json";
+  ASSERT_EQ(run(fmea_args() + " --journal " + journal).exit_code, 0);
+  const std::string original = slurp(heartbeat);
+  ASSERT_NE(original.find("\"state\": \"done\""), std::string::npos) << original;
 
-  {
-    std::ofstream out(script);
-    out << "reanalyze\nsave-cache " << cache << "\nquit\n";
-  }
-  ASSERT_EQ(run(session_args).exit_code, 0);
-  const std::string original = slurp(cache);
-  ASSERT_FALSE(original.empty());
-
-  // A save that dies between writing the temp file and the rename must leave
-  // the previous cache untouched — the window where a straight-through write
-  // would already have truncated it.
-  {
-    std::ofstream out(script);
-    out << "reanalyze\nset-fit Sensor 120\nreanalyze\nsave-cache " << cache << "\nquit\n";
-  }
-  const auto killed = run(session_args, "DECISIVE_CRASH_BEFORE_RENAME=1 ");
+  // The resumed run dies between writing its first heartbeat to the temp
+  // file and the rename — the window where a straight-through write would
+  // already have truncated the previous heartbeat.
+  const auto killed =
+      run(fmea_args() + " --journal " + journal, "DECISIVE_CRASH_BEFORE_RENAME=1 ");
   EXPECT_EQ(killed.exit_code, kSigkillExit);
-  EXPECT_EQ(slurp(cache), original);
+  EXPECT_EQ(slurp(heartbeat), original);
 
-  // And the surviving cache still loads cleanly.
-  {
-    std::ofstream out(script);
-    out << "load-cache " << cache << "\nquit\n";
-  }
-  const auto reload = run(session_args);
-  EXPECT_EQ(reload.exit_code, 0) << reload.output;
-  EXPECT_NE(reload.output.find("cache"), std::string::npos);
+  // And `same status` still reads the surviving heartbeat.
+  const auto status = run("status " + tmp.path.string());
+  EXPECT_EQ(status.exit_code, 0) << status.output;
+  EXPECT_NE(status.output.find("0 running, 1 done, 0 dead"), std::string::npos)
+      << status.output;
+  EXPECT_NE(status.output.find("9/9 tasks"), std::string::npos) << status.output;
 }
 
 // ---------------------------------------------------------------------------

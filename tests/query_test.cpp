@@ -280,21 +280,30 @@ TEST(Query, CommentsAreIgnored) {
 
 // A parameterised sweep of expression/expected pairs.
 struct Sample {
+  const char* name;
   const char* source;
   double expected;
 };
 
+// Prints a sample as its name. Without this, gtest prints the raw bytes of
+// `source`, a load address that changes from run to run, and CTest's test
+// discovery puts that printout into every test's name.
+void PrintTo(const Sample& sample, std::ostream* os) { *os << sample.name; }
+
 class ExpressionSweep : public ::testing::TestWithParam<Sample> {};
 
 TEST_P(ExpressionSweep, Evaluates) {
-  EXPECT_DOUBLE_EQ(num(GetParam().source), GetParam().expected);
+  EXPECT_DOUBLE_EQ(num(GetParam().source), GetParam().expected) << GetParam().source;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Arithmetic, ExpressionSweep,
-    ::testing::Values(Sample{"2 + 3 * 4 - 5", 9.0}, Sample{"2 * (3 + 4)", 14.0},
-                      Sample{"100 / 10 / 2", 5.0}, Sample{"2 + 2 == 4 ? 1 : 0", 1.0},
-                      Sample{"Sequence{1,2,3,4,5}.select(x | x % 2 == 1).sum()", 9.0},
-                      Sample{"Sequence{10,20}.collect(x | x / 10).max()", 2.0},
-                      Sample{"var a = 5; var b = a * a; b - a", 20.0},
-                      Sample{"not (1 > 2) and 3 >= 3 ? 42 : 0", 42.0}));
+    ::testing::Values(Sample{"precedence", "2 + 3 * 4 - 5", 9.0},
+                      Sample{"parentheses", "2 * (3 + 4)", 14.0},
+                      Sample{"left_associative_division", "100 / 10 / 2", 5.0},
+                      Sample{"equality_ternary", "2 + 2 == 4 ? 1 : 0", 1.0},
+                      Sample{"select_sum",
+                             "Sequence{1,2,3,4,5}.select(x | x % 2 == 1).sum()", 9.0},
+                      Sample{"collect_max", "Sequence{10,20}.collect(x | x / 10).max()", 2.0},
+                      Sample{"var_bindings", "var a = 5; var b = a * a; b - a", 20.0},
+                      Sample{"logic_ternary", "not (1 > 2) and 3 >= 3 ? 42 : 0", 42.0}));

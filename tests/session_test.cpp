@@ -1,8 +1,8 @@
-// Tests for the incremental analysis engine (src/session): content
-// fingerprints, the fingerprint-keyed result cache (including corruption
-// tolerance of the on-disk format), the AnalysisSession edit→reanalyze loop
-// — property-tested byte-identical against cold runs under random edit
-// sequences — and the `same session` line-protocol service.
+// Tests for the `same session` service (src/session): one resident model,
+// edits tracked by the write verbs, `reanalyze` replaying the last result
+// when nothing was edited and re-running the analysis cold otherwise —
+// property-tested byte-identical against cold analyses of the saved model
+// under seeded random edit sequences — plus the protocol's other verbs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,35 +11,20 @@
 #include <random>
 #include <sstream>
 
-#include "decisive/base/csv.hpp"
-#include "decisive/base/error.hpp"
 #include "decisive/core/graph_fmea.hpp"
 #include "decisive/core/synthetic.hpp"
 #include "decisive/model/xmi.hpp"
 #include "decisive/obs/registry.hpp"
-#include "decisive/session/cache.hpp"
-#include "decisive/session/fingerprint.hpp"
-#include "decisive/session/incremental.hpp"
 #include "decisive/session/service.hpp"
 
 using namespace decisive;
 using namespace decisive::session;
-using ssam::ObjectId;
 using ssam::SsamModel;
 
 namespace {
 
-std::string csv_of(const core::FmedaResult& result) { return write_csv(result.to_csv()); }
-
 std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 void write_file(const std::string& path, const std::string& content) {
@@ -47,261 +32,173 @@ void write_file(const std::string& path, const std::string& content) {
   out << content;
 }
 
+/// Saves make_scaled_architecture(composites, leaves, width) as XMI.
+std::string save_scaled(const std::string& name, size_t composites, size_t leaves,
+                        size_t width = 1) {
+  const std::string path = temp_path(name);
+  const auto sys = core::make_scaled_architecture(composites, leaves, width);
+  model::save_xmi_file(path, sys.model->repo(), sys.model->meta());
+  return path;
+}
+
+/// Runs a request script against a service started on `model_path` and
+/// returns one reply per request: its lines up to and including the status
+/// line ("ok" or "error: ...").
+std::vector<std::string> run_script(const std::string& model_path, const std::string& component,
+                                    const std::string& script) {
+  ServiceOptions options;
+  options.model_path = model_path;
+  options.component = component;
+  std::istringstream in(script);
+  std::ostringstream out;
+  EXPECT_EQ(run_service(in, out, options), 0);
+
+  std::vector<std::string> replies;
+  std::istringstream transcript(out.str());
+  std::string line;
+  std::string reply;
+  bool ready = false;
+  while (std::getline(transcript, line)) {
+    if (!ready) {
+      ready = line == "same session ready";
+      continue;
+    }
+    reply += line + "\n";
+    if (line == "ok" || line.rfind("error:", 0) == 0) {
+      replies.push_back(std::move(reply));
+      reply.clear();
+    }
+  }
+  return replies;
+}
+
+/// The `table` reply the service gives for `result`.
+std::string table_reply(const core::FmedaResult& result) {
+  std::string text = result.to_text().render() + "\n";
+  for (const auto& warning : result.warnings) text += "note: " + warning + "\n";
+  return text + "ok\n";
+}
+
+/// A cold analysis of the model saved at `path`, and its unit count.
+std::string cold_table(const std::string& path, const std::string& component,
+                       size_t* units = nullptr) {
+  SsamModel model;
+  model::load_xmi_file(model.repo(), model.meta(), path);
+  core::GraphFmeaStats stats;
+  const auto result = core::analyze_component(
+      model, model.find_by_name(ssam::cls::Component, component), {}, &stats);
+  if (units != nullptr) *units = stats.units;
+  return table_reply(result);
+}
+
+std::uint64_t counter(const std::string& name) {
+  return obs::Registry::global().counter(name).value();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Fingerprints
-// ---------------------------------------------------------------------------
-
-TEST(FingerprintTest, HexRoundTrip) {
-  const Fingerprint fp{0x0123456789abcdefULL, 0xfedcba9876543210ULL};
-  EXPECT_EQ(to_hex(fp), "0123456789abcdef:fedcba9876543210");
-  EXPECT_EQ(fingerprint_from_hex(to_hex(fp)), fp);
-  EXPECT_THROW((void)fingerprint_from_hex("no"), ParseError);
-  EXPECT_THROW((void)fingerprint_from_hex("0123456789abcdef-fedcba9876543210"), ParseError);
-  EXPECT_THROW((void)fingerprint_from_hex("0123456789abcdeX:fedcba9876543210"), ParseError);
-}
-
-TEST(FingerprintTest, DeterministicAcrossIdenticalRebuilds) {
-  const auto a = core::make_scaled_architecture(3, 2);
-  const auto b = core::make_scaled_architecture(3, 2);
-  const core::GraphFmeaOptions options;
-  const auto fa = fingerprint_model(*a.model, a.system, options);
-  const auto fb = fingerprint_model(*b.model, b.system, options);
-  ASSERT_FALSE(fa.unit.empty());
-  EXPECT_EQ(fa.unit, fb.unit);
-  EXPECT_EQ(fa.subtree, fb.subtree);
-  EXPECT_EQ(fa.path, fb.path);
-}
-
-TEST(FingerprintTest, LeafEditDirtiesExactlyItsAnalysisUnit) {
-  const auto sys = core::make_scaled_architecture(3, 2);
-  SsamModel& m = *sys.model;
-  const core::GraphFmeaOptions options;
-  const auto before = fingerprint_model(m, sys.system, options);
-
-  // A leaf's FIT is read by the analysis *of its parent unit*, so only that
-  // unit's fingerprint may move.
-  const ObjectId unit1 = m.find_by_name(ssam::cls::Component, "Unit1");
-  const ObjectId leaf = m.find_by_name(ssam::cls::Component, "Unit1.Leaf0");
-  ASSERT_NE(leaf, model::kNullObject);
-  m.obj(leaf).set_real("fit", 999.0);
-  const auto after = fingerprint_model(m, sys.system, options);
-
-  const auto changed = fingerprint_diff(before, after);
-  ASSERT_EQ(changed.size(), 1u);
-  EXPECT_EQ(changed.front(), unit1);
-  // The subtree hash still propagates to the root, so a root-level
-  // comparison notices the edit.
-  EXPECT_NE(before.subtree.at(sys.system), after.subtree.at(sys.system));
-  EXPECT_EQ(before.unit.at(sys.system), after.unit.at(sys.system));
-}
-
-TEST(FingerprintTest, OptionsAreFoldedIntoEveryUnit) {
-  const auto sys = core::make_scaled_architecture(2, 2);
-  core::GraphFmeaOptions a;
-  core::GraphFmeaOptions b;
-  b.loss_natures.push_back("erroneous");
-  const auto fa = fingerprint_model(*sys.model, sys.system, a);
-  const auto fb = fingerprint_model(*sys.model, sys.system, b);
-  // Different analysis settings must never share cache entries: every unit
-  // hash moves.
-  EXPECT_EQ(fingerprint_diff(fa, fb).size(), fa.unit.size());
-}
-
-// ---------------------------------------------------------------------------
-// Incremental session vs cold oracle
+// Resident re-analysis vs cold oracle
 // ---------------------------------------------------------------------------
 
 TEST(IncrementalTest, FirstRunIsAllMissesAndMatchesCold) {
-  auto sys = core::make_scaled_architecture(4, 3);
-  AnalysisSession session(*sys.model, sys.system);
-  const std::string incremental = csv_of(session.reanalyze());
-  EXPECT_EQ(incremental, csv_of(session.cold_analyze()));
-  EXPECT_EQ(session.last_stats().cache_hits, 0u);
-  EXPECT_EQ(session.last_stats().cache_misses, session.last_stats().units);
+  const std::string path = save_scaled("decisive_session_first_run.ssam", 4, 3);
+  size_t units = 0;
+  const std::string cold = cold_table(path, "System", &units);
+  const auto replies = run_script(path, "System", "reanalyze\ntable\nquit\n");
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_EQ(replies[0].find("short-circuit"), std::string::npos) << replies[0];
+  EXPECT_NE(replies[0].find("units " + std::to_string(units) + " hits 0 misses " +
+                            std::to_string(units)),
+            std::string::npos)
+      << replies[0];
+  EXPECT_EQ(replies[1], cold);
+  std::remove(path.c_str());
 }
 
 TEST(IncrementalTest, UnchangedModelShortCircuits) {
-  auto sys = core::make_scaled_architecture(4, 3);
-  AnalysisSession session(*sys.model, sys.system);
-  const std::string first = csv_of(session.reanalyze());
-  const std::string second = csv_of(session.reanalyze());
-  EXPECT_EQ(first, second);
-  EXPECT_TRUE(session.last_stats().short_circuited);
-  EXPECT_EQ(session.last_stats().cache_hits, session.last_stats().units);
-}
-
-TEST(IncrementalTest, SingleEditOnScalabilityModelHitsOverNinetyPercent) {
-  // The ISSUE acceptance bar: one component edit on the Table-VI-scale
-  // subject replays >90% of the units from the cache, byte-identically.
-  auto sys = core::make_scaled_architecture(40, 16);
-  AnalysisSession session(*sys.model, sys.system);
-  session.reanalyze();
-
-  const ObjectId leaf = sys.model->find_by_name(ssam::cls::Component, "Unit20.Leaf3");
-  ASSERT_NE(leaf, model::kNullObject);
-  sys.model->obj(leaf).set_real("fit", 123.0);
-  session.note_edit(leaf);
-
-  const std::string incremental = csv_of(session.reanalyze());
-  const auto& stats = session.last_stats();
-  EXPECT_FALSE(stats.short_circuited);
-  EXPECT_GT(stats.hit_rate(), 0.9) << "hits " << stats.cache_hits << "/" << stats.units;
-  EXPECT_EQ(incremental, csv_of(session.cold_analyze()));
+  const std::string path = save_scaled("decisive_session_unchanged.ssam", 4, 3);
+  const auto reanalyses0 = counter("decisive_session_reanalyses_total");
+  const auto short_circuits0 = counter("decisive_session_short_circuits_total");
+  const auto replies =
+      run_script(path, "System", "reanalyze\ntable\nreanalyze\ntable\nquit\n");
+  ASSERT_EQ(replies.size(), 5u);
+  EXPECT_EQ(replies[2].rfind("short-circuit (model unchanged)\n", 0), 0u) << replies[2];
+  EXPECT_NE(replies[2].find(" misses 0 hit-rate 100.00%"), std::string::npos) << replies[2];
+  EXPECT_EQ(replies[1], replies[3]);
+  EXPECT_EQ(counter("decisive_session_reanalyses_total") - reanalyses0, 2u);
+  EXPECT_EQ(counter("decisive_session_short_circuits_total") - short_circuits0, 1u);
+  std::remove(path.c_str());
 }
 
 TEST(IncrementalTest, RandomEditSequencesStayByteIdenticalToCold) {
-  // Seeded property test: whatever sequence of FIT edits, new failure
-  // modes, mechanism deployments, rewires and renames is applied — with or
-  // without note_edit announcements — the incremental FMEDA equals a cold
-  // run on the same state, byte for byte.
+  // Seeded property test through the line protocol: whatever sequence of
+  // FIT edits, new failure modes, mechanism deployments and rewires the
+  // write verbs apply, the `table` after `reanalyze` equals a cold analysis
+  // of the model the service saves at that step, byte for byte; and a
+  // second `reanalyze` with no edit in between replays the resident result.
+  constexpr size_t kComposites = 5;
+  constexpr size_t kLeaves = 4;
+  constexpr int kSteps = 32;
+  const std::string path = save_scaled("decisive_session_random.ssam", kComposites, kLeaves);
   std::mt19937 rng(20260805u);
-  auto sys = core::make_scaled_architecture(5, 4);
-  SsamModel& m = *sys.model;
-  AnalysisSession session(m, sys.system);
-  session.reanalyze();
+  const auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+  const auto unit = [](size_t u) { return "Unit" + std::to_string(u); };
+  const auto leaf = [&](size_t u, size_t l) { return unit(u) + ".Leaf" + std::to_string(l); };
 
-  std::vector<ObjectId> components;
-  for (const ObjectId c : m.all_components_under(sys.system)) components.push_back(c);
-  ASSERT_FALSE(components.empty());
-
-  size_t total_hits = 0;
-  for (int step = 0; step < 30; ++step) {
-    const ObjectId target = components[rng() % components.size()];
-    switch (rng() % 5) {
+  std::string script;
+  std::vector<std::string> saved;
+  for (int step = 0; step < kSteps; ++step) {
+    // Every verb in turn; targets and values are seeded.
+    const size_t u = pick(kComposites);
+    const size_t l = pick(kLeaves);
+    const bool coin = pick(2) == 0;
+    const std::string tag = std::to_string(step);
+    switch (step % 4) {
       case 0:
-        m.obj(target).set_real("fit", static_cast<double>(1 + rng() % 500));
+        script += "set-fit " + (coin ? unit(u) : leaf(u, l)) + " " +
+                  std::to_string(1 + pick(500)) + "\n";
         break;
       case 1:
-        m.add_failure_mode(target, "FM-" + std::to_string(step),
-                           0.1 + static_cast<double>(rng() % 9) / 10.0, "lossOfFunction");
+        script += "add-failure-mode " + leaf(u, l) + " FM" + tag + " 0." +
+                  std::to_string(1 + pick(9)) + (coin ? " lossOfFunction\n" : " erroneous\n");
         break;
       case 2:
-        m.add_safety_mechanism(target, "SM-" + std::to_string(step),
-                               0.5 + static_cast<double>(rng() % 5) / 10.0, 1.0,
-                               model::kNullObject);
+        script += "deploy-sm " + leaf(u, l) + " SM" + tag + " 0." + std::to_string(5 + pick(5)) +
+                  (coin ? " 1 Open\n" : " 1\n");
         break;
-      case 3: {
-        // Rewire inside a random composite: duplicate one of its existing
-        // relationships' endpoints into a fresh connection.
-        const auto& rels = m.obj(target).refs("relationships");
-        if (rels.empty()) continue;
-        const auto& rel = m.obj(rels[rng() % rels.size()]);
-        m.connect(target, rel.ref("source"), rel.ref("target"));
+      default: {
+        // A bypass inside one unit, or around whole units in the system.
+        if (coin) {
+          const size_t from = l == kLeaves - 1 ? 0 : l;
+          const size_t to = from + 1 + pick(kLeaves - 1 - from);
+          script += "rewire " + unit(u) + " " + leaf(u, from) + ".out " + leaf(u, to) + ".in\n";
+        } else {
+          const size_t next = u + 1 + pick(kComposites - u);
+          script += "rewire System " + unit(u) + ".out " +
+                    (next == kComposites ? std::string("System.out") : unit(next) + ".in") + "\n";
+        }
         break;
       }
-      default:
-        m.obj(target).set_string("name", "R" + std::to_string(step));
-        break;
     }
-    // Half the edits are "silent": the fingerprint diff must catch them
-    // without an announcement.
-    if (rng() % 2 == 0) session.note_edit(target);
-
-    const std::string incremental = csv_of(session.reanalyze());
-    ASSERT_EQ(incremental, csv_of(session.cold_analyze())) << "diverged at step " << step;
-    total_hits += session.last_stats().cache_hits;
+    saved.push_back(temp_path("decisive_session_random_" + std::to_string(step) + ".ssam"));
+    script += "reanalyze\nreanalyze\ntable\nsave " + saved.back() + "\n";
   }
-  // The loop must actually exercise the cache, not just bypass it.
-  EXPECT_GT(total_hits, 0u);
-}
+  script += "quit\n";
 
-// ---------------------------------------------------------------------------
-// Cache persistence + poisoning
-// ---------------------------------------------------------------------------
-
-TEST(ResultCacheTest, PersistedCacheWarmsAFreshSession) {
-  const std::string path = temp_path("decisive_session_cache_warm.txt");
-  {
-    auto sys = core::make_scaled_architecture(4, 3);
-    AnalysisSession session(*sys.model, sys.system);
-    session.reanalyze();
-    EXPECT_GT(session.cache().size(), 0u);
-    session.cache().save_file(path);
+  const auto short_circuits0 = counter("decisive_session_short_circuits_total");
+  const auto replies = run_script(path, "System", script);
+  ASSERT_EQ(replies.size(), 5u * kSteps + 1);
+  for (int step = 0; step < kSteps; ++step) {
+    const std::string* reply = &replies[5 * step];
+    ASSERT_TRUE(reply[0].ends_with("ok\n")) << reply[0];
+    EXPECT_EQ(reply[1].find("short-circuit"), std::string::npos) << "step " << step;
+    EXPECT_EQ(reply[2].rfind("short-circuit (model unchanged)\n", 0), 0u) << "step " << step;
+    ASSERT_EQ(reply[3], cold_table(saved[step], "System")) << "diverged at step " << step;
+    std::remove(saved[step].c_str());
   }
-
-  // An identically rebuilt model (deterministic object ids) in a new
-  // process-equivalent: every unit replays from the loaded cache.
-  auto sys = core::make_scaled_architecture(4, 3);
-  AnalysisSession session(*sys.model, sys.system);
-  const auto report = session.cache().load_file(path);
-  ASSERT_TRUE(report.loaded) << report.note;
-  EXPECT_GT(report.entries, 0u);
-
-  const std::string incremental = csv_of(session.reanalyze());
-  EXPECT_EQ(session.last_stats().cache_misses, 0u);
-  EXPECT_EQ(session.last_stats().cache_hits, session.last_stats().units);
-  EXPECT_EQ(incremental, csv_of(session.cold_analyze()));
-  std::remove(path.c_str());
-}
-
-TEST(ResultCacheTest, TruncatedFileIsRejectedAndRebuilt) {
-  const std::string path = temp_path("decisive_session_cache_trunc.txt");
-  auto sys = core::make_scaled_architecture(3, 2);
-  AnalysisSession session(*sys.model, sys.system);
-  session.reanalyze();
-  session.cache().save_file(path);
-
-  const std::string content = read_file(path);
-  ASSERT_GT(content.size(), 40u);
-  write_file(path, content.substr(0, content.size() - 40));
-
-  ResultCache cache;
-  const auto report = cache.load_file(path);
-  EXPECT_FALSE(report.loaded);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_NE(report.note.find("rebuilding"), std::string::npos) << report.note;
-  std::remove(path.c_str());
-}
-
-TEST(ResultCacheTest, GarbledByteIsRejectedAndRebuilt) {
-  const std::string path = temp_path("decisive_session_cache_flip.txt");
-  auto sys = core::make_scaled_architecture(3, 2);
-  AnalysisSession session(*sys.model, sys.system);
-  session.reanalyze();
-  session.cache().save_file(path);
-
-  std::string content = read_file(path);
-  content[content.size() / 2] ^= 0x20;  // one bit flip mid-payload
-  write_file(path, content);
-
-  ResultCache cache;
-  const auto report = cache.load_file(path);
-  EXPECT_FALSE(report.loaded);
-  EXPECT_EQ(cache.size(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(ResultCacheTest, ForeignContentAndMissingFileAreHandled) {
-  const std::string path = temp_path("decisive_session_cache_foreign.txt");
-  write_file(path, "hello, I am definitely not a result cache\n");
-  ResultCache cache;
-  EXPECT_FALSE(cache.load_file(path).loaded);
-  EXPECT_EQ(cache.size(), 0u);
-  std::remove(path.c_str());
-
-  EXPECT_FALSE(cache.load_file(temp_path("decisive_no_such_cache.txt")).loaded);
-}
-
-TEST(ResultCacheTest, PoisonedCacheNeverCorruptsTheAnalysis) {
-  // Even if a poisoned file somehow carried a valid checksum, the session
-  // must still produce a correct FMEDA — corrupt *content* is discarded at
-  // load, and a discarded cache only costs misses.
-  const std::string path = temp_path("decisive_session_cache_poison.txt");
-  auto sys = core::make_scaled_architecture(3, 2);
-  AnalysisSession session(*sys.model, sys.system);
-  session.reanalyze();
-  session.cache().save_file(path);
-
-  std::string content = read_file(path);
-  write_file(path, content.substr(0, content.size() / 2));  // hard truncation
-
-  auto fresh_sys = core::make_scaled_architecture(3, 2);
-  AnalysisSession fresh(*fresh_sys.model, fresh_sys.system);
-  const auto report = fresh.cache().load_file(path);
-  EXPECT_FALSE(report.loaded);
-  EXPECT_EQ(csv_of(fresh.reanalyze()), csv_of(fresh.cold_analyze()));
+  EXPECT_EQ(counter("decisive_session_short_circuits_total") - short_circuits0,
+            static_cast<std::uint64_t>(kSteps));
   std::remove(path.c_str());
 }
 
@@ -338,10 +235,10 @@ TEST(ServiceTest, ScriptedEditLoopOverOneResidentModel) {
   EXPECT_NE(text.find("\nspfm "), std::string::npos);
   EXPECT_NE(text.find("\nasil "), std::string::npos);
   // `metrics` answers a Prometheus dump of the instrumentation registry,
-  // cache hit/miss counters and request latency histogram included.
-  EXPECT_NE(text.find("# TYPE decisive_session_cache_hits_total counter"),
+  // re-analysis counters and request latency histogram included.
+  EXPECT_NE(text.find("# TYPE decisive_session_reanalyses_total counter"),
             std::string::npos);
-  EXPECT_NE(text.find("decisive_session_cache_misses_total"), std::string::npos);
+  EXPECT_NE(text.find("decisive_session_short_circuits_total"), std::string::npos);
   EXPECT_NE(text.find("# TYPE decisive_session_request_seconds histogram"),
             std::string::npos);
   EXPECT_NE(text.find("decisive_session_request_seconds_bucket{le=\"+Inf\"}"),
@@ -360,8 +257,8 @@ TEST(ServiceTest, FtaRequestIsFingerprintCached) {
   const auto hits0 = registry.counter("decisive_fta_request_cache_hits_total").value();
   const auto misses0 = registry.counter("decisive_fta_request_cache_misses_total").value();
 
-  // Same request twice → one synthesis, one replay. An edit invalidates the
-  // subtree fingerprint, so the third request recomputes; so does a changed
+  // Same request twice → one synthesis, one replay. An edit clears the
+  // reply cache, so the third request recomputes; so does a changed
   // parameter set.
   std::istringstream in(
       "fta\n"
@@ -382,6 +279,46 @@ TEST(ServiceTest, FtaRequestIsFingerprintCached) {
   EXPECT_NE(text.find("mission 5000h"), std::string::npos);
 }
 
+TEST(ServiceTest, FtaAndParetoReanalysePendingEditsFirst) {
+  // `fta` classifies latent faults against the FMEA of the current model:
+  // after an edit it re-analyses first, and no pre-edit reply is replayed.
+  const std::string model = save_scaled("decisive_session_stale_lfm.ssam", 2, 3, 2);
+  const auto edited = run_script(
+      model, "System", "reanalyze\nset-fit Unit0_0 900\nfta\nreanalyze\nfta\nquit\n");
+  const auto reference =
+      run_script(model, "System", "set-fit Unit0_0 900\nreanalyze\nfta\nquit\n");
+  ASSERT_EQ(edited.size(), 6u);
+  ASSERT_EQ(reference.size(), 4u);
+  for (const std::string& reply : {edited[2], edited[4], reference[2]}) {
+    EXPECT_NE(reply.find("\nmulti-point FIT: 384.8 "), std::string::npos) << reply;
+  }
+  // The pending edit is re-analysed first, in the same reply; after the
+  // explicit reanalyze the reply equals a fresh session's.
+  EXPECT_EQ(edited[2].rfind("rows ", 0), 0u) << edited[2];
+  EXPECT_EQ(edited[4], reference[2]);
+  std::remove(model.c_str());
+
+  // `pareto` after an edit ranks deployments against the edited model.
+  const auto catalogue = temp_path("decisive-service-stale-catalogue.csv");
+  write_file(catalogue,
+             "Component,Failure_Mode,Safety_Mechanism,Cov.,Cost(hrs)\n"
+             "Sensor,No output,Redundant sensor,95%,4.0\n"
+             "Driver,Open,Duplex driver,90%,2.0\n");
+  const std::string brake = DECISIVE_ASSETS_DIR "/brake_chain.ssam";
+  const auto before = run_script(brake, "BrakeChain", "pareto " + catalogue + "\nquit\n");
+  const auto after = run_script(
+      brake, "BrakeChain", "reanalyze\nset-fit Sensor 120\npareto " + catalogue + "\nquit\n");
+  const auto expected = run_script(
+      brake, "BrakeChain", "set-fit Sensor 120\nreanalyze\npareto " + catalogue + "\nquit\n");
+  ASSERT_EQ(before.size(), 2u);
+  ASSERT_EQ(after.size(), 4u);
+  ASSERT_EQ(expected.size(), 4u);
+  const auto front = [](const std::string& reply) { return reply.substr(reply.find("Cost(hrs)")); };
+  EXPECT_NE(front(before[0]), expected[2]);
+  EXPECT_EQ(front(after[2]), expected[2]);
+  std::remove(catalogue.c_str());
+}
+
 TEST(ServiceTest, RequestsWithoutAModelFailSoftly) {
   std::istringstream in("reanalyze\nload nowhere.ssam Nothing\nquit\n");
   std::ostringstream out;
@@ -396,38 +333,6 @@ TEST(ServiceTest, FailedInitialLoadReturnsTwo) {
   std::istringstream in("quit\n");
   std::ostringstream out;
   EXPECT_EQ(run_service(in, out, options), 2);
-}
-
-TEST(ServiceTest, CacheSurvivesAcrossServiceRuns) {
-  const std::string model_path = temp_path("decisive_service_model.ssam");
-  const std::string cache_path = temp_path("decisive_service_cache.txt");
-  {
-    auto sys = core::make_scaled_architecture(3, 2);
-    model::save_xmi_file(model_path, sys.model->repo(), sys.model->meta());
-  }
-
-  std::ostringstream first_out;
-  {
-    ServiceOptions options;
-    options.model_path = model_path;
-    options.component = "System";
-    std::istringstream in("reanalyze\nsave-cache " + cache_path + "\nquit\n");
-    EXPECT_EQ(run_service(in, first_out, options), 0);
-    EXPECT_NE(first_out.str().find("cache saved"), std::string::npos);
-  }
-
-  ServiceOptions options;
-  options.model_path = model_path;
-  options.component = "System";
-  options.cache_path = cache_path;
-  std::istringstream in("reanalyze\nquit\n");
-  std::ostringstream out;
-  EXPECT_EQ(run_service(in, out, options), 0);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("cache loaded"), std::string::npos);
-  EXPECT_NE(text.find("misses 0"), std::string::npos) << text;
-  std::remove(model_path.c_str());
-  std::remove(cache_path.c_str());
 }
 
 TEST(ServiceTest, ParetoAnswersTheDeploymentFront) {
@@ -462,39 +367,6 @@ TEST(ServiceTest, ParetoAnswersTheDeploymentFront) {
   std::remove(catalogue_path.c_str());
 }
 
-TEST(ResultCacheTest, SaveIsWriteTempThenRenameNeverInPlace) {
-  // The cache persists via atomic_write_file: the payload lands in a
-  // sibling temp file first and replaces the target in one rename, so a
-  // reader (or a crash — see the CLI-level SIGKILL test) can never observe a
-  // half-written cache. After a successful save no temp sibling remains.
-  const std::string dir = temp_path("decisive_cache_atomic_dir");
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/cache.txt";
-  write_file(path, "previous generation\n");
-
-  auto sys = core::make_scaled_architecture(3, 2);
-  AnalysisSession session(*sys.model, sys.system);
-  session.reanalyze();
-  session.cache().save_file(path);
-
-  size_t entries = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    entries++;
-    EXPECT_EQ(entry.path().filename().string(), "cache.txt") << entry.path();
-  }
-  EXPECT_EQ(entries, 1u);
-
-  // The replacement is complete (old bytes fully gone) and checksummed: the
-  // last line seals everything above it.
-  const std::string content = read_file(path);
-  EXPECT_EQ(content.find("previous generation"), std::string::npos);
-  const auto last_line = content.rfind("checksum ", content.size() - 2);
-  ASSERT_NE(last_line, std::string::npos);
-  ResultCache cache;
-  EXPECT_TRUE(cache.load_file(path).loaded);
-  std::filesystem::remove_all(dir);
-}
-
 TEST(ServiceTest, CampaignRequestLeavesTheResidentSessionUntouched) {
   ServiceOptions options;
   options.model_path = DECISIVE_ASSETS_DIR "/brake_chain.ssam";
@@ -506,8 +378,8 @@ TEST(ServiceTest, CampaignRequestLeavesTheResidentSessionUntouched) {
   const std::string workbook = DECISIVE_ASSETS_DIR "/reliability_workbook";
 
   // Two journaled campaigns (the second replays every task from the first's
-  // checkpoints) plus a plain one, interleaved with the resident incremental
-  // session — which must keep answering reanalyze as if no campaign ran.
+  // checkpoints) plus a plain one, interleaved with the resident model's
+  // analysis — which must keep answering reanalyze as if no campaign ran.
   std::istringstream in("reanalyze\n"
                         "campaign " + mdl + " " + workbook + " " + journal + "\n" +
                         "campaign " + mdl + " " + workbook + " " + journal + "\n" +
@@ -527,8 +399,8 @@ TEST(ServiceTest, CampaignRequestLeavesTheResidentSessionUntouched) {
   // Replayed and fresh campaigns answer identically (same summary lines).
   EXPECT_NE(text.find("campaign 9 converged"), std::string::npos) << text;
   EXPECT_NE(text.find("usage: campaign"), std::string::npos);
-  // The resident session still reanalyzes (campaigns bypass its cache).
-  EXPECT_NE(text.find("spfm"), std::string::npos);
+  // A campaign is not an edit: the resident analysis replays.
+  EXPECT_NE(text.find("short-circuit (model unchanged)"), std::string::npos) << text;
   EXPECT_TRUE(std::filesystem::exists(journal));
   std::remove(journal.c_str());
 }

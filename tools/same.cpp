@@ -11,7 +11,7 @@
 //   query       run a query script against any supported external model
 //   scalability evaluate a synthetic model with both repository back-ends
 //   impact      change-impact report for one component (ISO 26262 Part 8)
-//   session     long-lived incremental-analysis service (line protocol)
+//   session     long-lived resident-model analysis service (line protocol)
 //   check-trace validate a Chrome trace-event file produced by --trace
 //   status      fold per-shard heartbeat files into one live progress view
 //   merge-metrics  fold per-shard registry snapshots into one snapshot
@@ -185,15 +185,15 @@ int usage() {
       "      ancestors, connected neighbours, requirements and hazards a\n"
       "      change to it can invalidate (ISO 26262 Part 8 change management).\n\n"
       "  same session [--model <design.ssam> --component <name>] [--jobs N]\n"
-      "            [--cache <file>]\n"
-      "      Long-lived incremental-analysis service: reads one request per\n"
-      "      line from stdin (load / set-fit / rewire / add-failure-mode /\n"
-      "      deploy-sm / impact / campaign / reanalyze / table / result /\n"
-      "      metrics / stats / save / save-cache / load-cache / quit; 'help'\n"
-      "      lists them). Re-analyses replay fingerprint-cached per-component\n"
-      "      results and report the hit rate, dirty-set size and per-phase\n"
-      "      wall time; 'metrics' answers a Prometheus-style dump of the\n"
-      "      process-wide instrumentation registry.\n\n"
+      "      Long-lived analysis service over one resident model: reads one\n"
+      "      request per line from stdin (load / set-fit / rewire /\n"
+      "      add-failure-mode / deploy-sm / impact / campaign / pareto / fta /\n"
+      "      reanalyze / table / result / metrics / stats / save / quit;\n"
+      "      'help' lists them). 'reanalyze' replays the last result when no\n"
+      "      edit was made since, and otherwise re-runs the analysis; 'fta'\n"
+      "      and 'pareto' re-analyse pending edits first. 'metrics' answers a\n"
+      "      Prometheus-style dump of the process-wide instrumentation\n"
+      "      registry.\n\n"
       "  same check-trace <trace.json>\n"
       "      Validate a Chrome trace-event file: JSON well-formedness,\n"
       "      monotonic timestamps and balanced begin/end pairs per\n"
@@ -721,7 +721,6 @@ int cmd_session(const Args& args) {
     }
     options.component = *component;
   }
-  if (const auto cache = args.get("cache")) options.cache_path = *cache;
   if (const auto jobs = args.get("jobs")) {
     options.analysis.jobs = static_cast<int>(parse_int(*jobs));
     if (options.analysis.jobs < 0) {
