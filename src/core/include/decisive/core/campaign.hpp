@@ -93,22 +93,21 @@ class CampaignRunner {
   [[nodiscard]] std::vector<size_t> shard_task_indices() const;
 
  private:
-  /// `batch`/`batch_ws` carry the factor-once campaign context and
-  /// `sparse`/`sparse_ws` the shared-symbolic sparse tier (null when the
-  /// respective path is disabled or unusable); the first attempt tries the
-  /// low-rank solve, then the sparse refactorisation, and every
-  /// fallback/retry re-runs the classic dense ladder.
+  /// Test hooks of the campaign engine, read from the environment once per
+  /// run() (see campaign.cpp).
+  struct CrashHooks;
+
+  /// `context`/`workspace` carry the campaign's shared solve context (null
+  /// when batching is off or the context is unusable): the first attempt
+  /// tries it, and every fallback or retry re-runs the classic dense ladder.
   [[nodiscard]] FmedaRow run_task(const Task& task, const sim::OperatingPoint& baseline,
-                                  const sim::CampaignSolveContext* batch,
-                                  sim::CampaignSolveContext::Workspace* batch_ws,
-                                  const sim::CampaignSparseContext* sparse,
-                                  sim::CampaignSparseContext::Workspace* sparse_ws) const;
+                                  const CrashHooks& hooks, const sim::CampaignContext* context,
+                                  sim::CampaignContext::Workspace* workspace) const;
   [[nodiscard]] FmedaRow run_task_once(const Task& task, const sim::OperatingPoint& baseline,
                                        const sim::SolveOptions& solver, int attempt,
-                                       const sim::CampaignSolveContext* batch,
-                                       sim::CampaignSolveContext::Workspace* batch_ws,
-                                       const sim::CampaignSparseContext* sparse,
-                                       sim::CampaignSparseContext::Workspace* sparse_ws) const;
+                                       const CrashHooks& hooks,
+                                       const sim::CampaignContext* context,
+                                       sim::CampaignContext::Workspace* workspace) const;
 
   const sim::BuiltCircuit& built_;
   const SafetyMechanismModel* sm_model_;

@@ -74,22 +74,22 @@ struct CircuitFmeaOptions {
   /// Campaign worker threads: 1 = serial, 0 = hardware concurrency. The
   /// FMEDA output is byte-identical for any value.
   int jobs = 1;
-  /// Factor-once batched campaign solving (campaign_solver.hpp): solve the
-  /// nominal system once and apply eligible faults as low-rank updates,
-  /// falling back to the classic per-fault ladder whenever any correctness
-  /// gate trips. Output is byte-identical either way, so — like `jobs` and
-  /// the shard spec — this flag is deliberately excluded from the campaign
+  /// Campaign solve context (campaign_solver.hpp): solve the nominal system
+  /// once, factor its Jacobian once, and answer each fault from that factor
+  /// — a low-rank update for structure-preserving faults, a refactorisation
+  /// over the shared symbolic for the rest (sparse factor only) — falling
+  /// back to the classic per-fault ladder whenever any correctness gate
+  /// trips. Output is byte-identical either way, so — like `jobs` and the
+  /// shard spec — this flag is deliberately excluded from the campaign
   /// fingerprint and journals interchange freely between the two modes.
-  /// `false` is the `--no-batch` escape hatch.
+  /// `false` is the `--no-batch` escape hatch: one dense solve per fault,
+  /// no context.
   bool batch = true;
-  /// Sparse middle tier of the campaign solve ladder (campaign_solver.hpp):
-  /// one symbolic analysis of the nominal stamp pattern, shared read-only by
-  /// every worker; same-structure faults refactor numerics only and
-  /// structural Open/Short faults reuse the symbolic prefix. Accepted only
-  /// behind the same correctness gates as the batched path — the naive
-  /// fallback always runs the dense kernel — so output is byte-identical
-  /// either way and, like `batch`, the flag is excluded from the campaign
-  /// fingerprint. `false` is the `--no-sparse` escape hatch.
+  /// Lets the context factor sparse at or above `solver.sparse_min_dim`
+  /// unknowns (with `solver.sparse` also set). `false` is the `--no-sparse`
+  /// escape hatch: the context keeps a dense nominal factor and structural
+  /// faults go naive. Byte-identical either way and, like `batch`, excluded
+  /// from the campaign fingerprint.
   bool sparse = true;
   /// Journal / shard / containment controls of the campaign run.
   CampaignExecution execution;

@@ -122,9 +122,12 @@ EffectClass classify(const CircuitFmeaOptions& options, const sim::OperatingPoin
 /// close to relative_threshold are re-decided by the naive solve.
 constexpr double kClassifyGuard = 1e-6;
 
+}  // namespace
+
 /// Campaign fault-injection hooks (for the containment tests: the campaign
 /// engine eats its own dog food and is itself tested by fault injection).
-/// Read fresh per run so tests can flip them between campaigns in-process.
+/// Read once at the top of every run(), so tests can flip them between
+/// campaigns in-process.
 ///
 ///  - DECISIVE_CAMPAIGN_TASK_THROW="<component-path>/<mode-name>[@k]": the
 ///    matching task throws std::runtime_error from inside run_task_once —
@@ -134,14 +137,19 @@ constexpr double kClassifyGuard = 1e-6;
 ///  - DECISIVE_CAMPAIGN_WORKER_DIE=<global-task-index>: the worker thread
 ///    that picks up that task dies *outside* task containment — must trip
 ///    the circuit breaker and finish the campaign serially.
-struct CrashHooks {
-  std::string task_throw;
+struct CampaignRunner::CrashHooks {
+  std::string task_throw;  ///< "<component-path>/<mode-name>"; empty = unset
+  long task_throw_below = std::numeric_limits<long>::max();  ///< attempts that throw
   long worker_die = -1;
 
   static CrashHooks from_env() {
     CrashHooks hooks;
     if (const char* spec = std::getenv("DECISIVE_CAMPAIGN_TASK_THROW")) {
       hooks.task_throw = spec;
+      if (const auto at = hooks.task_throw.rfind('@'); at != std::string::npos) {
+        hooks.task_throw_below = std::strtol(hooks.task_throw.c_str() + at + 1, nullptr, 10);
+        hooks.task_throw.resize(at);
+      }
     }
     if (const char* index = std::getenv("DECISIVE_CAMPAIGN_WORKER_DIE")) {
       hooks.worker_die = std::strtol(index, nullptr, 10);
@@ -149,8 +157,6 @@ struct CrashHooks {
     return hooks;
   }
 };
-
-}  // namespace
 
 std::string outcome_warning(const FmedaRow& row) {
   std::string warning;
@@ -271,10 +277,9 @@ std::vector<size_t> CampaignRunner::shard_task_indices() const {
 FmedaRow CampaignRunner::run_task_once(const Task& task,
                                        const sim::OperatingPoint& baseline,
                                        const sim::SolveOptions& solver, int attempt,
-                                       const sim::CampaignSolveContext* batch,
-                                       sim::CampaignSolveContext::Workspace* batch_ws,
-                                       const sim::CampaignSparseContext* sparse,
-                                       sim::CampaignSparseContext::Workspace* sparse_ws) const {
+                                       const CrashHooks& hooks,
+                                       const sim::CampaignContext* context,
+                                       sim::CampaignContext::Workspace* workspace) const {
   FmedaRow row;
   row.component = task.component->path;
   row.component_type = task.reliability->component_type;
@@ -285,73 +290,46 @@ FmedaRow CampaignRunner::run_task_once(const Task& task,
   sim::Fault fault;
   fault.element = task.component->element;
   try {
-    if (const char* throw_env = std::getenv("DECISIVE_CAMPAIGN_TASK_THROW")) {
-      std::string spec = throw_env;
-      long throw_below = std::numeric_limits<long>::max();
-      if (const auto at = spec.rfind('@'); at != std::string::npos) {
-        throw_below = std::strtol(spec.c_str() + at + 1, nullptr, 10);
-        spec.resize(at);
-      }
-      if (attempt < throw_below && task.component->path + "/" + task.mode->name == spec) {
-        throw std::runtime_error("injected task crash (DECISIVE_CAMPAIGN_TASK_THROW)");
-      }
+    if (!hooks.task_throw.empty() && attempt < hooks.task_throw_below &&
+        task.component->path + "/" + task.mode->name == hooks.task_throw) {
+      throw std::runtime_error("injected task crash (DECISIVE_CAMPAIGN_TASK_THROW)");
     }
     fault.kind = sim::fault_kind_from_name(task.mode->name);
     const sim::Circuit faulted = sim::inject_fault(
         built_.circuit, fault, solver.open_resistance, solver.closed_resistance);
 
-    // Batched fast path: solve against the campaign's shared nominal
-    // factorisation. Any fallback reason — structural fault, conditioning,
-    // slow convergence, classification knife edge — re-runs the fault
-    // through the naive path below, so the row bytes cannot diverge.
-    if (batch != nullptr && batch_ws != nullptr) {
+    // Fast path: the campaign's shared solve context — a low-rank update
+    // against the nominal factor, or (sparse factor only) a refactorisation
+    // over the nominal symbolic. Any fallback reason — structural fault
+    // below the crossover, conditioning, slow convergence, a knife edge —
+    // re-runs the fault through the naive path below, so the row bytes
+    // cannot diverge.
+    if (context != nullptr && workspace != nullptr) {
       CampaignMetrics& metrics = CampaignMetrics::get();
-      sim::SolveDiagnostics batch_diagnostics;
-      sim::BatchOutcome batch_outcome = sim::BatchOutcome::Disabled;
-      const auto batched =
-          batch->try_solve(faulted, fault, *batch_ws, batch_diagnostics, batch_outcome);
-      if (batched.has_value()) {
+      const sim::CampaignSolve solve = context->try_solve(faulted, fault, *workspace);
+      bool accepted = false;
+      if (solve.point.has_value()) {
         double margin = std::numeric_limits<double>::infinity();
-        const EffectClass effect = classify(options_, baseline, *batched, &margin);
+        const EffectClass effect = classify(options_, baseline, *solve.point, &margin);
         if (margin > kClassifyGuard) {
-          row.solver_iterations = batch_diagnostics.iterations;
+          accepted = true;
+          row.solver_iterations = solve.diagnostics.iterations;
           row.ladder_rung = 0;
           row.outcome = FaultOutcome::Converged;
           row.effect = effect;
           row.safety_related = effect != EffectClass::None;
-          metrics.batched_rows.add();
-          return row;
+        } else {
+          metrics.batch_near_threshold.add();
         }
-        metrics.batch_near_threshold.add();
       }
-      metrics.batch_fallbacks.add();
-    }
-
-    // Sparse middle tier: refactor the fault's numbers through the shared
-    // symbolic analysis (or its surviving prefix, for structural faults).
-    // Accepted rows pass the same gate ladder as the batched path; anything
-    // else falls through to the naive dense solve below.
-    if (sparse != nullptr && sparse_ws != nullptr) {
-      CampaignMetrics& metrics = CampaignMetrics::get();
-      sim::SolveDiagnostics sparse_diagnostics;
-      sim::BatchOutcome sparse_outcome = sim::BatchOutcome::Disabled;
-      const auto solved =
-          sparse->try_solve(faulted, fault, *sparse_ws, sparse_diagnostics, sparse_outcome);
-      if (solved.has_value()) {
-        double margin = std::numeric_limits<double>::infinity();
-        const EffectClass effect = classify(options_, baseline, *solved, &margin);
-        if (margin > kClassifyGuard) {
-          row.solver_iterations = sparse_diagnostics.iterations;
-          row.ladder_rung = 0;
-          row.outcome = FaultOutcome::Converged;
-          row.effect = effect;
-          row.safety_related = effect != EffectClass::None;
-          metrics.sparse_rows.add();
-          return row;
-        }
-        metrics.batch_near_threshold.add();
+      // Each branch counts the faults it attempted, as an accepted row or a
+      // fallback; a structural fault never enters the low-rank branch.
+      const bool refactored = solve.refactor.has_value();
+      if (solve.lowrank != sim::BatchOutcome::Structural) {
+        (accepted && !refactored ? metrics.batched_rows : metrics.batch_fallbacks).add();
       }
-      metrics.sparse_fallbacks.add();
+      if (refactored) (accepted ? metrics.sparse_rows : metrics.sparse_fallbacks).add();
+      if (accepted) return row;
     }
 
     // Naive oracle: always the dense kernel, whatever the session-level
@@ -412,16 +390,13 @@ FmedaRow CampaignRunner::run_task_once(const Task& task,
 }
 
 FmedaRow CampaignRunner::run_task(const Task& task, const sim::OperatingPoint& baseline,
-                                  const sim::CampaignSolveContext* batch,
-                                  sim::CampaignSolveContext::Workspace* batch_ws,
-                                  const sim::CampaignSparseContext* sparse,
-                                  sim::CampaignSparseContext::Workspace* sparse_ws) const {
+                                  const CrashHooks& hooks, const sim::CampaignContext* context,
+                                  sim::CampaignContext::Workspace* workspace) const {
   CampaignMetrics& metrics = CampaignMetrics::get();
   metrics.tasks.add();
   obs::Span span("campaign.task", &metrics.task_seconds);
 
-  FmedaRow row =
-      run_task_once(task, baseline, options_.solver, 0, batch, batch_ws, sparse, sparse_ws);
+  FmedaRow row = run_task_once(task, baseline, options_.solver, 0, hooks, context, workspace);
 
   // Containment retries: a crashed or budget-exhausted task gets up to
   // max_retries re-runs, each with a fresh solve (the ladder restarts from
@@ -441,9 +416,9 @@ FmedaRow CampaignRunner::run_task(const Task& task, const sim::OperatingPoint& b
     if (tighter.max_wall_clock_seconds > 0) {
       tighter.max_wall_clock_seconds *= execution.retry_budget_scale;
     }
-    // Retries deliberately skip the batched and sparse paths: a crash/budget
-    // outcome is exactly the suspicious case the naive ladder must re-decide.
-    row = run_task_once(task, baseline, tighter, attempt, nullptr, nullptr, nullptr, nullptr);
+    // Retries deliberately skip the solve context: a crash/budget outcome is
+    // exactly the suspicious case the naive ladder must re-decide.
+    row = run_task_once(task, baseline, tighter, attempt, hooks, nullptr, nullptr);
     row.retries = attempt;
   }
 
@@ -466,6 +441,7 @@ FmedaResult CampaignRunner::run() const {
   metrics.runs.add();
   obs::Span run_span("campaign.run", &metrics.run_seconds);
 
+  const CrashHooks hooks = CrashHooks::from_env();
   const CampaignExecution& execution = options_.execution;
   if (execution.shard_count < 1 || execution.shard_index < 0 ||
       execution.shard_index >= execution.shard_count) {
@@ -600,28 +576,19 @@ FmedaResult CampaignRunner::run() const {
     }
   }
 
-  // Step 1b: build the factor-once batched solve context (tentpole of the
-  // batched campaign). One symbolic analysis + one LU of the nominal
-  // Jacobian, shared read-only by every worker; faults that cannot be
-  // expressed as low-rank updates (or that trip any correctness gate inside
-  // try_solve) fall back to the classic per-fault ladder, so results are
-  // byte-identical with the batch on or off.
-  std::optional<sim::CampaignSolveContext> batch;
+  // Step 1b: the campaign's solve context — one nominal solve and one
+  // factorisation of its Jacobian (sparse above the crossover, dense
+  // below), shared read-only by every worker. Faults it cannot answer
+  // behind its gates fall back to the classic per-fault ladder, so results
+  // are byte-identical with it on or off. `sparse = false` pins its factor
+  // to the dense kernel.
+  std::optional<sim::CampaignContext> context;
   if (options_.batch && !pending.empty()) {
-    obs::Span context_span("campaign.batch_context");
-    batch.emplace(built_.circuit, options_.solver);
-    if (!batch->usable()) batch.reset();
-  }
-
-  // Step 1c: the sparse middle tier — one symbolic analysis of the nominal
-  // stamp pattern, shared read-only by every worker. Faults the batch
-  // declines (structural ones especially) refactor numerics through it
-  // before paying for a naive dense ladder run.
-  std::optional<sim::CampaignSparseContext> sparse;
-  if (options_.sparse && options_.solver.sparse && !pending.empty()) {
-    obs::Span context_span("campaign.sparse_context");
-    sparse.emplace(built_.circuit, options_.solver);
-    if (!sparse->usable()) sparse.reset();
+    obs::Span context_span("campaign.context");
+    sim::SolveOptions context_solver = options_.solver;
+    context_solver.sparse = options_.sparse && options_.solver.sparse;
+    context.emplace(built_.circuit, context_solver);
+    if (!context->usable()) context.reset();
   }
 
   // Step 2: execute the pending fault tasks. Faults are independent
@@ -629,11 +596,9 @@ FmedaResult CampaignRunner::run() const {
   // parallel; results land in pre-assigned slots, keeping output
   // deterministic for any job count.
   if (!pending.empty()) {
-    auto process = [&](size_t s, sim::CampaignSolveContext::Workspace& ws,
-                       sim::CampaignSparseContext::Workspace& sws, int worker_id) {
-      rows[s] = run_task(tasks_[shard[s]], *baseline, batch ? &*batch : nullptr,
-                         batch ? &ws : nullptr, sparse ? &*sparse : nullptr,
-                         sparse ? &sws : nullptr);
+    auto process = [&](size_t s, sim::CampaignContext::Workspace& ws, int worker_id) {
+      rows[s] = run_task(tasks_[shard[s]], *baseline, hooks, context ? &*context : nullptr,
+                         context ? &ws : nullptr);
       if (journal != nullptr) {
         journal->append(shard[s], rows[s]);
         metrics.journal_appends.add();
@@ -649,18 +614,15 @@ FmedaResult CampaignRunner::run() const {
     metrics.jobs.set(static_cast<double>(jobs));
 
     if (jobs <= 1) {
-      sim::CampaignSolveContext::Workspace ws;
-      sim::CampaignSparseContext::Workspace sws;
-      for (const size_t s : pending) process(s, ws, sws, 0);
+      sim::CampaignContext::Workspace ws;
+      for (const size_t s : pending) process(s, ws, 0);
     } else {
-      const CrashHooks hooks = CrashHooks::from_env();
       std::atomic<size_t> next{0};
       std::atomic<bool> failed{false};
       std::exception_ptr first_error;
       std::mutex error_mutex;
       auto worker = [&](int worker_id) {
-        sim::CampaignSolveContext::Workspace ws;
-        sim::CampaignSparseContext::Workspace sws;
+        sim::CampaignContext::Workspace ws;
         try {
           for (size_t i = next.fetch_add(1); i < pending.size(); i = next.fetch_add(1)) {
             const size_t s = pending[i];
@@ -669,7 +631,7 @@ FmedaResult CampaignRunner::run() const {
               throw std::runtime_error(
                   "injected worker death (DECISIVE_CAMPAIGN_WORKER_DIE)");
             }
-            process(s, ws, sws, worker_id);
+            process(s, ws, worker_id);
           }
         } catch (...) {
           const std::lock_guard<std::mutex> lock(error_mutex);
@@ -699,10 +661,9 @@ FmedaResult CampaignRunner::run() const {
                  "campaign worker died (" + reason +
                      "); circuit breaker tripped — finishing serially");
         metrics.jobs.set(1.0);
-        sim::CampaignSolveContext::Workspace ws;
-        sim::CampaignSparseContext::Workspace sws;
+        sim::CampaignContext::Workspace ws;
         for (const size_t s : pending) {
-          if (!done[s]) process(s, ws, sws, 0);
+          if (!done[s]) process(s, ws, 0);
         }
       }
     }

@@ -1,38 +1,44 @@
-// Factor-once batched solving for fault-injection campaigns.
+// One solve context per fault-injection campaign.
 //
 // Every fault variant's MNA system differs from the nominal one by (at most)
-// one component stamp — a textbook low-rank update. A CampaignSolveContext
-// performs the symbolic analysis and one LU factorisation of the nominal
-// Jacobian up front, then solves each eligible fault via Sherman–Morrison /
-// Woodbury updates against the shared factorisation, warm-started from the
-// nominal operating point. Faults that change the system structure (a
-// voltage source or DC inductor losing its branch unknown), updates whose
-// conditioning the per-iteration residual gate rejects, and solves that do
-// not converge quickly all fall back to the classic one-solve-per-fault path
-// — so the batched campaign's output is byte-identical to the naive one, it
-// is just 10–30x cheaper on the (dominant) well-behaved faults.
+// one component stamp. A CampaignContext solves the nominal circuit once,
+// factors its Jacobian once — sparse (Gilbert–Peierls, sparse.hpp) at or
+// above `sparse_min_dim` unknowns, dense below — and answers each fault from
+// that one factorisation:
 //
-// Thread-safety: a context is immutable after construction; workers solve
-// concurrently against it, each with its own Workspace.
+//  - the *low-rank branch* takes every fault that keeps the MNA structure:
+//    Sherman–Morrison/Woodbury updates whose base solves run against the
+//    shared nominal factor, warm-started from the nominal operating point;
+//  - the *refactor branch* (sparse factor only) takes structural faults (a
+//    voltage source or DC inductor losing its branch unknown) and whatever
+//    the low-rank branch declines: a numeric refactorisation or
+//    partial_factor against the shared nominal symbolic analysis.
+//
+// Both branches pass one gate ladder (iteration headroom, a full-system
+// residual check, the MCU knife-edge guard). Anything that fails it goes
+// back to the caller, who re-runs the fault on the naive dense path — so the
+// campaign's output is byte-identical to the naive one, only cheaper.
+//
+// Thread-safety: a context is immutable after construction. Workers solve
+// concurrently against it, each with its own Workspace; the shared sparse
+// factor's triangular solves write only workspace scratch.
 #pragma once
 
-#include <cstddef>
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "decisive/sim/circuit.hpp"
-#include "decisive/sim/dense.hpp"
 #include "decisive/sim/fault.hpp"
 #include "decisive/sim/solver.hpp"
 
 namespace decisive::sim {
 
-/// Why one batched solve did (or did not) produce a result. Anything but
-/// `Solved` means the caller must re-run the fault through the naive path.
+/// Why one context branch did (or did not) produce a result. Anything but
+/// `Solved` hands the fault on: to the refactor branch, or to the caller's
+/// naive path.
 enum class BatchOutcome {
-  Solved,         ///< low-rank solve converged and passed every gate
+  Solved,         ///< converged and passed every gate
   Structural,     ///< fault changes the MNA structure (or has no low-rank form)
   Conditioning,   ///< update rejected: residual gate / singular small system /
                   ///< too many active terms for a profitable low-rank solve
@@ -44,78 +50,29 @@ enum class BatchOutcome {
 
 std::string_view to_string(BatchOutcome outcome) noexcept;
 
-/// Shared per-campaign solve state: nominal operating point, assembled
-/// nominal Jacobian (factored and unfactored), and cached A^-1 u columns for
-/// every element that can carry a conductance delta.
-class CampaignSolveContext {
- public:
-  /// Per-worker scratch buffers. All storage a batched solve needs lives
-  /// here, so try_solve() is const and allocation-free after warm-up.
-  struct Workspace {
-    std::vector<double> rhs;            ///< assembled faulted RHS
-    std::vector<double> eff_diode_v;    ///< linearisation points used for the RHS stamp
-    std::vector<double> zb;             ///< A_nom^-1 rhs
-    std::vector<double> residual;       ///< full-system residual check
-    std::vector<int> term_col;          ///< active update terms: cached column ids
-    std::vector<std::size_t> term_elem; ///< active update terms: element index
-    std::vector<double> term_g;         ///< active update terms: conductance deltas
-    std::vector<double> small_rhs;
-    dense::LuFactorization<double> small_lu;
-    BatchOutcome step_outcome = BatchOutcome::NotConverged;
-  };
-
-  /// Solves the nominal circuit (plain Newton, no ladder) and builds the
-  /// shared factorisation. When the nominal solve fails or the system is
-  /// trivial, the context stays constructed but unusable() — every
-  /// try_solve() reports Disabled and the campaign runs naive.
-  CampaignSolveContext(const Circuit& nominal, const SolveOptions& options);
-
-  [[nodiscard]] bool usable() const noexcept { return usable_; }
-
-  /// True when `fault` on the nominal circuit preserves the MNA structure
-  /// and is expressible as a low-rank (or RHS-only) delta.
-  [[nodiscard]] bool eligible(const Fault& fault) const noexcept;
-
-  /// Attempts the batched solve of `faulted` (the result of inject_fault for
-  /// `fault` on the nominal circuit). Returns the operating point when the
-  /// low-rank solve converged and passed the residual and knife-edge gates;
-  /// std::nullopt otherwise, with `outcome` naming the fallback reason.
-  /// `diagnostics` is filled like try_dc_operating_point's on success.
-  [[nodiscard]] std::optional<OperatingPoint> try_solve(const Circuit& faulted,
-                                                        const Fault& fault, Workspace& ws,
-                                                        SolveDiagnostics& diagnostics,
-                                                        BatchOutcome& outcome) const;
-
-  /// The nominal operating point (valid when usable()).
-  [[nodiscard]] const OperatingPoint& nominal_point() const noexcept { return nominal_point_; }
-
-  ~CampaignSolveContext();
-  CampaignSolveContext(CampaignSolveContext&&) noexcept;
-  CampaignSolveContext& operator=(CampaignSolveContext&&) noexcept;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-  OperatingPoint nominal_point_;
-  bool usable_ = false;
+/// What one CampaignContext::try_solve did.
+struct CampaignSolve {
+  /// The operating point, when a branch converged and passed every gate.
+  std::optional<OperatingPoint> point;
+  /// Filled like try_dc_operating_point's when `point` is set; iterations
+  /// are summed over both branches.
+  SolveDiagnostics diagnostics;
+  /// The low-rank branch's verdict. `Structural` means the fault never
+  /// entered it.
+  BatchOutcome lowrank = BatchOutcome::Disabled;
+  /// The refactor branch's verdict, when it ran. A set `point` comes from
+  /// the refactor branch exactly when this is engaged.
+  std::optional<BatchOutcome> refactor;
 };
 
-/// Sparse middle tier of the campaign solve ladder (batch Woodbury first,
-/// then this, then the naive dense path). One symbolic analysis of the
-/// nominal stamp pattern is shared read-only across workers; every fault
-/// preserving that structure is a pure numeric refactorisation, and a
-/// structural Open/Short that deletes a branch unknown reuses the untouched
-/// symbolic prefix via partial refactorisation. Results are accepted only
-/// behind the same gate ladder as the batched path (clean rung-0
-/// convergence with iteration headroom, a full-system residual check
-/// against the exact faulted matrix, and the MCU knife-edge guard) — any
-/// doubt re-runs the fault on the naive dense path, so campaign output is
-/// byte-identical with the tier on or off.
-class CampaignSparseContext {
+/// Shared per-campaign solve state: nominal operating point, the one
+/// factorisation of the nominal Jacobian, and cached A^-1 u columns for
+/// every element that can carry a conductance delta.
+class CampaignContext {
  public:
-  /// Per-worker scratch: the faulted circuit's assembly plan, the sparse
-  /// factorisation, and the residual/RHS buffers. Opaque — everything in it
-  /// is an implementation detail of the sim library.
+  /// Per-worker scratch: low-rank buffers, the sparse solve buffer, and the
+  /// refactor branch's own assembly plan and factorisation. Opaque —
+  /// everything in it is an implementation detail of the sim library.
   class Workspace {
    public:
     Workspace();
@@ -124,39 +81,45 @@ class CampaignSparseContext {
     Workspace& operator=(Workspace&&) noexcept;
 
    private:
-    friend class CampaignSparseContext;
+    friend class CampaignContext;
     struct Impl;
     std::unique_ptr<Impl> impl_;
   };
 
-  /// Solves the nominal circuit (plain Newton on the sparse kernel) and
-  /// freezes its symbolic analysis. Unusable when sparse is disabled, the
-  /// system is below the sparse dimension threshold, or the nominal solve
-  /// needed anything beyond a clean sparse Newton run.
-  CampaignSparseContext(const Circuit& nominal, const SolveOptions& options);
+  /// Solves the nominal circuit (plain Newton, no ladder) and factors its
+  /// Jacobian: sparse when `options.sparse`, the system has at least
+  /// `options.sparse_min_dim` unknowns and the fill gate passes; dense
+  /// otherwise. When the nominal solve fails or the system is trivial, the
+  /// context stays constructed but unusable() — every try_solve() reports
+  /// Disabled and the campaign runs naive.
+  CampaignContext(const Circuit& nominal, const SolveOptions& options);
 
-  [[nodiscard]] bool usable() const noexcept { return usable_; }
+  [[nodiscard]] bool usable() const noexcept;
 
-  /// Attempts the sparse solve of `faulted`. Returns the operating point
-  /// when the solve converged and passed every gate; std::nullopt otherwise,
-  /// with `outcome` naming the fallback reason (BatchOutcome vocabulary).
-  [[nodiscard]] std::optional<OperatingPoint> try_solve(const Circuit& faulted,
-                                                        const Fault& fault, Workspace& ws,
-                                                        SolveDiagnostics& diagnostics,
-                                                        BatchOutcome& outcome) const;
+  /// True when the nominal factor is sparse (and the refactor branch live).
+  [[nodiscard]] bool sparse_factor() const noexcept;
+
+  /// True when `fault` on the nominal circuit preserves the MNA structure
+  /// and is expressible as a low-rank (or RHS-only) delta.
+  [[nodiscard]] bool eligible(const Fault& fault) const noexcept;
+
+  /// Solves `faulted` (the result of inject_fault for `fault` on the
+  /// nominal circuit): the low-rank branch first, then — with a sparse
+  /// factor — the refactor branch for whatever it declined. Counted as one
+  /// solve in the decisive_solver_* family.
+  [[nodiscard]] CampaignSolve try_solve(const Circuit& faulted, const Fault& fault,
+                                        Workspace& ws) const;
 
   /// The nominal operating point (valid when usable()).
-  [[nodiscard]] const OperatingPoint& nominal_point() const noexcept { return nominal_point_; }
+  [[nodiscard]] const OperatingPoint& nominal_point() const noexcept;
 
-  ~CampaignSparseContext();
-  CampaignSparseContext(CampaignSparseContext&&) noexcept;
-  CampaignSparseContext& operator=(CampaignSparseContext&&) noexcept;
+  ~CampaignContext();
+  CampaignContext(CampaignContext&&) noexcept;
+  CampaignContext& operator=(CampaignContext&&) noexcept;
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-  OperatingPoint nominal_point_;
-  bool usable_ = false;
 };
 
 }  // namespace decisive::sim

@@ -20,9 +20,11 @@
 // promises a *correct* factorisation or a clean `false`.
 //
 // Thread model: `Symbolic` is immutable after construction and shared
-// read-only across workers via shared_ptr; each worker owns a SparseLu
-// holding the numeric values and scratch. Pattern objects are likewise
-// immutable once frozen.
+// read-only across workers via shared_ptr. A factored SparseLu is itself
+// safe to solve from many threads at once: solve_in_place() is const and
+// writes only the caller's scratch, so a campaign shares one nominal factor
+// and each worker brings its own buffer. Factorisations mutate the SparseLu
+// and need exclusive access. Pattern objects are immutable once frozen.
 #pragma once
 
 #include <complex>
@@ -162,8 +164,9 @@ class SparseLu {
   void adopt(std::shared_ptr<const Symbolic> symbolic);
 
   /// Solves A x = b in place; `b` must hold n entries. Only valid after a
-  /// successful factor()/refactor()/partial_factor().
-  void solve_in_place(T* b) const;
+  /// successful factor()/refactor()/partial_factor(). `scratch` is the
+  /// caller's (resized to n), so concurrent solves need one buffer each.
+  void solve_in_place(T* b, std::vector<T>& scratch) const;
 
   [[nodiscard]] const std::shared_ptr<const Symbolic>& symbolic() const noexcept {
     return sym_;
@@ -196,7 +199,6 @@ class SparseLu {
   std::vector<std::int32_t> pstack_;
   std::vector<std::int32_t> topo_;
   std::vector<std::int32_t> rows_;
-  mutable std::vector<T> solve_scratch_;
   std::int32_t pass_ = 0;
 };
 

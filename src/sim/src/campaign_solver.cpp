@@ -3,20 +3,26 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "decisive/base/error.hpp"
 #include "decisive/obs/registry.hpp"
+#include "decisive/sim/dense.hpp"
+#include "decisive/sim/sparse.hpp"
 #include "mna.hpp"
 
 namespace decisive::sim {
 
 namespace {
 
-/// Batched-path instrumentation, cached once per process.
+/// Context instrumentation, cached once per process.
 struct BatchMetrics {
   obs::Counter& contexts;
   obs::Counter& contexts_unusable;
+  obs::Counter& sparse_contexts;
   obs::Counter& factor_reuses;
   obs::Counter& lowrank_solves;
   obs::Counter& rhs_only_solves;
@@ -31,6 +37,7 @@ struct BatchMetrics {
     static BatchMetrics metrics{
         registry.counter("decisive_batch_contexts_total"),
         registry.counter("decisive_batch_contexts_unusable_total"),
+        registry.counter("decisive_batch_sparse_contexts_total"),
         registry.counter("decisive_batch_factor_reuses_total"),
         registry.counter("decisive_batch_lowrank_solves_total"),
         registry.counter("decisive_batch_rhs_only_solves_total"),
@@ -41,6 +48,18 @@ struct BatchMetrics {
         registry.histogram("decisive_batch_active_terms",
                            {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0})};
     return metrics;
+  }
+
+  /// Counts one branch's decline by reason.
+  void count_fallback(BatchOutcome outcome) {
+    switch (outcome) {
+      case BatchOutcome::Structural: fallback_structural.add(); break;
+      case BatchOutcome::Conditioning: fallback_conditioning.add(); break;
+      case BatchOutcome::NotConverged: fallback_not_converged.add(); break;
+      case BatchOutcome::NearThreshold: fallback_near_threshold.add(); break;
+      case BatchOutcome::Solved:
+      case BatchOutcome::Disabled: break;
+    }
   }
 };
 
@@ -61,11 +80,11 @@ struct BatchMetrics {
 /// guard; for noise-level wobble it is ~1e-12 A.
 constexpr double kDiodeSkipVolt = 1e-5;
 
-/// Residual acceptance for a low-rank solve, relative to max(1, ||rhs||inf).
+/// Residual acceptance for either branch, relative to max(1, ||rhs||inf).
 constexpr double kResidualRelative = 1e-8;
 
 /// Knife-edge guard on the MCU brown-out comparison (supply >= min_supply):
-/// the batched iterate differs from the naive one in the last ulps, so a
+/// the context's iterate differs from the naive one in the last ulps, so a
 /// supply this close to the threshold must be decided by the naive path.
 constexpr double kMcuSupplyGuard = 1e-6;
 
@@ -93,6 +112,26 @@ double linear_conductance(const Element& e, const SolveOptions& opt) {
   }
 }
 
+/// r -= A x for the CSC matrix (`pattern`, `values`).
+void subtract_csc(const sparse::Pattern& pattern, const std::vector<double>& values,
+                  const std::vector<double>& x, std::vector<double>& r) {
+  for (std::size_t c = 0; c < pattern.n; ++c) {
+    const double xc = x[c];
+    if (xc == 0.0) continue;
+    for (std::int32_t p = pattern.col_ptr[c]; p < pattern.col_ptr[c + 1]; ++p) {
+      r[static_cast<std::size_t>(pattern.row_ind[static_cast<std::size_t>(p)])] -=
+          values[static_cast<std::size_t>(p)] * xc;
+    }
+  }
+}
+
+mna::Deadline deadline_from(std::chrono::steady_clock::time_point start,
+                            const SolveOptions& opt) {
+  if (opt.max_wall_clock_seconds <= 0.0) return std::nullopt;
+  return start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                     std::chrono::duration<double>(opt.max_wall_clock_seconds));
+}
+
 }  // namespace
 
 std::string_view to_string(BatchOutcome outcome) noexcept {
@@ -107,21 +146,55 @@ std::string_view to_string(BatchOutcome outcome) noexcept {
   return "disabled";
 }
 
-struct CampaignSolveContext::Impl {
+struct CampaignContext::Workspace::Impl {
+  // Both branches: the final iteration's RHS (kept for the residual gate),
+  // the gate's residual, and the sparse triangular-solve buffer.
+  std::vector<double> rhs;
+  std::vector<double> residual;
+  std::vector<double> solve_scratch;
+  // Low-rank branch.
+  std::vector<double> eff_diode_v;     ///< linearisation points used for the RHS stamp
+  std::vector<double> zb;              ///< A_nom^-1 rhs
+  std::vector<int> term_col;           ///< active update terms: cached column ids
+  std::vector<std::size_t> term_elem;  ///< active update terms: element index
+  std::vector<double> term_g;          ///< active update terms: conductance deltas
+  std::vector<double> small_rhs;
+  dense::LuFactorization<double> small_lu;
+  // Refactor branch.
+  mna::SparsePlan plan;                ///< the faulted circuit's pattern + slot replay
+  sparse::SparseLu<double> slu;
+  std::vector<double> solution;        ///< solve buffer, so `rhs` survives the solve
+};
+
+CampaignContext::Workspace::Workspace() : impl_(std::make_unique<Impl>()) {}
+CampaignContext::Workspace::~Workspace() = default;
+CampaignContext::Workspace::Workspace(Workspace&&) noexcept = default;
+CampaignContext::Workspace& CampaignContext::Workspace::operator=(Workspace&&) noexcept =
+    default;
+
+struct CampaignContext::Impl {
+  using Ws = Workspace::Impl;
+
   Circuit nominal;
   SolveOptions opt;
   mna::Structure structure;
   mna::CompanionState dc_state;  // DC: no companion sources
+  mna::NewtonSeed seed;          // nominal converged state: warm start for faults
+  OperatingPoint nominal_point;
+  bool usable = false;
 
-  // Nominal converged state: the warm start for every fault variant.
-  mna::NewtonSeed seed;
-
-  // The nominal Jacobian assembled at the converged diode linearisation:
-  // factored (for solves) and unfactored (for the residual gate's matvec).
+  // The one factorisation of the nominal Jacobian, assembled at the
+  // converged diode linearisation. Sparse: `plan` holds the nominal pattern
+  // and CSC values (the residual gate's matrix and partial_factor's base)
+  // and `slu` the factor whose symbolic the refactor branch shares. Dense:
+  // `a_nom` is the unfactored copy for the residual gate.
+  bool sparse = false;
+  mna::SparsePlan plan;
+  sparse::SparseLu<double> slu;
   dense::LuFactorization<double> lu;
   std::vector<double> a_nom;
 
-  // Per element index: conductance contribution inside a_nom, cached A^-1 u
+  // Per element index: conductance contribution inside A_nom, cached A^-1 u
   // column id (-1 = none), and diode bookkeeping.
   std::vector<double> cond_nom;
   std::vector<double> geq_nom;
@@ -134,7 +207,7 @@ struct CampaignSolveContext::Impl {
   [[nodiscard]] std::size_t dim() const noexcept { return structure.dim; }
 
   /// u_i^T v for the element's reduced incidence vector e_a - e_b.
-  [[nodiscard]] double u_dot(const Element& e, const double* v) const {
+  [[nodiscard]] static double u_dot(const Element& e, const double* v) {
     double sum = 0.0;
     if (e.a != 0) sum += v[e.a - 1];
     if (e.b != 0) sum -= v[e.b - 1];
@@ -142,79 +215,134 @@ struct CampaignSolveContext::Impl {
   }
 
   /// v += s * u_i.
-  void u_axpy(const Element& e, double s, double* v) const {
+  static void u_axpy(const Element& e, double s, double* v) {
     if (e.a != 0) v[e.a - 1] += s;
     if (e.b != 0) v[e.b - 1] -= s;
   }
+
+  /// b := A_nom^-1 b against the shared factor.
+  void solve_nominal(double* b, std::vector<double>& scratch) const {
+    if (sparse) {
+      slu.solve_in_place(b, scratch);
+    } else {
+      lu.solve_in_place(b);
+    }
+  }
+
+  /// r -= A_nom x.
+  void subtract_nominal(const std::vector<double>& x, std::vector<double>& r) const {
+    if (sparse) {
+      subtract_csc(plan.pattern, plan.values, x, r);
+      return;
+    }
+    const std::size_t n = dim();
+    for (std::size_t row = 0; row < n; ++row) {
+      const double* a = a_nom.data() + row * n;
+      double dot = 0.0;
+      for (std::size_t c = 0; c < n; ++c) dot += a[c] * x[c];
+      r[row] -= dot;
+    }
+  }
+
+  bool solve_and_factor();
+  void cache_columns();
+  [[nodiscard]] bool eligible(const Fault& fault) const noexcept;
+  [[nodiscard]] bool fill_ok(const sparse::SparseLu<double>& factor, std::size_t n) const {
+    const double n_sq = static_cast<double>(n) * static_cast<double>(n);
+    return static_cast<double>(factor.lu_nnz()) <= opt.sparse_max_fill * n_sq;
+  }
+
+  template <typename SubtractMatrix>
+  BatchOutcome gate(const Circuit& faulted, const mna::NewtonAttempt& attempt, Ws& w,
+                    SubtractMatrix&& subtract_matrix) const;
+  BatchOutcome solve_lowrank(const Circuit& faulted, const Fault& fault, Ws& w,
+                             const mna::Deadline& deadline, mna::NewtonAttempt& attempt) const;
+  BatchOutcome solve_refactor(const Circuit& faulted, Ws& w, const mna::Deadline& deadline,
+                              mna::NewtonAttempt& attempt) const;
 };
 
-CampaignSolveContext::CampaignSolveContext(const Circuit& nominal, const SolveOptions& options)
-    : impl_(std::make_unique<Impl>()) {
-  BatchMetrics& metrics = BatchMetrics::get();
-  metrics.contexts.add();
-  Impl& im = *impl_;
-  im.nominal = nominal;
-  im.opt = options;
-  im.structure = mna::analyze_structure(im.nominal, false);
-  if (im.dim() == 0) {
-    metrics.contexts_unusable.add();
-    return;  // trivial system: the naive path is already free
-  }
-
+bool CampaignContext::Impl::solve_and_factor() {
   // Nominal plain-Newton solve (no recovery ladder: a nominal system that
-  // needs the ladder is not a good shared linearisation point).
-  mna::Deadline deadline;
-  if (options.max_wall_clock_seconds > 0.0) {
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(options.max_wall_clock_seconds));
-  }
+  // needs the ladder is not a good shared linearisation point). Above the
+  // crossover it runs on the sparse kernel, whose workspace then hands over
+  // the frozen assembly plan and symbolic analysis.
+  const std::size_t n = dim();
+  const bool want_sparse =
+      opt.sparse && n >= static_cast<std::size_t>(std::max(opt.sparse_min_dim, 1));
+  const mna::Deadline deadline = deadline_from(std::chrono::steady_clock::now(), opt);
   mna::Workspace ws;
-  mna::NewtonAttempt attempt = mna::attempt_solve_dense(im.nominal, im.opt, im.dc_state,
-                                                        im.structure, nullptr, deadline, ws);
-  if (!attempt.converged) {
-    metrics.contexts_unusable.add();
-    return;
-  }
-  nominal_point_ = mna::make_operating_point(im.nominal, attempt.result);
-  im.seed.x = std::move(attempt.x);
-  im.seed.diode_v = std::move(attempt.diode_v);
+  mna::NewtonAttempt attempt =
+      want_sparse ? mna::attempt_solve_auto(nominal, opt, dc_state, structure, nullptr,
+                                            deadline, ws)
+                  : mna::attempt_solve_dense(nominal, opt, dc_state, structure, nullptr,
+                                             deadline, ws);
+  if (!attempt.converged) return false;
+  nominal_point = mna::make_operating_point(nominal, attempt.result);
+  seed.x = std::move(attempt.x);
+  seed.diode_v = std::move(attempt.diode_v);
 
-  // Assemble the nominal Jacobian at the converged linearisation point, keep
-  // an unfactored copy for residual checks, and factor it once.
-  const std::size_t dim = im.dim();
-  std::vector<double>& flat = im.lu.reset(dim);
-  std::vector<double> rhs_scratch(dim, 0.0);
-  mna::assemble(im.nominal, im.opt, im.dc_state, im.structure, im.seed.diode_v, flat.data(),
-                rhs_scratch.data());
-  im.a_nom = flat;
+  std::vector<double> rhs(n, 0.0);
+  if (want_sparse && !ws.sparse_disabled && ws.slu.symbolic() != nullptr) {
+    // Refill at the converged linearisation and replay the numbers over the
+    // nominal symbolic; a stale pivot re-pivots once. A kernel that still
+    // objects leaves the context on the dense factor.
+    plan = std::move(ws.plan);
+    slu = std::move(ws.slu);
+    if (plan.refill(nominal, opt, dc_state, structure, seed.diode_v, rhs.data())) {
+      sparse::SparseMetrics& smetrics = sparse::SparseMetrics::get();
+      bool ok = slu.refactor(plan.pattern, plan.values.data(), nullptr);
+      if (!ok) {
+        ok = slu.factor(plan.pattern, plan.values.data(), nullptr);
+        if (ok) smetrics.repivots.add();
+      }
+      if (ok && !fill_ok(slu, n)) {
+        smetrics.fallback_fill.add();
+        ok = false;
+      }
+      if (ok) {
+        sparse = true;
+        return true;
+      }
+    }
+    plan = mna::SparsePlan{};
+    slu = sparse::SparseLu<double>{};
+    std::fill(rhs.begin(), rhs.end(), 0.0);
+  }
+
+  std::vector<double>& flat = lu.reset(n);
+  mna::assemble(nominal, opt, dc_state, structure, seed.diode_v, flat.data(), rhs.data());
+  a_nom = flat;
   try {
-    im.lu.factor("singular system (floating node or short loop?)");
+    lu.factor("singular system (floating node or short loop?)");
   } catch (const SimulationError&) {
-    metrics.contexts_unusable.add();
-    return;
+    return false;
   }
+  return true;
+}
 
+void CampaignContext::Impl::cache_columns() {
   // Per-element conductance contributions and cached A^-1 u columns for
   // every element whose fault (or diode relinearisation) can appear as a
   // node-pair conductance delta.
-  const auto& elements = im.nominal.elements();
-  im.cond_nom.assign(elements.size(), 0.0);
-  im.geq_nom.assign(elements.size(), 0.0);
-  im.col_of.assign(elements.size(), -1);
-  std::vector<double> u(dim, 0.0);
+  const std::size_t n = dim();
+  const auto& elements = nominal.elements();
+  cond_nom.assign(elements.size(), 0.0);
+  geq_nom.assign(elements.size(), 0.0);
+  col_of.assign(elements.size(), -1);
+  std::vector<double> u(n, 0.0);
+  std::vector<double> scratch;
   for (std::size_t i = 0; i < elements.size(); ++i) {
     const Element& e = elements[i];
     switch (e.kind) {
       case ElementKind::Resistor:
       case ElementKind::Mcu:
       case ElementKind::Switch:
-        im.cond_nom[i] = linear_conductance(e, im.opt);
+        cond_nom[i] = linear_conductance(e, opt);
         break;
       case ElementKind::Diode:
-        im.geq_nom[i] = mna::linearise_diode(im.seed.diode_v[i], im.opt).geq;
-        im.cond_nom[i] = im.geq_nom[i];
-        im.diode_indices.push_back(i);
+        geq_nom[i] = mna::linearise_diode(seed.diode_v[i], opt).geq;
+        cond_nom[i] = geq_nom[i];
+        diode_indices.push_back(i);
         break;
       default:
         break;
@@ -226,22 +354,15 @@ CampaignSolveContext::CampaignSolveContext(const Circuit& nominal, const SolveOp
     const bool u_nonzero = e.a != e.b && (e.a != 0 || e.b != 0);
     if (!delta_capable || !u_nonzero) continue;
     std::fill(u.begin(), u.end(), 0.0);
-    im.u_axpy(e, 1.0, u.data());
-    im.lu.solve_in_place(u.data());
-    im.col_of[i] = static_cast<int>(im.z_cols.size() / dim);
-    im.z_cols.insert(im.z_cols.end(), u.begin(), u.end());
+    u_axpy(e, 1.0, u.data());
+    solve_nominal(u.data(), scratch);
+    col_of[i] = static_cast<int>(z_cols.size() / n);
+    z_cols.insert(z_cols.end(), u.begin(), u.end());
   }
-
-  usable_ = true;
 }
 
-CampaignSolveContext::~CampaignSolveContext() = default;
-CampaignSolveContext::CampaignSolveContext(CampaignSolveContext&&) noexcept = default;
-CampaignSolveContext& CampaignSolveContext::operator=(CampaignSolveContext&&) noexcept = default;
-
-bool CampaignSolveContext::eligible(const Fault& fault) const noexcept {
-  if (!usable_) return false;
-  const Element* e = impl_->nominal.find(fault.element);
+bool CampaignContext::Impl::eligible(const Fault& fault) const noexcept {
+  const Element* e = nominal.find(fault.element);
   if (e == nullptr) return false;
   switch (fault.kind) {
     case FaultKind::Open:
@@ -268,57 +389,80 @@ bool CampaignSolveContext::eligible(const Fault& fault) const noexcept {
   return false;
 }
 
-std::optional<OperatingPoint> CampaignSolveContext::try_solve(const Circuit& faulted,
-                                                              const Fault& fault, Workspace& ws,
-                                                              SolveDiagnostics& diagnostics,
-                                                              BatchOutcome& outcome) const {
-  BatchMetrics& metrics = BatchMetrics::get();
-  if (!usable_) {
-    outcome = BatchOutcome::Disabled;
-    return std::nullopt;
+/// The one gate ladder, applied to either branch's final iterate: clean
+/// convergence with iteration headroom, a full-system residual check, and
+/// the MCU knife-edge guard. `subtract_matrix(x, r)` performs r -= A x for
+/// the branch's own matrix at the final linearisation; `w.rhs` still holds
+/// that linearisation's RHS. The naive path never checks a residual, so
+/// gating the accepted solution is strictly stronger.
+template <typename SubtractMatrix>
+BatchOutcome CampaignContext::Impl::gate(const Circuit& faulted,
+                                         const mna::NewtonAttempt& attempt, Ws& w,
+                                         SubtractMatrix&& subtract_matrix) const {
+  if (!attempt.converged) {
+    const bool out_of_budget = attempt.failure == SolveFailure::IterationBudget ||
+                               attempt.failure == SolveFailure::WallClockBudget ||
+                               attempt.failure == SolveFailure::NonFinite;
+    return out_of_budget ? BatchOutcome::NotConverged : BatchOutcome::Conditioning;
   }
-  const Impl& im = *impl_;
-  if (!eligible(fault)) {
-    outcome = BatchOutcome::Structural;
-    metrics.fallback_structural.add();
-    return std::nullopt;
+  // A warm start that barely fits the budget might converge where the
+  // cold-started naive path would not; the naive path must decide.
+  if (near_iteration_budget(attempt.iterations, opt)) return BatchOutcome::NotConverged;
+
+  // Residual gate: r = rhs - A x must vanish to solver precision, or the
+  // solve was too ill-conditioned to trust.
+  const std::vector<double>& x = attempt.x;
+  w.residual.assign(w.rhs.begin(), w.rhs.end());
+  subtract_matrix(x, w.residual);
+  double rhs_norm = 0.0;
+  double res_norm = 0.0;
+  for (std::size_t r = 0; r < w.rhs.size(); ++r) {
+    rhs_norm = std::max(rhs_norm, std::abs(w.rhs[r]));
+    res_norm = std::max(res_norm, std::abs(w.residual[r]));
   }
-  const std::size_t dim = im.dim();
-  const auto& elements = im.nominal.elements();
-  const Element* nominal_elem = im.nominal.find(fault.element);
-  const std::size_t fault_idx =
-      static_cast<std::size_t>(nominal_elem - im.nominal.elements().data());
+  if (!std::isfinite(res_norm) || res_norm > kResidualRelative * std::max(1.0, rhs_norm)) {
+    return BatchOutcome::Conditioning;
+  }
+
+  // Knife-edge gate: MCU brown-out readings are a discrete function of the
+  // solved supply voltage; ulp-level differences from the naive path must
+  // not flip them.
+  for (const Element& e : faulted.elements()) {
+    if (e.kind != ElementKind::Mcu) continue;
+    const double supply = attempt.result.node_voltage[static_cast<std::size_t>(e.a)] -
+                          attempt.result.node_voltage[static_cast<std::size_t>(e.b)];
+    if (std::abs(supply - e.min_supply) < kMcuSupplyGuard) return BatchOutcome::NearThreshold;
+  }
+  return BatchOutcome::Solved;
+}
+
+BatchOutcome CampaignContext::Impl::solve_lowrank(const Circuit& faulted, const Fault& fault,
+                                                  Ws& w, const mna::Deadline& deadline,
+                                                  mna::NewtonAttempt& attempt) const {
+  if (!eligible(fault)) return BatchOutcome::Structural;
+  const std::size_t n = dim();
+  const auto& elements = nominal.elements();
+  const Element* nominal_elem = nominal.find(fault.element);
+  const std::size_t fault_idx = static_cast<std::size_t>(nominal_elem - elements.data());
   const Element& faulted_elem = faulted.elements()[fault_idx];
 
   // The fault's own conductance delta between the element's (unchanged)
   // terminals. A nominal diode's contribution is its linearised geq, so e.g.
   // "diode opens" is (1/R_open - geq_nom) on the same node pair.
-  const double delta_fault = linear_conductance(faulted_elem, im.opt) - im.cond_nom[fault_idx];
-  if (delta_fault != 0.0 && im.col_of[fault_idx] < 0) {
-    // A conductance delta with no cached column (element between identical
-    // or all-ground nodes is a no-op; anything else is unexpected): let the
-    // naive path decide.
-    if (nominal_elem->a != nominal_elem->b &&
-        (nominal_elem->a != 0 || nominal_elem->b != 0)) {
-      outcome = BatchOutcome::Structural;
-      metrics.fallback_structural.add();
-      return std::nullopt;
-    }
+  const double delta_fault = linear_conductance(faulted_elem, opt) - cond_nom[fault_idx];
+  if (delta_fault != 0.0 && col_of[fault_idx] < 0 && nominal_elem->a != nominal_elem->b &&
+      (nominal_elem->a != 0 || nominal_elem->b != 0)) {
+    // A conductance delta with no cached column on a live node pair is
+    // unexpected: let the naive path decide. (On identical or all-ground
+    // nodes the stamp is a no-op.)
+    return BatchOutcome::Structural;
   }
 
-  const auto start = std::chrono::steady_clock::now();
-  mna::Deadline deadline;
-  if (im.opt.max_wall_clock_seconds > 0.0) {
-    deadline = start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                           std::chrono::duration<double>(im.opt.max_wall_clock_seconds));
-  }
-
-  ws.rhs.resize(dim);
-  ws.zb.resize(dim);
-  ws.residual.resize(dim);
-  ws.step_outcome = BatchOutcome::NotConverged;
-  std::size_t max_active = 0;
+  BatchMetrics& metrics = BatchMetrics::get();
   metrics.factor_reuses.add();
+  w.rhs.resize(n);
+  w.zb.resize(n);
+  std::size_t max_active = 0;
 
   auto solve_step = [&](const std::vector<double>& diode_v, std::vector<double>& x_out,
                         SolveFailure& failure, std::string& message) {
@@ -330,273 +474,111 @@ std::optional<OperatingPoint> CampaignSolveContext::try_solve(const Circuit& fau
     // consistent (an inconsistent pair would leak a first-order error into
     // the solution; a consistently stale linearisation point is only a
     // second-order one).
-    ws.term_col.clear();
-    ws.term_elem.clear();
-    ws.term_g.clear();
-    ws.eff_diode_v.assign(diode_v.begin(), diode_v.end());
-    if (delta_fault != 0.0 && im.col_of[fault_idx] >= 0) {
-      ws.term_col.push_back(im.col_of[fault_idx]);
-      ws.term_elem.push_back(fault_idx);
-      ws.term_g.push_back(delta_fault);
+    w.term_col.clear();
+    w.term_elem.clear();
+    w.term_g.clear();
+    w.eff_diode_v.assign(diode_v.begin(), diode_v.end());
+    if (delta_fault != 0.0 && col_of[fault_idx] >= 0) {
+      w.term_col.push_back(col_of[fault_idx]);
+      w.term_elem.push_back(fault_idx);
+      w.term_g.push_back(delta_fault);
     }
-    for (const std::size_t d : im.diode_indices) {
+    for (const std::size_t d : diode_indices) {
       if (d == fault_idx) continue;  // the faulted element is no longer a diode
-      if (std::abs(diode_v[d] - im.seed.diode_v[d]) <= kDiodeSkipVolt) {
-        ws.eff_diode_v[d] = im.seed.diode_v[d];
+      if (std::abs(diode_v[d] - seed.diode_v[d]) <= kDiodeSkipVolt) {
+        w.eff_diode_v[d] = seed.diode_v[d];
         continue;
       }
-      const double delta = mna::linearise_diode(diode_v[d], im.opt).geq - im.geq_nom[d];
+      const double delta = mna::linearise_diode(diode_v[d], opt).geq - geq_nom[d];
       if (delta == 0.0) continue;
-      if (im.col_of[d] < 0) continue;  // degenerate node pair: stamp is a no-op
-      ws.term_col.push_back(im.col_of[d]);
-      ws.term_elem.push_back(d);
-      ws.term_g.push_back(delta);
+      if (col_of[d] < 0) continue;  // degenerate node pair: stamp is a no-op
+      w.term_col.push_back(col_of[d]);
+      w.term_elem.push_back(d);
+      w.term_g.push_back(delta);
     }
     // Faulted RHS at the (pinned) linearisation points — matrix deltas are
     // applied via the Woodbury identity, so only the RHS is re-stamped.
-    std::fill(ws.rhs.begin(), ws.rhs.end(), 0.0);
-    mna::assemble(faulted, im.opt, im.dc_state, im.structure, ws.eff_diode_v, nullptr,
-                  ws.rhs.data());
-    const std::size_t k = ws.term_col.size();
+    std::fill(w.rhs.begin(), w.rhs.end(), 0.0);
+    mna::assemble(faulted, opt, dc_state, structure, w.eff_diode_v, nullptr, w.rhs.data());
+    const std::size_t k = w.term_col.size();
     max_active = std::max(max_active, k);
-    if (k > dim / 2) {
+    if (k > n / 2) {
       // The update is no longer "low-rank": a fresh factorisation is cheaper
       // and better conditioned.
-      ws.step_outcome = BatchOutcome::Conditioning;
       failure = SolveFailure::Singular;
       message = "low-rank update too dense";
       return false;
     }
 
     // Base solve against the shared nominal factorisation.
-    std::copy(ws.rhs.begin(), ws.rhs.end(), ws.zb.begin());
-    im.lu.solve_in_place(ws.zb.data());
+    std::copy(w.rhs.begin(), w.rhs.end(), w.zb.begin());
+    solve_nominal(w.zb.data(), w.solve_scratch);
+    x_out.assign(w.zb.begin(), w.zb.end());
+    if (k == 0) return true;
 
-    if (k == 0) {
-      x_out.assign(ws.zb.begin(), ws.zb.end());
-    } else {
-      // Woodbury: x = z - Z_active (G^-1 + U^T Z_active)^-1 U^T z, with
-      // Z_active the cached A_nom^-1 u columns and G = diag(term_g). U^T
-      // entries are O(1) lookups via the active elements' node pairs.
-      std::vector<double>& s = ws.small_lu.reset(k);
-      ws.small_rhs.resize(k);
-      for (std::size_t i = 0; i < k; ++i) {
-        const Element& e_i = elements[ws.term_elem[i]];
-        s[i * k + i] = 1.0 / ws.term_g[i];
-        for (std::size_t j = 0; j < k; ++j) {
-          const double* zj = im.z_cols.data() + static_cast<std::size_t>(ws.term_col[j]) * dim;
-          s[i * k + j] += im.u_dot(e_i, zj);
-        }
-        ws.small_rhs[i] = im.u_dot(e_i, ws.zb.data());
-      }
-      try {
-        ws.small_lu.factor("singular low-rank update");
-      } catch (const SimulationError&) {
-        ws.step_outcome = BatchOutcome::Conditioning;
-        failure = SolveFailure::Singular;
-        message = "low-rank update system is singular";
-        return false;
-      }
-      ws.small_lu.solve_in_place(ws.small_rhs.data());
-      x_out.assign(ws.zb.begin(), ws.zb.end());
+    // Woodbury: x = z - Z_active (G^-1 + U^T Z_active)^-1 U^T z, with
+    // Z_active the cached A_nom^-1 u columns and G = diag(term_g). U^T
+    // entries are O(1) lookups via the active elements' node pairs.
+    std::vector<double>& s = w.small_lu.reset(k);
+    w.small_rhs.resize(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      const Element& e_i = elements[w.term_elem[i]];
+      s[i * k + i] = 1.0 / w.term_g[i];
       for (std::size_t j = 0; j < k; ++j) {
-        const double w = ws.small_rhs[j];
-        if (w == 0.0) continue;
-        const double* zj = im.z_cols.data() + static_cast<std::size_t>(ws.term_col[j]) * dim;
-        for (std::size_t r = 0; r < dim; ++r) x_out[r] -= w * zj[r];
+        const double* zj = z_cols.data() + static_cast<std::size_t>(w.term_col[j]) * n;
+        s[i * k + j] += u_dot(e_i, zj);
       }
+      w.small_rhs[i] = u_dot(e_i, w.zb.data());
     }
-
+    try {
+      w.small_lu.factor("singular low-rank update");
+    } catch (const SimulationError&) {
+      failure = SolveFailure::Singular;
+      message = "low-rank update system is singular";
+      return false;
+    }
+    w.small_lu.solve_in_place(w.small_rhs.data());
+    for (std::size_t j = 0; j < k; ++j) {
+      const double wj = w.small_rhs[j];
+      if (wj == 0.0) continue;
+      const double* zj = z_cols.data() + static_cast<std::size_t>(w.term_col[j]) * n;
+      for (std::size_t r = 0; r < n; ++r) x_out[r] -= wj * zj[r];
+    }
     return true;
   };
 
-  // Residual gate, applied once to the converged iterate (the naive path
-  // never checks a residual at all, so gating the accepted solution is
-  // strictly stronger): r = rhs - (A_nom + sum g_i u_i u_i^T) x must vanish
-  // to solver precision, or the update was too ill-conditioned to trust.
-  // ws.rhs and the active terms are still those of the final linearisation
-  // when this runs.
-  auto passes_residual_gate = [&](const std::vector<double>& x) {
-    double rhs_norm = 0.0;
-    for (std::size_t r = 0; r < dim; ++r) rhs_norm = std::max(rhs_norm, std::abs(ws.rhs[r]));
-    std::copy(ws.rhs.begin(), ws.rhs.end(), ws.residual.begin());
-    const double* a = im.a_nom.data();
-    for (std::size_t r = 0; r < dim; ++r) {
-      double dot = 0.0;
-      const double* row = a + r * dim;
-      for (std::size_t c = 0; c < dim; ++c) dot += row[c] * x[c];
-      ws.residual[r] -= dot;
-    }
-    for (std::size_t j = 0; j < ws.term_col.size(); ++j) {
-      const Element& e_j = elements[ws.term_elem[j]];
-      const double flow = ws.term_g[j] * im.u_dot(e_j, x.data());
-      im.u_axpy(e_j, -flow, ws.residual.data());
-    }
-    double res_norm = 0.0;
-    for (std::size_t r = 0; r < dim; ++r) {
-      res_norm = std::max(res_norm, std::abs(ws.residual[r]));
-    }
-    return std::isfinite(res_norm) && res_norm <= kResidualRelative * std::max(1.0, rhs_norm);
-  };
-
-  mna::NewtonAttempt attempt =
-      mna::newton_attempt(faulted, im.opt, im.structure, &im.seed, deadline, solve_step);
+  attempt = mna::newton_attempt(faulted, opt, structure, &seed, deadline, solve_step);
   metrics.active_terms.observe(static_cast<double>(max_active));
-  if (!attempt.converged) {
-    if (attempt.failure == SolveFailure::IterationBudget ||
-        attempt.failure == SolveFailure::WallClockBudget ||
-        attempt.failure == SolveFailure::NonFinite) {
-      outcome = BatchOutcome::NotConverged;
-      metrics.fallback_not_converged.add();
-    } else {
-      outcome = ws.step_outcome;
-      metrics.fallback_conditioning.add();
-    }
-    return std::nullopt;
+  // The residual runs against A_nom + sum g_i u_i u_i^T; the active terms
+  // are still those of the final linearisation.
+  const BatchOutcome outcome =
+      gate(faulted, attempt, w, [&](const std::vector<double>& x, std::vector<double>& r) {
+        subtract_nominal(x, r);
+        for (std::size_t j = 0; j < w.term_col.size(); ++j) {
+          const Element& e_j = elements[w.term_elem[j]];
+          u_axpy(e_j, -w.term_g[j] * u_dot(e_j, x.data()), r.data());
+        }
+      });
+  if (outcome == BatchOutcome::Solved) {
+    (max_active == 0 ? metrics.rhs_only_solves : metrics.lowrank_solves).add();
   }
-  if (near_iteration_budget(attempt.iterations, im.opt)) {
-    // A warm start that barely fits the budget might converge where the
-    // cold-started naive path would not; the naive path must decide.
-    outcome = BatchOutcome::NotConverged;
-    metrics.fallback_not_converged.add();
-    return std::nullopt;
-  }
-  if (!passes_residual_gate(attempt.x)) {
-    outcome = BatchOutcome::Conditioning;
-    metrics.fallback_conditioning.add();
-    return std::nullopt;
-  }
-
-  // Knife-edge gate: MCU brown-out readings are a discrete function of the
-  // solved supply voltage; ulp-level differences from the naive path must
-  // not flip them.
-  for (std::size_t i = 0; i < faulted.elements().size(); ++i) {
-    const Element& e = faulted.elements()[i];
-    if (e.kind != ElementKind::Mcu) continue;
-    const double supply =
-        attempt.result.node_voltage[static_cast<std::size_t>(e.a)] -
-        attempt.result.node_voltage[static_cast<std::size_t>(e.b)];
-    if (std::abs(supply - e.min_supply) < kMcuSupplyGuard) {
-      outcome = BatchOutcome::NearThreshold;
-      metrics.fallback_near_threshold.add();
-      return std::nullopt;
-    }
-  }
-
-  diagnostics = SolveDiagnostics{};
-  diagnostics.converged = true;
-  diagnostics.strategy = SolveStrategy::Newton;
-  diagnostics.ladder_rung = 0;
-  diagnostics.iterations = attempt.iterations;
-  diagnostics.residual = attempt.residual;
-  diagnostics.failure = SolveFailure::None;
-  diagnostics.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  outcome = BatchOutcome::Solved;
-  if (max_active == 0) {
-    metrics.rhs_only_solves.add();
-  } else {
-    metrics.lowrank_solves.add();
-  }
-  return mna::make_operating_point(faulted, attempt.result);
+  return outcome;
 }
 
-// ---------------------------------------------------------------------------
-// CampaignSparseContext
-
-struct CampaignSparseContext::Workspace::Impl {
-  mna::SparsePlan plan;             ///< the faulted circuit's pattern + slot replay
-  sparse::SparseLu<double> slu;
-  std::vector<double> rhs;          ///< final-iteration RHS (kept for the residual gate)
-  std::vector<double> solution;     ///< solve buffer, so `rhs` survives the solve
-  std::vector<double> residual;
-};
-
-CampaignSparseContext::Workspace::Workspace() : impl_(std::make_unique<Impl>()) {}
-CampaignSparseContext::Workspace::~Workspace() = default;
-CampaignSparseContext::Workspace::Workspace(Workspace&&) noexcept = default;
-CampaignSparseContext::Workspace& CampaignSparseContext::Workspace::operator=(
-    Workspace&&) noexcept = default;
-
-struct CampaignSparseContext::Impl {
-  Circuit nominal;
-  SolveOptions opt;
-  mna::Structure structure;
-  mna::CompanionState dc_state;  // DC: no companion sources
-  mna::NewtonSeed seed;          // nominal converged state: warm start for faults
-  mna::SparsePlan plan;          // nominal pattern, the partial_factor base
-  std::shared_ptr<const sparse::Symbolic> symbolic;  // nominal symbolic analysis
-};
-
-CampaignSparseContext::CampaignSparseContext(const Circuit& nominal,
-                                             const SolveOptions& options)
-    : impl_(std::make_unique<Impl>()) {
-  Impl& im = *impl_;
-  im.nominal = nominal;
-  im.opt = options;
-  im.structure = mna::analyze_structure(im.nominal, false);
-  if (!options.sparse ||
-      im.structure.dim < static_cast<std::size_t>(std::max(options.sparse_min_dim, 1))) {
-    return;  // below the sparse threshold: the naive/batch tiers already cover it
-  }
-
-  // Nominal plain-Newton solve on the sparse kernel; its workspace hands us
-  // the frozen assembly plan and symbolic analysis to share across workers.
-  mna::Deadline deadline;
-  if (options.max_wall_clock_seconds > 0.0) {
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(options.max_wall_clock_seconds));
-  }
-  mna::Workspace ws;
-  mna::NewtonAttempt attempt = mna::attempt_solve_auto(im.nominal, im.opt, im.dc_state,
-                                                       im.structure, nullptr, deadline, ws);
-  if (!attempt.converged || ws.sparse_disabled || ws.slu.symbolic() == nullptr) {
-    return;  // a nominal circuit the sparse kernel distrusts stays naive
-  }
-  nominal_point_ = mna::make_operating_point(im.nominal, attempt.result);
-  im.seed.x = std::move(attempt.x);
-  im.seed.diode_v = std::move(attempt.diode_v);
-  im.plan = std::move(ws.plan);
-  im.symbolic = ws.slu.symbolic();
-  usable_ = true;
-}
-
-CampaignSparseContext::~CampaignSparseContext() = default;
-CampaignSparseContext::CampaignSparseContext(CampaignSparseContext&&) noexcept = default;
-CampaignSparseContext& CampaignSparseContext::operator=(CampaignSparseContext&&) noexcept =
-    default;
-
-std::optional<OperatingPoint> CampaignSparseContext::try_solve(
-    const Circuit& faulted, const Fault& fault, Workspace& ws, SolveDiagnostics& diagnostics,
-    BatchOutcome& outcome) const {
-  (void)fault;  // every fault kind routes through the same structure analysis
-  if (!usable_) {
-    outcome = BatchOutcome::Disabled;
-    return std::nullopt;
-  }
-  const Impl& im = *impl_;
+BatchOutcome CampaignContext::Impl::solve_refactor(const Circuit& faulted, Ws& w,
+                                                   const mna::Deadline& deadline,
+                                                   mna::NewtonAttempt& attempt) const {
   sparse::SparseMetrics& smetrics = sparse::SparseMetrics::get();
-  Workspace::Impl& w = *ws.impl_;
-
   const mna::Structure st = mna::analyze_structure(faulted, false);
-  if (st.dim == 0 || st.dim > im.structure.dim ||
-      st.n_nodes != im.structure.n_nodes) {
+  if (st.dim == 0 || st.dim > structure.dim || st.n_nodes != structure.n_nodes) {
     // Faults only ever *remove* branch unknowns (Open/Short turn a source or
     // DC inductor into a resistor); anything else is out of contract.
-    outcome = BatchOutcome::Structural;
-    return std::nullopt;
-  }
-  const auto start = std::chrono::steady_clock::now();
-  mna::Deadline deadline;
-  if (im.opt.max_wall_clock_seconds > 0.0) {
-    deadline = start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                           std::chrono::duration<double>(im.opt.max_wall_clock_seconds));
+    return BatchOutcome::Structural;
   }
 
   // The faulted circuit's own assembly plan (pattern + slot replay), derived
   // once per fault; the per-iteration cost is then pure numeric refill.
-  w.plan.build(faulted, im.opt, im.dc_state, st);
+  w.plan.build(faulted, opt, dc_state, st);
 
   // First-factorisation mode: an unchanged pattern adopts the shared nominal
   // symbolic (numeric replay only); a deleted branch unknown reuses the
@@ -605,19 +587,19 @@ std::optional<OperatingPoint> CampaignSparseContext::try_solve(
   enum class First { Refactor, Partial, Full };
   First first = First::Full;
   std::vector<std::int32_t> new_of_old;
-  if (st.dim == im.structure.dim && w.plan.fingerprint == im.plan.fingerprint) {
-    w.slu.adopt(im.symbolic);
+  if (st.dim == structure.dim && w.plan.fingerprint == plan.fingerprint) {
+    w.slu.adopt(slu.symbolic());
     smetrics.symbolic_reuse.add();
     first = First::Refactor;
-  } else if (st.dim < im.structure.dim) {
+  } else if (st.dim < structure.dim) {
     // Node rows are untouched and surviving branch rows keep their element
     // order, so the old-to-new unknown map is strictly increasing over
     // survivors — exactly partial_factor's contract.
-    const int keep_nodes = im.structure.n_nodes - 1;
-    new_of_old.assign(im.structure.dim, -1);
+    const int keep_nodes = structure.n_nodes - 1;
+    new_of_old.assign(structure.dim, -1);
     for (int r = 0; r < keep_nodes; ++r) new_of_old[static_cast<std::size_t>(r)] = r;
-    for (std::size_t i = 0; i < im.nominal.elements().size(); ++i) {
-      const int old_b = im.structure.branch_index[i];
+    for (std::size_t i = 0; i < nominal.elements().size(); ++i) {
+      const int old_b = structure.branch_index[i];
       if (old_b < 0) continue;
       const int new_b = st.branch_index[i];
       new_of_old[static_cast<std::size_t>(keep_nodes + old_b)] =
@@ -630,133 +612,131 @@ std::optional<OperatingPoint> CampaignSparseContext::try_solve(
   auto solve_step = [&](const std::vector<double>& diode_v, std::vector<double>& x_out,
                         SolveFailure& failure, std::string& message) {
     w.rhs.assign(st.dim, 0.0);
-    if (!w.plan.refill(faulted, im.opt, im.dc_state, st, diode_v, w.rhs.data())) {
+    if (!w.plan.refill(faulted, opt, dc_state, st, diode_v, w.rhs.data())) {
       failure = SolveFailure::Singular;
       message = "sparse plan does not match the stamped circuit";
       return false;
     }
     std::string err;
     bool ok = false;
-    if (factored) {
+    if (factored || first == First::Refactor) {
       ok = w.slu.refactor(w.plan.pattern, w.plan.values.data(), &err);
       if (!ok) {
         ok = w.slu.factor(w.plan.pattern, w.plan.values.data(), &err);
         if (ok) smetrics.repivots.add();
       }
+    } else if (first == First::Partial) {
+      ok = w.slu.partial_factor(*slu.symbolic(), plan.pattern, new_of_old, w.plan.pattern,
+                                w.plan.values.data(), nullptr, &err);
+      if (!ok) ok = w.slu.factor(w.plan.pattern, w.plan.values.data(), &err);
     } else {
-      switch (first) {
-        case First::Refactor:
-          ok = w.slu.refactor(w.plan.pattern, w.plan.values.data(), &err);
-          if (!ok) {
-            ok = w.slu.factor(w.plan.pattern, w.plan.values.data(), &err);
-            if (ok) smetrics.repivots.add();
-          }
-          break;
-        case First::Partial:
-          ok = w.slu.partial_factor(*im.symbolic, im.plan.pattern, new_of_old,
-                                    w.plan.pattern, w.plan.values.data(), nullptr, &err);
-          if (!ok) ok = w.slu.factor(w.plan.pattern, w.plan.values.data(), &err);
-          break;
-        case First::Full:
-          ok = w.slu.factor(w.plan.pattern, w.plan.values.data(), &err);
-          break;
-      }
-      if (ok) {
-        factored = true;
-        const double dim_sq =
-            static_cast<double>(st.dim) * static_cast<double>(st.dim);
-        if (static_cast<double>(w.slu.lu_nnz()) > im.opt.sparse_max_fill * dim_sq) {
-          smetrics.fallback_fill.add();
-          failure = SolveFailure::Singular;
-          message = "sparse factorisation fill exceeded the density gate";
-          return false;
-        }
-      }
+      ok = w.slu.factor(w.plan.pattern, w.plan.values.data(), &err);
     }
     if (!ok) {
       failure = SolveFailure::Singular;
       message = std::move(err);
       return false;
     }
+    if (!factored) {
+      factored = true;
+      if (!fill_ok(w.slu, st.dim)) {
+        smetrics.fallback_fill.add();
+        failure = SolveFailure::Singular;
+        message = "sparse factorisation fill exceeded the density gate";
+        return false;
+      }
+    }
     // Solve into a separate buffer so `w.rhs` still holds the final-iteration
-    // RHS for the residual gate below.
+    // RHS for the residual gate.
     w.solution = w.rhs;
-    w.slu.solve_in_place(w.solution.data());
+    w.slu.solve_in_place(w.solution.data(), w.solve_scratch);
     x_out = w.solution;
     return true;
   };
 
-  mna::NewtonAttempt attempt =
-      mna::newton_attempt(faulted, im.opt, st, &im.seed, deadline, solve_step);
-  if (!attempt.converged) {
-    outcome = (attempt.failure == SolveFailure::IterationBudget ||
-               attempt.failure == SolveFailure::WallClockBudget ||
-               attempt.failure == SolveFailure::NonFinite)
-                  ? BatchOutcome::NotConverged
-                  : BatchOutcome::Conditioning;
-    return std::nullopt;
+  attempt = mna::newton_attempt(faulted, opt, st, &seed, deadline, solve_step);
+  // The residual runs against the *exact* faulted matrix.
+  return gate(faulted, attempt, w, [&](const std::vector<double>& x, std::vector<double>& r) {
+    subtract_csc(w.plan.pattern, w.plan.values, x, r);
+  });
+}
+
+CampaignContext::CampaignContext(const Circuit& nominal, const SolveOptions& options)
+    : impl_(std::make_unique<Impl>()) {
+  BatchMetrics& metrics = BatchMetrics::get();
+  metrics.contexts.add();
+  Impl& im = *impl_;
+  im.nominal = nominal;
+  im.opt = options;
+  im.structure = mna::analyze_structure(im.nominal, false);
+  // A trivial system is free on the naive path; a nominal system that does
+  // not solve cleanly is no shared linearisation point.
+  if (im.dim() == 0 || !im.solve_and_factor()) {
+    metrics.contexts_unusable.add();
+    return;
   }
-  if (near_iteration_budget(attempt.iterations, im.opt)) {
-    // Same convergence-margin guard as the batched path: a warm start that
-    // barely fits the budget might converge where the cold naive path would
-    // not — the naive path must decide.
-    outcome = BatchOutcome::NotConverged;
-    return std::nullopt;
+  if (im.sparse) metrics.sparse_contexts.add();
+  im.cache_columns();
+  im.usable = true;
+}
+
+CampaignContext::~CampaignContext() = default;
+CampaignContext::CampaignContext(CampaignContext&&) noexcept = default;
+CampaignContext& CampaignContext::operator=(CampaignContext&&) noexcept = default;
+
+bool CampaignContext::usable() const noexcept { return impl_->usable; }
+
+bool CampaignContext::sparse_factor() const noexcept { return impl_->sparse; }
+
+const OperatingPoint& CampaignContext::nominal_point() const noexcept {
+  return impl_->nominal_point;
+}
+
+bool CampaignContext::eligible(const Fault& fault) const noexcept {
+  return impl_->usable && impl_->eligible(fault);
+}
+
+CampaignSolve CampaignContext::try_solve(const Circuit& faulted, const Fault& fault,
+                                         Workspace& ws) const {
+  CampaignSolve solve;
+  const Impl& im = *impl_;
+  if (!im.usable) return solve;
+  BatchMetrics& metrics = BatchMetrics::get();
+  mna::SolverMetrics& solver_metrics = mna::SolverMetrics::get();
+  solver_metrics.solves.add();
+  const auto start = std::chrono::steady_clock::now();
+  const mna::Deadline deadline = deadline_from(start, im.opt);
+  Workspace::Impl& w = *ws.impl_;
+
+  mna::NewtonAttempt attempt;
+  int iterations = 0;
+  solve.lowrank = im.solve_lowrank(faulted, fault, w, deadline, attempt);
+  iterations += attempt.iterations;
+  metrics.count_fallback(solve.lowrank);
+  bool solved = solve.lowrank == BatchOutcome::Solved;
+  if (!solved && im.sparse) {
+    attempt = mna::NewtonAttempt{};
+    solve.refactor = im.solve_refactor(faulted, w, deadline, attempt);
+    iterations += attempt.iterations;
+    metrics.count_fallback(*solve.refactor);
+    solved = *solve.refactor == BatchOutcome::Solved;
   }
 
-  // Residual gate against the *exact* faulted matrix (w.plan.values and
-  // w.rhs are still those of the final linearisation): r = rhs - A x must
-  // vanish to solver precision. The naive path never checks a residual, so
-  // gating the accepted solution is strictly stronger.
-  {
-    const std::vector<double>& x = attempt.x;
-    double rhs_norm = 0.0;
-    for (std::size_t r = 0; r < st.dim; ++r) rhs_norm = std::max(rhs_norm, std::abs(w.rhs[r]));
-    w.residual.assign(w.rhs.begin(), w.rhs.end());
-    const sparse::Pattern& pattern = w.plan.pattern;
-    for (std::size_t c = 0; c < st.dim; ++c) {
-      const double xc = x[c];
-      if (xc == 0.0) continue;
-      for (std::int32_t p = pattern.col_ptr[c]; p < pattern.col_ptr[c + 1]; ++p) {
-        w.residual[static_cast<std::size_t>(pattern.row_ind[static_cast<std::size_t>(p)])] -=
-            w.plan.values[static_cast<std::size_t>(p)] * xc;
-      }
-    }
-    double res_norm = 0.0;
-    for (std::size_t r = 0; r < st.dim; ++r) {
-      res_norm = std::max(res_norm, std::abs(w.residual[r]));
-    }
-    if (!std::isfinite(res_norm) ||
-        res_norm > kResidualRelative * std::max(1.0, rhs_norm)) {
-      outcome = BatchOutcome::Conditioning;
-      return std::nullopt;
-    }
-  }
-
-  // Knife-edge gate: ulp-level differences from the naive dense path must
-  // not flip a discrete MCU brown-out reading.
-  for (std::size_t i = 0; i < faulted.elements().size(); ++i) {
-    const Element& e = faulted.elements()[i];
-    if (e.kind != ElementKind::Mcu) continue;
-    const double supply = attempt.result.node_voltage[static_cast<std::size_t>(e.a)] -
-                          attempt.result.node_voltage[static_cast<std::size_t>(e.b)];
-    if (std::abs(supply - e.min_supply) < kMcuSupplyGuard) {
-      outcome = BatchOutcome::NearThreshold;
-      return std::nullopt;
-    }
-  }
-
-  diagnostics = SolveDiagnostics{};
-  diagnostics.converged = true;
-  diagnostics.strategy = SolveStrategy::Newton;
-  diagnostics.ladder_rung = 0;
-  diagnostics.iterations = attempt.iterations;
-  diagnostics.residual = attempt.residual;
-  diagnostics.failure = SolveFailure::None;
-  diagnostics.elapsed_seconds =
+  const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  outcome = BatchOutcome::Solved;
-  return mna::make_operating_point(faulted, attempt.result);
+  solver_metrics.iterations.add(static_cast<std::uint64_t>(iterations));
+  solver_metrics.solve_seconds.observe(elapsed);
+  if (!solved) return solve;
+  solver_metrics.converged.add();
+  solve.diagnostics.converged = true;
+  solve.diagnostics.strategy = SolveStrategy::Newton;
+  solve.diagnostics.ladder_rung = 0;
+  solve.diagnostics.iterations = iterations;
+  solve.diagnostics.residual = attempt.residual;
+  solve.diagnostics.failure = SolveFailure::None;
+  solve.diagnostics.elapsed_seconds = elapsed;
+  solve.point = mna::make_operating_point(faulted, attempt.result);
+  return solve;
 }
 
 }  // namespace decisive::sim

@@ -1,5 +1,5 @@
 // Internal MNA machinery shared by the single-solve path (solver.cpp) and
-// the factor-once batched campaign path (campaign_solver.cpp): system
+// the campaign solve context (campaign_solver.cpp): system
 // structure analysis, stamp assembly, diode linearisation, and the bounded
 // Newton loop with a pluggable linear-solve step.
 //
@@ -452,6 +452,7 @@ struct Workspace {
   std::vector<double> rhs;
   SparsePlan plan;
   sparse::SparseLu<double> slu;
+  std::vector<double> solve_scratch;  ///< slu's triangular-solve buffer
   bool sparse_disabled = false;
 };
 
@@ -552,7 +553,7 @@ inline NewtonAttempt attempt_solve_auto(const Circuit& circuit, const SolveOptio
       message = "sparse factorisation fill exceeded the density gate";
       return false;
     }
-    ws.slu.solve_in_place(ws.rhs.data());
+    ws.slu.solve_in_place(ws.rhs.data(), ws.solve_scratch);
     x_out = ws.rhs;
     return true;
   };

@@ -395,6 +395,7 @@ std::vector<AcSample> ac_analysis(const Circuit& circuit, const std::string& sti
   std::vector<std::int32_t> slots;
   std::vector<std::complex<double>> values;
   sparse::SparseLu<std::complex<double>> slu;
+  std::vector<std::complex<double>> solve_scratch;
 
   std::vector<AcSample> sweep;
   for (const double frequency : frequencies_hz) {
@@ -442,7 +443,7 @@ std::vector<AcSample> ac_analysis(const Circuit& circuit, const std::string& sti
         ok = false;
       }
       if (ok) {
-        slu.solve_in_place(rhs.data());
+        slu.solve_in_place(rhs.data(), solve_scratch);
         solved = true;
       } else {
         use_sparse = false;  // sticky: rest of the sweep runs dense

@@ -560,10 +560,10 @@ bool SparseLu<T>::partial_factor(const Symbolic& base, const Pattern& base_patte
 }
 
 template <typename T>
-void SparseLu<T>::solve_in_place(T* b) const {
+void SparseLu<T>::solve_in_place(T* b, std::vector<T>& scratch) const {
   const Symbolic& sym = *sym_;
   const std::size_t n = sym.n;
-  solve_scratch_.resize(n);
+  scratch.resize(n);
   // Forward: L y = P b, with y[k] living at b[pivot_row[k]] (L has a unit
   // diagonal, row indices are original/unpermuted).
   for (std::size_t k = 0; k < n; ++k) {
@@ -577,7 +577,7 @@ void SparseLu<T>::solve_in_place(T* b) const {
   // Backward: U xp = y, column-oriented, positions descending.
   for (std::size_t k = n; k-- > 0;) {
     const T xk = b[static_cast<std::size_t>(sym.pivot_row[k])] / u_diag_[k];
-    solve_scratch_[k] = xk;
+    scratch[k] = xk;
     if (xk == T{}) continue;
     for (std::int32_t q = sym.u_ptr[k]; q < sym.u_ptr[k + 1]; ++q) {
       const std::int32_t j = sym.u_pos[static_cast<std::size_t>(q)];
@@ -588,7 +588,7 @@ void SparseLu<T>::solve_in_place(T* b) const {
   // Undo the column permutation: position k solved original unknown
   // perm_col[k].
   for (std::size_t k = 0; k < n; ++k) {
-    b[static_cast<std::size_t>(sym.perm_col[k])] = solve_scratch_[k];
+    b[static_cast<std::size_t>(sym.perm_col[k])] = scratch[k];
   }
 }
 

@@ -1,9 +1,10 @@
-// The factor-once batched campaign solver (sim/campaign_solver.hpp) and its
-// integration with the campaign engine. The load-bearing property is
-// byte-identity: a batched campaign must emit exactly the bytes the classic
+// The campaign solve context (sim/campaign_solver.hpp) and its integration
+// with the campaign engine. The load-bearing property is byte-identity: a
+// campaign with the context must emit exactly the bytes the classic
 // one-solve-per-fault campaign emits — same CSV, same warnings — for any job
-// count, shard spec, or journal state, because every gate in the batched
-// path falls back to the naive ladder the moment a result could differ.
+// count, factor kind, shard spec, or journal state, because every gate in
+// the context falls back to the naive ladder the moment a result could
+// differ.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign_subjects.hpp"
 #include "decisive/base/csv.hpp"
 #include "decisive/base/error.hpp"
 #include "decisive/base/table.hpp"
@@ -19,6 +21,7 @@
 #include "decisive/core/circuit_fmea.hpp"
 #include "decisive/drivers/datasource.hpp"
 #include "decisive/drivers/mdl.hpp"
+#include "decisive/obs/registry.hpp"
 #include "decisive/sim/builder.hpp"
 #include "decisive/sim/campaign_solver.hpp"
 #include "decisive/sim/dense.hpp"
@@ -26,46 +29,15 @@
 #include "decisive/sim/solver.hpp"
 
 using namespace decisive;
+using namespace campaign_subjects;
 
 namespace {
 
 const std::string kAssets = DECISIVE_ASSETS_DIR;
 
-/// The bench's supply-rail specimen: the rail is pinned by the source, so
-/// most faults perturb only their own decoupled tap — prime low-rank
-/// territory with diodes in the loop.
-sim::BuiltCircuit make_rail(int stages) {
-  sim::BuiltCircuit built;
-  sim::Circuit& c = built.circuit;
-  const int vin = c.node("vin");
-  const int rail = c.node("rail");
-  c.add_vsource("V1", vin, 0, 12.0);
-  c.add_current_sensor("CS", vin, rail);
-  built.observables.push_back("CS");
-  for (int s = 0; s < stages; ++s) {
-    const std::string id = std::to_string(s);
-    const int tap = c.node("tap" + id);
-    c.add_resistor("R" + id, rail, tap, 100.0 + s);
-    c.add_diode("D" + id, tap, 0);
-    c.add_resistor("RL" + id, tap, 0, 1000.0);
-    c.add_voltage_sensor("VS" + id, tap, 0);
-    built.observables.push_back("VS" + id);
-    built.components.push_back({"R" + id, "Resistor", "R" + id});
-    built.components.push_back({"D" + id, "Diode", "D" + id});
-  }
-  return built;
-}
-
-core::ReliabilityModel rail_reliability() {
-  core::ReliabilityModel reliability;
-  reliability.add("Resistor", 5.0, {{"Open", 0.5}, {"Short", 0.3}, {"Drift", 0.2}});
-  reliability.add("Diode", 10.0, {{"Open", 0.3}, {"Short", 0.7}});
-  return reliability;
-}
-
 /// Torture specimen from robustness_test: the baseline solves inside the
 /// iteration budget, the Drift fault only converges via the recovery ladder
-/// — so the batched path must hand it back to the naive solver (NotConverged
+/// — so the context must hand it back to the naive solver (NotConverged
 /// fallback) and the row must still say RecoveredViaLadder.
 sim::BuiltCircuit drifting_source_rig() {
   sim::BuiltCircuit built;
@@ -110,54 +82,49 @@ core::ReliabilityModel mcu_reliability() {
   return reliability;
 }
 
-struct CampaignOutput {
-  std::string csv;
-  std::vector<std::string> warnings;
-};
-
-CampaignOutput run_campaign(const sim::BuiltCircuit& built,
-                            const core::ReliabilityModel& reliability, bool batch, int jobs,
-                            core::CircuitFmeaOptions options = {}) {
-  options.batch = batch;
-  options.jobs = jobs;
-  const auto result = core::analyze_circuit(built, reliability, nullptr, options);
-  return CampaignOutput{write_csv(result.to_csv()), result.warnings};
-}
-
-/// The property behind every acceptance gate: for this subject, batched and
-/// naive campaigns produce identical bytes at every job count.
-void expect_batched_matches_naive(const sim::BuiltCircuit& built,
-                                  const core::ReliabilityModel& reliability,
-                                  core::CircuitFmeaOptions options = {}) {
-  const CampaignOutput naive = run_campaign(built, reliability, false, 1, options);
-  for (const int jobs : {1, 4, 8}) {
-    const CampaignOutput batched = run_campaign(built, reliability, true, jobs, options);
-    EXPECT_EQ(batched.csv, naive.csv) << "batched FMEDA diverged at jobs=" << jobs;
-    EXPECT_EQ(batched.warnings, naive.warnings) << "warnings diverged at jobs=" << jobs;
+/// Options that give the context each factor kind on the small subjects:
+/// the default crossover keeps them dense; a crossover of 1 with the fill
+/// gate opened (a handful of unknowns is a dense pattern) makes them sparse.
+sim::SolveOptions factor_options(bool sparse) {
+  sim::SolveOptions options;
+  if (sparse) {
+    options.sparse_min_dim = 1;
+    options.sparse_max_fill = 1.0;
   }
+  return options;
 }
 
 }  // namespace
 
-// ------------------------------------------------- campaign byte-identity --
+// ------------------------------------------------- campaign identity matrix --
 
 TEST(BatchCampaign, RailSubjectByteIdenticalAcrossJobCounts) {
-  expect_batched_matches_naive(make_rail(8), rail_reliability());
+  // Both sides of the 48-unknown crossover: a dense and a sparse factor.
+  expect_identity_matrix("rail-8", make_rail(8), rail_reliability());
+  expect_identity_matrix("rail-48", make_rail(48), rail_reliability());
+}
+
+TEST(BatchCampaign, BigRailSubjectsByteIdentical) {
+  // The naive reference is O(n^3) per fault, so the big rails list every
+  // 4th / 64th stage's faults. (bench_campaign's throughput gate checks all
+  // 960 faults of the 192-stage rail.)
+  expect_identity_matrix("rail-96", make_rail(96, 4), rail_reliability());
+  expect_identity_matrix("rail-192", make_rail(192, 64), rail_reliability());
 }
 
 TEST(BatchCampaign, LadderTortureSubjectByteIdentical) {
-  // The Drift fault needs the recovery ladder; the batched path must fall
-  // back, keeping the RecoveredViaLadder row (whose detail embeds iteration
+  // The Drift fault needs the recovery ladder; the context must fall back,
+  // keeping the RecoveredViaLadder row (whose detail embeds iteration
   // counts) byte-identical.
   core::ReliabilityModel reliability;
   reliability.add("Source", 5.0, {{"Drift", 1.0}});
   core::CircuitFmeaOptions options;
   options.solver.max_newton_iterations = 40;
-  expect_batched_matches_naive(drifting_source_rig(), reliability, options);
+  expect_identity_matrix("ladder-torture", drifting_source_rig(), reliability, options);
 }
 
 TEST(BatchCampaign, McuKnifeEdgeSubjectByteIdentical) {
-  expect_batched_matches_naive(mcu_rig(), mcu_reliability());
+  expect_identity_matrix("mcu-knife-edge", mcu_rig(), mcu_reliability());
 }
 
 TEST(BatchCampaign, ReferenceSubjectByteIdentical) {
@@ -166,14 +133,14 @@ TEST(BatchCampaign, ReferenceSubjectByteIdentical) {
   const auto reliability = core::ReliabilityModel::from_source(*workbook, "Reliability");
   core::CircuitFmeaOptions options;
   options.safety_goal_observables = {"CS1", "MC1"};
-  expect_batched_matches_naive(built, reliability, options);
+  expect_identity_matrix("power_supply.mdl", built, reliability, options);
 }
 
 // ------------------------------------------- journal + shard determinism --
 
 TEST(BatchCampaign, JournalsInterchangeBetweenBatchedAndNaiveRuns) {
   // The batch flag is excluded from the campaign fingerprint, so a journal
-  // written by a naive run must resume under a batched run (and vice versa)
+  // written by a naive run must resume under a default run (and vice versa)
   // and still reproduce the uninterrupted bytes.
   const auto built = make_rail(6);
   const auto reliability = rail_reliability();
@@ -181,15 +148,15 @@ TEST(BatchCampaign, JournalsInterchangeBetweenBatchedAndNaiveRuns) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
-  const CampaignOutput uninterrupted = run_campaign(built, reliability, true, 1);
+  const CampaignOutput uninterrupted = run_campaign(built, reliability, {});
 
   core::CircuitFmeaOptions options;
   options.execution.journal_path = (dir / "campaign.journal").string();
   // Pass 1: naive run writes the full journal.
-  const CampaignOutput naive = run_campaign(built, reliability, false, 1, options);
-  // Pass 2: batched run replays it (everything checkpointed, nothing re-run).
-  const CampaignOutput replayed = run_campaign(built, reliability, true, 1, options);
-  EXPECT_EQ(naive.csv, uninterrupted.csv);
+  const CampaignOutput naive_run = run_campaign(built, reliability, naive(options));
+  // Pass 2: default run replays it (everything checkpointed, nothing re-run).
+  const CampaignOutput replayed = run_campaign(built, reliability, options);
+  EXPECT_EQ(naive_run.csv, uninterrupted.csv);
   EXPECT_EQ(replayed.csv, uninterrupted.csv);
   EXPECT_EQ(replayed.warnings, uninterrupted.warnings);
   std::filesystem::remove_all(dir);
@@ -198,14 +165,13 @@ TEST(BatchCampaign, JournalsInterchangeBetweenBatchedAndNaiveRuns) {
 TEST(BatchCampaign, ShardedBatchedJournalsMergeToNaiveBytes) {
   const auto built = make_rail(6);
   const auto reliability = rail_reliability();
-  const CampaignOutput whole = run_campaign(built, reliability, false, 1);
+  const CampaignOutput whole = run_campaign(built, reliability, naive({}));
   const auto dir = std::filesystem::temp_directory_path() / "decisive_batch_shard_test";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   std::vector<std::string> journals;
   for (int shard = 0; shard < 4; ++shard) {
     core::CircuitFmeaOptions options;
-    options.batch = true;
     options.execution.shard_index = shard;
     options.execution.shard_count = 4;
     options.execution.journal_path = (dir / ("s" + std::to_string(shard) + ".journal")).string();
@@ -218,74 +184,102 @@ TEST(BatchCampaign, ShardedBatchedJournalsMergeToNaiveBytes) {
 }
 
 // ------------------------------------------------ context-level behaviour --
+// Every case runs against both factor kinds.
 
 TEST(BatchContext, NominalPointMatchesClassicSolve) {
   const auto built = make_rail(4);
-  const sim::CampaignSolveContext context(built.circuit, sim::SolveOptions{});
-  ASSERT_TRUE(context.usable());
   const auto classic = sim::dc_operating_point(built.circuit);
-  for (const auto& [name, value] : classic.readings) {
-    EXPECT_NEAR(context.nominal_point().reading(name), value, 1e-9) << name;
+  for (const bool sparse : {false, true}) {
+    const sim::CampaignContext context(built.circuit, factor_options(sparse));
+    ASSERT_TRUE(context.usable());
+    EXPECT_EQ(context.sparse_factor(), sparse);
+    for (const auto& [name, value] : classic.readings) {
+      EXPECT_NEAR(context.nominal_point().reading(name), value, 1e-9)
+          << name << " sparse=" << sparse;
+    }
   }
 }
 
 TEST(BatchContext, EligibilityFollowsTheFaultTaxonomy) {
   const auto built = mcu_rig();
-  const sim::CampaignSolveContext context(built.circuit, sim::SolveOptions{});
-  ASSERT_TRUE(context.usable());
-  // Conductance-delta faults on two-terminal passives are low-rank.
-  EXPECT_TRUE(context.eligible({"R1", sim::FaultKind::Open}));
-  EXPECT_TRUE(context.eligible({"R1", sim::FaultKind::Short}));
-  EXPECT_TRUE(context.eligible({"R1", sim::FaultKind::Drift}));
-  // VSource Open/Short delete the branch unknown: structural.
-  EXPECT_FALSE(context.eligible({"V1", sim::FaultKind::Open}));
-  EXPECT_FALSE(context.eligible({"V1", sim::FaultKind::Short}));
-  // ...but value-only faults on the same source keep the structure.
-  EXPECT_TRUE(context.eligible({"V1", sim::FaultKind::Drift}));
-  EXPECT_TRUE(context.eligible({"V1", sim::FaultKind::StuckOff}));
-  // MCU faults never touch the matrix (reading-only / RHS-only).
-  EXPECT_TRUE(context.eligible({"MC1", sim::FaultKind::RamFailure}));
-  EXPECT_TRUE(context.eligible({"MC1", sim::FaultKind::Drift}));
+  for (const bool sparse : {false, true}) {
+    const sim::CampaignContext context(built.circuit, factor_options(sparse));
+    ASSERT_TRUE(context.usable());
+    EXPECT_EQ(context.sparse_factor(), sparse);
+    // Conductance-delta faults on two-terminal passives are low-rank.
+    EXPECT_TRUE(context.eligible({"R1", sim::FaultKind::Open}));
+    EXPECT_TRUE(context.eligible({"R1", sim::FaultKind::Short}));
+    EXPECT_TRUE(context.eligible({"R1", sim::FaultKind::Drift}));
+    // VSource Open/Short delete the branch unknown: structural.
+    EXPECT_FALSE(context.eligible({"V1", sim::FaultKind::Open}));
+    EXPECT_FALSE(context.eligible({"V1", sim::FaultKind::Short}));
+    // ...but value-only faults on the same source keep the structure.
+    EXPECT_TRUE(context.eligible({"V1", sim::FaultKind::Drift}));
+    EXPECT_TRUE(context.eligible({"V1", sim::FaultKind::StuckOff}));
+    // MCU faults never touch the matrix (reading-only / RHS-only).
+    EXPECT_TRUE(context.eligible({"MC1", sim::FaultKind::RamFailure}));
+    EXPECT_TRUE(context.eligible({"MC1", sim::FaultKind::Drift}));
+  }
 }
 
 TEST(BatchContext, SolvedFaultAgreesWithFreshSolve) {
   const auto built = make_rail(4);
-  const sim::SolveOptions options;
-  const sim::CampaignSolveContext context(built.circuit, options);
-  ASSERT_TRUE(context.usable());
-  sim::CampaignSolveContext::Workspace ws;
-  for (const sim::Fault& fault : {sim::Fault{"R2", sim::FaultKind::Open},
-                                  sim::Fault{"R2", sim::FaultKind::Short},
-                                  sim::Fault{"RL1", sim::FaultKind::Drift},
-                                  sim::Fault{"D3", sim::FaultKind::Short}}) {
-    const sim::Circuit faulted = sim::inject_fault(built.circuit, fault);
-    sim::SolveDiagnostics diagnostics;
-    sim::BatchOutcome outcome = sim::BatchOutcome::Disabled;
-    const auto batched = context.try_solve(faulted, fault, ws, diagnostics, outcome);
-    ASSERT_TRUE(batched.has_value())
-        << fault.element << "/" << to_string(fault.kind) << ": " << to_string(outcome);
-    EXPECT_EQ(outcome, sim::BatchOutcome::Solved);
-    EXPECT_TRUE(diagnostics.converged);
-    const auto fresh = sim::dc_operating_point(faulted, options);
-    for (const auto& [name, value] : fresh.readings) {
-      EXPECT_NEAR(batched->reading(name), value, 1e-6)
-          << fault.element << "/" << to_string(fault.kind) << " reading " << name;
+  for (const bool sparse : {false, true}) {
+    const sim::SolveOptions options = factor_options(sparse);
+    const sim::CampaignContext context(built.circuit, options);
+    ASSERT_TRUE(context.usable());
+    ASSERT_EQ(context.sparse_factor(), sparse);
+    sim::CampaignContext::Workspace ws;
+    for (const sim::Fault& fault : {sim::Fault{"R2", sim::FaultKind::Open},
+                                    sim::Fault{"R2", sim::FaultKind::Short},
+                                    sim::Fault{"RL1", sim::FaultKind::Drift},
+                                    sim::Fault{"D3", sim::FaultKind::Short}}) {
+      const std::string what = fault.element + "/" + std::string(to_string(fault.kind)) +
+                               " sparse=" + std::to_string(sparse);
+      const sim::Circuit faulted = sim::inject_fault(built.circuit, fault);
+      const sim::CampaignSolve solve = context.try_solve(faulted, fault, ws);
+      ASSERT_TRUE(solve.point.has_value()) << what << ": " << to_string(solve.lowrank);
+      EXPECT_EQ(solve.lowrank, sim::BatchOutcome::Solved) << what;
+      EXPECT_FALSE(solve.refactor.has_value()) << what;
+      EXPECT_TRUE(solve.diagnostics.converged) << what;
+      const auto fresh = sim::dc_operating_point(faulted, options);
+      for (const auto& [name, value] : fresh.readings) {
+        EXPECT_NEAR(solve.point->reading(name), value, 1e-6) << what << " reading " << name;
+      }
     }
   }
 }
 
 TEST(BatchContext, StructuralFaultReportsStructuralFallback) {
+  // A shorted source deletes its branch unknown. The low-rank branch never
+  // takes it; a dense factor hands it straight back, a sparse one absorbs it
+  // through partial_factor against the nominal symbolic.
   const auto built = make_rail(4);
-  const sim::CampaignSolveContext context(built.circuit, sim::SolveOptions{});
-  ASSERT_TRUE(context.usable());
   const sim::Fault fault{"V1", sim::FaultKind::Short};
   const sim::Circuit faulted = sim::inject_fault(built.circuit, fault);
-  sim::CampaignSolveContext::Workspace ws;
-  sim::SolveDiagnostics diagnostics;
-  sim::BatchOutcome outcome = sim::BatchOutcome::Solved;
-  const auto batched = context.try_solve(faulted, fault, ws, diagnostics, outcome);
-  EXPECT_FALSE(batched.has_value());
-  EXPECT_EQ(outcome, sim::BatchOutcome::Structural);
+  for (const bool sparse : {false, true}) {
+    const sim::SolveOptions options = factor_options(sparse);
+    const sim::CampaignContext context(built.circuit, options);
+    ASSERT_TRUE(context.usable());
+    sim::CampaignContext::Workspace ws;
+    auto& partial = obs::Registry::global().counter("decisive_sparse_partial_refactors_total");
+    const std::uint64_t partial0 = partial.value();
+    const sim::CampaignSolve solve = context.try_solve(faulted, fault, ws);
+    EXPECT_EQ(solve.lowrank, sim::BatchOutcome::Structural) << "sparse=" << sparse;
+    if (!sparse) {
+      EXPECT_FALSE(solve.point.has_value());
+      EXPECT_FALSE(solve.refactor.has_value());
+      continue;
+    }
+    ASSERT_TRUE(solve.refactor.has_value());
+    EXPECT_EQ(*solve.refactor, sim::BatchOutcome::Solved);
+    ASSERT_TRUE(solve.point.has_value());
+    EXPECT_GT(partial.value(), partial0);
+    const auto fresh = sim::dc_operating_point(faulted, options);
+    for (const auto& [name, value] : fresh.readings) {
+      EXPECT_NEAR(solve.point->reading(name), value, 1e-6) << "reading " << name;
+    }
+  }
 }
 
 TEST(BatchContext, UnsolvableNominalDisablesTheContext) {
@@ -296,8 +290,16 @@ TEST(BatchContext, UnsolvableNominalDisablesTheContext) {
   c.add_vsource("V1", a, 0, 12.0);
   c.add_vsource("V2", a, 0, 5.0);
   c.add_resistor("R1", a, 0, 100.0);
-  const sim::CampaignSolveContext context(c, sim::SolveOptions{});
-  EXPECT_FALSE(context.usable());
+  for (const bool sparse : {false, true}) {
+    const sim::CampaignContext context(c, factor_options(sparse));
+    EXPECT_FALSE(context.usable()) << "sparse=" << sparse;
+    sim::CampaignContext::Workspace ws;
+    const sim::Fault fault{"R1", sim::FaultKind::Open};
+    const sim::CampaignSolve solve =
+        context.try_solve(sim::inject_fault(c, fault), fault, ws);
+    EXPECT_FALSE(solve.point.has_value());
+    EXPECT_EQ(solve.lowrank, sim::BatchOutcome::Disabled);
+  }
 }
 
 // ------------------------------------- Sherman–Morrison numerical ground --

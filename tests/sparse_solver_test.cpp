@@ -1,7 +1,7 @@
 // Unit and property tests for the sparse direct solver subsystem: the
 // Gilbert-Peierls kernel against the dense oracle, numeric refactorisation,
-// partial refactorisation across structural edits, pivot gates, and — once
-// the campaign wiring is in — sparse≡dense FMEDA byte-identity.
+// partial refactorisation across structural edits, pivot gates, and the
+// campaign's byte-identity with a sparse nominal factor.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "decisive/base/csv.hpp"
+#include "campaign_subjects.hpp"
 #include "decisive/core/circuit_fmea.hpp"
 #include "decisive/obs/registry.hpp"
 #include "decisive/sim/builder.hpp"
@@ -78,6 +78,13 @@ std::vector<double> random_rhs(std::mt19937& rng, std::size_t n) {
   std::vector<double> b(n);
   for (double& v : b) v = mag(rng);
   return b;
+}
+
+/// Solves `lu` in place over `x` with a throwaway scratch buffer.
+template <typename T>
+void solve(const sparse::SparseLu<T>& lu, std::vector<T>& x) {
+  std::vector<T> scratch;
+  lu.solve_in_place(x.data(), scratch);
 }
 
 void expect_close(const std::vector<double>& actual, const std::vector<double>& expected,
@@ -146,7 +153,7 @@ TEST(SparseLu, FactorMatchesDenseOracle) {
     ASSERT_TRUE(lu.factor(sys.pattern, sys.values.data(), &error)) << error;
     const std::vector<double> b = random_rhs(rng, n);
     std::vector<double> x = b;
-    lu.solve_in_place(x.data());
+    solve(lu, x);
     const std::vector<double> oracle = dense::solve_dense(sys.dense, b, "singular");
     expect_close(x, oracle, 1e-9, "round " + std::to_string(round));
   }
@@ -176,7 +183,7 @@ TEST(SparseLu, ComplexFactorMatchesDenseOracle) {
     std::vector<std::complex<double>> b(n);
     for (auto& v : b) v = std::complex<double>(static_cast<double>(rng() % 7) - 3.0, 1.0);
     std::vector<std::complex<double>> x = b;
-    lu.solve_in_place(x.data());
+    solve(lu, x);
     const std::vector<std::complex<double>> oracle = dense::solve_dense(dense_c, b, "singular");
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_LT(std::abs(x[i] - oracle[i]), 1e-8 * (1.0 + std::abs(oracle[i])))
@@ -203,7 +210,7 @@ TEST(SparseLu, RefactorReplaysNewValuesOverFrozenPattern) {
     ASSERT_TRUE(lu.refactor(sys.pattern, sys.values.data(), &error)) << error;
     const std::vector<double> b = random_rhs(rng, 30);
     std::vector<double> x = b;
-    lu.solve_in_place(x.data());
+    solve(lu, x);
     const std::vector<double> oracle = dense::solve_dense(sys.dense, b, "singular");
     expect_close(x, oracle, 1e-9, "refactor round " + std::to_string(round));
   }
@@ -244,7 +251,7 @@ TEST(SparseLu, RefactorPivotGateTripsOnDegradedPivot) {
   // A fresh factor (repivot) handles the degraded numbers fine.
   ASSERT_TRUE(lu.factor(pattern, degraded.data(), &error)) << error;
   std::vector<double> x = {1.0, 2.0};
-  lu.solve_in_place(x.data());
+  solve(lu, x);
   std::vector<std::vector<double>> dense_m = {{1e-9, 10.0}, {10.0, 1e-9}};
   expect_close(x, dense::solve_dense(dense_m, {1.0, 2.0}, "singular"), 1e-9, "repivot");
 }
@@ -281,7 +288,7 @@ TEST(SparseLu, TinyWellScaledSystemIsNotSingular) {
   std::string error;
   ASSERT_TRUE(lu.factor(pattern, values.data(), &error)) << error;
   std::vector<double> x = {1e-32, 2e-32};
-  lu.solve_in_place(x.data());
+  solve(lu, x);
   EXPECT_NEAR(x[0], 1.0, 1e-9);
   EXPECT_NEAR(x[1], 1.0, 1e-9);
 }
@@ -325,7 +332,7 @@ TEST(SparseLu, PartialFactorReusesCleanPrefixAcrossDeletion) {
 
     const std::vector<double> b = random_rhs(rng, n - 1);
     std::vector<double> x = b;
-    lu.solve_in_place(x.data());
+    solve(lu, x);
     const std::vector<double> oracle = dense::solve_dense(edited.dense, b, "singular");
     expect_close(x, oracle, 1e-8, "partial round " + std::to_string(round));
   }
@@ -391,7 +398,7 @@ TEST(SparseLu, PartialFactorReportsReusedColumns) {
       << error;
   EXPECT_GT(reused, 0u) << "chain deletion should preserve a clean symbolic prefix";
   std::vector<double> x(n - 1, 1.0);
-  lu.solve_in_place(x.data());
+  solve(lu, x);
   for (const double v : x) EXPECT_TRUE(std::isfinite(v));
 }
 
@@ -409,7 +416,7 @@ TEST(SparseLu, AdoptedSymbolicRefactorsWithoutOwnFactor) {
   ASSERT_TRUE(worker.refactor(sys.pattern, sys.values.data(), &error)) << error;
   const std::vector<double> b = random_rhs(rng, 24);
   std::vector<double> x = b;
-  worker.solve_in_place(x.data());
+  solve(worker, x);
   expect_close(x, dense::solve_dense(sys.dense, b, "singular"), 1e-9, "adopted");
 }
 
@@ -431,74 +438,6 @@ TEST(DensePivotFloor, AllZeroMatrixStillSingular) {
 
 namespace {
 
-/// Seeded randomized supply rail big enough to cross the sparse dimension
-/// threshold: a pinned rail feeding `stages` taps whose load is randomly a
-/// diode, an inductor (a DC branch unknown — deleted by its Open fault, the
-/// partial-refactorisation specimen), or a plain resistor.
-sim::BuiltCircuit random_rail(std::uint32_t seed, int stages) {
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<double> series(50.0, 500.0);
-  std::uniform_real_distribution<double> load(500.0, 5000.0);
-  std::uniform_int_distribution<int> kind(0, 2);
-
-  sim::BuiltCircuit built;
-  sim::Circuit& c = built.circuit;
-  const int vin = c.node("vin");
-  const int rail = c.node("rail");
-  c.add_vsource("V1", vin, 0, 12.0);
-  c.add_current_sensor("CS", vin, rail);
-  built.observables.push_back("CS");
-  built.components.push_back({"V1", "Source", "V1"});
-  for (int s = 0; s < stages; ++s) {
-    const std::string id = std::to_string(s);
-    const int tap = c.node("tap" + id);
-    c.add_resistor("R" + id, rail, tap, series(rng));
-    built.components.push_back({"R" + id, "Resistor", "R" + id});
-    switch (kind(rng)) {
-      case 0:
-        c.add_diode("D" + id, tap, 0);
-        built.components.push_back({"D" + id, "Diode", "D" + id});
-        break;
-      case 1:
-        c.add_inductor("L" + id, tap, 0, 1e-3);
-        built.components.push_back({"L" + id, "Inductor", "L" + id});
-        break;
-      default:
-        break;
-    }
-    c.add_resistor("RL" + id, tap, 0, load(rng));
-    if (s % 4 == 0) {
-      c.add_voltage_sensor("VS" + id, tap, 0);
-      built.observables.push_back("VS" + id);
-    }
-  }
-  return built;
-}
-
-core::ReliabilityModel rail_reliability() {
-  core::ReliabilityModel reliability;
-  reliability.add("Source", 5.0, {{"Open", 0.3}, {"Short", 0.2}, {"Drift", 0.5}});
-  reliability.add("Resistor", 5.0, {{"Open", 0.5}, {"Short", 0.3}, {"Drift", 0.2}});
-  reliability.add("Diode", 10.0, {{"Open", 0.3}, {"Short", 0.7}});
-  reliability.add("Inductor", 8.0, {{"Open", 0.6}, {"Short", 0.4}});
-  return reliability;
-}
-
-struct CampaignOutput {
-  std::string csv;
-  std::vector<std::string> warnings;
-};
-
-CampaignOutput run_campaign(const sim::BuiltCircuit& built,
-                            const core::ReliabilityModel& reliability, bool sparse_on,
-                            int jobs, core::CircuitFmeaOptions options = {}) {
-  options.sparse = sparse_on;
-  options.solver.sparse = sparse_on;
-  options.jobs = jobs;
-  const auto result = core::analyze_circuit(built, reliability, nullptr, options);
-  return CampaignOutput{write_csv(result.to_csv()), result.warnings};
-}
-
 std::uint64_t counter_value(const char* name) {
   return obs::Registry::global().counter(name).value();
 }
@@ -506,83 +445,86 @@ std::uint64_t counter_value(const char* name) {
 }  // namespace
 
 TEST(SparseCampaign, FmedaByteIdenticalAcrossJobCountsAndSeeds) {
-  // The acceptance property of the whole subsystem: a sparse-tier campaign
-  // emits exactly the bytes of the dense-only campaign — same CSV, same
-  // warnings — at every job count, on randomized rails whose fault lists
-  // include structural Open/Short faults on branch-unknown elements.
+  // The identity matrix on randomized rails above the crossover, whose
+  // fault lists include structural Open/Short faults on branch-unknown
+  // elements: every campaign emits exactly the naive campaign's bytes.
   for (const std::uint32_t seed : {11u, 29u}) {
-    const sim::BuiltCircuit built = random_rail(seed, 60);
-    const core::ReliabilityModel reliability = rail_reliability();
-    const CampaignOutput naive = run_campaign(built, reliability, false, 1);
-    for (const int jobs : {1, 4, 8}) {
-      const CampaignOutput sparse_run = run_campaign(built, reliability, true, jobs);
-      EXPECT_EQ(sparse_run.csv, naive.csv)
-          << "sparse FMEDA diverged at seed=" << seed << " jobs=" << jobs;
-      EXPECT_EQ(sparse_run.warnings, naive.warnings)
-          << "warnings diverged at seed=" << seed << " jobs=" << jobs;
-    }
+    campaign_subjects::expect_identity_matrix("random-rail seed " + std::to_string(seed),
+                                              campaign_subjects::random_rail(seed, 60),
+                                              campaign_subjects::random_rail_reliability());
   }
 }
 
 TEST(SparseCampaign, SparseTierActuallySolvesRowsAndReusesSymbolic) {
-  // Guard against the property above passing vacuously: on a big rail the
-  // sparse tier must accept rows, adopt the shared nominal symbolic, and
-  // absorb at least one structural fault via partial refactorisation. The
-  // batch tier is switched off so the sparse tier gets first refusal on
-  // same-structure faults (otherwise the low-rank path absorbs them all and
-  // symbolic adoption never fires).
-  const sim::BuiltCircuit built = random_rail(7u, 60);
-  core::CircuitFmeaOptions options;
-  options.batch = false;
-  const std::uint64_t rows0 = counter_value("decisive_campaign_sparse_rows_total");
-  const std::uint64_t reuse0 = counter_value("decisive_sparse_symbolic_reuse_total");
-  const std::uint64_t partial0 = counter_value("decisive_sparse_partial_refactors_total");
-  (void)run_campaign(built, rail_reliability(), true, 1, options);
-  EXPECT_GT(counter_value("decisive_campaign_sparse_rows_total"), rows0)
-      << "sparse tier accepted no rows: the byte-identity property is vacuous";
-  EXPECT_GT(counter_value("decisive_sparse_symbolic_reuse_total"), reuse0);
-  EXPECT_GT(counter_value("decisive_sparse_partial_refactors_total"), partial0)
+  // Guard against the identity matrix passing vacuously: on rails above the
+  // crossover the context must factor sparse, its low-rank branch must
+  // accept rows against that factor, and its refactor branch must absorb
+  // structural faults through partial_factor and a low-rank decline (the
+  // source Drift of the 48-stage rail) by adopting the nominal symbolic.
+  const char* const counters[] = {
+      "decisive_batch_sparse_contexts_total", "decisive_campaign_batched_rows_total",
+      "decisive_campaign_sparse_rows_total",  "decisive_sparse_partial_refactors_total",
+      "decisive_campaign_batch_fallback_total", "decisive_sparse_symbolic_reuse_total"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : counters) before.push_back(counter_value(name));
+  (void)campaign_subjects::run_campaign(campaign_subjects::random_rail(7u, 60),
+                                        campaign_subjects::random_rail_reliability(), {});
+  (void)campaign_subjects::run_campaign(campaign_subjects::make_rail(48),
+                                        campaign_subjects::rail_reliability(), {});
+  EXPECT_GT(counter_value(counters[0]), before[0]) << "the context did not factor sparse";
+  EXPECT_GT(counter_value(counters[1]), before[1])
+      << "the low-rank branch accepted no rows on the sparse factor";
+  EXPECT_GT(counter_value(counters[2]), before[2])
+      << "the refactor branch accepted no rows";
+  EXPECT_GT(counter_value(counters[3]), before[3])
       << "no structural fault went through partial refactorisation";
+  EXPECT_GT(counter_value(counters[4]), before[4]) << "the low-rank branch declined nothing";
+  EXPECT_GT(counter_value(counters[5]), before[5])
+      << "no low-rank decline was refactored over the adopted nominal symbolic";
 }
 
 TEST(SparseCampaign, ForcedFallbacksStillByteIdentical) {
-  // Slam every escape hatch and demand the same bytes: a zero fill budget
+  // Slam every escape hatch and demand the naive bytes: a zero fill budget
   // (every sparse factorisation rejected), and a dimension threshold above
   // the system (sparse never engages).
-  const sim::BuiltCircuit built = random_rail(3u, 60);
-  const core::ReliabilityModel reliability = rail_reliability();
-  const CampaignOutput naive = run_campaign(built, reliability, false, 1);
+  const sim::BuiltCircuit built = campaign_subjects::random_rail(3u, 60);
+  const core::ReliabilityModel reliability = campaign_subjects::random_rail_reliability();
+  const auto naive = campaign_subjects::run_campaign(built, reliability, campaign_subjects::naive({}));
 
   core::CircuitFmeaOptions fill_gate;
+  fill_gate.jobs = 4;
   fill_gate.solver.sparse_max_fill = 0.0;
   const std::uint64_t fill0 = counter_value("decisive_sparse_fallback_fill_total");
-  const CampaignOutput gated = run_campaign(built, reliability, true, 4, fill_gate);
+  const auto gated = campaign_subjects::run_campaign(built, reliability, fill_gate);
   EXPECT_EQ(gated.csv, naive.csv);
   EXPECT_EQ(gated.warnings, naive.warnings);
   EXPECT_GT(counter_value("decisive_sparse_fallback_fill_total"), fill0)
       << "fill gate never tripped: the forced-fallback path went untested";
 
   core::CircuitFmeaOptions high_floor;
+  high_floor.jobs = 4;
   high_floor.solver.sparse_min_dim = 1 << 20;
-  const CampaignOutput dense_only = run_campaign(built, reliability, true, 4, high_floor);
+  const auto dense_only = campaign_subjects::run_campaign(built, reliability, high_floor);
   EXPECT_EQ(dense_only.csv, naive.csv);
   EXPECT_EQ(dense_only.warnings, naive.warnings);
 }
 
 TEST(SparseCampaign, JournalsInterchangeBetweenSparseAndDenseRuns) {
-  // The sparse knobs are excluded from the campaign fingerprint, so a
-  // journal written dense must replay under sparse and reproduce the bytes.
-  const sim::BuiltCircuit built = random_rail(5u, 60);
-  const core::ReliabilityModel reliability = rail_reliability();
+  // The batch and sparse knobs are excluded from the campaign fingerprint,
+  // so a journal written by the naive dense run must replay under the
+  // default run and reproduce the bytes.
+  const sim::BuiltCircuit built = campaign_subjects::random_rail(5u, 60);
+  const core::ReliabilityModel reliability = campaign_subjects::random_rail_reliability();
   const auto dir = std::filesystem::temp_directory_path() / "decisive_sparse_journal_test";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
-  const CampaignOutput uninterrupted = run_campaign(built, reliability, true, 1);
+  const auto uninterrupted = campaign_subjects::run_campaign(built, reliability, {});
   core::CircuitFmeaOptions options;
   options.execution.journal_path = (dir / "campaign.journal").string();
-  const CampaignOutput dense_run = run_campaign(built, reliability, false, 1, options);
-  const CampaignOutput replayed = run_campaign(built, reliability, true, 1, options);
+  const auto dense_run =
+      campaign_subjects::run_campaign(built, reliability, campaign_subjects::naive(options));
+  const auto replayed = campaign_subjects::run_campaign(built, reliability, options);
   EXPECT_EQ(dense_run.csv, uninterrupted.csv);
   EXPECT_EQ(replayed.csv, uninterrupted.csv);
   EXPECT_EQ(replayed.warnings, uninterrupted.warnings);
@@ -593,7 +535,7 @@ TEST(SparseSolver, DcOperatingPointMatchesDenseToSolverPrecision) {
   // The solver-level contract is *correctness*, not bit-identity: the sparse
   // kernel pivots differently, so readings agree to solver precision only.
   // (Byte-identity is a campaign-level promise, tested above.)
-  const sim::BuiltCircuit built = random_rail(13u, 60);
+  const sim::BuiltCircuit built = campaign_subjects::random_rail(13u, 60);
   SolveOptions dense_opt;
   dense_opt.sparse = false;
   SolveOptions sparse_opt;

@@ -120,12 +120,13 @@ int usage() {
       "      the containment retries of crashed/budget-exhausted faults\n"
       "      (default 1). --best-effort degrades an unanalysable baseline\n"
       "      to an all-NotApplicable table instead of exit 4.\n"
-      "      The campaign factors the nominal system once and solves\n"
-      "      eligible faults as low-rank updates; --no-batch forces the\n"
-      "      classic one-solve-per-fault path (byte-identical output,\n"
-      "      escape hatch only). Big systems refactor through a shared\n"
-      "      sparse symbolic analysis; --no-sparse pins every solve to the\n"
-      "      dense kernel (also byte-identical, also escape hatch only).\n"
+      "      The campaign factors the nominal system once — sparse for\n"
+      "      big systems, dense for small ones — and solves each fault as a\n"
+      "      low-rank update against that factor, or as a refactorisation\n"
+      "      over its symbolic analysis. --no-batch forces the classic\n"
+      "      one-dense-solve-per-fault path; --no-sparse keeps the shared\n"
+      "      factor dense. Both are escape hatches: output is\n"
+      "      byte-identical either way.\n"
       "      Flight recorder: a progress heartbeat JSON is published next\n"
       "      to the journal (or at --heartbeat) and refreshed at most every\n"
       "      --heartbeat-interval seconds (default 1); watch it live with\n"
