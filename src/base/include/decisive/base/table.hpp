@@ -1,4 +1,4 @@
-// Fixed-width text-table rendering, used by the bench harnesses to print the
+// Fixed-width text-table rendering, used by the `reproduce` tool to print the
 // paper's tables and by examples for human-readable FMEA output.
 #pragma once
 

@@ -48,7 +48,7 @@ SafetyMechanismModel synthetic_sm_catalogue();
 /// Safety-mechanism catalogue for make_scaled_architecture subjects: several
 /// coverage/cost options per (Subsystem|Sensor|Resistor) × (Open|Short), so
 /// a scaled design exposes hundreds of open rows with 3-5 options each — the
-/// deployment-search scaling workload of bench_ablation_search.
+/// deployment-search scaling workload of the `reproduce` tool's ablation.
 SafetyMechanismModel scaled_sm_catalogue();
 
 /// A hierarchical Table-VI-style scalability subject for the edit →

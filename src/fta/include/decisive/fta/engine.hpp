@@ -13,7 +13,7 @@
 //
 // The result is a `core::FaultTree` identical (cut sets, labels, rates) to
 // the oracle's on every input where the oracle completes — enforced by
-// property tests and the bench_ext_fta identity gate.
+// property tests and the `reproduce` tool's identity gate.
 #pragma once
 
 #include "decisive/core/fta.hpp"

@@ -7,7 +7,7 @@
 // are not double-counted:
 //   P(f) = p_x · P(minimal(hi ∪ lo)) + (1 − p_x) · P(lo)
 // For a coherent tree the exact value never exceeds the rare-event bound —
-// an invariant the tests and bench_ext_fta assert on every subject.
+// an invariant the tests and the `reproduce` tool assert on every subject.
 //
 // Importance measures per basic event, all from conditioned re-evaluations:
 //   Birnbaum        B_i  = P(top | p_i = 1) − P(top | p_i = 0)
@@ -44,6 +44,11 @@ struct Quantification {
   double rare_event_bound = 0.0;    ///< Σ cut-set probabilities (uncapped form capped at 1)
   std::vector<ImportanceRow> importance;  ///< FV-descending, then component id
 };
+
+/// Throws AnalysisError unless `mission_hours` is finite and >= 0. Both
+/// entry points below call it, and so may a caller that keys a cache on the
+/// mission time. Mission 0 is valid (every probability is 0).
+void validate_mission_hours(double mission_hours);
 
 /// Quantifies a fault tree's minimal cut sets over `mission_hours`.
 Quantification quantify(const core::FaultTree& tree, double mission_hours);

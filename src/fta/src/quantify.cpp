@@ -6,6 +6,8 @@
 #include <map>
 #include <unordered_map>
 
+#include "decisive/base/error.hpp"
+#include "decisive/base/strings.hpp"
 #include "decisive/fta/zbdd.hpp"
 
 namespace decisive::fta {
@@ -87,7 +89,15 @@ std::string format_probability(double p) {
 
 }  // namespace
 
+void validate_mission_hours(double mission_hours) {
+  if (!std::isfinite(mission_hours) || mission_hours < 0.0) {
+    throw AnalysisError("mission time must be a finite number of hours >= 0, got " +
+                        format_number(mission_hours));
+  }
+}
+
 Quantification quantify(const core::FaultTree& tree, double mission_hours) {
+  validate_mission_hours(mission_hours);
   Quantification out;
   CutFamily family = build_family(tree);
   const size_t nvars = family.component_of_var.size();
@@ -157,6 +167,7 @@ Quantification quantify(const core::FaultTree& tree, double mission_hours) {
 }
 
 CsvTable cut_sets_csv(const core::FaultTree& tree, double mission_hours) {
+  validate_mission_hours(mission_hours);
   std::map<ObjectId, std::string> label_of;
   std::map<ObjectId, double> p_of;
   for (const auto& node : tree.nodes) {

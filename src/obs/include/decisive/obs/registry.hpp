@@ -13,8 +13,8 @@
 //
 // Exposition: to_prometheus() renders the Prometheus text format (served by
 // the `same session` `metrics` command and the one-shot `--metrics` dump);
-// to_json() renders the same data as a JSON object (embedded into the
-// BENCH_<name>.json trajectory artefacts).
+// to_json() renders the same data as a JSON object (the `--metrics-json`
+// shard snapshots).
 #pragma once
 
 #include <atomic>
@@ -100,7 +100,7 @@ class Histogram {
 /// [a-zA-Z0-9_:]: every other byte becomes '_', a leading digit gains a '_'
 /// prefix and an empty name becomes "_". Registration applies this, so a
 /// hostile name (quotes, newlines) can never corrupt the text exposition or
-/// a BENCH_*.json snapshot.
+/// a JSON snapshot.
 [[nodiscard]] std::string sanitize_metric_name(std::string_view name);
 
 /// Thread-safe name → metric registry. Instantiable for tests; production
@@ -128,8 +128,8 @@ class Registry {
   /// snapshot mergeable across shards (merge_registry_snapshots).
   [[nodiscard]] std::string to_json() const;
 
-  /// Zeroes every registered metric (registrations survive). Benches use
-  /// this to scope counter snapshots to one measured section.
+  /// Zeroes every registered metric (registrations survive), so a snapshot
+  /// covers one measured section.
   void reset();
 
  private:

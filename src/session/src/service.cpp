@@ -333,6 +333,8 @@ class Service {
     if (tokens.size() > 3) throw ModelError("usage: fta [<mission-hours> [<max-order>]]");
     const core::FmedaResult& fmea = current_result();
     const double mission = tokens.size() > 1 ? parse_double(tokens[1]) : 10000.0;
+    // Before the reply cache: a NaN key would match any cached mission.
+    fta::validate_mission_hours(mission);
     const size_t max_order =
         tokens.size() > 2 ? static_cast<size_t>(parse_int(tokens[2])) : 0;
 

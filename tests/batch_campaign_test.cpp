@@ -106,7 +106,7 @@ TEST(BatchCampaign, RailSubjectByteIdenticalAcrossJobCounts) {
 
 TEST(BatchCampaign, BigRailSubjectsByteIdentical) {
   // The naive reference is O(n^3) per fault, so the big rails list every
-  // 4th / 64th stage's faults. (bench_campaign's throughput gate checks all
+  // 4th / 64th stage's faults. (the `reproduce` tool's throughput gate checks all
   // 960 faults of the 192-stage rail.)
   expect_identity_matrix("rail-96", make_rail(96, 4), rail_reliability());
   expect_identity_matrix("rail-192", make_rail(192, 64), rail_reliability());

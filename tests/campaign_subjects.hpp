@@ -23,7 +23,7 @@ namespace campaign_subjects {
 
 using namespace decisive;
 
-/// The bench's supply-rail specimen: the rail is pinned by the source, so
+/// The `reproduce` tool's supply-rail specimen: the rail is pinned by the source, so
 /// most faults perturb only their own decoupled tap — prime low-rank
 /// territory with diodes in the loop. The source's Open/Short delete its
 /// branch unknown (structural), and its Drift moves every diode at once —

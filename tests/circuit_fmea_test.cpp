@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "decisive/base/error.hpp"
 #include "decisive/core/campaign.hpp"
 #include "decisive/core/circuit_fmea.hpp"
 #include "decisive/drivers/datasource.hpp"
@@ -135,6 +137,20 @@ TEST(CircuitFmea, ThresholdControlsSensitivity) {
   const auto* d1_short = find_row(tight, "D1", "Short");
   ASSERT_NE(d1_short, nullptr);
   EXPECT_TRUE(d1_short->safety_related);
+}
+
+TEST(CircuitFmea, OutOfRangeThresholdIsAnError) {
+  // NaN compared false against every deviation (SPFM 100 %) and a negative
+  // threshold made every row safety-related. Zero stays valid.
+  CaseStudy cs;
+  for (const double threshold :
+       {std::nan(""), -0.5, std::numeric_limits<double>::infinity()}) {
+    cs.options.relative_threshold = threshold;
+    EXPECT_THROW(analyze_circuit(cs.built, cs.reliability, nullptr, cs.options), AnalysisError)
+        << threshold;
+  }
+  cs.options.relative_threshold = 0.0;
+  EXPECT_NO_THROW(analyze_circuit(cs.built, cs.reliability, nullptr, cs.options));
 }
 
 TEST(CircuitFmea, UnmappableFailureModeYieldsWarningRow) {

@@ -146,6 +146,26 @@ TEST(Cli, ScalabilityRefusesOversizedFullLoad) {
   EXPECT_NE(result.output.find("N/A"), std::string::npos);
 }
 
+TEST(Cli, ScalabilityRejectsNegativeBudget) {
+  // -1 used to wrap to a huge size_t, so the full-load refusal never fired.
+  const auto result = run("scalability 5000 --budget-mib -1");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--budget-mib"), std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find("full-load"), std::string::npos) << result.output;
+}
+
+TEST(Cli, FmeaRejectsOutOfRangeThreshold) {
+  // NaN made every row benign (SPFM 100 %, ASIL-D) and a negative threshold
+  // every row safety-related: wrong verdicts, now errors.
+  for (const char* threshold : {"nan", "-0.5", "inf"}) {
+    const auto result = run("fmea " + kAssets + "/power_supply.mdl --reliability " + kAssets +
+                            "/reliability_workbook --threshold " + threshold);
+    EXPECT_NE(result.exit_code, 0) << threshold << ": " << result.output;
+    EXPECT_NE(result.output.find("threshold"), std::string::npos) << result.output;
+    EXPECT_EQ(result.output.find("SPFM"), std::string::npos) << result.output;
+  }
+}
+
 TEST(Cli, ValidateWellFormedModel) {
   const auto result = run("validate " + kAssets + "/brake_chain.ssam");
   EXPECT_EQ(result.exit_code, 0) << result.output;
@@ -160,6 +180,17 @@ TEST(Cli, FtaOnSsamModel) {
   EXPECT_NE(result.output.find("minimal cut sets: 2"), std::string::npos);
   EXPECT_NE(result.output.find("Fussell-Vesely"), std::string::npos);
   EXPECT_NE(result.output.find("loss of 'Sensor'"), std::string::npos);
+}
+
+TEST(Cli, FtaRejectsOutOfRangeMissionTime) {
+  // A negative mission gave negative probabilities and NaN gave NaN.
+  for (const char* hours : {"-100", "nan", "inf"}) {
+    const auto result = run("fta " + kAssets +
+                            "/brake_chain.ssam --component BrakeChain --mission-hours " + hours);
+    EXPECT_NE(result.exit_code, 0) << hours << ": " << result.output;
+    EXPECT_NE(result.output.find("mission time"), std::string::npos) << result.output;
+    EXPECT_EQ(result.output.find("P(top event"), std::string::npos) << result.output;
+  }
 }
 
 TEST(Cli, FtaUnknownComponentFails) {

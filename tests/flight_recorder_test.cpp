@@ -1,5 +1,5 @@
-// Flight-recorder tests: progress heartbeats, status folding, the
-// cross-shard snapshot/trace merge algebra, and the bench-diff sentinel.
+// Flight-recorder tests: progress heartbeats, status folding and the
+// cross-shard snapshot/trace merge algebra.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -12,7 +12,6 @@
 
 #include "decisive/base/error.hpp"
 #include "decisive/base/json.hpp"
-#include "decisive/obs/bench_diff.hpp"
 #include "decisive/obs/progress.hpp"
 #include "decisive/obs/registry.hpp"
 #include "decisive/obs/snapshot.hpp"
@@ -274,92 +273,4 @@ TEST(FlightRecorder, MergedTracesValidateEvenWhenShardsReuseThreadIds) {
     pids.insert(event.as_object().at("pid").as_number());
   }
   EXPECT_EQ(pids.size(), 2u);  // every shard got its own process lane
-}
-
-// ---------------------------------------------------------------------------
-// Bench snapshot diffing (the perf-regression sentinel's engine)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::string bench_snapshot_text(const std::string& bench, std::uint64_t tasks,
-                                std::uint64_t fallbacks) {
-  obs::Registry registry;
-  registry.counter("campaign_tasks_total").add(tasks);
-  registry.counter("batch_fallback_total").add(fallbacks);
-  return "{\"schema_version\":1,\"kind\":\"bench-snapshot\",\"bench\":\"" + bench +
-         "\",\"metrics\":" + registry.to_json() + "}";
-}
-
-}  // namespace
-
-TEST(FlightRecorder, ParseBenchSnapshotValidatesKindAndVersion) {
-  const obs::BenchSnapshot snap = obs::parse_bench_snapshot(bench_snapshot_text("campaign", 5, 1));
-  EXPECT_EQ(snap.schema_version, 1);
-  EXPECT_EQ(snap.bench, "campaign");
-  EXPECT_THROW(obs::parse_bench_snapshot("{\"kind\":\"heartbeat\"}"), ParseError);
-  EXPECT_THROW(obs::parse_bench_snapshot("garbage"), ParseError);
-}
-
-TEST(FlightRecorder, RatioChecksAreIterationInvariant) {
-  // Fresh ran 10x the iterations but with the identical fallback rate: the
-  // ratio check must not flag it, even though the raw counter grew 10x.
-  const obs::BenchSnapshot baseline =
-      obs::parse_bench_snapshot(bench_snapshot_text("campaign", 100, 10));
-  const obs::BenchSnapshot fresh =
-      obs::parse_bench_snapshot(bench_snapshot_text("campaign", 1000, 100));
-  obs::BenchDiffOptions options;
-  options.checks = {{"batch_fallback_total", "campaign_tasks_total", 0.25}};
-  const obs::BenchDiffReport report = obs::diff_bench_snapshots(fresh, baseline, options);
-  ASSERT_EQ(report.rows.size(), 1u);
-  EXPECT_FALSE(report.regression()) << report.render();
-  EXPECT_DOUBLE_EQ(report.rows[0].delta, 0.0);
-}
-
-TEST(FlightRecorder, RatioChecksFlagARealRateRegression) {
-  const obs::BenchSnapshot baseline =
-      obs::parse_bench_snapshot(bench_snapshot_text("campaign", 100, 10));
-  // 25% fallback rate against a 10% baseline: well past a 25% tolerance.
-  const obs::BenchSnapshot fresh =
-      obs::parse_bench_snapshot(bench_snapshot_text("campaign", 1000, 250));
-  obs::BenchDiffOptions options;
-  options.checks = {{"batch_fallback_total", "campaign_tasks_total", 0.25}};
-  const obs::BenchDiffReport report = obs::diff_bench_snapshots(fresh, baseline, options);
-  EXPECT_TRUE(report.regression()) << report.render();
-  EXPECT_NE(report.render().find("FAIL"), std::string::npos);
-  EXPECT_NE(report.render().find("regression"), std::string::npos);
-}
-
-TEST(FlightRecorder, DiffRejectsMismatchedBenchesAndMissingMetrics) {
-  const obs::BenchSnapshot campaign =
-      obs::parse_bench_snapshot(bench_snapshot_text("campaign", 100, 10));
-  const obs::BenchSnapshot other =
-      obs::parse_bench_snapshot(bench_snapshot_text("graph_fmea", 100, 10));
-  EXPECT_THROW(obs::diff_bench_snapshots(campaign, other, {}), AnalysisError);
-
-  obs::BenchDiffOptions options;
-  options.checks = {{"no_such_metric", "", 0.1}};
-  EXPECT_THROW(obs::diff_bench_snapshots(campaign, campaign, options), AnalysisError);
-}
-
-TEST(FlightRecorder, ParseBenchChecksSelectsTheBenchAndDefaultTolerance) {
-  const std::string text =
-      "{\"schema_version\":1,\"kind\":\"bench-checks\",\"default_tolerance\":0.4,"
-      "\"checks\":{\"campaign\":["
-      "{\"metric\":\"batch_fallback_total\",\"per\":\"campaign_tasks_total\"},"
-      "{\"metric\":\"solver_iterations_total\",\"per\":\"solves_total\","
-      "\"tolerance\":0.1}]}}";
-  double tolerance = 0.25;
-  const std::vector<obs::BenchCheck> checks =
-      obs::parse_bench_checks(text, "campaign", &tolerance);
-  ASSERT_EQ(checks.size(), 2u);
-  EXPECT_DOUBLE_EQ(tolerance, 0.4);
-  EXPECT_EQ(checks[0].metric, "batch_fallback_total");
-  EXPECT_EQ(checks[0].per, "campaign_tasks_total");
-  EXPECT_LT(checks[0].tolerance, 0.0);  // falls back to the default
-  EXPECT_DOUBLE_EQ(checks[1].tolerance, 0.1);
-
-  EXPECT_TRUE(obs::parse_bench_checks(text, "unknown_bench", &tolerance).empty());
-  EXPECT_THROW(obs::parse_bench_checks("{\"kind\":\"bench-diff\"}", "campaign", &tolerance),
-               ParseError);
 }

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -345,6 +346,21 @@ TEST(FtaQuantify, DegenerateInputsStayFinite) {
   ASSERT_EQ(q0.importance.size(), 1u);
   EXPECT_TRUE(std::isfinite(q0.importance[0].birnbaum));
   EXPECT_TRUE(std::isfinite(q0.importance[0].rrw));
+}
+
+TEST(FtaQuantify, RejectsNegativeOrNonFiniteMissionTime) {
+  // A negative mission gave negative probabilities and NaN gave NaN; both
+  // entry points now refuse them. Mission 0 is covered above.
+  Fixture f;
+  const auto a = f.leaf("a", 100, 1.0);
+  f.m.connect(f.sys, f.in, a.in);
+  f.m.connect(f.sys, a.out, f.out);
+  const auto tree = fta::synthesize_fault_tree_zbdd(f.m, f.sys);
+  for (const double t : {-100.0, -1e-9, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(fta::quantify(tree, t), AnalysisError) << t;
+    EXPECT_THROW(fta::cut_sets_csv(tree, t), AnalysisError) << t;
+  }
+  EXPECT_NO_THROW(fta::cut_sets_csv(tree, 0.0));
 }
 
 TEST(FtaQuantify, CutSetCsvCarriesTruncationWarning) {

@@ -10,6 +10,8 @@
 #include "decisive/base/error.hpp"
 #include "decisive/base/table.hpp"
 #include "decisive/core/graph_fmea.hpp"
+#include "decisive/core/synthetic.hpp"
+#include "decisive/obs/registry.hpp"
 #include "decisive/ssam/graph.hpp"
 
 using namespace decisive;
@@ -431,6 +433,24 @@ TEST(GraphFmea, OutputIsByteIdenticalForAnyJobCount) {
     const auto parallel = analyze_component(f.m, f.sys, options);
     EXPECT_EQ(write_csv(baseline.to_csv()), write_csv(parallel.to_csv())) << jobs;
     EXPECT_EQ(baseline.warnings, parallel.warnings) << jobs;
+  }
+}
+
+TEST(GraphFmea, ScaledArchitectureAnalysesEveryUnitOncePerRun) {
+  // 24 composites under one system: 25 units per analyze_component, at any
+  // job count. A unit analysed twice or skipped changes the count.
+  auto system = make_scaled_architecture(24, 12);
+  auto& registry = obs::Registry::global();
+  auto& runs = registry.counter("decisive_graph_fmea_runs_total");
+  auto& units = registry.counter("decisive_graph_fmea_units_total");
+  for (const int jobs : {1, 4}) {
+    GraphFmeaOptions options;
+    options.jobs = jobs;
+    const std::uint64_t runs0 = runs.value();
+    const std::uint64_t units0 = units.value();
+    (void)analyze_component(*system.model, system.system, options);
+    EXPECT_EQ(runs.value() - runs0, 1u) << "jobs " << jobs;
+    EXPECT_EQ(units.value() - units0, 25u) << "jobs " << jobs;
   }
 }
 

@@ -23,7 +23,7 @@ using namespace decisive;
 
 namespace {
 
-/// A small multi-fault circuit (same shape as bench_campaign's rail): every
+/// A small multi-fault circuit (same shape as the `reproduce` tool's campaign rail): every
 /// resistor and diode is an FMEA candidate, so a campaign over it exercises
 /// the worker pool and the solver from several threads.
 sim::BuiltCircuit make_rail(int stages) {
@@ -148,7 +148,7 @@ TEST(ObsRegistry, JsonSnapshotParsesAndCarriesPercentiles) {
 
 TEST(ObsRegistry, SanitizesHostileMetricNames) {
   // A quote/newline name must not be able to corrupt the Prometheus text or
-  // a BENCH_*.json snapshot: registration canonicalises to [a-zA-Z0-9_:].
+  // a JSON snapshot: registration canonicalises to [a-zA-Z0-9_:].
   EXPECT_EQ(obs::sanitize_metric_name("ok_name:v1"), "ok_name:v1");
   EXPECT_EQ(obs::sanitize_metric_name("evil\"} 999\ninjected 1"),
             "evil___999_injected_1");

@@ -279,6 +279,21 @@ TEST(ServiceTest, FtaRequestIsFingerprintCached) {
   EXPECT_NE(text.find("mission 5000h"), std::string::npos);
 }
 
+TEST(ServiceTest, FtaRejectsOutOfRangeMissionTime) {
+  // A negative mission gave negative probabilities. NaN also matched any
+  // cached reply key, so after one `fta` it replayed the 10000 h reply.
+  const auto replies = run_script(DECISIVE_ASSETS_DIR "/brake_chain.ssam", "BrakeChain",
+                                  "fta\nfta nan\nfta -100\nfta inf\nfta 0\nquit\n");
+  ASSERT_EQ(replies.size(), 6u);  // quit answers too
+  EXPECT_NE(replies[0].find("mission 10000h"), std::string::npos) << replies[0];
+  for (size_t i = 1; i <= 3; ++i) {
+    EXPECT_EQ(replies[i].rfind("error: ", 0), 0u) << replies[i];
+    EXPECT_NE(replies[i].find("mission time"), std::string::npos) << replies[i];
+  }
+  // Mission 0 stays valid: every probability is 0.
+  EXPECT_NE(replies[4].find("exact 0.000000e+00"), std::string::npos) << replies[4];
+}
+
 TEST(ServiceTest, FtaAndParetoReanalysePendingEditsFirst) {
   // `fta` classifies latent faults against the FMEA of the current model:
   // after an edit it re-analyses first, and no pre-edit reply is replayed.

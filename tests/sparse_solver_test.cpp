@@ -483,6 +483,51 @@ TEST(SparseCampaign, SparseTierActuallySolvesRowsAndReusesSymbolic) {
       << "no low-rank decline was refactored over the adopted nominal symbolic";
 }
 
+TEST(SparseCampaign, RailWorkCountersAreExactAtAnyJobCount) {
+  // The default campaign's routing is deterministic, so its work counters
+  // are exact, not rates: a route moving between the context's branches,
+  // an extra Newton iteration or a lost factor reuse changes a count here.
+  // The 96-stage rail has 483 faults: the source Drift is the one low-rank
+  // decline, refactored over the adopted nominal symbolic; the source
+  // Open/Short delete its branch unknown and go through partial_factor.
+  const struct {
+    const char* name;
+    std::uint64_t delta;
+  } expected[] = {
+      {"decisive_campaign_tasks_total", 483},
+      {"decisive_campaign_outcome_converged_total", 483},
+      {"decisive_campaign_batched_rows_total", 480},
+      {"decisive_campaign_batch_fallback_total", 1},
+      {"decisive_batch_factor_reuses_total", 481},
+      {"decisive_solver_iterations_total", 2880},
+      {"decisive_solver_solves_total", 484},
+      {"decisive_sparse_factors_total", 1},
+      {"decisive_sparse_refactors_total", 37},
+      {"decisive_campaign_sparse_rows_total", 3},
+      {"decisive_sparse_partial_refactors_total", 2},
+      {"decisive_sparse_symbolic_reuse_total", 1},
+      {"decisive_campaign_sparse_fallback_total", 0},
+  };
+  const sim::BuiltCircuit built = campaign_subjects::make_rail(96);
+  const core::ReliabilityModel reliability = campaign_subjects::rail_reliability();
+  for (const int jobs : {1, 4}) {
+    std::vector<std::uint64_t> before;
+    for (const auto& counter : expected) before.push_back(counter_value(counter.name));
+    core::CircuitFmeaOptions options;
+    options.jobs = jobs;
+    (void)campaign_subjects::run_campaign(built, reliability, options);
+    for (size_t i = 0; i < std::size(expected); ++i) {
+      EXPECT_EQ(counter_value(expected[i].name) - before[i], expected[i].delta)
+          << expected[i].name << " at jobs " << jobs;
+    }
+    if (jobs != 1) continue;
+    // Last-writer gauges: only a serial run pins which factor wrote them.
+    auto& registry = obs::Registry::global();
+    EXPECT_EQ(registry.gauge("decisive_sparse_nnz").value(), 296.0);
+    EXPECT_EQ(registry.gauge("decisive_sparse_lu_nnz").value(), 297.0);
+  }
+}
+
 TEST(SparseCampaign, ForcedFallbacksStillByteIdentical) {
   // Slam every escape hatch and demand the naive bytes: a zero fill budget
   // (every sparse factorisation rejected), and a dimension threshold above

@@ -295,10 +295,9 @@ int cmd_fta(const Args& args) {
   }
 
   const auto tree = fta::synthesize_fault_tree_zbdd(model, component, options);
+  const auto quant = fta::quantify(tree, mission);
   std::printf("%s\n", tree.to_text().c_str());
   std::printf("minimal cut sets: %zu\n", tree.cut_sets.size());
-
-  const auto quant = fta::quantify(tree, mission);
   std::printf("P(top event | %.0f h) = %.3e exact  (rare-event bound %.3e)\n\n", mission,
               quant.exact_probability, quant.rare_event_bound);
   std::printf("%-40s %12s %14s %8s %10s\n", "basic event", "Birnbaum",
@@ -735,8 +734,12 @@ int cmd_session(const Args& args) {
 int cmd_scalability(const Args& args) {
   if (args.positional.empty()) return usage();
   const auto elements = static_cast<std::uint64_t>(parse_int(args.positional[0]));
-  const size_t budget =
-      static_cast<size_t>(parse_int(args.get("budget-mib").value_or("4096"))) * 1024 * 1024;
+  const long long budget_mib = parse_int(args.get("budget-mib").value_or("4096"));
+  if (budget_mib < 0) {
+    std::fprintf(stderr, "error: --budget-mib must be >= 0\n");
+    return 2;
+  }
+  const size_t budget = static_cast<size_t>(budget_mib) * 1024 * 1024;
   const auto full = core::evaluate_full_load(elements, budget);
   if (full.loaded) {
     std::printf("full-load: %llu elements, %llu safety-related, total FIT %.0f, %.3f s\n",
