@@ -28,6 +28,7 @@
 #include "decisive/fta/lfm.hpp"
 #include "decisive/fta/quantify.hpp"
 #include "decisive/obs/registry.hpp"
+#include "decisive/oracles.hpp"
 #include "decisive/sim/builder.hpp"
 #include "decisive/ssam/graph.hpp"
 
@@ -208,15 +209,17 @@ void fta_identity() {
       {"scaled 5x1 width-3", core::make_scaled_architecture(5, 1, 3), 3},
   };
   for (auto& subject : subjects) {
-    core::FtaOptions options;
+    oracle::FtaOptions options;
     options.max_cut_set_size = subject.oracle_bound;
-    const auto oracle =
-        core::synthesize_fault_tree(*subject.system.model, subject.system.system, options);
+    const auto reference =
+        oracle::synthesize_fault_tree(*subject.system.model, subject.system.system, options);
     const auto zbdd =
         fta::synthesize_fault_tree_zbdd(*subject.system.model, subject.system.system);
     const std::string name = subject.name;
-    expect(oracle.cut_sets == zbdd.cut_sets, name + ": ZBDD cut sets differ from the oracle");
-    expect(oracle.to_text() == zbdd.to_text(), name + ": rendered trees differ from the oracle");
+    expect(reference.cut_sets == zbdd.cut_sets,
+           name + ": ZBDD cut sets differ from the oracle");
+    expect(reference.to_text() == zbdd.to_text(),
+           name + ": rendered trees differ from the oracle");
     const auto quant = fta::quantify(zbdd, 10000.0);
     expect(quant.exact_probability <= quant.rare_event_bound + 1e-12,
            name + ": exact probability above the rare-event bound");
@@ -228,16 +231,16 @@ void fta_identity() {
 
 void fta_speedup() {
   auto subject = core::make_scaled_architecture(9, 1, 3);
-  core::FtaOptions options;
+  oracle::FtaOptions options;
   options.max_cut_set_size = 3;
   // Warm pass (page in the model, size the arenas) before timing.
   core::FaultTree oracle_tree =
-      core::synthesize_fault_tree(*subject.model, subject.system, options);
+      oracle::synthesize_fault_tree(*subject.model, subject.system, options);
   core::FaultTree zbdd_tree = fta::synthesize_fault_tree_zbdd(*subject.model, subject.system);
   expect(oracle_tree.cut_sets == zbdd_tree.cut_sets,
          "FTA speedup subject: cut sets differ from the oracle");
   const double oracle_s = seconds_of([&] {
-    oracle_tree = core::synthesize_fault_tree(*subject.model, subject.system, options);
+    oracle_tree = oracle::synthesize_fault_tree(*subject.model, subject.system, options);
   });
   const double zbdd_s = seconds_of(
       [&] { zbdd_tree = fta::synthesize_fault_tree_zbdd(*subject.model, subject.system); });
@@ -252,7 +255,7 @@ void fta_reach() {
     auto subject = core::make_scaled_architecture(9, 1, width);
     bool oracle_threw = false;
     try {
-      (void)core::synthesize_fault_tree(*subject.model, subject.system);
+      (void)oracle::synthesize_fault_tree(*subject.model, subject.system);
     } catch (const AnalysisError&) {
       oracle_threw = true;
     }
@@ -391,7 +394,7 @@ void graph_fmea() {
   const auto dense_graph = ssam::build_graph(dense->model, dense->system);
   bool exploded = false;
   try {
-    ssam::enumerate_paths(dense_graph);
+    oracle::enumerate_paths(dense_graph);
   } catch (const AnalysisError&) {
     exploded = true;
   }
@@ -431,9 +434,9 @@ void graph_fmea() {
     size_t by_paths = 0;
     size_t by_dominators = 0;
     const double enumerate_s = median_seconds([&] {
-      const auto paths = ssam::enumerate_paths(graph);
+      const auto paths = oracle::enumerate_paths(graph);
       by_paths = 0;
-      for (const auto sub : subs) by_paths += ssam::on_all_paths(graph, paths, sub);
+      for (const auto sub : subs) by_paths += oracle::on_all_paths(graph, paths, sub);
     });
     const double dominator_s = median_seconds([&] {
       const ssam::SinglePointAnalysis analysis(graph);

@@ -2,13 +2,13 @@
 // include the model-based support for Fault Tree Analysis (FTA) and how FTA
 // and FMEA can be federated for quantitative system safety analysis").
 //
-// A fault tree is synthesised from the same component graph Algorithm 1
-// uses: the top event is "loss of the component's function" (no input→output
+// This header holds the fault-tree data type the FTA engine (src/fta) fills
+// in. The top event is "loss of the component's function" (no input→output
 // path delivers); its logic is derived from the minimal cut sets of the
-// path graph — a cut set is a set of subcomponents whose joint
-// loss-of-function severs every path. Quantitatively, each basic event
-// carries the loss-mode failure rate from the FMEA data, and the top-event
-// probability over a mission time uses the rare-event approximation.
+// component graph Algorithm 1 uses — a cut set is a set of subcomponents
+// whose joint loss-of-function severs every path. Each basic event carries
+// the loss-mode failure rate from the FMEA data; fta::quantify turns the
+// cut sets into the top-event probability over a mission.
 //
 // Federation with FMEA: cut sets of size one are exactly the single-point
 // failures Algorithm 1 reports, which cross-validates the two analyses
@@ -55,11 +55,6 @@ struct FaultTree {
   /// flagging when its work budget runs out).
   bool truncated = false;
 
-  /// Probability of the top event over `mission_hours`, using the rare-event
-  /// approximation over minimal cut sets: P ~= sum over cut sets of the
-  /// product of member failure probabilities (1 - e^{-lambda t} per member).
-  [[nodiscard]] double top_event_probability(double mission_hours) const;
-
   /// Renders the tree as indented text (gates + basic events), with a
   /// trailing kFtaTruncationWarning line when `truncated` is set.
   [[nodiscard]] std::string to_text() const;
@@ -73,47 +68,11 @@ bool is_loss_failure_nature(const std::string& nature);
 /// summed distribution of its loss-nature failure modes (capped at 1) × 1e-9.
 double loss_failure_rate(const ssam::SsamModel& ssam, ssam::ObjectId component);
 
-struct FtaOptions {
-  /// Cut sets larger than this are not enumerated (cost guard). When the
-  /// bound clips the family the returned tree carries `truncated = true`.
-  size_t max_cut_set_size = 3;
-  /// Path-enumeration guard (shared with Algorithm 1); exceeding it throws.
-  size_t max_paths = 100000;
-};
-
-/// Synthesises the fault tree for the loss of `component`'s function by
-/// enumerating every input→output path (exponential — retained as the
-/// property-test oracle for fta::synthesize_fault_tree_zbdd, the scalable
-/// engine; the PR-2 pattern). Basic-event rates come from
-/// loss_failure_rate() (components without loss modes get rate zero but
-/// still appear structurally). Throws AnalysisError when the component has
-/// no boundary IONodes or the path count exceeds FtaOptions::max_paths.
-FaultTree synthesize_fault_tree(const ssam::SsamModel& ssam, ssam::ObjectId component,
-                                const FtaOptions& options = {});
-
 /// Federation check (FTA <-> FMEA): compares the tree's order-1 cut sets
 /// with the loss-mode safety-related components of an FMEA result. Returns
 /// human-readable discrepancies (empty = the analyses agree).
 std::vector<std::string> crosscheck_with_fmea(const ssam::SsamModel& ssam,
                                               const FaultTree& tree,
                                               const FmedaResult& fmea);
-
-/// Quantitative importance of one basic event.
-struct BasicEventImportance {
-  ssam::ObjectId component = model::kNullObject;
-  std::string label;
-  /// Birnbaum importance: dP(top)/dP(event) — the probability the rest of
-  /// the system is in a state where this event is decisive.
-  double birnbaum = 0.0;
-  /// Fussell-Vesely importance: fraction of the top-event probability
-  /// contributed by cut sets containing this event.
-  double fussell_vesely = 0.0;
-};
-
-/// Computes Birnbaum and Fussell-Vesely importance for every basic event
-/// over the given mission time (rare-event approximation, consistent with
-/// top_event_probability). Sorted by descending Fussell-Vesely.
-std::vector<BasicEventImportance> importance_measures(const FaultTree& tree,
-                                                      double mission_hours);
 
 }  // namespace decisive::core

@@ -1,15 +1,9 @@
 #include "decisive/core/fta.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <functional>
-#include <map>
 #include <set>
 
-#include "decisive/base/error.hpp"
 #include "decisive/base/strings.hpp"
-#include "decisive/obs/log.hpp"
-#include "decisive/ssam/graph.hpp"
 
 namespace decisive::core {
 
@@ -29,117 +23,6 @@ double loss_fraction(const SsamModel& ssam, ObjectId component) {
   return std::min(fraction, 1.0);
 }
 
-/// True when jointly removing `cut` severs every path.
-bool is_cut(const std::vector<std::vector<int>>& path_members,
-            const std::vector<size_t>& cut) {
-  for (const auto& members : path_members) {
-    bool hit = false;
-    for (const size_t c : cut) {
-      if (std::binary_search(members.begin(), members.end(), static_cast<int>(c))) {
-        hit = true;
-        break;
-      }
-    }
-    if (!hit) return false;
-  }
-  return true;
-}
-
-bool contains_subset(const std::vector<std::vector<size_t>>& cuts,
-                     const std::vector<size_t>& candidate) {
-  for (const auto& cut : cuts) {
-    if (std::includes(candidate.begin(), candidate.end(), cut.begin(), cut.end())) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Exact truncation probe: after enumerating every minimal cut up to the
-/// size bound, a minimal cut *above* the bound exists iff some set A of
-/// components that intersects every found cut (a transversal) still carries
-/// no complete path — its complement then severs all paths while containing
-/// no found cut, so its minimal sub-cut is new. Minimal transversals suffice
-/// (shrinking A only removes surviving paths), so the probe DFSes over the
-/// found cuts, branching on which member stays alive. The `budget` counts
-/// path-membership checks; exhausting it returns the conservative answer
-/// (truncated = true) — the flag may over-report, never under-report.
-bool probe_truncation(const std::vector<std::vector<int>>& path_members,
-                      const std::vector<std::vector<size_t>>& cuts, size_t n,
-                      size_t budget, bool& budget_exhausted) {
-  std::vector<char> alive(n, 0);
-  const std::function<bool()> dfs = [&]() -> bool {
-    if (budget == 0) {
-      budget_exhausted = true;
-      return true;  // unknown → conservative
-    }
-    // First found cut with no alive member.
-    const std::vector<size_t>* open = nullptr;
-    for (const auto& cut : cuts) {
-      if (budget > 0) --budget;
-      if (std::none_of(cut.begin(), cut.end(),
-                       [&](size_t m) { return alive[m] != 0; })) {
-        open = &cut;
-        break;
-      }
-    }
-    if (open == nullptr) {
-      // A is a transversal of every found cut: truncated iff no path
-      // survives inside A.
-      for (const auto& members : path_members) {
-        if (budget > 0) --budget;
-        if (std::all_of(members.begin(), members.end(),
-                        [&](int m) { return alive[static_cast<size_t>(m)] != 0; })) {
-          return false;  // a path survives; this transversal proves nothing
-        }
-      }
-      return true;
-    }
-    for (const size_t m : *open) {
-      alive[m] = 1;
-      const bool found = dfs();
-      alive[m] = 0;
-      if (found) return true;
-    }
-    return false;
-  };
-  return dfs();
-}
-
-}  // namespace
-
-bool is_loss_failure_nature(const std::string& nature) {
-  return iequals(nature, "lossOfFunction") || iequals(nature, "loss") ||
-         iequals(nature, "open") || iequals(nature, "omission") ||
-         iequals(nature, "no output");
-}
-
-double loss_failure_rate(const SsamModel& ssam, ObjectId component) {
-  return ssam.obj(component).get_real("fit") * loss_fraction(ssam, component) * 1e-9;
-}
-
-double FaultTree::top_event_probability(double mission_hours) const {
-  // Map component -> failure probability over the mission.
-  std::map<ObjectId, double> probability;
-  for (const auto& node : nodes) {
-    if (node.kind == GateKind::Basic) {
-      probability[node.component] = 1.0 - std::exp(-node.failure_rate * mission_hours);
-    }
-  }
-  double total = 0.0;
-  for (const auto& cut : cut_sets) {
-    double product = 1.0;
-    for (const ObjectId member : cut) {
-      const auto it = probability.find(member);
-      product *= it != probability.end() ? it->second : 0.0;
-    }
-    total += product;
-  }
-  return std::min(total, 1.0);
-}
-
-namespace {
-
 void render(const FaultTree& tree, size_t index, int depth, std::string& out) {
   const FaultTreeNode& node = tree.nodes[index];
   out.append(static_cast<size_t>(depth) * 2, ' ');
@@ -158,6 +41,16 @@ void render(const FaultTree& tree, size_t index, int depth, std::string& out) {
 
 }  // namespace
 
+bool is_loss_failure_nature(const std::string& nature) {
+  return iequals(nature, "lossOfFunction") || iequals(nature, "loss") ||
+         iequals(nature, "open") || iequals(nature, "omission") ||
+         iequals(nature, "no output");
+}
+
+double loss_failure_rate(const SsamModel& ssam, ObjectId component) {
+  return ssam.obj(component).get_real("fit") * loss_fraction(ssam, component) * 1e-9;
+}
+
 std::string FaultTree::to_text() const {
   std::string out;
   if (!nodes.empty()) render(*this, 0, 0, out);
@@ -165,187 +58,6 @@ std::string FaultTree::to_text() const {
     out += std::string(kFtaTruncationWarning);
     out += '\n';
   }
-  return out;
-}
-
-FaultTree synthesize_fault_tree(const SsamModel& ssam, ObjectId component,
-                                const FtaOptions& options) {
-  const ssam::ComponentGraph graph = ssam::build_graph(ssam, component);
-  const auto paths = ssam::enumerate_paths(graph, options.max_paths);
-
-  // Components that participate in at least one path, in stable order.
-  std::vector<ObjectId> members;
-  {
-    std::set<ObjectId> seen;
-    for (const auto& path : paths) {
-      for (const ObjectId node : path) {
-        const auto it = graph.owner.find(node);
-        if (it != graph.owner.end() && seen.insert(it->second).second) {
-          members.push_back(it->second);
-        }
-      }
-    }
-  }
-
-  // Per path: sorted member indices (into `members`).
-  std::map<ObjectId, int> member_index;
-  for (size_t i = 0; i < members.size(); ++i) {
-    member_index[members[i]] = static_cast<int>(i);
-  }
-  std::vector<std::vector<int>> path_members;
-  path_members.reserve(paths.size());
-  for (const auto& path : paths) {
-    std::set<int> indices;
-    for (const ObjectId node : path) {
-      const auto it = graph.owner.find(node);
-      if (it != graph.owner.end()) indices.insert(member_index.at(it->second));
-    }
-    path_members.emplace_back(indices.begin(), indices.end());
-  }
-
-  // Enumerate minimal cut sets up to the size bound. Sizes in increasing
-  // order guarantee minimality via subset screening.
-  const auto next_combination = [](std::vector<size_t>& combo, size_t n) {
-    const size_t k = combo.size();
-    size_t i = k;
-    while (i-- > 0) {
-      if (combo[i] < n - k + i) {
-        ++combo[i];
-        for (size_t j = i + 1; j < k; ++j) combo[j] = combo[j - 1] + 1;
-        return true;
-      }
-    }
-    return false;
-  };
-  std::vector<std::vector<size_t>> cuts;
-  const size_t n = members.size();
-  const size_t max_size = std::min(options.max_cut_set_size, n);
-  for (size_t size = 1; size <= max_size; ++size) {
-    std::vector<size_t> combo(size);
-    for (size_t i = 0; i < size; ++i) combo[i] = i;
-    do {
-      if (!contains_subset(cuts, combo) && is_cut(path_members, combo)) {
-        cuts.push_back(combo);
-      }
-    } while (next_combination(combo, n));
-  }
-
-  // Deterministic cut order: each cut sorted by component id, cuts sorted by
-  // (order, ids) — so two engines (or two platforms) render identical trees.
-  std::vector<std::vector<ObjectId>> sorted_cuts;
-  sorted_cuts.reserve(cuts.size());
-  for (const auto& cut : cuts) {
-    std::vector<ObjectId> cut_components;
-    cut_components.reserve(cut.size());
-    for (const size_t member : cut) cut_components.push_back(members[member]);
-    std::sort(cut_components.begin(), cut_components.end());
-    sorted_cuts.push_back(std::move(cut_components));
-  }
-  std::sort(sorted_cuts.begin(), sorted_cuts.end(),
-            [](const std::vector<ObjectId>& a, const std::vector<ObjectId>& b) {
-              if (a.size() != b.size()) return a.size() < b.size();
-              return a < b;
-            });
-
-  // Build the tree: OR(top) over one child per cut set.
-  FaultTree tree;
-  if (max_size < n) {
-    // The size bound may have clipped the family — probe instead of capping
-    // silently (satellite of the ZBDD engine work; see kFtaTruncationWarning).
-    bool budget_exhausted = false;
-    tree.truncated = probe_truncation(path_members, cuts, n, 100000, budget_exhausted);
-    if (tree.truncated) {
-      obs::log(obs::LogLevel::Warn,
-               "fta: max_cut_set_size=" + std::to_string(options.max_cut_set_size) +
-                   (budget_exhausted
-                        ? " probe budget exhausted; conservatively flagging truncation"
-                        : " clipped the cut-set enumeration") +
-                   "; minimal cut sets above the bound may exist");
-    }
-  }
-  const std::string name = ssam.obj(component).get_string("name");
-  tree.top_event = "loss of function of '" + name + "'";
-  FaultTreeNode top;
-  top.kind = GateKind::Or;
-  top.label = tree.top_event;
-  tree.nodes.push_back(top);
-
-  std::map<ObjectId, size_t> basic_index;
-  auto basic_for = [&](ObjectId comp) {
-    const auto it = basic_index.find(comp);
-    if (it != basic_index.end()) return it->second;
-    FaultTreeNode basic;
-    basic.kind = GateKind::Basic;
-    basic.component = comp;
-    basic.label = "loss of '" + ssam.obj(comp).get_string("name") + "'";
-    basic.failure_rate = loss_failure_rate(ssam, comp);
-    tree.nodes.push_back(basic);
-    const size_t index = tree.nodes.size() - 1;
-    basic_index[comp] = index;
-    return index;
-  };
-
-  for (const auto& cut : sorted_cuts) {
-    tree.cut_sets.push_back(cut);
-    if (cut.size() == 1) {
-      const size_t basic = basic_for(cut[0]);
-      tree.nodes[0].children.push_back(basic);
-    } else {
-      FaultTreeNode gate;
-      gate.kind = GateKind::And;
-      gate.label = "joint loss of " + std::to_string(cut.size()) + " redundant components";
-      // Materialise the basic events first: basic_for may grow the node
-      // vector, which would invalidate a reference into it.
-      for (const ObjectId member : cut) gate.children.push_back(basic_for(member));
-      tree.nodes.push_back(std::move(gate));
-      tree.nodes[0].children.push_back(tree.nodes.size() - 1);
-    }
-  }
-  return tree;
-}
-
-std::vector<BasicEventImportance> importance_measures(const FaultTree& tree,
-                                                      double mission_hours) {
-  // Per-component failure probability over the mission.
-  std::map<ObjectId, double> probability;
-  std::map<ObjectId, std::string> labels;
-  for (const auto& node : tree.nodes) {
-    if (node.kind == GateKind::Basic) {
-      probability[node.component] = 1.0 - std::exp(-node.failure_rate * mission_hours);
-      labels[node.component] = node.label;
-    }
-  }
-  const double p_top = tree.top_event_probability(mission_hours);
-
-  std::vector<BasicEventImportance> out;
-  for (const auto& [component, p_event] : probability) {
-    BasicEventImportance imp;
-    imp.component = component;
-    imp.label = labels[component];
-    // Rare-event forms over the minimal cut sets:
-    //   Birnbaum       = sum over cut sets containing e of prod(other members)
-    //   Fussell-Vesely = sum over cut sets containing e of prod(all members) / P(top)
-    double birnbaum = 0.0;
-    double contribution = 0.0;
-    for (const auto& cut : tree.cut_sets) {
-      if (std::find(cut.begin(), cut.end(), component) == cut.end()) continue;
-      double others = 1.0;
-      double full = 1.0;
-      for (const ObjectId member : cut) {
-        full *= probability[member];
-        if (member != component) others *= probability[member];
-      }
-      birnbaum += others;
-      contribution += full;
-    }
-    imp.birnbaum = birnbaum;
-    imp.fussell_vesely = p_top > 0.0 ? contribution / p_top : 0.0;
-    out.push_back(std::move(imp));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const BasicEventImportance& a, const BasicEventImportance& b) {
-              return a.fussell_vesely > b.fussell_vesely;
-            });
   return out;
 }
 

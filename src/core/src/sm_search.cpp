@@ -422,7 +422,7 @@ void collect_choices(const std::vector<MergeNode>& nodes, int index, std::uint32
 std::vector<Deployment> pareto_front(const FmedaResult& fmea,
                                      const SafetyMechanismModel& catalogue,
                                      const ParetoOptions& options) {
-  if (options.epsilon < 0.0 || options.epsilon >= 1.0) {
+  if (!(options.epsilon >= 0.0 && options.epsilon < 1.0)) {  // NaN fails both
     throw AnalysisError("ParetoOptions::epsilon must be in [0, 1)");
   }
   SearchMetrics& metrics = SearchMetrics::get();

@@ -1,6 +1,7 @@
 // ZBDD minimal-cut-set synthesis over the component flow graph.
 //
-// The seed `core::synthesize_fault_tree` enumerates every input→output path
+// The seed-era synthesis, kept as the test oracle
+// `oracle::synthesize_fault_tree`, enumerates every input→output path
 // (exponential) and screens k-subsets up to order 3. This engine instead
 // Shannon-decomposes the structure function directly on the flow graph: pick
 // the first free component on a live path, and the minimal cut sets are
@@ -30,8 +31,8 @@ struct ZbddFtaOptions {
 };
 
 /// Synthesises the fault tree for the loss of `component`'s function via
-/// ZBDD decomposition. Same contract as `core::synthesize_fault_tree`
-/// (labels, rates, AnalysisError without boundary IONodes) but never
+/// ZBDD decomposition. Same contract as the enumeration oracle (labels,
+/// rates, AnalysisError without boundary IONodes) but never
 /// enumerates paths, so dense graphs with order-4/5 cuts stay tractable.
 core::FaultTree synthesize_fault_tree_zbdd(const ssam::SsamModel& ssam,
                                            ssam::ObjectId component,

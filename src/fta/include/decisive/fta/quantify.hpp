@@ -1,6 +1,6 @@
 // Exact probabilistic quantification of a synthesised fault tree.
 //
-// The seed quantifies with the rare-event approximation (sum of cut-set
+// The seed quantified with the rare-event approximation alone (sum of cut-set
 // probabilities, silently saturated at 1.0). Here the minimal cut family is
 // rebuilt as a ZBDD and evaluated exactly by Shannon decomposition (Rauzy's
 // recursion over the monotone structure function), so overlapping cut sets

@@ -335,8 +335,9 @@ class Service {
     const double mission = tokens.size() > 1 ? parse_double(tokens[1]) : 10000.0;
     // Before the reply cache: a NaN key would match any cached mission.
     fta::validate_mission_hours(mission);
-    const size_t max_order =
-        tokens.size() > 2 ? static_cast<size_t>(parse_int(tokens[2])) : 0;
+    const long long order = tokens.size() > 2 ? parse_int(tokens[2]) : 0;
+    if (order < 0) throw ModelError("fta: <max-order> must be >= 0 (0 = unbounded)");
+    const auto max_order = static_cast<size_t>(order);
 
     ServiceMetrics& metrics = ServiceMetrics::get();
     const std::pair key{mission, max_order};

@@ -10,7 +10,6 @@
 // is tried in order when plain Newton gives up.
 #pragma once
 
-#include <complex>
 #include <map>
 #include <optional>
 #include <string>
@@ -50,8 +49,8 @@ struct SolveOptions {
 
   /// Use the sparse symbolic-LU kernel for systems of at least
   /// `sparse_min_dim` unknowns: the stamp pattern is analysed once per
-  /// circuit structure and every later Newton iteration / transient step /
-  /// AC point replays the numbers through the frozen pattern. Any numeric
+  /// circuit structure and every later Newton iteration / transient step
+  /// replays the numbers through the frozen pattern. Any numeric
   /// surprise (pivot-gate trip, fill blow-up, non-convergence) silently
   /// re-runs the attempt on the dense kernel, so results are identical to
   /// `sparse = false`; the flag is an escape hatch, not a different answer.
@@ -125,39 +124,5 @@ struct TransientSample {
 /// current). Throws SimulationError on non-convergence.
 std::vector<TransientSample> transient(const Circuit& circuit, double t_end, double dt,
                                        const SolveOptions& options = {});
-
-/// Dense linear solve (partial-pivot Gaussian elimination) of A x = b.
-/// Exposed for testing; throws SimulationError on singular systems and on
-/// malformed inputs (mismatched dimensions, ragged rows).
-std::vector<double> solve_linear(std::vector<std::vector<double>> a, std::vector<double> b);
-
-/// The complex-field twin of solve_linear, used by the AC path. Shares the
-/// same templated kernel and the same input validation.
-std::vector<std::complex<double>> solve_linear_complex(
-    std::vector<std::vector<std::complex<double>>> a, std::vector<std::complex<double>> b);
-
-/// One point of an AC (small-signal) sweep: magnitude and phase of every
-/// sensor reading at one frequency.
-struct AcSample {
-  double frequency_hz = 0.0;
-  /// Complex sensor readings as (magnitude, phase-radians) pairs, keyed by
-  /// element name (CurrentSensor/VoltageSensor only — the MCU status output
-  /// is not a small-signal quantity).
-  std::map<std::string, std::pair<double, double>> readings;
-
-  [[nodiscard]] double magnitude(const std::string& name) const;
-};
-
-/// AC small-signal analysis: the circuit is linearised at its DC operating
-/// point (diodes become their small-signal conductance, switches their
-/// on/off resistance), every DC source is replaced by its small-signal
-/// equivalent (voltage sources short, current sources open), and the source
-/// named `stimulus` drives a unit AC signal. Capacitors and inductors get
-/// their complex admittances, so filter behaviour — invisible to the DC
-/// FMEA — becomes measurable (e.g. supply-ripple attenuation).
-/// Throws SimulationError when `stimulus` is not a source.
-std::vector<AcSample> ac_analysis(const Circuit& circuit, const std::string& stimulus,
-                                  const std::vector<double>& frequencies_hz,
-                                  const SolveOptions& options = {});
 
 }  // namespace decisive::sim

@@ -6,8 +6,8 @@
 // factorisation): the *symbolic* analysis — column ordering, pivot row
 // assignment and the full L/U elimination pattern — is computed once per
 // circuit structure and frozen; every subsequent Newton iteration, transient
-// step, AC point or campaign fault with the same structure replays a purely
-// *numeric* refactorisation over that frozen pattern (no graph traversal, no
+// step or campaign fault with the same structure replays a purely *numeric*
+// refactorisation over that frozen pattern (no graph traversal, no
 // allocation). Structural faults that delete one branch unknown reuse the
 // untouched symbolic prefix via partial_factor() and re-run the
 // Gilbert-Peierls sweep only from the first touched column.
@@ -27,7 +27,6 @@
 // and need exclusive access. Pattern objects are immutable once frozen.
 #pragma once
 
-#include <complex>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -131,7 +130,9 @@ struct Symbolic {
 /// reuses an unchanged symbolic prefix across a structural edit. All three
 /// report numerical trouble by returning false (never throwing), so callers
 /// can fall back to the dense oracle without disturbing control flow.
-template <typename T>
+/// refactor() and solve_in_place() are the campaign's hot members; both are
+/// aligned to a cache line so their speed does not depend on where the
+/// linker puts them.
 class SparseLu {
  public:
   /// Full factorisation of `values` (CSC, parallel to `pattern.row_ind`):
@@ -139,13 +140,14 @@ class SparseLu {
   /// fresh Symbolic. Returns false (with `error` set) when the matrix is
   /// numerically singular under the relative pivot floor shared with the
   /// dense kernel.
-  bool factor(const Pattern& pattern, const T* values, std::string* error);
+  bool factor(const Pattern& pattern, const double* values, std::string* error);
 
   /// Numeric-only replay over the adopted Symbolic (from a prior factor(),
   /// partial_factor() or adopt()). The pattern must be the one the symbolic
   /// was built for. Returns false when a frozen pivot fails the stability
   /// gate or the relative floor — re-pivot via factor() or go dense.
-  bool refactor(const Pattern& pattern, const T* values, std::string* error);
+  [[gnu::aligned(64)]] bool refactor(const Pattern& pattern, const double* values,
+                                     std::string* error);
 
   /// Partial refactorisation across a structural edit: `base` was built for
   /// `base_pattern`; `new_of_old` maps every old row/column index to its new
@@ -157,7 +159,7 @@ class SparseLu {
   /// a pivot-gate trip or singularity — fall back to a full factor().
   bool partial_factor(const Symbolic& base, const Pattern& base_pattern,
                       const std::vector<std::int32_t>& new_of_old, const Pattern& pattern,
-                      const T* values, std::size_t* reused_columns, std::string* error);
+                      const double* values, std::size_t* reused_columns, std::string* error);
 
   /// Adopts a shared Symbolic (e.g. the campaign's cached one) so the next
   /// call can be a refactor() without a private factor() first.
@@ -166,34 +168,31 @@ class SparseLu {
   /// Solves A x = b in place; `b` must hold n entries. Only valid after a
   /// successful factor()/refactor()/partial_factor(). `scratch` is the
   /// caller's (resized to n), so concurrent solves need one buffer each.
-  void solve_in_place(T* b, std::vector<T>& scratch) const;
+  [[gnu::aligned(64)]] void solve_in_place(double* b, std::vector<double>& scratch) const;
 
   [[nodiscard]] const std::shared_ptr<const Symbolic>& symbolic() const noexcept {
     return sym_;
   }
   [[nodiscard]] bool factored() const noexcept { return factored_; }
-  /// Stored L+U entries over the input pattern's nonzeros; 0 before factor.
-  [[nodiscard]] double fill_ratio() const noexcept { return fill_ratio_; }
   [[nodiscard]] std::size_t lu_nnz() const noexcept { return sym_ ? sym_->lu_nnz() : 0; }
 
  private:
-  bool gilbert_peierls(const Pattern& pattern, const T* values,
+  bool gilbert_peierls(const Pattern& pattern, const double* values,
                        const std::vector<std::int32_t>& col_order, std::size_t start_pos,
                        Symbolic& sym, std::vector<std::int32_t>& pinv, double floor,
                        std::string* error);
-  bool replay_prefix(const Symbolic& sym, const Pattern& pattern, const T* values,
+  bool replay_prefix(const Symbolic& sym, const Pattern& pattern, const double* values,
                      std::size_t end_pos, double floor, std::string* error);
   void finish(const Pattern& pattern);
 
   std::shared_ptr<const Symbolic> sym_;
-  std::vector<T> l_val_;
-  std::vector<T> u_val_;
-  std::vector<T> u_diag_;
+  std::vector<double> l_val_;
+  std::vector<double> u_val_;
+  std::vector<double> u_diag_;
   bool factored_ = false;
-  double fill_ratio_ = 0.0;
 
   // Scratch (sized n on demand, reused across calls).
-  std::vector<T> x_;
+  std::vector<double> x_;
   std::vector<std::int32_t> mark_;
   std::vector<std::int32_t> stack_;
   std::vector<std::int32_t> pstack_;
@@ -202,12 +201,9 @@ class SparseLu {
   std::int32_t pass_ = 0;
 };
 
-extern template class SparseLu<double>;
-extern template class SparseLu<std::complex<double>>;
-
 /// Registry handles cached once per process, same idiom as
 /// mna::SolverMetrics: kernel-level sparse counters plus the last-write
-/// structure gauges the perf sentinel's ratio checks key on.
+/// structure gauges.
 struct SparseMetrics {
   obs::Counter& factors;            ///< full symbolic+numeric factorisations
   obs::Counter& refactors;          ///< numeric-only replays over a frozen pattern

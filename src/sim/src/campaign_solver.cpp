@@ -159,10 +159,10 @@ struct CampaignContext::Workspace::Impl {
   std::vector<std::size_t> term_elem;  ///< active update terms: element index
   std::vector<double> term_g;          ///< active update terms: conductance deltas
   std::vector<double> small_rhs;
-  dense::LuFactorization<double> small_lu;
+  dense::LuFactorization small_lu;
   // Refactor branch.
   mna::SparsePlan plan;                ///< the faulted circuit's pattern + slot replay
-  sparse::SparseLu<double> slu;
+  sparse::SparseLu slu;
   std::vector<double> solution;        ///< solve buffer, so `rhs` survives the solve
 };
 
@@ -190,8 +190,8 @@ struct CampaignContext::Impl {
   // `a_nom` is the unfactored copy for the residual gate.
   bool sparse = false;
   mna::SparsePlan plan;
-  sparse::SparseLu<double> slu;
-  dense::LuFactorization<double> lu;
+  sparse::SparseLu slu;
+  dense::LuFactorization lu;
   std::vector<double> a_nom;
 
   // Per element index: conductance contribution inside A_nom, cached A^-1 u
@@ -247,7 +247,7 @@ struct CampaignContext::Impl {
   bool solve_and_factor();
   void cache_columns();
   [[nodiscard]] bool eligible(const Fault& fault) const noexcept;
-  [[nodiscard]] bool fill_ok(const sparse::SparseLu<double>& factor, std::size_t n) const {
+  [[nodiscard]] bool fill_ok(const sparse::SparseLu& factor, std::size_t n) const {
     const double n_sq = static_cast<double>(n) * static_cast<double>(n);
     return static_cast<double>(factor.lu_nnz()) <= opt.sparse_max_fill * n_sq;
   }
@@ -305,7 +305,7 @@ bool CampaignContext::Impl::solve_and_factor() {
       }
     }
     plan = mna::SparsePlan{};
-    slu = sparse::SparseLu<double>{};
+    slu = sparse::SparseLu{};
     std::fill(rhs.begin(), rhs.end(), 0.0);
   }
 

@@ -448,10 +448,10 @@ struct SparsePlan {
 /// fallback ladder — once any sparse attempt on this workspace misbehaves,
 /// every later attempt goes straight to the dense kernel.
 struct Workspace {
-  dense::LuFactorization<double> lu;
+  dense::LuFactorization lu;
   std::vector<double> rhs;
   SparsePlan plan;
-  sparse::SparseLu<double> slu;
+  sparse::SparseLu slu;
   std::vector<double> solve_scratch;  ///< slu's triangular-solve buffer
   bool sparse_disabled = false;
 };
@@ -509,7 +509,7 @@ inline NewtonAttempt attempt_solve_auto(const Circuit& circuit, const SolveOptio
   // stepping loop, whose systems differ in both dimension and stamps.
   if (!ws.plan.ready || ws.plan.dim != st.dim || ws.plan.transient != state.transient) {
     ws.plan.build(circuit, opt, state, st);
-    ws.slu = sparse::SparseLu<double>{};  // symbolic was for another structure
+    ws.slu = sparse::SparseLu{};  // symbolic was for another structure
   }
 
   obs::Counter* fallback_reason = &metrics.fallback_not_converged;

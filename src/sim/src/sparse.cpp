@@ -148,26 +148,23 @@ std::vector<std::int32_t> min_degree_order(const Pattern& a) {
   return order;
 }
 
-template <typename T>
-void SparseLu<T>::adopt(std::shared_ptr<const Symbolic> symbolic) {
+void SparseLu::adopt(std::shared_ptr<const Symbolic> symbolic) {
   sym_ = std::move(symbolic);
   factored_ = false;
-  fill_ratio_ = 0.0;
   if (sym_) {
     l_val_.resize(sym_->l_row.size());
     u_val_.resize(sym_->u_pos.size());
-    u_diag_.assign(sym_->n, T{});
+    u_diag_.assign(sym_->n, 0.0);
   }
 }
 
-template <typename T>
-bool SparseLu<T>::gilbert_peierls(const Pattern& pattern, const T* values,
-                                  const std::vector<std::int32_t>& col_order,
-                                  std::size_t start_pos, Symbolic& sym,
-                                  std::vector<std::int32_t>& pinv, double floor,
-                                  std::string* error) {
+bool SparseLu::gilbert_peierls(const Pattern& pattern, const double* values,
+                               const std::vector<std::int32_t>& col_order,
+                               std::size_t start_pos, Symbolic& sym,
+                               std::vector<std::int32_t>& pinv, double floor,
+                               std::string* error) {
   const std::size_t n = pattern.n;
-  x_.assign(n, T{});
+  x_.assign(n, 0.0);
   if (mark_.size() != n || pass_ >= std::numeric_limits<std::int32_t>::max() - 1) {
     mark_.assign(n, 0);
     pass_ = 0;
@@ -237,10 +234,11 @@ bool SparseLu<T>::gilbert_peierls(const Pattern& pattern, const T* values,
     }
     for (std::int32_t t = topo_n; t-- > 0;) {
       const std::int32_t j = topo_[static_cast<std::size_t>(t)];
-      const T uj = x_[static_cast<std::size_t>(sym.pivot_row[static_cast<std::size_t>(j)])];
+      const double uj =
+          x_[static_cast<std::size_t>(sym.pivot_row[static_cast<std::size_t>(j)])];
       sym.u_pos.push_back(j);
       u_val_.push_back(uj);
-      if (uj != T{}) {
+      if (uj != 0.0) {
         for (std::int32_t q = sym.l_ptr[static_cast<std::size_t>(j)];
              q < sym.l_ptr[static_cast<std::size_t>(j) + 1]; ++q) {
           x_[static_cast<std::size_t>(sym.l_row[static_cast<std::size_t>(q)])] -=
@@ -270,7 +268,7 @@ bool SparseLu<T>::gilbert_peierls(const Pattern& pattern, const T* values,
                  std::to_string(c);
       }
       for (std::int32_t t = 0; t < rows_n; ++t) {
-        x_[static_cast<std::size_t>(rows_[static_cast<std::size_t>(t)])] = T{};
+        x_[static_cast<std::size_t>(rows_[static_cast<std::size_t>(t)])] = 0.0;
       }
       return false;
     }
@@ -280,7 +278,7 @@ bool SparseLu<T>::gilbert_peierls(const Pattern& pattern, const T* values,
     }
     sym.pivot_row[k] = pivot;
     pinv[static_cast<std::size_t>(pivot)] = static_cast<std::int32_t>(k);
-    const T diag = x_[static_cast<std::size_t>(pivot)];
+    const double diag = x_[static_cast<std::size_t>(pivot)];
     u_diag_[k] = diag;
 
     // L column: remaining non-pivotal pattern rows, stored sorted by row for
@@ -300,17 +298,16 @@ bool SparseLu<T>::gilbert_peierls(const Pattern& pattern, const T* values,
 
     // Restore the all-zero scratch invariant for the next column.
     for (std::int32_t t = 0; t < rows_n; ++t) {
-      x_[static_cast<std::size_t>(rows_[static_cast<std::size_t>(t)])] = T{};
+      x_[static_cast<std::size_t>(rows_[static_cast<std::size_t>(t)])] = 0.0;
     }
   }
   return true;
 }
 
-template <typename T>
-bool SparseLu<T>::replay_prefix(const Symbolic& sym, const Pattern& pattern, const T* values,
-                                std::size_t end_pos, double floor, std::string* error) {
+bool SparseLu::replay_prefix(const Symbolic& sym, const Pattern& pattern, const double* values,
+                             std::size_t end_pos, double floor, std::string* error) {
   const std::size_t n = pattern.n;
-  x_.assign(n, T{});
+  x_.assign(n, 0.0);
   for (std::size_t k = 0; k < end_pos; ++k) {
     const std::int32_t c = sym.perm_col[k];
     // Zero exactly this column's frozen pattern (U pivot rows, L rows, the
@@ -320,12 +317,12 @@ bool SparseLu<T>::replay_prefix(const Symbolic& sym, const Pattern& pattern, con
     for (std::int32_t p = sym.u_ptr[k]; p < sym.u_ptr[k + 1]; ++p) {
       x_[static_cast<std::size_t>(
           sym.pivot_row[static_cast<std::size_t>(sym.u_pos[static_cast<std::size_t>(p)])])] =
-          T{};
+          0.0;
     }
     for (std::int32_t p = sym.l_ptr[k]; p < sym.l_ptr[k + 1]; ++p) {
-      x_[static_cast<std::size_t>(sym.l_row[static_cast<std::size_t>(p)])] = T{};
+      x_[static_cast<std::size_t>(sym.l_row[static_cast<std::size_t>(p)])] = 0.0;
     }
-    x_[static_cast<std::size_t>(sym.pivot_row[k])] = T{};
+    x_[static_cast<std::size_t>(sym.pivot_row[k])] = 0.0;
     for (std::int32_t idx = pattern.col_ptr[static_cast<std::size_t>(c)];
          idx < pattern.col_ptr[static_cast<std::size_t>(c) + 1]; ++idx) {
       x_[static_cast<std::size_t>(pattern.row_ind[static_cast<std::size_t>(idx)])] =
@@ -334,9 +331,10 @@ bool SparseLu<T>::replay_prefix(const Symbolic& sym, const Pattern& pattern, con
     // Numeric elimination in the frozen (topological) order.
     for (std::int32_t p = sym.u_ptr[k]; p < sym.u_ptr[k + 1]; ++p) {
       const std::int32_t j = sym.u_pos[static_cast<std::size_t>(p)];
-      const T uj = x_[static_cast<std::size_t>(sym.pivot_row[static_cast<std::size_t>(j)])];
+      const double uj =
+          x_[static_cast<std::size_t>(sym.pivot_row[static_cast<std::size_t>(j)])];
       u_val_[static_cast<std::size_t>(p)] = uj;
-      if (uj != T{}) {
+      if (uj != 0.0) {
         for (std::int32_t q = sym.l_ptr[static_cast<std::size_t>(j)];
              q < sym.l_ptr[static_cast<std::size_t>(j) + 1]; ++q) {
           x_[static_cast<std::size_t>(sym.l_row[static_cast<std::size_t>(q)])] -=
@@ -346,7 +344,7 @@ bool SparseLu<T>::replay_prefix(const Symbolic& sym, const Pattern& pattern, con
     }
     // Pivot stability gate: the frozen pivot must still dominate its column
     // well enough to trust — otherwise the caller re-pivots or goes dense.
-    const T diag = x_[static_cast<std::size_t>(sym.pivot_row[k])];
+    const double diag = x_[static_cast<std::size_t>(sym.pivot_row[k])];
     const double diag_mag = std::abs(diag);
     double col_max = diag_mag;
     for (std::int32_t q = sym.l_ptr[k]; q < sym.l_ptr[k + 1]; ++q) {
@@ -370,8 +368,7 @@ bool SparseLu<T>::replay_prefix(const Symbolic& sym, const Pattern& pattern, con
 
 namespace {
 
-template <typename T>
-double values_max(const T* values, std::size_t nnz) {
+double values_max(const double* values, std::size_t nnz) {
   double max_mag = 0.0;
   for (std::size_t i = 0; i < nnz; ++i) max_mag = std::max(max_mag, std::abs(values[i]));
   return max_mag;
@@ -379,20 +376,17 @@ double values_max(const T* values, std::size_t nnz) {
 
 }  // namespace
 
-template <typename T>
-void SparseLu<T>::finish(const Pattern& pattern) {
+void SparseLu::finish(const Pattern& pattern) {
   factored_ = true;
-  fill_ratio_ = pattern.nnz() > 0
-                    ? static_cast<double>(sym_->lu_nnz()) / static_cast<double>(pattern.nnz())
-                    : 1.0;
+  const double nnz = static_cast<double>(pattern.nnz());
+  const double lu_nnz = static_cast<double>(sym_->lu_nnz());
   SparseMetrics& metrics = SparseMetrics::get();
-  metrics.nnz.set(static_cast<double>(pattern.nnz()));
-  metrics.lu_nnz.set(static_cast<double>(sym_->lu_nnz()));
-  metrics.fill_gauge.set(fill_ratio_);
+  metrics.nnz.set(nnz);
+  metrics.lu_nnz.set(lu_nnz);
+  metrics.fill_gauge.set(nnz > 0.0 ? lu_nnz / nnz : 1.0);
 }
 
-template <typename T>
-bool SparseLu<T>::factor(const Pattern& pattern, const T* values, std::string* error) {
+bool SparseLu::factor(const Pattern& pattern, const double* values, std::string* error) {
   const std::size_t n = pattern.n;
   factored_ = false;
   auto sym = std::make_shared<Symbolic>();
@@ -407,7 +401,7 @@ bool SparseLu<T>::factor(const Pattern& pattern, const T* values, std::string* e
   u_val_.clear();
   l_val_.reserve(pattern.nnz() * 2);
   u_val_.reserve(pattern.nnz() * 2);
-  u_diag_.assign(n, T{});
+  u_diag_.assign(n, 0.0);
 
   const std::vector<std::int32_t> order = min_degree_order(pattern);
   std::vector<std::int32_t> pinv(n, -1);
@@ -420,8 +414,7 @@ bool SparseLu<T>::factor(const Pattern& pattern, const T* values, std::string* e
   return true;
 }
 
-template <typename T>
-bool SparseLu<T>::refactor(const Pattern& pattern, const T* values, std::string* error) {
+bool SparseLu::refactor(const Pattern& pattern, const double* values, std::string* error) {
   if (!sym_ || sym_->n != pattern.n) {
     if (error != nullptr) *error = "sparse refactorisation without a matching symbolic";
     return false;
@@ -437,11 +430,10 @@ bool SparseLu<T>::refactor(const Pattern& pattern, const T* values, std::string*
   return true;
 }
 
-template <typename T>
-bool SparseLu<T>::partial_factor(const Symbolic& base, const Pattern& base_pattern,
-                                 const std::vector<std::int32_t>& new_of_old,
-                                 const Pattern& pattern, const T* values,
-                                 std::size_t* reused_columns, std::string* error) {
+bool SparseLu::partial_factor(const Symbolic& base, const Pattern& base_pattern,
+                              const std::vector<std::int32_t>& new_of_old,
+                              const Pattern& pattern, const double* values,
+                              std::size_t* reused_columns, std::string* error) {
   const std::size_t n_old = base.n;
   const std::size_t n_new = pattern.n;
   factored_ = false;
@@ -516,9 +508,9 @@ bool SparseLu<T>::partial_factor(const Symbolic& base, const Pattern& base_patte
     sym->l_row[q] = new_of_old[static_cast<std::size_t>(base.l_row[q])];
   }
   sym->u_pos.assign(base.u_pos.begin(), base.u_pos.begin() + static_cast<std::ptrdiff_t>(u_prefix));
-  l_val_.assign(l_prefix, T{});
-  u_val_.assign(u_prefix, T{});
-  u_diag_.assign(n_new, T{});
+  l_val_.assign(l_prefix, 0.0);
+  u_val_.assign(u_prefix, 0.0);
+  u_diag_.assign(n_new, 0.0);
 
   const double floor = dense::singular_floor(values_max(values, pattern.nnz()));
   if (!replay_prefix(*sym, pattern, values, p, floor, error)) return false;
@@ -559,16 +551,15 @@ bool SparseLu<T>::partial_factor(const Symbolic& base, const Pattern& base_patte
   return true;
 }
 
-template <typename T>
-void SparseLu<T>::solve_in_place(T* b, std::vector<T>& scratch) const {
+void SparseLu::solve_in_place(double* b, std::vector<double>& scratch) const {
   const Symbolic& sym = *sym_;
   const std::size_t n = sym.n;
   scratch.resize(n);
   // Forward: L y = P b, with y[k] living at b[pivot_row[k]] (L has a unit
   // diagonal, row indices are original/unpermuted).
   for (std::size_t k = 0; k < n; ++k) {
-    const T yk = b[static_cast<std::size_t>(sym.pivot_row[k])];
-    if (yk == T{}) continue;
+    const double yk = b[static_cast<std::size_t>(sym.pivot_row[k])];
+    if (yk == 0.0) continue;
     for (std::int32_t q = sym.l_ptr[k]; q < sym.l_ptr[k + 1]; ++q) {
       b[static_cast<std::size_t>(sym.l_row[static_cast<std::size_t>(q)])] -=
           l_val_[static_cast<std::size_t>(q)] * yk;
@@ -576,9 +567,9 @@ void SparseLu<T>::solve_in_place(T* b, std::vector<T>& scratch) const {
   }
   // Backward: U xp = y, column-oriented, positions descending.
   for (std::size_t k = n; k-- > 0;) {
-    const T xk = b[static_cast<std::size_t>(sym.pivot_row[k])] / u_diag_[k];
+    const double xk = b[static_cast<std::size_t>(sym.pivot_row[k])] / u_diag_[k];
     scratch[k] = xk;
-    if (xk == T{}) continue;
+    if (xk == 0.0) continue;
     for (std::int32_t q = sym.u_ptr[k]; q < sym.u_ptr[k + 1]; ++q) {
       const std::int32_t j = sym.u_pos[static_cast<std::size_t>(q)];
       b[static_cast<std::size_t>(sym.pivot_row[static_cast<std::size_t>(j)])] -=
@@ -591,8 +582,5 @@ void SparseLu<T>::solve_in_place(T* b, std::vector<T>& scratch) const {
     b[static_cast<std::size_t>(sym.perm_col[k])] = scratch[k];
   }
 }
-
-template class SparseLu<double>;
-template class SparseLu<std::complex<double>>;
 
 }  // namespace decisive::sim::sparse

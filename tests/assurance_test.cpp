@@ -2,6 +2,8 @@
 // XML round trip and automated evaluation with executable artifact queries.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 
@@ -14,12 +16,14 @@ using namespace decisive::assurance;
 
 namespace {
 
-/// Writes an evidence CSV the artifact queries can check.
+/// Writes an evidence CSV the artifact queries can check. The name carries
+/// the process id: ctest runs each test in its own process, in parallel.
 class EvidenceFile {
  public:
   explicit EvidenceFile(const std::string& content) {
     path_ = std::filesystem::temp_directory_path() /
-            ("decisive-evidence-" + std::to_string(counter_++) + ".csv");
+            ("decisive-evidence-" + std::to_string(::getpid()) + "-" +
+             std::to_string(counter_++) + ".csv");
     std::ofstream out(path_);
     out << content;
   }

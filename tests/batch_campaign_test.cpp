@@ -22,6 +22,7 @@
 #include "decisive/drivers/datasource.hpp"
 #include "decisive/drivers/mdl.hpp"
 #include "decisive/obs/registry.hpp"
+#include "decisive/oracles.hpp"
 #include "decisive/sim/builder.hpp"
 #include "decisive/sim/campaign_solver.hpp"
 #include "decisive/sim/dense.hpp"
@@ -334,10 +335,10 @@ TEST(ShermanMorrison, AgreesWithFreshFactorisationOnRandomRankOneUpdates) {
     perturbed[pb][pb] += g;
     perturbed[pa][pb] -= g;
     perturbed[pb][pa] -= g;
-    const auto fresh = sim::solve_linear(perturbed, b);
+    const auto fresh = oracle::solve_dense(perturbed, b);
 
     // Sherman–Morrison against the nominal factorisation.
-    sim::dense::LuFactorization<double> lu;
+    sim::dense::LuFactorization lu;
     auto& buffer = lu.reset(n);
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = 0; j < n; ++j) buffer[i * n + j] = a[i][j];
@@ -346,8 +347,10 @@ TEST(ShermanMorrison, AgreesWithFreshFactorisationOnRandomRankOneUpdates) {
     std::vector<double> u(n, 0.0);
     u[pa] = 1.0;
     u[pb] = -1.0;
-    std::vector<double> z = lu.solve(u);
-    std::vector<double> zb = lu.solve(b);
+    std::vector<double> z = u;
+    std::vector<double> zb = b;
+    lu.solve_in_place(z.data());
+    lu.solve_in_place(zb.data());
     const double denom = 1.0 + g * (z[pa] - z[pb]);
     ASSERT_GT(std::abs(denom), 1e-12);
     const double w = g * (zb[pa] - zb[pb]) / denom;

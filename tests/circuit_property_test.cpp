@@ -1,15 +1,29 @@
 // Property-based tests on randomly generated circuits: structural truths the
-// fault-injection FMEA must respect regardless of topology, plus solver
-// invariants (superposition on linear networks).
+// fault-injection FMEA must respect regardless of topology, solver
+// invariants (superposition on linear networks), and verdicts that must not
+// depend on the order a circuit's elements are listed in.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "campaign_subjects.hpp"
+#include "decisive/base/csv.hpp"
 #include "decisive/base/table.hpp"
 #include "decisive/core/circuit_fmea.hpp"
+#include "decisive/core/safety_mechanism.hpp"
+#include "decisive/drivers/datasource.hpp"
+#include "decisive/drivers/mdl.hpp"
+#include "decisive/sim/builder.hpp"
 #include "decisive/sim/circuit.hpp"
 #include "decisive/sim/fault.hpp"
 #include "decisive/sim/solver.hpp"
+#include "decisive/sim/sparse.hpp"
 
 using namespace decisive;
 using namespace decisive::sim;
@@ -180,4 +194,94 @@ TEST(CircuitFmeaProperty, AnalysisIsDeterministic) {
     EXPECT_EQ(first.rows[i].safety_related, second.rows[i].safety_related);
   }
   EXPECT_DOUBLE_EQ(first.spfm(), second.spfm());
+}
+
+// ---------------------------------------------------- element-order metamorphic --
+// Listing a circuit's elements in another order renumbers its nodes and
+// unknowns, which changes the dense kernel's pivot order and the sparse
+// kernel's min-degree order. The FMEDA must not notice: the same rows (as a
+// multiset, every column), the same SPFM and the same warnings.
+
+namespace {
+
+template <typename It>
+void shuffle(It first, It last, Rng& rng) {
+  for (auto n = last - first; n > 1; --n) {
+    std::iter_swap(first + (n - 1), first + static_cast<std::ptrdiff_t>(rng.below(n)));
+  }
+}
+
+/// `built` as if its netlist had been entered in an order shuffled by
+/// `rng`: non-ground nodes renumbered, elements and components reordered.
+sim::BuiltCircuit shuffled(sim::BuiltCircuit built, Rng& rng) {
+  std::vector<int> renumber(static_cast<size_t>(built.circuit.node_count()));
+  std::iota(renumber.begin(), renumber.end(), 0);
+  shuffle(renumber.begin() + 1, renumber.end(), rng);
+  auto& elements = built.circuit.elements();
+  for (auto& e : elements) {
+    e.a = renumber[static_cast<size_t>(e.a)];
+    e.b = renumber[static_cast<size_t>(e.b)];
+  }
+  shuffle(elements.begin(), elements.end(), rng);
+  shuffle(built.components.begin(), built.components.end(), rng);
+  return built;
+}
+
+/// The campaign's verdicts, independent of row order: sorted CSV data rows,
+/// then the SPFM, then the sorted warnings.
+std::tuple<std::vector<std::string>, double, std::vector<std::string>> verdicts_of(
+    const sim::BuiltCircuit& built, const core::ReliabilityModel& reliability,
+    const core::SafetyMechanismModel* sm_model, core::CircuitFmeaOptions options, int jobs) {
+  options.jobs = jobs;
+  const auto result = core::analyze_circuit(built, reliability, sm_model, options);
+  std::vector<std::string> rows;
+  std::istringstream csv(write_csv(result.to_csv()));
+  for (std::string line; std::getline(csv, line);) rows.push_back(line);
+  std::sort(rows.begin(), rows.end());  // the header sorts in with the rows
+  auto warnings = result.warnings;
+  std::sort(warnings.begin(), warnings.end());
+  return {rows, result.spfm(), warnings};
+}
+
+}  // namespace
+
+TEST(ElementOrderProperty, PowerSupplyVerdictsIgnoreBlockOrder) {
+  const std::string mdl = std::string(DECISIVE_ASSETS_DIR) + "/power_supply.mdl";
+  const auto workbook = drivers::DriverRegistry::global().open(
+      std::string(DECISIVE_ASSETS_DIR) + "/reliability_workbook");
+  const auto reliability = core::ReliabilityModel::from_source(*workbook, "Reliability");
+  const auto sm_model = core::SafetyMechanismModel::from_source(*workbook, "SafetyMechanisms");
+  core::CircuitFmeaOptions options;
+  options.safety_goal_observables = {"CS1", "MC1"};
+
+  const auto reference = verdicts_of(sim::build_circuit(drivers::parse_mdl_file(mdl)),
+                                     reliability, &sm_model, options, 1);
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    drivers::MdlModel model = drivers::parse_mdl_file(mdl);
+    shuffle(model.root.blocks.begin(), model.root.blocks.end(), rng);
+    shuffle(model.root.lines.begin(), model.root.lines.end(), rng);
+    const sim::BuiltCircuit built = sim::build_circuit(model);
+    for (const int jobs : {1, 4}) {
+      EXPECT_EQ(verdicts_of(built, reliability, &sm_model, options, jobs), reference)
+          << "seed " << seed << " jobs " << jobs;
+    }
+  }
+}
+
+TEST(ElementOrderProperty, SparseRailVerdictsIgnoreElementOrder) {
+  // 48 stages put the system above the sparse kernel's dimension threshold.
+  const auto rail = campaign_subjects::make_rail(48);
+  const auto reliability = campaign_subjects::rail_reliability();
+  const auto reference = verdicts_of(rail, reliability, nullptr, {}, 1);
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    const sim::BuiltCircuit built = shuffled(rail, rng);
+    for (const int jobs : {1, 4}) {
+      const auto factors = sim::sparse::SparseMetrics::get().factors.value();
+      EXPECT_EQ(verdicts_of(built, reliability, nullptr, {}, jobs), reference)
+          << "seed " << seed << " jobs " << jobs;
+      EXPECT_GT(sim::sparse::SparseMetrics::get().factors.value(), factors);
+    }
+  }
 }

@@ -154,6 +154,14 @@ TEST(Cli, ScalabilityRejectsNegativeBudget) {
   EXPECT_EQ(result.output.find("full-load"), std::string::npos) << result.output;
 }
 
+TEST(Cli, ScalabilityRejectsNegativeElementCount) {
+  // -5 used to wrap to 2^64 - 5 elements, which the indexed pass streamed.
+  const auto result = run("scalability -5");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("<elements>"), std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find("indexed"), std::string::npos) << result.output;
+}
+
 TEST(Cli, FmeaRejectsOutOfRangeThreshold) {
   // NaN made every row benign (SPFM 100 %, ASIL-D) and a negative threshold
   // every row safety-related: wrong verdicts, now errors.
@@ -191,6 +199,15 @@ TEST(Cli, FtaRejectsOutOfRangeMissionTime) {
     EXPECT_NE(result.output.find("mission time"), std::string::npos) << result.output;
     EXPECT_EQ(result.output.find("P(top event"), std::string::npos) << result.output;
   }
+}
+
+TEST(Cli, FtaRejectsNegativeMaxOrder) {
+  // -1 used to wrap to an "unbounded" order without a word.
+  const auto result =
+      run("fta " + kAssets + "/brake_chain.ssam --component BrakeChain --max-order -1");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--max-order"), std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find("minimal cut sets"), std::string::npos) << result.output;
 }
 
 TEST(Cli, FtaUnknownComponentFails) {
@@ -529,6 +546,15 @@ TEST(Cli, SessionParetoMatchesSmSearchCli) {
   // The session's pareto request emits the same CSV block as the CLI.
   EXPECT_NE(session.output.find(front_csv), std::string::npos);
   EXPECT_NE(session.output.find("front: 4 deployment(s)"), std::string::npos);
+}
+
+TEST(Cli, SmSearchRejectsNanEpsilon) {
+  // NaN passed the range check and silently ran the exact front.
+  TempDir tmp;
+  const auto result = run(sm_search_args(write_catalogue(tmp)) + " --pareto --epsilon nan");
+  EXPECT_NE(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("epsilon"), std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find("front:"), std::string::npos) << result.output;
 }
 
 TEST(Cli, SmSearchRequiresCatalogue) {

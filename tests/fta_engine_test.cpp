@@ -20,6 +20,7 @@
 #include "decisive/fta/lfm.hpp"
 #include "decisive/fta/quantify.hpp"
 #include "decisive/fta/zbdd.hpp"
+#include "decisive/oracles.hpp"
 
 using namespace decisive;
 using namespace decisive::core;
@@ -143,22 +144,21 @@ TEST(FtaEngine, MatchesOracleOnRandomSubjects) {
     Fixture f;
     build_random_subject(f, rng);
 
-    FtaOptions oracle_opts;
+    oracle::FtaOptions oracle_opts;
     oracle_opts.max_cut_set_size = 16;  // unbounded for these sizes
-    const auto oracle = synthesize_fault_tree(f.m, f.sys, oracle_opts);
+    const auto reference = oracle::synthesize_fault_tree(f.m, f.sys, oracle_opts);
     const auto tree = fta::synthesize_fault_tree_zbdd(f.m, f.sys);
 
-    ASSERT_EQ(tree.cut_sets, oracle.cut_sets) << "seed " << seed;
+    ASSERT_EQ(tree.cut_sets, reference.cut_sets) << "seed " << seed;
     EXPECT_FALSE(tree.truncated) << "seed " << seed;
-    EXPECT_FALSE(oracle.truncated) << "seed " << seed;
+    EXPECT_FALSE(reference.truncated) << "seed " << seed;
     // Full structural identity, labels and rates included.
-    EXPECT_EQ(tree.to_text(), oracle.to_text()) << "seed " << seed;
+    EXPECT_EQ(tree.to_text(), reference.to_text()) << "seed " << seed;
 
     // Exact probability never exceeds the rare-event bound (coherent tree).
     const auto q = fta::quantify(tree, 10'000.0);
     EXPECT_LE(q.exact_probability, q.rare_event_bound + 1e-12) << "seed " << seed;
-    EXPECT_NEAR(q.rare_event_bound, std::min(1.0, tree.top_event_probability(10'000.0)),
-                1e-12)
+    EXPECT_NEAR(q.rare_event_bound, oracle::rare_event_probability(tree, 10'000.0), 1e-12)
         << "seed " << seed;
   }
 }
@@ -172,9 +172,9 @@ TEST(FtaEngine, MatchesOracleUnderEqualOrderBounds) {
     f.m.connect(f.sys, f.in, s.in);
     f.m.connect(f.sys, s.out, f.out);
   }
-  FtaOptions bounded;
+  oracle::FtaOptions bounded;
   bounded.max_cut_set_size = 2;
-  const auto oracle2 = synthesize_fault_tree(f.m, f.sys, bounded);
+  const auto oracle2 = oracle::synthesize_fault_tree(f.m, f.sys, bounded);
   const auto tree2 = fta::synthesize_fault_tree_zbdd(f.m, f.sys, {.max_order = 2});
   EXPECT_TRUE(oracle2.cut_sets.empty());
   EXPECT_TRUE(tree2.cut_sets.empty());
@@ -183,9 +183,9 @@ TEST(FtaEngine, MatchesOracleUnderEqualOrderBounds) {
   EXPECT_NE(oracle2.to_text().find(kFtaTruncationWarning), std::string::npos);
   EXPECT_NE(tree2.to_text().find(kFtaTruncationWarning), std::string::npos);
 
-  FtaOptions full;
+  oracle::FtaOptions full;
   full.max_cut_set_size = 3;
-  const auto oracle3 = synthesize_fault_tree(f.m, f.sys, full);
+  const auto oracle3 = oracle::synthesize_fault_tree(f.m, f.sys, full);
   const auto tree3 = fta::synthesize_fault_tree_zbdd(f.m, f.sys, {.max_order = 3});
   EXPECT_EQ(tree3.cut_sets, oracle3.cut_sets);
   EXPECT_FALSE(oracle3.truncated);
@@ -202,18 +202,18 @@ TEST(FtaEngine, OracleTruncationFlagExactOnSerialChain) {
   f.m.connect(f.sys, f.in, a.in);
   f.m.connect(f.sys, a.out, b.in);
   f.m.connect(f.sys, b.out, f.out);
-  FtaOptions opts;
+  oracle::FtaOptions opts;
   opts.max_cut_set_size = 1;
-  const auto oracle = synthesize_fault_tree(f.m, f.sys, opts);
-  EXPECT_EQ(oracle.cut_sets.size(), 2u);
-  EXPECT_FALSE(oracle.truncated);
+  const auto reference = oracle::synthesize_fault_tree(f.m, f.sys, opts);
+  EXPECT_EQ(reference.cut_sets.size(), 2u);
+  EXPECT_FALSE(reference.truncated);
 }
 
 TEST(FtaEngine, CompletesWhereEnumerationIsInfeasible) {
   // width-4 × 9 stages: 4^9 = 262144 input→output paths — the oracle's path
   // guard throws — yet only 9 minimal cut sets, each of order 4.
   const auto subject = make_scaled_architecture(9, 1, 4);
-  EXPECT_THROW(synthesize_fault_tree(*subject.model, subject.system), AnalysisError);
+  EXPECT_THROW(oracle::synthesize_fault_tree(*subject.model, subject.system), AnalysisError);
 
   const auto tree = fta::synthesize_fault_tree_zbdd(*subject.model, subject.system);
   EXPECT_FALSE(tree.truncated);

@@ -1,13 +1,13 @@
-// Tests for the fault-tree synthesis and its federation with FMEA
-// (the paper's future-work item 1).
+// Tests for the enumeration fault-tree oracle and the federation of FTA with
+// FMEA (the paper's future-work item 1).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 
 #include "decisive/base/error.hpp"
 #include "decisive/core/fta.hpp"
 #include "decisive/core/graph_fmea.hpp"
+#include "decisive/oracles.hpp"
 
 using namespace decisive;
 using namespace decisive::core;
@@ -66,7 +66,7 @@ TEST(Fta, SerialChainGivesOrderOneCuts) {
   f.m.connect(f.sys, a.out, b.in);
   f.m.connect(f.sys, b.out, f.out);
 
-  const auto tree = synthesize_fault_tree(f.m, f.sys);
+  const auto tree = oracle::synthesize_fault_tree(f.m, f.sys);
   EXPECT_EQ(cut_names(f.m, tree.cut_sets), (std::vector<std::string>{"a", "b"}));
   ASSERT_FALSE(tree.nodes.empty());
   EXPECT_EQ(tree.nodes[0].kind, GateKind::Or);
@@ -82,7 +82,7 @@ TEST(Fta, ParallelPairGivesOrderTwoCut) {
   f.m.connect(f.sys, a.out, f.out);
   f.m.connect(f.sys, b.out, f.out);
 
-  const auto tree = synthesize_fault_tree(f.m, f.sys);
+  const auto tree = oracle::synthesize_fault_tree(f.m, f.sys);
   EXPECT_EQ(cut_names(f.m, tree.cut_sets), (std::vector<std::string>{"a+b"}));
   // Structure: OR -> AND -> two basic events.
   const auto& top = tree.nodes[0];
@@ -103,7 +103,7 @@ TEST(Fta, DiamondMixesOrders) {
   f.m.connect(f.sys, left.out, f.out);
   f.m.connect(f.sys, right.out, f.out);
 
-  const auto tree = synthesize_fault_tree(f.m, f.sys);
+  const auto tree = oracle::synthesize_fault_tree(f.m, f.sys);
   EXPECT_EQ(cut_names(f.m, tree.cut_sets),
             (std::vector<std::string>{"head", "left+right"}));
 }
@@ -121,7 +121,7 @@ TEST(Fta, MinimalityScreensSupersets) {
   f.m.connect(f.sys, b.out, f.out);
   f.m.connect(f.sys, c.out, f.out);
 
-  const auto tree = synthesize_fault_tree(f.m, f.sys);
+  const auto tree = oracle::synthesize_fault_tree(f.m, f.sys);
   EXPECT_EQ(cut_names(f.m, tree.cut_sets), (std::vector<std::string>{"a", "b+c"}));
 }
 
@@ -130,7 +130,7 @@ TEST(Fta, BasicEventRatesFromLossModes) {
   const auto a = f.leaf("a", 100, 0.3);  // 30 FIT loss rate
   f.m.connect(f.sys, f.in, a.in);
   f.m.connect(f.sys, a.out, f.out);
-  const auto tree = synthesize_fault_tree(f.m, f.sys);
+  const auto tree = oracle::synthesize_fault_tree(f.m, f.sys);
   const FaultTreeNode* basic = nullptr;
   for (const auto& node : tree.nodes) {
     if (node.kind == GateKind::Basic) basic = &node;
@@ -139,37 +139,12 @@ TEST(Fta, BasicEventRatesFromLossModes) {
   EXPECT_NEAR(basic->failure_rate, 30e-9, 1e-15);
 }
 
-TEST(Fta, TopEventProbabilityRareEventApproximation) {
-  Fixture f;
-  const auto a = f.leaf("a", 1000, 1.0);  // lambda = 1e-6 /h
-  const auto b = f.leaf("b", 1000, 1.0);
-  f.m.connect(f.sys, f.in, a.in);
-  f.m.connect(f.sys, a.out, b.in);
-  f.m.connect(f.sys, b.out, f.out);
-  const auto tree = synthesize_fault_tree(f.m, f.sys);
-  const double t = 1000.0;  // hours
-  const double p1 = 1.0 - std::exp(-1e-6 * t);
-  EXPECT_NEAR(tree.top_event_probability(t), 2.0 * p1, 1e-9);
-
-  // Parallel version: product instead of sum.
-  Fixture g;
-  const auto c = g.leaf("c", 1000, 1.0);
-  const auto d = g.leaf("d", 1000, 1.0);
-  g.m.connect(g.sys, g.in, c.in);
-  g.m.connect(g.sys, g.in, d.in);
-  g.m.connect(g.sys, c.out, g.out);
-  g.m.connect(g.sys, d.out, g.out);
-  const auto parallel = synthesize_fault_tree(g.m, g.sys);
-  EXPECT_NEAR(parallel.top_event_probability(t), p1 * p1, 1e-12);
-  EXPECT_LT(parallel.top_event_probability(t), tree.top_event_probability(t));
-}
-
 TEST(Fta, TextRenderingShowsGatesAndRates) {
   Fixture f;
   const auto a = f.leaf("a", 100, 0.5);
   f.m.connect(f.sys, f.in, a.in);
   f.m.connect(f.sys, a.out, f.out);
-  const auto text = synthesize_fault_tree(f.m, f.sys).to_text();
+  const auto text = oracle::synthesize_fault_tree(f.m, f.sys).to_text();
   EXPECT_NE(text.find("[OR]"), std::string::npos);
   EXPECT_NE(text.find("loss of 'a'"), std::string::npos);
   EXPECT_NE(text.find("50 FIT"), std::string::npos);
@@ -184,12 +159,12 @@ TEST(Fta, CutSetSizeBoundRespected) {
     f.m.connect(f.sys, f.in, subs.back().in);
     f.m.connect(f.sys, subs.back().out, f.out);
   }
-  FtaOptions limited;
+  oracle::FtaOptions limited;
   limited.max_cut_set_size = 2;
-  EXPECT_TRUE(synthesize_fault_tree(f.m, f.sys, limited).cut_sets.empty());
-  FtaOptions full;
+  EXPECT_TRUE(oracle::synthesize_fault_tree(f.m, f.sys, limited).cut_sets.empty());
+  oracle::FtaOptions full;
   full.max_cut_set_size = 3;
-  EXPECT_EQ(synthesize_fault_tree(f.m, f.sys, full).cut_sets.size(), 1u);
+  EXPECT_EQ(oracle::synthesize_fault_tree(f.m, f.sys, full).cut_sets.size(), 1u);
 }
 
 TEST(Fta, CrosscheckAgreesWithFmeaOnCleanModels) {
@@ -203,7 +178,7 @@ TEST(Fta, CrosscheckAgreesWithFmeaOnCleanModels) {
   f.m.connect(f.sys, b.out, f.out);
   f.m.connect(f.sys, c.out, f.out);
 
-  const auto tree = synthesize_fault_tree(f.m, f.sys);
+  const auto tree = oracle::synthesize_fault_tree(f.m, f.sys);
   const auto fmea = analyze_component(f.m, f.sys);
   EXPECT_TRUE(crosscheck_with_fmea(f.m, tree, fmea).empty());
 }
@@ -216,7 +191,7 @@ TEST(Fta, CrosscheckFlagsStructuralCriticalityWithoutLossModes) {
   const auto a = f.leaf("a", 100, 0.0);  // no failure modes at all
   f.m.connect(f.sys, f.in, a.in);
   f.m.connect(f.sys, a.out, f.out);
-  const auto tree = synthesize_fault_tree(f.m, f.sys);
+  const auto tree = oracle::synthesize_fault_tree(f.m, f.sys);
   const auto fmea = analyze_component(f.m, f.sys);
   const auto issues = crosscheck_with_fmea(f.m, tree, fmea);
   ASSERT_EQ(issues.size(), 1u);
@@ -227,5 +202,5 @@ TEST(Fta, RequiresBoundaryNodes) {
   SsamModel m;
   const auto pkg = m.create_component_package("design");
   const auto sys = m.create_component(pkg, "sys");
-  EXPECT_THROW(synthesize_fault_tree(m, sys), AnalysisError);
+  EXPECT_THROW(oracle::synthesize_fault_tree(m, sys), AnalysisError);
 }

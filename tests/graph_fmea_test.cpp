@@ -12,6 +12,7 @@
 #include "decisive/core/graph_fmea.hpp"
 #include "decisive/core/synthetic.hpp"
 #include "decisive/obs/registry.hpp"
+#include "decisive/oracles.hpp"
 #include "decisive/ssam/graph.hpp"
 
 using namespace decisive;
@@ -366,7 +367,7 @@ TEST(GraphFmea, DenseComponentNoLongerThrowsPathExplosion) {
   for (const auto& sub : grid.back()) f.m.connect(f.sys, sub.out, f.out);
 
   const auto graph = ssam::build_graph(f.m, f.sys);
-  EXPECT_THROW(ssam::enumerate_paths(graph), AnalysisError);  // the old engine
+  EXPECT_THROW(oracle::enumerate_paths(graph), AnalysisError);  // the old engine
 
   const auto result = analyze_component(f.m, f.sys);  // the new one completes
   EXPECT_EQ(result.rows.size(), 48u);
@@ -526,12 +527,12 @@ TEST_P(Algorithm1Property, MatchesBruteForceOracleOnRandomArchitectures) {
   // The dominator engine vs brute-force path enumeration vs the
   // reachability oracle — all three must agree on every subcomponent.
   const auto graph = ssam::build_graph(f.m, f.sys);
-  const auto paths = ssam::enumerate_paths(graph);
+  const auto paths = oracle::enumerate_paths(graph);
   const ssam::SinglePointAnalysis analysis(graph);
   for (const auto& layer : grid) {
     for (const auto& sub : layer) {
       EXPECT_EQ(analysis.is_single_point(sub.comp),
-                ssam::on_all_paths(graph, paths, sub.comp))
+                oracle::on_all_paths(graph, paths, sub.comp))
           << "component " << sub.comp;
     }
   }
@@ -544,7 +545,7 @@ TEST_P(Algorithm1Property, MatchesBruteForceOracleOnRandomArchitectures) {
     // related by Algorithm 1; the oracle agrees unless the component is
     // unreachable (then removing it changes nothing).
     EXPECT_EQ(row.safety_related, oracle_single_point(graph, comp) &&
-                                      ssam::on_all_paths(graph, paths, comp))
+                                      oracle::on_all_paths(graph, paths, comp))
         << row.component;
     // And the two formulations must agree whenever the component lies on at
     // least one path.
@@ -556,7 +557,7 @@ TEST_P(Algorithm1Property, MatchesBruteForceOracleOnRandomArchitectures) {
       }
     }
     if (on_some_path) {
-      EXPECT_EQ(ssam::on_all_paths(graph, paths, comp), oracle_single_point(graph, comp))
+      EXPECT_EQ(oracle::on_all_paths(graph, paths, comp), oracle_single_point(graph, comp))
           << row.component;
     }
   }

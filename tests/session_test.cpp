@@ -294,6 +294,23 @@ TEST(ServiceTest, FtaRejectsOutOfRangeMissionTime) {
   EXPECT_NE(replies[4].find("exact 0.000000e+00"), std::string::npos) << replies[4];
 }
 
+TEST(ServiceTest, RejectsNegativeMaxOrderAndNanEpsilon) {
+  // -1 used to wrap to an unbounded order, and NaN ran the exact front.
+  const auto catalogue = temp_path("decisive-service-nan-catalogue.csv");
+  write_file(catalogue,
+             "Component,Failure_Mode,Safety_Mechanism,Cov.,Cost(hrs)\n"
+             "Sensor,No output,Redundant sensor,95%,4.0\n");
+  const auto replies =
+      run_script(DECISIVE_ASSETS_DIR "/brake_chain.ssam", "BrakeChain",
+                 "reanalyze\nfta 10000 -1\npareto " + catalogue + " nan\nquit\n");
+  std::remove(catalogue.c_str());
+  ASSERT_EQ(replies.size(), 4u);  // quit answers too
+  EXPECT_EQ(replies[1].rfind("error: ", 0), 0u) << replies[1];
+  EXPECT_NE(replies[1].find("max-order"), std::string::npos) << replies[1];
+  EXPECT_EQ(replies[2].rfind("error: ", 0), 0u) << replies[2];
+  EXPECT_NE(replies[2].find("epsilon"), std::string::npos) << replies[2];
+}
+
 TEST(ServiceTest, FtaAndParetoReanalysePendingEditsFirst) {
   // `fta` classifies latent faults against the FMEA of the current model:
   // after an edit it re-analyses first, and no pre-edit reply is replayed.

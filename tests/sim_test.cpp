@@ -4,12 +4,12 @@
 
 #include <atomic>
 #include <cmath>
-#include <complex>
 #include <cstdlib>
 #include <new>
 
 #include "decisive/base/error.hpp"
 #include "decisive/drivers/mdl.hpp"
+#include "decisive/oracles.hpp"
 #include "decisive/sim/builder.hpp"
 #include "decisive/sim/circuit.hpp"
 #include "decisive/sim/fault.hpp"
@@ -84,51 +84,27 @@ TEST(Circuit, LookupByName) {
 
 TEST(Solver, LinearSolveAgainstKnownSystem) {
   // 2x + y = 5; x + 3y = 10  ->  x = 1, y = 3.
-  const auto x = solve_linear({{2, 1}, {1, 3}}, {5, 10});
+  const auto x = oracle::solve_dense({{2, 1}, {1, 3}}, {5, 10});
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
 
 TEST(Solver, SingularSystemThrows) {
-  EXPECT_THROW(solve_linear({{1, 1}, {2, 2}}, {1, 2}), SimulationError);
-}
-
-TEST(Solver, ComplexLinearSolveAgainstKnownSystem) {
-  using C = std::complex<double>;
-  // A = [[2, i], [-i, 3]], x = (1, 1+i)  ->  b = (1+i, 3+2i).
-  const auto x = solve_linear_complex({{C(2, 0), C(0, 1)}, {C(0, -1), C(3, 0)}},
-                                      {C(1, 1), C(3, 2)});
-  EXPECT_NEAR(x[0].real(), 1.0, 1e-12);
-  EXPECT_NEAR(x[0].imag(), 0.0, 1e-12);
-  EXPECT_NEAR(x[1].real(), 1.0, 1e-12);
-  EXPECT_NEAR(x[1].imag(), 1.0, 1e-12);
-}
-
-TEST(Solver, ComplexSingularSystemThrows) {
-  using C = std::complex<double>;
-  EXPECT_THROW(solve_linear_complex({{C(1, 1), C(1, 1)}, {C(2, 2), C(2, 2)}}, {C(1, 0), C(2, 0)}),
-               SimulationError);
+  EXPECT_THROW(oracle::solve_dense({{1, 1}, {2, 2}}, {1, 2}), SimulationError);
 }
 
 // Malformed systems must throw SimulationError instead of reading out of
-// bounds — the historical complex kernel skipped the height check entirely
-// and neither kernel validated row widths. Both now share one validator.
+// bounds.
 TEST(Solver, RejectsMismatchedSystemHeight) {
-  EXPECT_THROW(solve_linear({{1, 0}, {0, 1}}, {1, 2, 3}), SimulationError);
-  EXPECT_THROW(solve_linear({{1, 0, 0}, {0, 1, 0}}, {1, 2, 3}), SimulationError);
-  using C = std::complex<double>;
-  EXPECT_THROW(solve_linear_complex({{C(1, 0)}}, {C(1, 0), C(2, 0)}), SimulationError);
-  EXPECT_THROW(solve_linear_complex({{C(1, 0), C(0, 0)}, {C(0, 0), C(1, 0)}}, {C(1, 0)}),
-               SimulationError);
+  EXPECT_THROW(oracle::solve_dense({{1, 0}, {0, 1}}, {1, 2, 3}), SimulationError);
+  EXPECT_THROW(oracle::solve_dense({{1, 0, 0}, {0, 1, 0}}, {1, 2, 3}), SimulationError);
 }
 
 TEST(Solver, RejectsRaggedRows) {
-  EXPECT_THROW(solve_linear({{1, 0, 0}, {0, 1}, {0, 0, 1}}, {1, 2, 3}), SimulationError);
-  EXPECT_THROW(solve_linear({{1, 0, 0, 7}, {0, 1, 0}, {0, 0, 1}}, {1, 2, 3}), SimulationError);
-  EXPECT_THROW(solve_linear({{}}, {1}), SimulationError);
-  using C = std::complex<double>;
-  EXPECT_THROW(solve_linear_complex({{C(1, 0), C(0, 0)}, {C(0, 0)}}, {C(1, 0), C(2, 0)}),
+  EXPECT_THROW(oracle::solve_dense({{1, 0, 0}, {0, 1}, {0, 0, 1}}, {1, 2, 3}), SimulationError);
+  EXPECT_THROW(oracle::solve_dense({{1, 0, 0, 7}, {0, 1, 0}, {0, 0, 1}}, {1, 2, 3}),
                SimulationError);
+  EXPECT_THROW(oracle::solve_dense({{}}, {1}), SimulationError);
 }
 
 class DividerSweep : public ::testing::TestWithParam<std::pair<double, double>> {};

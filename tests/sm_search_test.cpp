@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "decisive/base/error.hpp"
@@ -377,9 +378,13 @@ TEST(Pareto, EpsilonCoarseningBoundsTheFront) {
     const auto applied = apply_deployment(instance.fmea, d);
     EXPECT_NEAR(applied.spfm(), d.spfm, 1e-12);
   }
-  ParetoOptions invalid;
-  invalid.epsilon = 1.0;
-  EXPECT_THROW(pareto_front(instance.fmea, instance.catalogue, invalid), AnalysisError);
+  for (const double epsilon : {1.0, -0.1, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+    ParetoOptions invalid;
+    invalid.epsilon = epsilon;
+    EXPECT_THROW(pareto_front(instance.fmea, instance.catalogue, invalid), AnalysisError)
+        << epsilon;
+  }
 }
 
 TEST(Pareto, MergeLabelGuardSuggestsEpsilon) {

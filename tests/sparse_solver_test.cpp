@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <complex>
 #include <cstdint>
 #include <filesystem>
 #include <random>
@@ -13,10 +12,11 @@
 #include <vector>
 
 #include "campaign_subjects.hpp"
+#include "decisive/base/error.hpp"
 #include "decisive/core/circuit_fmea.hpp"
 #include "decisive/obs/registry.hpp"
+#include "decisive/oracles.hpp"
 #include "decisive/sim/builder.hpp"
-#include "decisive/sim/dense.hpp"
 #include "decisive/sim/solver.hpp"
 #include "decisive/sim/sparse.hpp"
 
@@ -81,9 +81,8 @@ std::vector<double> random_rhs(std::mt19937& rng, std::size_t n) {
 }
 
 /// Solves `lu` in place over `x` with a throwaway scratch buffer.
-template <typename T>
-void solve(const sparse::SparseLu<T>& lu, std::vector<T>& x) {
-  std::vector<T> scratch;
+void solve(const sparse::SparseLu& lu, std::vector<double>& x) {
+  std::vector<double> scratch;
   lu.solve_in_place(x.data(), scratch);
 }
 
@@ -148,54 +147,21 @@ TEST(SparseLu, FactorMatchesDenseOracle) {
   for (int round = 0; round < 40; ++round) {
     const std::size_t n = 1 + static_cast<std::size_t>(rng() % 60);
     TestSystem sys = make_system(rng, n);
-    sparse::SparseLu<double> lu;
+    sparse::SparseLu lu;
     std::string error;
     ASSERT_TRUE(lu.factor(sys.pattern, sys.values.data(), &error)) << error;
     const std::vector<double> b = random_rhs(rng, n);
     std::vector<double> x = b;
     solve(lu, x);
-    const std::vector<double> oracle = dense::solve_dense(sys.dense, b, "singular");
-    expect_close(x, oracle, 1e-9, "round " + std::to_string(round));
-  }
-}
-
-TEST(SparseLu, ComplexFactorMatchesDenseOracle) {
-  std::mt19937 rng(43);
-  for (int round = 0; round < 10; ++round) {
-    const std::size_t n = 2 + static_cast<std::size_t>(rng() % 40);
-    TestSystem sys = make_system(rng, n);
-    // Promote to complex with a frequency-like imaginary part on the
-    // diagonal slots.
-    std::vector<std::complex<double>> values(sys.values.size());
-    std::vector<std::vector<std::complex<double>>> dense_c(
-        n, std::vector<std::complex<double>>(n, 0.0));
-    for (std::size_t i = 0; i < sys.values.size(); ++i) values[i] = sys.values[i];
-    for (std::size_t c = 0; c < n; ++c) {
-      for (std::int32_t p = sys.pattern.col_ptr[c]; p < sys.pattern.col_ptr[c + 1]; ++p) {
-        const auto r = static_cast<std::size_t>(sys.pattern.row_ind[static_cast<std::size_t>(p)]);
-        if (r == c) values[static_cast<std::size_t>(p)] += std::complex<double>(0.0, 0.5);
-        dense_c[r][c] = values[static_cast<std::size_t>(p)];
-      }
-    }
-    sparse::SparseLu<std::complex<double>> lu;
-    std::string error;
-    ASSERT_TRUE(lu.factor(sys.pattern, values.data(), &error)) << error;
-    std::vector<std::complex<double>> b(n);
-    for (auto& v : b) v = std::complex<double>(static_cast<double>(rng() % 7) - 3.0, 1.0);
-    std::vector<std::complex<double>> x = b;
-    solve(lu, x);
-    const std::vector<std::complex<double>> oracle = dense::solve_dense(dense_c, b, "singular");
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_LT(std::abs(x[i] - oracle[i]), 1e-8 * (1.0 + std::abs(oracle[i])))
-          << "round " << round << " index " << i;
-    }
+    const std::vector<double> expected = oracle::solve_dense(sys.dense, b);
+    expect_close(x, expected, 1e-9, "round " + std::to_string(round));
   }
 }
 
 TEST(SparseLu, RefactorReplaysNewValuesOverFrozenPattern) {
   std::mt19937 rng(44);
   TestSystem sys = make_system(rng, 30);
-  sparse::SparseLu<double> lu;
+  sparse::SparseLu lu;
   std::string error;
   ASSERT_TRUE(lu.factor(sys.pattern, sys.values.data(), &error)) << error;
   const std::uint64_t factors_before = sparse::SparseMetrics::get().factors.value();
@@ -211,8 +177,8 @@ TEST(SparseLu, RefactorReplaysNewValuesOverFrozenPattern) {
     const std::vector<double> b = random_rhs(rng, 30);
     std::vector<double> x = b;
     solve(lu, x);
-    const std::vector<double> oracle = dense::solve_dense(sys.dense, b, "singular");
-    expect_close(x, oracle, 1e-9, "refactor round " + std::to_string(round));
+    const std::vector<double> expected = oracle::solve_dense(sys.dense, b);
+    expect_close(x, expected, 1e-9, "refactor round " + std::to_string(round));
   }
   // Refactor must not have run any fresh factorisation.
   EXPECT_EQ(sparse::SparseMetrics::get().factors.value(), factors_before);
@@ -236,7 +202,7 @@ TEST(SparseLu, RefactorPivotGateTripsOnDegradedPivot) {
   good[static_cast<std::size_t>(slots[1])] = 1.0;   // (1,0)
   good[static_cast<std::size_t>(slots[2])] = 1.0;   // (0,1)
   good[static_cast<std::size_t>(slots[3])] = 10.0;  // (1,1)
-  sparse::SparseLu<double> lu;
+  sparse::SparseLu lu;
   std::string error;
   ASSERT_TRUE(lu.factor(pattern, good.data(), &error)) << error;
 
@@ -253,7 +219,7 @@ TEST(SparseLu, RefactorPivotGateTripsOnDegradedPivot) {
   std::vector<double> x = {1.0, 2.0};
   solve(lu, x);
   std::vector<std::vector<double>> dense_m = {{1e-9, 10.0}, {10.0, 1e-9}};
-  expect_close(x, dense::solve_dense(dense_m, {1.0, 2.0}, "singular"), 1e-9, "repivot");
+  expect_close(x, oracle::solve_dense(dense_m, {1.0, 2.0}), 1e-9, "repivot");
 }
 
 TEST(SparseLu, SingularSystemReturnsFalseNotGarbage) {
@@ -266,7 +232,7 @@ TEST(SparseLu, SingularSystemReturnsFalseNotGarbage) {
   std::vector<std::int32_t> slots;
   builder.freeze(pattern, slots);
   std::vector<double> values = {1.0, 0.0};
-  sparse::SparseLu<double> lu;
+  sparse::SparseLu lu;
   std::string error;
   EXPECT_FALSE(lu.factor(pattern, values.data(), &error));
   EXPECT_NE(error.find("singular"), std::string::npos) << error;
@@ -284,7 +250,7 @@ TEST(SparseLu, TinyWellScaledSystemIsNotSingular) {
   std::vector<std::int32_t> slots;
   builder.freeze(pattern, slots);
   std::vector<double> values = {1e-32, 2e-32};
-  sparse::SparseLu<double> lu;
+  sparse::SparseLu lu;
   std::string error;
   ASSERT_TRUE(lu.factor(pattern, values.data(), &error)) << error;
   std::vector<double> x = {1e-32, 2e-32};
@@ -298,7 +264,7 @@ TEST(SparseLu, PartialFactorReusesCleanPrefixAcrossDeletion) {
   for (int round = 0; round < 20; ++round) {
     const std::size_t n = 8 + static_cast<std::size_t>(rng() % 40);
     TestSystem base = make_system(rng, n);
-    sparse::SparseLu<double> base_lu;
+    sparse::SparseLu base_lu;
     std::string error;
     ASSERT_TRUE(base_lu.factor(base.pattern, base.values.data(), &error)) << error;
 
@@ -323,7 +289,7 @@ TEST(SparseLu, PartialFactorReusesCleanPrefixAcrossDeletion) {
     builder.freeze(edited.pattern, edited.slots);
     edited.assemble();
 
-    sparse::SparseLu<double> lu;
+    sparse::SparseLu lu;
     std::size_t reused = 0;
     ASSERT_TRUE(lu.partial_factor(*base_lu.symbolic(), base.pattern, new_of_old,
                                   edited.pattern, edited.values.data(), &reused, &error))
@@ -333,8 +299,8 @@ TEST(SparseLu, PartialFactorReusesCleanPrefixAcrossDeletion) {
     const std::vector<double> b = random_rhs(rng, n - 1);
     std::vector<double> x = b;
     solve(lu, x);
-    const std::vector<double> oracle = dense::solve_dense(edited.dense, b, "singular");
-    expect_close(x, oracle, 1e-8, "partial round " + std::to_string(round));
+    const std::vector<double> expected = oracle::solve_dense(edited.dense, b);
+    expect_close(x, expected, 1e-8, "partial round " + std::to_string(round));
   }
 }
 
@@ -362,7 +328,7 @@ TEST(SparseLu, PartialFactorReportsReusedColumns) {
   for (std::size_t t = 0; t < stamps.size(); ++t) {
     values[static_cast<std::size_t>(slots[t])] += stamps[t].second;
   }
-  sparse::SparseLu<double> base_lu;
+  sparse::SparseLu base_lu;
   std::string error;
   ASSERT_TRUE(base_lu.factor(pattern, values.data(), &error)) << error;
 
@@ -391,7 +357,7 @@ TEST(SparseLu, PartialFactorReportsReusedColumns) {
     edited_values[static_cast<std::size_t>(edited_slots[t])] += edited_stamps[t].second;
   }
 
-  sparse::SparseLu<double> lu;
+  sparse::SparseLu lu;
   std::size_t reused = 0;
   ASSERT_TRUE(lu.partial_factor(*base_lu.symbolic(), pattern, new_of_old, edited_pattern,
                                 edited_values.data(), &reused, &error))
@@ -405,33 +371,33 @@ TEST(SparseLu, PartialFactorReportsReusedColumns) {
 TEST(SparseLu, AdoptedSymbolicRefactorsWithoutOwnFactor) {
   std::mt19937 rng(46);
   TestSystem sys = make_system(rng, 24);
-  sparse::SparseLu<double> owner;
+  sparse::SparseLu owner;
   std::string error;
   ASSERT_TRUE(owner.factor(sys.pattern, sys.values.data(), &error)) << error;
 
   // A second instance (another campaign worker) adopts the shared symbolic
   // and goes straight to the numeric replay.
-  sparse::SparseLu<double> worker;
+  sparse::SparseLu worker;
   worker.adopt(owner.symbolic());
   ASSERT_TRUE(worker.refactor(sys.pattern, sys.values.data(), &error)) << error;
   const std::vector<double> b = random_rhs(rng, 24);
   std::vector<double> x = b;
   solve(worker, x);
-  expect_close(x, dense::solve_dense(sys.dense, b, "singular"), 1e-9, "adopted");
+  expect_close(x, oracle::solve_dense(sys.dense, b), 1e-9, "adopted");
 }
 
 TEST(DensePivotFloor, TinyWellScaledSystemSolves) {
   // Satellite regression: the dense kernel shares the relative floor, so a
   // well-conditioned system of ~1e-32 entries solves instead of throwing.
   const std::vector<std::vector<double>> a = {{1e-32, 0.0}, {0.0, 1e-32}};
-  const std::vector<double> x = dense::solve_dense(a, {1e-32, 2e-32}, "singular");
+  const std::vector<double> x = oracle::solve_dense(a, {1e-32, 2e-32});
   EXPECT_NEAR(x[0], 1.0, 1e-9);
   EXPECT_NEAR(x[1], 2.0, 1e-9);
 }
 
 TEST(DensePivotFloor, AllZeroMatrixStillSingular) {
   const std::vector<std::vector<double>> a = {{0.0, 0.0}, {0.0, 0.0}};
-  EXPECT_THROW(dense::solve_dense(a, {1.0, 1.0}, "singular"), SimulationError);
+  EXPECT_THROW(oracle::solve_dense(a, {1.0, 1.0}), SimulationError);
 }
 
 // ---------------------------------------------------- solver integration --

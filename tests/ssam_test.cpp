@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "decisive/base/error.hpp"
+#include "decisive/oracles.hpp"
 #include "decisive/ssam/graph.hpp"
 #include "decisive/ssam/metamodel.hpp"
 #include "decisive/ssam/model.hpp"
@@ -195,10 +196,10 @@ TEST(Graph, SerialChainHasSinglePath) {
   f.m.connect(f.sys, b.out, f.out);
 
   const auto graph = build_graph(f.m, f.sys);
-  const auto paths = enumerate_paths(graph);
+  const auto paths = oracle::enumerate_paths(graph);
   ASSERT_EQ(paths.size(), 1u);
-  EXPECT_TRUE(on_all_paths(graph, paths, a.comp));
-  EXPECT_TRUE(on_all_paths(graph, paths, b.comp));
+  EXPECT_TRUE(oracle::on_all_paths(graph, paths, a.comp));
+  EXPECT_TRUE(oracle::on_all_paths(graph, paths, b.comp));
 }
 
 TEST(Graph, ParallelBranchesAreNotSinglePoint) {
@@ -211,10 +212,10 @@ TEST(Graph, ParallelBranchesAreNotSinglePoint) {
   f.m.connect(f.sys, b.out, f.out);
 
   const auto graph = build_graph(f.m, f.sys);
-  const auto paths = enumerate_paths(graph);
+  const auto paths = oracle::enumerate_paths(graph);
   EXPECT_EQ(paths.size(), 2u);
-  EXPECT_FALSE(on_all_paths(graph, paths, a.comp));
-  EXPECT_FALSE(on_all_paths(graph, paths, b.comp));
+  EXPECT_FALSE(oracle::on_all_paths(graph, paths, a.comp));
+  EXPECT_FALSE(oracle::on_all_paths(graph, paths, b.comp));
 }
 
 TEST(Graph, DiamondMiddleIsNotSinglePointButEndsAre) {
@@ -231,12 +232,12 @@ TEST(Graph, DiamondMiddleIsNotSinglePointButEndsAre) {
   f.m.connect(f.sys, tail.out, f.out);
 
   const auto graph = build_graph(f.m, f.sys);
-  const auto paths = enumerate_paths(graph);
+  const auto paths = oracle::enumerate_paths(graph);
   EXPECT_EQ(paths.size(), 2u);
-  EXPECT_TRUE(on_all_paths(graph, paths, head.comp));
-  EXPECT_TRUE(on_all_paths(graph, paths, tail.comp));
-  EXPECT_FALSE(on_all_paths(graph, paths, left.comp));
-  EXPECT_FALSE(on_all_paths(graph, paths, right.comp));
+  EXPECT_TRUE(oracle::on_all_paths(graph, paths, head.comp));
+  EXPECT_TRUE(oracle::on_all_paths(graph, paths, tail.comp));
+  EXPECT_FALSE(oracle::on_all_paths(graph, paths, left.comp));
+  EXPECT_FALSE(oracle::on_all_paths(graph, paths, right.comp));
 }
 
 TEST(Graph, CyclesDoNotHangEnumeration) {
@@ -248,7 +249,7 @@ TEST(Graph, CyclesDoNotHangEnumeration) {
   f.m.connect(f.sys, b.out, a.in);  // feedback loop
   f.m.connect(f.sys, b.out, f.out);
   const auto graph = build_graph(f.m, f.sys);
-  const auto paths = enumerate_paths(graph);
+  const auto paths = oracle::enumerate_paths(graph);
   EXPECT_EQ(paths.size(), 1u);  // simple paths only
 }
 
@@ -276,7 +277,7 @@ TEST(Graph, PathExplosionGuard) {
   }
   f.m.connect(f.sys, previous, f.out);
   const auto graph = build_graph(f.m, f.sys);
-  EXPECT_THROW(enumerate_paths(graph, /*max_paths=*/1000), AnalysisError);
+  EXPECT_THROW(oracle::enumerate_paths(graph, /*max_paths=*/1000), AnalysisError);
 }
 
 TEST(Graph, ParseDirectionAcceptsKnownSpellings) {
@@ -313,9 +314,9 @@ TEST(Graph, InoutSubNodeGetsNoSelfThroughEdge) {
   if (it != graph.edges.end()) {
     for (const ObjectId target : it->second) EXPECT_NE(target, xio);
   }
-  const auto paths = enumerate_paths(graph);
+  const auto paths = oracle::enumerate_paths(graph);
   ASSERT_EQ(paths.size(), 1u);
-  EXPECT_TRUE(on_all_paths(graph, paths, x));
+  EXPECT_TRUE(oracle::on_all_paths(graph, paths, x));
 }
 
 TEST(Graph, UnknownDirectionThrowsNamingTheNode) {

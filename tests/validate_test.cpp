@@ -3,7 +3,8 @@
 
 #include <cmath>
 
-#include "decisive/core/fta.hpp"
+#include "decisive/fta/engine.hpp"
+#include "decisive/fta/quantify.hpp"
 #include "decisive/ssam/validate.hpp"
 
 using namespace decisive;
@@ -171,16 +172,20 @@ TEST(Importance, SerialEventsShareBirnbaumOne) {
   f.m.connect(f.sys, f.in, a.in);
   f.m.connect(f.sys, a.out, b.in);
   f.m.connect(f.sys, b.out, f.out);
-  const auto tree = core::synthesize_fault_tree(f.m, f.sys);
-  const auto importance = core::importance_measures(tree, 10000.0);
-  ASSERT_EQ(importance.size(), 2u);
-  // Order-1 cuts: Birnbaum = 1 (the event alone decides).
-  for (const auto& imp : importance) EXPECT_NEAR(imp.birnbaum, 1.0, 1e-12);
-  // The higher-rate component dominates Fussell-Vesely.
-  EXPECT_NE(importance[0].label.find("'a'"), std::string::npos);
-  EXPECT_GT(importance[0].fussell_vesely, importance[1].fussell_vesely);
-  // FV fractions sum to 1 for disjoint single cuts under rare-event approx.
-  EXPECT_NEAR(importance[0].fussell_vesely + importance[1].fussell_vesely, 1.0, 1e-9);
+  const double t = 10000.0;
+  const double pa = 1.0 - std::exp(-1e-6 * t);
+  const double pb = 1.0 - std::exp(-1e-7 * t);
+  const auto q = fta::quantify(fta::synthesize_fault_tree_zbdd(f.m, f.sys), t);
+  ASSERT_EQ(q.importance.size(), 2u);
+  // The higher-rate component dominates Fussell-Vesely, which for a
+  // single-member cut is p(event) / P(top).
+  EXPECT_EQ(q.importance[0].component, a.comp);
+  EXPECT_GT(q.importance[0].fussell_vesely, q.importance[1].fussell_vesely);
+  EXPECT_NEAR(q.importance[0].fussell_vesely, pa / q.exact_probability, 1e-12);
+  // Order-1 cuts: each event alone decides the top event unless its partner
+  // is already down, so Birnbaum = 1 - p(partner), close to one.
+  EXPECT_NEAR(q.importance[0].birnbaum, 1.0 - pb, 1e-12);
+  EXPECT_NEAR(q.importance[1].birnbaum, 1.0 - pa, 1e-12);
 }
 
 TEST(Importance, RedundantPairBirnbaumIsPartnerProbability) {
@@ -191,29 +196,12 @@ TEST(Importance, RedundantPairBirnbaumIsPartnerProbability) {
   f.m.connect(f.sys, f.in, b.in);
   f.m.connect(f.sys, a.out, f.out);
   f.m.connect(f.sys, b.out, f.out);
-  const auto tree = core::synthesize_fault_tree(f.m, f.sys);
   const double t = 10000.0;
   const double p = 1.0 - std::exp(-1e-6 * t);
-  const auto importance = core::importance_measures(tree, t);
-  ASSERT_EQ(importance.size(), 2u);
-  for (const auto& imp : importance) {
+  const auto q = fta::quantify(fta::synthesize_fault_tree_zbdd(f.m, f.sys), t);
+  ASSERT_EQ(q.importance.size(), 2u);
+  for (const auto& imp : q.importance) {
     EXPECT_NEAR(imp.birnbaum, p, 1e-12);         // decisive only when twin is down
     EXPECT_NEAR(imp.fussell_vesely, 1.0, 1e-12);  // the single cut contains both
   }
-}
-
-TEST(Importance, MixedTopologyRanksSerialAboveRedundant) {
-  FtaFixture f;
-  const auto head = f.leaf("head", 500);
-  const auto left = f.leaf("left", 500);
-  const auto right = f.leaf("right", 500);
-  f.m.connect(f.sys, f.in, head.in);
-  f.m.connect(f.sys, head.out, left.in);
-  f.m.connect(f.sys, head.out, right.in);
-  f.m.connect(f.sys, left.out, f.out);
-  f.m.connect(f.sys, right.out, f.out);
-  const auto tree = core::synthesize_fault_tree(f.m, f.sys);
-  const auto importance = core::importance_measures(tree, 10000.0);
-  ASSERT_EQ(importance.size(), 3u);
-  EXPECT_NE(importance[0].label.find("'head'"), std::string::npos);
 }

@@ -291,7 +291,12 @@ int cmd_fta(const Args& args) {
   const double mission = parse_double(args.get("mission-hours").value_or("10000"));
   fta::ZbddFtaOptions options;
   if (const auto max_order = args.get("max-order")) {
-    options.max_order = static_cast<size_t>(parse_int(*max_order));
+    const long long order = parse_int(*max_order);
+    if (order < 0) {
+      std::fprintf(stderr, "error: --max-order must be >= 0 (0 = unbounded)\n");
+      return 2;
+    }
+    options.max_order = static_cast<size_t>(order);
   }
 
   const auto tree = fta::synthesize_fault_tree_zbdd(model, component, options);
@@ -733,7 +738,12 @@ int cmd_session(const Args& args) {
 
 int cmd_scalability(const Args& args) {
   if (args.positional.empty()) return usage();
-  const auto elements = static_cast<std::uint64_t>(parse_int(args.positional[0]));
+  const long long requested = parse_int(args.positional[0]);
+  if (requested < 0) {
+    std::fprintf(stderr, "error: <elements> must be >= 0\n");
+    return 2;
+  }
+  const auto elements = static_cast<std::uint64_t>(requested);
   const long long budget_mib = parse_int(args.get("budget-mib").value_or("4096"));
   if (budget_mib < 0) {
     std::fprintf(stderr, "error: --budget-mib must be >= 0\n");
