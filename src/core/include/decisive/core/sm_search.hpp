@@ -65,7 +65,8 @@ struct ParetoOptions {
   size_t max_merge_labels = 64'000'000;
   /// Per-row metric weights (empty = the classic SPFM objective, byte-
   /// identical to the unweighted engine). When set (size must equal
-  /// rows.size(), else AnalysisError) the metric axis is fully weight-
+  /// rows.size() and every weight must be finite and >= 0, else
+  /// AnalysisError naming the row) the metric axis is fully weight-
   /// defined: the denominator is Σ wᵢ·mode_fitᵢ, residuals scale by wᵢ, and
   /// the open rows are those with wᵢ > 0 and no deployed mechanism —
   /// `safety_related` is ignored, because multi-point objectives (LFM, via

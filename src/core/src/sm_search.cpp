@@ -1,22 +1,28 @@
 // Safety-mechanism deployment search (DECISIVE Step 4b).
 //
 // Engine layout (DESIGN.md §11):
+//  - OptionTable: each search call resolves every open row's applicable
+//    mechanisms once (one catalogue scan per row); the engines below read
+//    the table, never the catalogue.
 //  - SpfmEvaluator: residual single-point FIT is additive over rows, so a
 //    candidate deployment is evaluated in O(choices) against a precomputed
 //    undeployed baseline — no per-candidate allocation.
 //  - pareto_front: exact two-objective DP. Each open row reduces to its
 //    non-dominated (cost, residual) option list; the rows fold over a
-//    balanced binary merge tree of dominance-pruned partial-sum labels. The
-//    tree shape depends only on the row count, so any `jobs` value produces
+//    balanced binary merge tree of dominance-pruned partial-sum labels. A
+//    merge keeps the records of the pair sums in grid order, folding one
+//    row of the cross product at a time by a linear record merge. The tree
+//    shape depends only on the row count, so any `jobs` value produces
 //    byte-identical fronts. `epsilon` coarsens the residual axis per merge
 //    to bound front growth.
 //  - pareto_front_exhaustive: the seed-era mixed-radix enumerator, retained
 //    as the property-test oracle, with the front kept in a cost-sorted map
-//    so each dominance check is O(log n).
+//    so each dominance check is O(log n). It resolves the catalogue itself,
+//    so the oracle stays independent of the option table.
 //  - greedy_reach_asil: gain-per-cost greedy with O(1)-per-move residual
 //    updates in both the deploy loop and the trim pass.
 //  - optimal_reach_asil: branch-and-bound min-cost search seeded with the
-//    greedy incumbent.
+//    greedy incumbent, which it computes over the same option table.
 //
 // Tie handling: (cost, residual) values are compared on a tolerance grid of
 // 1e-9 relative to the axis scale (max total cost / undeployed residual), so
@@ -26,6 +32,7 @@
 #include "decisive/core/sm_search.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -93,12 +100,23 @@ struct SearchMetrics {
   }
 };
 
-/// Validates ParetoOptions-style row weights (empty = unweighted engine).
+/// Validates ParetoOptions-style row weights (empty = unweighted engine):
+/// one finite, non-negative weight per FMEA row.
 void check_row_weights(const FmedaResult& fmea, const std::vector<double>& weights) {
   if (!weights.empty() && weights.size() != fmea.rows.size()) {
     throw AnalysisError("row_weights size " + std::to_string(weights.size()) +
                         " does not match the FMEA's " + std::to_string(fmea.rows.size()) +
                         " rows");
+  }
+  for (size_t i = 0; i < weights.size(); ++i) {
+    if (!std::isfinite(weights[i]) || weights[i] < 0.0) {
+      char value[32];
+      const auto written = std::to_chars(value, value + sizeof value, weights[i]);
+      const FmedaRow& row = fmea.rows[i];
+      throw AnalysisError("row_weights[" + std::to_string(i) + "] (" + row.component + "/" +
+                          row.failure_mode + ") is " + std::string(value, written.ptr) +
+                          "; weights must be finite and >= 0");
+    }
   }
 }
 
@@ -115,6 +133,26 @@ std::vector<size_t> open_rows(const FmedaResult& fmea,
     if (relevant && fmea.rows[i].safety_mechanism.empty()) out.push_back(i);
   }
   return out;
+}
+
+/// One search call's option table: the open rows, and each one's applicable
+/// mechanisms in catalogue order. The catalogue is scanned once per open row
+/// here, and never again by the engine that reads the table.
+struct OptionTable {
+  std::vector<size_t> rows;
+  std::vector<std::vector<const SafetyMechanismSpec*>> mechanisms;  ///< parallel to rows
+};
+
+OptionTable resolve_options(const FmedaResult& fmea, const SafetyMechanismModel& catalogue,
+                            const std::vector<double>* weights = nullptr) {
+  OptionTable table;
+  table.rows = open_rows(fmea, weights);
+  table.mechanisms.reserve(table.rows.size());
+  for (const size_t index : table.rows) {
+    const FmedaRow& row = fmea.rows[index];
+    table.mechanisms.push_back(catalogue.applicable(row.component_type, row.failure_mode));
+  }
+  return table;
 }
 
 /// O(choices) metric evaluation against the undeployed baseline (the hot
@@ -209,6 +247,20 @@ struct Quantizer {
   [[nodiscard]] std::int64_t qresid(double r) const { return std::llround(r / resid_quantum); }
 };
 
+/// The sum of each row's costliest mechanism — the cost-axis scale. Null
+/// entries (the enumerator's "no mechanism") cost nothing.
+double max_total_cost(const std::vector<std::vector<const SafetyMechanismSpec*>>& mechanisms) {
+  double total = 0.0;
+  for (const auto& row : mechanisms) {
+    double row_max = 0.0;
+    for (const SafetyMechanismSpec* sm : row) {
+      if (sm != nullptr) row_max = std::max(row_max, sm->cost_hours);
+    }
+    total += row_max;
+  }
+  return total;
+}
+
 /// One per-row deployment option (index 0 after pruning is always the
 /// cheapest — the "no mechanism" choice or a zero-cost improvement on it).
 struct RowOption {
@@ -218,18 +270,16 @@ struct RowOption {
   std::uint32_t count = 0; ///< 0 for "none", 1 for a mechanism
 };
 
-/// Builds the non-dominated option list of one open row, sorted by cost
-/// ascending / residual strictly descending (on the tolerance grid). Ties
-/// prefer "none", then catalogue order.
-std::vector<RowOption> row_option_front(const FmedaResult& fmea,
-                                        const SafetyMechanismModel& catalogue,
-                                        size_t row_index, const Quantizer& q,
-                                        double weight = 1.0) {
+/// Builds the non-dominated option list of one open row from its resolved
+/// mechanisms, sorted by cost ascending / residual strictly descending (on
+/// the tolerance grid). Ties prefer "none", then catalogue order.
+std::vector<RowOption> row_option_front(const FmedaResult& fmea, size_t row_index,
+                                        const std::vector<const SafetyMechanismSpec*>& mechanisms,
+                                        const Quantizer& q, double weight = 1.0) {
   const FmedaRow& row = fmea.rows[row_index];
   std::vector<RowOption> options;
   options.push_back({nullptr, 0.0, weight * row.mode_fit() * (1.0 - row.sm_coverage), 0});
-  for (const SafetyMechanismSpec* sm :
-       catalogue.applicable(row.component_type, row.failure_mode)) {
+  for (const SafetyMechanismSpec* sm : mechanisms) {
     options.push_back({sm, sm->cost_hours, weight * row.mode_fit() * (1.0 - sm->coverage), 1});
   }
   std::stable_sort(options.begin(), options.end(), [&](const RowOption& a, const RowOption& b) {
@@ -248,22 +298,6 @@ std::vector<RowOption> row_option_front(const FmedaResult& fmea,
   return kept;
 }
 
-/// The sum of each open row's costliest option — the cost-axis scale.
-double max_total_cost(const FmedaResult& fmea, const SafetyMechanismModel& catalogue,
-                      const std::vector<size_t>& rows) {
-  double total = 0.0;
-  for (const size_t index : rows) {
-    const FmedaRow& row = fmea.rows[index];
-    double row_max = 0.0;
-    for (const SafetyMechanismSpec* sm :
-         catalogue.applicable(row.component_type, row.failure_mode)) {
-      row_max = std::max(row_max, sm->cost_hours);
-    }
-    total += row_max;
-  }
-  return total;
-}
-
 // ---------------------------------------------------------------------------
 // DP Pareto engine
 // ---------------------------------------------------------------------------
@@ -275,10 +309,27 @@ double max_total_cost(const FmedaResult& fmea, const SafetyMechanismModel& catal
 struct Label {
   double cost = 0.0;
   double residual = 0.0;
+  std::int64_t qcost = 0;   ///< grid keys of (cost, residual), computed once
+  std::int64_t qresid = 0;  ///< when the label is formed
   std::uint32_t left = 0;
   std::uint32_t right = 0;
   std::uint32_t count = 0;  ///< deployed-mechanism count (tie preference)
 };
+
+Label make_label(const Quantizer& q, double cost, double residual, std::uint32_t left,
+                 std::uint32_t right, std::uint32_t count) {
+  return {cost, residual, q.qcost(cost), q.qresid(residual), left, right, count};
+}
+
+/// The merge's total order: grid cost, grid residual, fewest choices, then
+/// the pair indices (unique within a merge, so the order is strict).
+bool precedes(const Label& x, const Label& y) {
+  if (x.qcost != y.qcost) return x.qcost < y.qcost;
+  if (x.qresid != y.qresid) return x.qresid < y.qresid;
+  if (x.count != y.count) return x.count < y.count;
+  if (x.left != y.left) return x.left < y.left;
+  return x.right < y.right;
+}
 
 /// A node of the balanced merge tree over the open-row range [lo, hi). The
 /// tree shape is a pure function of the row count — parallelism never
@@ -304,10 +355,17 @@ int build_tree(size_t lo, size_t hi, std::vector<MergeNode>& nodes) {
   return index;
 }
 
-/// Dominance-pruned merge of two sorted label fronts under addition. Labels
-/// come out sorted by cost with strictly decreasing residual (grid
-/// comparisons), so the sweep's dominance check is O(1) amortised; epsilon
-/// then keeps one label per residual box to bound growth.
+/// Dominance-pruned merge of two label fronts under addition. Both fronts
+/// are sorted by grid cost with strictly decreasing grid residual. A pair
+/// label survives iff its grid residual is strictly below that of every pair
+/// before it in `precedes` order: the survivors are the records of that
+/// sequence. Because records(X ∪ Y) = records(records(X) ∪ Y), the rows
+/// (i, ·) of the a×b cross product fold into a running record list one at a
+/// time by a linear two-way merge, and no pair is stored or sorted. Along a
+/// row the cost never decreases (b is sorted by cost), so the row is already
+/// in order except within a run of grid-equal costs, where only the run's
+/// first label in `precedes` order can be a record. Epsilon then keeps one
+/// label per residual box to bound growth.
 std::vector<Label> merge_fronts(const std::vector<Label>& a, const std::vector<Label>& b,
                                 const Quantizer& q, const ParetoOptions& options,
                                 double epsilon_box, SearchMetrics& metrics) {
@@ -320,29 +378,32 @@ std::vector<Label> merge_fronts(const std::vector<Label>& a, const std::vector<L
         " labels (cap " + std::to_string(options.max_merge_labels) +
         "); set ParetoOptions::epsilon to coarsen the front");
   }
-  std::vector<Label> pairs;
-  pairs.reserve(pair_count);
-  for (std::uint32_t i = 0; i < a.size(); ++i) {
-    for (std::uint32_t j = 0; j < b.size(); ++j) {
-      pairs.push_back({a[i].cost + b[j].cost, a[i].residual + b[j].residual, i, j,
-                       a[i].count + b[j].count});
-    }
-  }
-  metrics.labels.add(pairs.size());
-  std::sort(pairs.begin(), pairs.end(), [&](const Label& x, const Label& y) {
-    if (q.qcost(x.cost) != q.qcost(y.cost)) return q.qcost(x.cost) < q.qcost(y.cost);
-    if (q.qresid(x.residual) != q.qresid(y.residual)) {
-      return q.qresid(x.residual) < q.qresid(y.residual);
-    }
-    if (x.count != y.count) return x.count < y.count;  // fewest choices win ties
-    if (x.left != y.left) return x.left < y.left;
-    return x.right < y.right;
-  });
+  metrics.labels.add(pair_count);
   std::vector<Label> kept;
-  for (const Label& label : pairs) {
-    if (kept.empty() || q.qresid(label.residual) < q.qresid(kept.back().residual)) {
-      kept.push_back(label);
+  std::vector<Label> row;
+  std::vector<Label> merged;
+  row.reserve(b.size());
+  for (std::uint32_t i = 0; i < a.size(); ++i) {
+    row.clear();
+    for (std::uint32_t j = 0; j < b.size(); ++j) {
+      const Label label = make_label(q, a[i].cost + b[j].cost, a[i].residual + b[j].residual,
+                                     i, j, a[i].count + b[j].count);
+      if (row.empty() || row.back().qcost != label.qcost) {
+        row.push_back(label);
+      } else if (precedes(label, row.back())) {
+        row.back() = label;  // grid tie on cost: keep the run's first in order
+      }
     }
+    merged.clear();
+    size_t r = 0;
+    size_t k = 0;
+    while (r < kept.size() || k < row.size()) {
+      const bool from_row =
+          r == kept.size() || (k < row.size() && precedes(row[k], kept[r]));
+      const Label& label = from_row ? row[k++] : kept[r++];
+      if (merged.empty() || label.qresid < merged.back().qresid) merged.push_back(label);
+    }
+    kept.swap(merged);
   }
   if (epsilon_box > 0.0) {
     std::vector<Label> coarse;
@@ -367,7 +428,7 @@ void fold_node(std::vector<MergeNode>& nodes, int index,
     const std::vector<RowOption>& opts = row_options[node.lo];
     node.labels.reserve(opts.size());
     for (std::uint32_t i = 0; i < opts.size(); ++i) {
-      node.labels.push_back({opts[i].cost, opts[i].residual, i, 0, opts[i].count});
+      node.labels.push_back(make_label(q, opts[i].cost, opts[i].residual, i, 0, opts[i].count));
     }
     return;
   }
@@ -408,6 +469,7 @@ void collect_choices(const std::vector<MergeNode>& nodes, int index, std::uint32
                      const std::vector<size_t>& rows, std::vector<DeploymentChoice>& out) {
   const MergeNode& node = nodes[index];
   const Label& label = node.labels[label_index];
+  if (label.count == 0) return;  // no mechanism anywhere in this subtree
   if (node.left_child < 0) {
     const RowOption& option = row_options[node.lo][label.left];
     if (option.mechanism != nullptr) out.push_back({rows[node.lo], option.mechanism});
@@ -431,8 +493,9 @@ std::vector<Deployment> pareto_front(const FmedaResult& fmea,
   const SpfmEvaluator eval(fmea, options.row_weights);
   const std::vector<double>* weights =
       options.row_weights.empty() ? nullptr : &options.row_weights;
-  const std::vector<size_t> rows = open_rows(fmea, weights);
-  const Quantizer q(max_total_cost(fmea, catalogue, rows), eval.baseline_residual());
+  const OptionTable table = resolve_options(fmea, catalogue, weights);
+  const std::vector<size_t>& rows = table.rows;
+  const Quantizer q(max_total_cost(table.mechanisms), eval.baseline_residual());
 
   std::vector<Deployment> front;
   if (rows.empty()) {
@@ -445,8 +508,9 @@ std::vector<Deployment> pareto_front(const FmedaResult& fmea,
 
   std::vector<std::vector<RowOption>> row_options;
   row_options.reserve(rows.size());
-  for (const size_t index : rows) {
-    row_options.push_back(row_option_front(fmea, catalogue, index, q, eval.weight(index)));
+  for (size_t k = 0; k < rows.size(); ++k) {
+    row_options.push_back(
+        row_option_front(fmea, rows[k], table.mechanisms[k], q, eval.weight(rows[k])));
   }
 
   const double epsilon_box =
@@ -464,6 +528,7 @@ std::vector<Deployment> pareto_front(const FmedaResult& fmea,
   front.reserve(nodes[root].labels.size());
   for (std::uint32_t i = 0; i < nodes[root].labels.size(); ++i) {
     Deployment d;
+    d.choices.reserve(nodes[root].labels[i].count);
     collect_choices(nodes, root, i, row_options, rows, d.choices);
     // Canonical values: recomputed from the choice set in row order, so the
     // reported numbers are independent of the merge association order.
@@ -501,7 +566,6 @@ std::vector<Deployment> pareto_front_exhaustive(const FmedaResult& fmea,
   const SpfmEvaluator eval(fmea, row_weights);
   const std::vector<size_t> rows =
       open_rows(fmea, row_weights.empty() ? nullptr : &row_weights);
-  const Quantizer q(max_total_cost(fmea, catalogue, rows), eval.baseline_residual());
 
   // Options per row: index 0 = "no mechanism", then each applicable entry.
   std::vector<std::vector<const SafetyMechanismSpec*>> options;
@@ -522,6 +586,7 @@ std::vector<Deployment> pareto_front_exhaustive(const FmedaResult& fmea,
     }
     options.push_back(std::move(opts));
   }
+  const Quantizer q(max_total_cost(options), eval.baseline_residual());
 
   // Front kept sorted by quantised cost with strictly decreasing quantised
   // residual, so a candidate's dominance check is one O(log n) lookup
@@ -583,16 +648,12 @@ std::vector<Deployment> pareto_front_exhaustive(const FmedaResult& fmea,
   return out;
 }
 
-std::optional<Deployment> greedy_reach_asil(const FmedaResult& fmea,
-                                            const SafetyMechanismModel& catalogue,
-                                            std::string_view target_asil) {
-  SearchMetrics& metrics = SearchMetrics::get();
-  obs::Span span("sm_search.greedy", &metrics.greedy_seconds);
+namespace {
 
-  const double target = spfm_target(target_asil);
-  const SpfmEvaluator eval(fmea);
-  const std::vector<size_t> candidates = open_rows(fmea);
-
+/// Greedy over a resolved option table: the engine behind greedy_reach_asil
+/// and branch-and-bound's incumbent.
+std::optional<Deployment> greedy_over(const FmedaResult& fmea, const OptionTable& table,
+                                      const SpfmEvaluator& eval, double target) {
   // Per-row current pick; a row's mechanism may be *upgraded* to a strictly
   // higher-coverage alternative later (committing to the cheapest option and
   // never revisiting it can miss reachable targets). The total residual FIT
@@ -603,12 +664,12 @@ std::optional<Deployment> greedy_reach_asil(const FmedaResult& fmea,
   while (eval.spfm_of_residual(residual) < target) {
     double best_ratio = -1.0;
     std::optional<DeploymentChoice> best_choice;
-    for (const size_t index : candidates) {
+    for (size_t k = 0; k < table.rows.size(); ++k) {
+      const size_t index = table.rows[k];
       const FmedaRow& row = fmea.rows[index];
       const double current_coverage = picked[index] != nullptr ? picked[index]->coverage : 0.0;
       const double current_cost = picked[index] != nullptr ? picked[index]->cost_hours : 0.0;
-      for (const SafetyMechanismSpec* sm :
-           catalogue.applicable(row.component_type, row.failure_mode)) {
+      for (const SafetyMechanismSpec* sm : table.mechanisms[k]) {
         // Only strictly-better coverage guarantees progress (and termination).
         if (sm->coverage <= current_coverage) continue;
         const double gain = row.mode_fit() * (sm->coverage - current_coverage);
@@ -631,30 +692,26 @@ std::optional<Deployment> greedy_reach_asil(const FmedaResult& fmea,
   // trial is an O(1) residual delta.
   for (bool changed = true; changed;) {
     changed = false;
-    for (const size_t index : candidates) {
-      if (picked[index] == nullptr) continue;
-      const FmedaRow& row = fmea.rows[index];
-      // Candidate replacements: nothing, or any cheaper applicable mechanism.
-      std::vector<const SafetyMechanismSpec*> alternatives{nullptr};
-      for (const SafetyMechanismSpec* sm :
-           catalogue.applicable(row.component_type, row.failure_mode)) {
-        if (sm != picked[index] && sm->cost_hours < picked[index]->cost_hours) {
-          alternatives.push_back(sm);
-        }
-      }
+    for (size_t k = 0; k < table.rows.size(); ++k) {
+      const size_t index = table.rows[k];
       const SafetyMechanismSpec* original = picked[index];
+      if (original == nullptr) continue;
       const SafetyMechanismSpec* best_alternative = original;
       double best_cost = original->cost_hours;
       const double current_row_residual = eval.row_residual(index, original);
-      for (const SafetyMechanismSpec* alternative : alternatives) {
+      // Candidate replacements: nothing, then each applicable mechanism in
+      // catalogue order; only a cheaper one that keeps the target wins.
+      const auto consider = [&](const SafetyMechanismSpec* alternative) {
+        const double cost = alternative != nullptr ? alternative->cost_hours : 0.0;
         const double trial_residual =
             residual - current_row_residual + eval.row_residual(index, alternative);
-        const double cost = alternative != nullptr ? alternative->cost_hours : 0.0;
-        if (eval.spfm_of_residual(trial_residual) >= target && cost < best_cost) {
+        if (cost < best_cost && eval.spfm_of_residual(trial_residual) >= target) {
           best_alternative = alternative;
           best_cost = cost;
         }
-      }
+      };
+      consider(nullptr);
+      for (const SafetyMechanismSpec* sm : table.mechanisms[k]) consider(sm);
       if (best_alternative != original) {
         residual += eval.row_residual(index, best_alternative) - current_row_residual;
         picked[index] = best_alternative;
@@ -664,12 +721,22 @@ std::optional<Deployment> greedy_reach_asil(const FmedaResult& fmea,
   }
 
   Deployment result;
-  for (const size_t index : candidates) {
+  for (const size_t index : table.rows) {
     if (picked[index] != nullptr) result.choices.push_back({index, picked[index]});
   }
   result.total_cost_hours = SpfmEvaluator::cost(result);
   result.spfm = eval.spfm(result);
   return result;
+}
+
+}  // namespace
+
+std::optional<Deployment> greedy_reach_asil(const FmedaResult& fmea,
+                                            const SafetyMechanismModel& catalogue,
+                                            std::string_view target_asil) {
+  obs::Span span("sm_search.greedy", &SearchMetrics::get().greedy_seconds);
+  const double target = spfm_target(target_asil);
+  return greedy_over(fmea, resolve_options(fmea, catalogue), SpfmEvaluator(fmea), target);
 }
 
 std::optional<Deployment> optimal_reach_asil(const FmedaResult& fmea,
@@ -681,16 +748,20 @@ std::optional<Deployment> optimal_reach_asil(const FmedaResult& fmea,
 
   const double target = spfm_target(target_asil);
   const SpfmEvaluator eval(fmea);
+  const OptionTable table = resolve_options(fmea, catalogue);
 
   // The greedy result is the incumbent. When greedy fails, every row is
   // already at its maximum coverage and the target is provably unreachable.
-  std::optional<Deployment> incumbent = greedy_reach_asil(fmea, catalogue, target_asil);
+  std::optional<Deployment> incumbent;
+  {
+    obs::Span greedy_span("sm_search.greedy", &metrics.greedy_seconds);
+    incumbent = greedy_over(fmea, table, eval, target);
+  }
   if (!incumbent.has_value()) return std::nullopt;
   if (eval.denominator() <= 0.0) return incumbent;  // SPFM degenerate at 1.0
 
   const double allowed_residual = (1.0 - target) * eval.denominator();
-  const std::vector<size_t> rows = open_rows(fmea);
-  const Quantizer q(max_total_cost(fmea, catalogue, rows), eval.baseline_residual());
+  const Quantizer q(max_total_cost(table.mechanisms), eval.baseline_residual());
   const std::int64_t q_allowed = q.qresid(allowed_residual);
 
   struct BnbRow {
@@ -698,9 +769,9 @@ std::optional<Deployment> optimal_reach_asil(const FmedaResult& fmea,
     std::vector<RowOption> options;
   };
   std::vector<BnbRow> order;
-  order.reserve(rows.size());
-  for (const size_t index : rows) {
-    order.push_back({index, row_option_front(fmea, catalogue, index, q)});
+  order.reserve(table.rows.size());
+  for (size_t k = 0; k < table.rows.size(); ++k) {
+    order.push_back({table.rows[k], row_option_front(fmea, table.rows[k], table.mechanisms[k], q)});
   }
   // Branch on the rows with the most residual-reduction potential first —
   // they decide feasibility, so bounds bite early.

@@ -174,6 +174,19 @@ TEST(Cli, FmeaRejectsOutOfRangeThreshold) {
   }
 }
 
+TEST(Cli, FmeaRejectsOutOfRangeJobs) {
+  // 4294967297 used to wrap to one job and run; 2147483648 wrapped negative
+  // and was refused as "must be >= 0".
+  for (const char* jobs : {"4294967297", "2147483648", "-1"}) {
+    const auto result = run("fmea " + kAssets + "/power_supply.mdl --reliability " + kAssets +
+                            "/reliability_workbook --jobs " + jobs);
+    EXPECT_EQ(result.exit_code, 2) << jobs << ": " << result.output;
+    EXPECT_NE(result.output.find("--jobs must be in [0, 2147483647]"), std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("SPFM"), std::string::npos) << result.output;
+  }
+}
+
 TEST(Cli, ValidateWellFormedModel) {
   const auto result = run("validate " + kAssets + "/brake_chain.ssam");
   EXPECT_EQ(result.exit_code, 0) << result.output;
@@ -555,6 +568,18 @@ TEST(Cli, SmSearchRejectsNanEpsilon) {
   EXPECT_NE(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("epsilon"), std::string::npos) << result.output;
   EXPECT_EQ(result.output.find("front:"), std::string::npos) << result.output;
+}
+
+TEST(Cli, SmSearchRejectsOutOfRangeJobs) {
+  TempDir tmp;
+  const auto catalogue = write_catalogue(tmp);
+  for (const char* jobs : {"4294967297", "2147483648", "-1"}) {
+    const auto result = run(sm_search_args(catalogue) + " --pareto --jobs " + jobs);
+    EXPECT_EQ(result.exit_code, 2) << jobs << ": " << result.output;
+    EXPECT_NE(result.output.find("--jobs must be in [0, 2147483647]"), std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("front:"), std::string::npos) << result.output;
+  }
 }
 
 TEST(Cli, SmSearchRequiresCatalogue) {

@@ -8,8 +8,14 @@
 
 #include "decisive/base/error.hpp"
 #include "decisive/base/json.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/base/table.hpp"
+#include "decisive/core/graph_fmea.hpp"
 #include "decisive/core/sm_search.hpp"
+#include "decisive/core/synthetic.hpp"
+#include "decisive/fta/engine.hpp"
+#include "decisive/fta/lfm.hpp"
+#include "decisive/obs/registry.hpp"
 
 using namespace decisive;
 using namespace decisive::core;
@@ -189,25 +195,12 @@ TEST(Pareto, NoSafetyRelatedRowsYieldsTrivialFront) {
   EXPECT_TRUE(front[0].choices.empty());
 }
 
-/// Property sweep: on random catalogues, every greedy solution cost is >=
-/// the cheapest Pareto point meeting the same target (greedy is not optimal,
-/// but never better than the front), and all front members stay in bounds.
-class SearchProperty : public ::testing::TestWithParam<int> {};
+namespace {
 
-TEST_P(SearchProperty, GreedyConsistentWithFront) {
-  Rng rng(static_cast<uint64_t>(GetParam()));
-  FmedaResult f;
-  SafetyMechanismModel cat;
-  const int n = 2 + static_cast<int>(rng.below(5));
-  for (int i = 0; i < n; ++i) {
-    const std::string name = "R" + std::to_string(i);
-    f.rows.push_back(make_row(name.c_str(), 10 + rng.uniform() * 200, "Open", 1.0, true));
-    const int options = static_cast<int>(rng.below(3));
-    for (int k = 0; k < options; ++k) {
-      cat.add({name, "Open", name + "-sm" + std::to_string(k), 0.5 + rng.uniform() * 0.49,
-               0.5 + rng.uniform() * 5.0});
-    }
-  }
+/// Every greedy solution cost is >= the cheapest Pareto point meeting the
+/// same target (greedy is not optimal, but never better than the front),
+/// and all front members stay in bounds.
+void expect_greedy_consistent_with_front(const FmedaResult& f, const SafetyMechanismModel& cat) {
   const auto front = pareto_front(f, cat);
   for (const auto& d : front) {
     EXPECT_GE(d.spfm, 0.0);
@@ -227,6 +220,28 @@ TEST_P(SearchProperty, GreedyConsistentWithFront) {
   } else {
     EXPECT_EQ(cheapest, nullptr);  // and vice versa
   }
+}
+
+}  // namespace
+
+/// Property sweep over random catalogues.
+class SearchProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(SearchProperty, GreedyConsistentWithFront) {
+  Rng rng(static_cast<uint64_t>(GetParam()));
+  FmedaResult f;
+  SafetyMechanismModel cat;
+  const int n = 2 + static_cast<int>(rng.below(5));
+  for (int i = 0; i < n; ++i) {
+    const std::string name = "R" + std::to_string(i);
+    f.rows.push_back(make_row(name.c_str(), 10 + rng.uniform() * 200, "Open", 1.0, true));
+    const int options = static_cast<int>(rng.below(3));
+    for (int k = 0; k < options; ++k) {
+      cat.add({name, "Open", name + "-sm" + std::to_string(k), 0.5 + rng.uniform() * 0.49,
+               0.5 + rng.uniform() * 5.0});
+    }
+  }
+  expect_greedy_consistent_with_front(f, cat);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SearchProperty, ::testing::Range(1, 26));
@@ -256,15 +271,53 @@ RandomInstance make_random_instance(uint64_t seed) {
   return out;
 }
 
-}  // namespace
+/// Seeded instance that sends the catalogue's alias- and case-insensitive
+/// matching through the engines: 2-3 components with two failure modes each
+/// (4-6 rows), every component typed by an MCU alias or a case variant of
+/// "ADC", each mode spelled in either case, 1-2 catalogue entries per
+/// (type, mode) spelled the same loose way, and a low-FIT sensor row that no
+/// entry matches (the one sensor entry names another mode). About half the
+/// instances can reach ASIL-B.
+RandomInstance make_aliased_instance(uint64_t seed) {
+  static const char* const kTypes[][4] = {{"MCU", "MC", "mcu", "Microcontroller"},
+                                          {"ADC", "adc", "Adc", "aDC"}};
+  static const char* const kModes[][2] = {{"RAM Failure", "ram failure"},
+                                          {"Clock Drift", "CLOCK DRIFT"}};
+  Rng rng(seed);
+  RandomInstance out;
+  const int components = 2 + static_cast<int>(rng.below(2));
+  for (int c = 0; c < components; ++c) {
+    const std::string name = "U" + std::to_string(c);
+    const char* type = kTypes[rng.below(2)][rng.below(4)];
+    // Whole FITs keep the undeployed SPFM at exactly 0 (see ROADMAP: with
+    // fractional FITs, two half-share modes can round it to -2.2e-16).
+    const double fit = static_cast<double>(10 + rng.below(200));
+    for (const auto& mode : kModes) {
+      FmedaRow row = make_row(name.c_str(), fit, mode[rng.below(2)], 0.5, true);
+      row.component_type = type;
+      out.fmea.rows.push_back(row);
+    }
+  }
+  FmedaRow unmatched = make_row("S0", static_cast<double>(1 + rng.below(4)), "Open", 1.0, true);
+  unmatched.component_type = "Sensor";
+  out.fmea.rows.push_back(unmatched);
+  for (const auto& spellings : kTypes) {
+    for (const auto& mode : kModes) {
+      const int entries = 1 + static_cast<int>(rng.below(2));
+      for (int k = 0; k < entries; ++k) {
+        out.catalogue.add({spellings[rng.below(4)], mode[rng.below(2)],
+                           std::string(spellings[0]) + "/" + mode[0] + "-sm" + std::to_string(k),
+                           0.8 + rng.uniform() * 0.19, 0.5 + rng.uniform() * 5.0});
+      }
+    }
+  }
+  out.catalogue.add({"sensor", "Short", "Sensor/Short-sm", 0.9, 1.0});
+  return out;
+}
 
-/// The DP engine must reproduce the seed-era exhaustive enumerator's front
-/// exactly (set-identical deployments on the (cost, SPFM) plane) on every
-/// random instance small enough for the oracle.
-class DpOracleProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(DpOracleProperty, DpFrontMatchesExhaustiveOracle) {
-  const auto instance = make_random_instance(static_cast<uint64_t>(GetParam()));
+/// The DP front equals the exhaustive oracle's point by point, and every DP
+/// point is a real deployment.
+void expect_dp_matches_oracle(const RandomInstance& instance) {
   const auto oracle = pareto_front_exhaustive(instance.fmea, instance.catalogue);
   const auto dp = pareto_front(instance.fmea, instance.catalogue);
   ASSERT_EQ(oracle.size(), dp.size());
@@ -281,14 +334,9 @@ TEST_P(DpOracleProperty, DpFrontMatchesExhaustiveOracle) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DpOracleProperty, ::testing::Range(1, 41));
-
 /// optimal_reach_asil is provably min-cost: never costlier than greedy, and
 /// equal to the cheapest oracle front point meeting the target.
-class OptimalProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(OptimalProperty, NeverCostlierThanGreedyAndMatchesFront) {
-  const auto instance = make_random_instance(static_cast<uint64_t>(GetParam()));
+void expect_optimal_matches_oracle(const RandomInstance& instance) {
   const auto greedy = greedy_reach_asil(instance.fmea, instance.catalogue, "ASIL-B");
   const auto optimal = optimal_reach_asil(instance.fmea, instance.catalogue, "ASIL-B");
   ASSERT_EQ(greedy.has_value(), optimal.has_value());
@@ -307,7 +355,41 @@ TEST_P(OptimalProperty, NeverCostlierThanGreedyAndMatchesFront) {
   EXPECT_NEAR(optimal->total_cost_hours, cheapest->total_cost_hours, 1e-9);
 }
 
+}  // namespace
+
+/// The DP engine must reproduce the seed-era exhaustive enumerator's front
+/// exactly (set-identical deployments on the (cost, SPFM) plane) on every
+/// random instance small enough for the oracle.
+class DpOracleProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(DpOracleProperty, DpFrontMatchesExhaustiveOracle) {
+  expect_dp_matches_oracle(make_random_instance(static_cast<uint64_t>(GetParam())));
+}
+
+TEST_P(DpOracleProperty, AliasedDpFrontMatchesExhaustiveOracle) {
+  expect_dp_matches_oracle(make_aliased_instance(static_cast<uint64_t>(GetParam())));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DpOracleProperty, ::testing::Range(1, 41));
+
+class OptimalProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(OptimalProperty, NeverCostlierThanGreedyAndMatchesFront) {
+  expect_optimal_matches_oracle(make_random_instance(static_cast<uint64_t>(GetParam())));
+}
+
+TEST_P(OptimalProperty, AliasedNeverCostlierThanGreedyAndMatchesFront) {
+  expect_optimal_matches_oracle(make_aliased_instance(static_cast<uint64_t>(GetParam())));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, OptimalProperty, ::testing::Range(1, 41));
+
+// The alias-aware instances through the greedy/front consistency property
+// (its plain instances are built in the test above).
+TEST_P(SearchProperty, AliasedGreedyConsistentWithFront) {
+  const auto instance = make_aliased_instance(static_cast<uint64_t>(GetParam()));
+  expect_greedy_consistent_with_front(instance.fmea, instance.catalogue);
+}
 
 TEST(Pareto, JobsCountNeverChangesTheFront) {
   const auto instance = make_random_instance(7);
@@ -357,6 +439,29 @@ TEST(Pareto, TiePrefersFewestChoices) {
   for (size_t i = 0; i < front.size(); ++i) {
     EXPECT_EQ(oracle[i].choices.size(), front[i].choices.size()) << "point " << i;
   }
+}
+
+TEST(Pareto, CostGridTieInsideAMergeRowKeepsTheLowerResidual) {
+  // The grid quantum is 1e-9 of the ~10 h cost scale. A (0.55 quanta) and B
+  // (0.6) round to distinct cells alone, but {A} and {A, B} share one, so a
+  // row of the merge holds a grid tie on cost. The front must keep {A, B},
+  // the tie's lower residual, exactly as the oracle does.
+  FmedaResult f;
+  f.rows = {make_row("A", 100, "Open", 1.0, true), make_row("B", 100, "Open", 1.0, true),
+            make_row("C", 100, "Open", 1.0, true)};
+  SafetyMechanismModel cat;
+  cat.add({"A", "Open", "a", 0.5, 5.5e-9});
+  cat.add({"B", "Open", "b", 0.9, 6e-9});
+  cat.add({"C", "Open", "c", 0.9, 10.0});
+  const auto front = pareto_front(f, cat);
+  const auto oracle = pareto_front_exhaustive(f, cat);
+  ASSERT_EQ(front.size(), oracle.size());
+  for (size_t i = 0; i < front.size(); ++i) {
+    EXPECT_EQ(front[i].total_cost_hours, oracle[i].total_cost_hours) << "point " << i;
+    EXPECT_EQ(front[i].spfm, oracle[i].spfm) << "point " << i;
+  }
+  ASSERT_GE(front.size(), 2u);
+  EXPECT_EQ(front[1].choices.size(), 2u);
 }
 
 TEST(Pareto, EpsilonCoarseningBoundsTheFront) {
@@ -413,6 +518,46 @@ TEST(Pareto, MergeLabelGuardSuggestsEpsilon) {
   EXPECT_FALSE(pareto_front(f, cat, coarse).empty());
 }
 
+TEST(Pareto, RejectsNegativeOrNonFiniteRowWeights) {
+  // Both engines took such weights: -1 gave a front topping out at metric
+  // 1.8, NaN a metric of nan and +inf one of -nan. Each now names the row.
+  const auto fmea = sample_fmea();
+  const auto catalogue = sample_catalogue();
+  const auto rejection = [](const auto& search) -> std::string {
+    try {
+      search();
+    } catch (const AnalysisError& error) {
+      return error.what();
+    }
+    return "accepted";
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double weight : {-1.0, -1e-300, std::numeric_limits<double>::quiet_NaN(), kInf,
+                              -kInf}) {
+    const std::vector<double> weights{1.0, weight, 1.0};
+    ParetoOptions options;
+    options.row_weights = weights;
+    EXPECT_NE(rejection([&] { (void)pareto_front(fmea, catalogue, options); })
+                  .find("row_weights[1] (B/Open)"),
+              std::string::npos)
+        << weight;
+    EXPECT_NE(rejection([&] {
+                (void)pareto_front_exhaustive(fmea, catalogue, 2'000'000, weights);
+              }).find("row_weights[1] (B/Open)"),
+              std::string::npos)
+        << weight;
+  }
+  // Zero and positive weights stay valid; a zero weight closes the row.
+  ParetoOptions zero_one;
+  zero_one.row_weights = {0.0, 1.0, 2.5};
+  const auto front = pareto_front(fmea, catalogue, zero_one);
+  const auto oracle = pareto_front_exhaustive(fmea, catalogue, 2'000'000, zero_one.row_weights);
+  ASSERT_EQ(front.size(), oracle.size());
+  for (const auto& d : front) {
+    for (const auto& choice : d.choices) EXPECT_NE(choice.row_index, 0u);
+  }
+}
+
 TEST(Pareto, DpScalesToHundredsOfOpenRows) {
   // >= 200 open rows with 3 options each: the seed enumerator throws, the DP
   // engine completes with a well-formed front (grid-valued costs keep the
@@ -462,4 +607,80 @@ TEST(FrontExport, CsvAndJsonRenderTheFront) {
   ASSERT_EQ(points->as_array().size(), front.size());
   EXPECT_NEAR(points->as_array().back().find("cost_hours")->as_number(),
               front.back().total_cost_hours, 1e-9);
+}
+
+namespace {
+
+std::string csv_digest(const CsvTable& table) { return hash_to_hex(fnv1a64(write_csv(table))); }
+
+std::uint64_t counter_value(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+}  // namespace
+
+TEST(Pareto, DeployScaleOutputsAndDpWorkAreExactAtAnyJobCount) {
+  // Greedy has no oracle and these fronts are far beyond the enumerator, so
+  // pin what the engines produce on the deploy-scale subjects: the
+  // front_to_csv bytes (FNV-1a) and the DP's work counters, exactly. A moved
+  // deployment, front point or merge visit changes a value here, at any job
+  // count. The values were recorded with the sort-based merge that the record
+  // merge replaced (DESIGN.md §11), which must reproduce them.
+  const auto catalogue = scaled_sm_catalogue();
+  auto scaled = make_scaled_architecture(40, 8);
+  const auto scaled_fmea = analyze_component(*scaled.model, scaled.system);
+  auto wide = make_scaled_architecture(60, 5);
+  const auto wide_fmea = analyze_component(*wide.model, wide.system);
+  auto lattice = make_scaled_architecture(9, 1, 5);
+  const auto lattice_fmea = analyze_component(*lattice.model, lattice.system);
+  const auto tree = fta::synthesize_fault_tree_zbdd(*lattice.model, lattice.system);
+  const auto lfm_weights =
+      fta::lfm_row_weights(fta::classify_latent(*lattice.model, tree, lattice_fmea));
+
+  const auto greedy = greedy_reach_asil(scaled_fmea, catalogue, "ASIL-B");
+  ASSERT_TRUE(greedy.has_value());
+  EXPECT_EQ(greedy->choices.size(), 280u);
+  EXPECT_DOUBLE_EQ(greedy->total_cost_hours, 165.0);
+  EXPECT_NEAR(greedy->spfm, 0.900137552, 5e-10);
+  EXPECT_EQ(csv_digest(front_to_csv(scaled_fmea, {*greedy})), "bd20e1e2431dcb2d");
+
+  const struct {
+    const char* name;
+    const FmedaResult* fmea;
+    double epsilon;
+    const std::vector<double>* weights;
+    size_t front;
+    std::uint64_t labels, pruned, merges;
+    const char* digest;
+  } expected[] = {
+      {"(40, 8) epsilon 0.001", &scaled_fmea, 0.001, nullptr, 408, 87'261, 83'597, 279,
+       "f9c5d4cde2e4ffd0"},
+      {"(60, 5) exact", &wide_fmea, 0.0, nullptr, 871, 373'170, 366'358, 239,
+       "75ba5c1ec116b327"},
+      {"(9, 1, 5) LFM epsilon 0.001", &lattice_fmea, 0.001, &lfm_weights, 141, 10'117, 9'307,
+       44, "cff990f2ef7b95c7"},
+  };
+  for (const int jobs : {1, 4}) {
+    for (const auto& subject : expected) {
+      const std::uint64_t labels0 = counter_value("decisive_sm_search_labels_total");
+      const std::uint64_t pruned0 = counter_value("decisive_sm_search_labels_pruned_total");
+      const std::uint64_t merges0 = counter_value("decisive_sm_search_merges_total");
+      ParetoOptions options;
+      options.jobs = jobs;
+      options.epsilon = subject.epsilon;
+      if (subject.weights != nullptr) options.row_weights = *subject.weights;
+      const auto front = pareto_front(*subject.fmea, catalogue, options);
+      const auto metric = subject.weights != nullptr ? ParetoMetric::Lfm : ParetoMetric::Spfm;
+      EXPECT_EQ(front.size(), subject.front) << subject.name << " at jobs " << jobs;
+      EXPECT_EQ(csv_digest(front_to_csv(*subject.fmea, front, metric)), subject.digest)
+          << subject.name << " at jobs " << jobs;
+      EXPECT_EQ(counter_value("decisive_sm_search_labels_total") - labels0, subject.labels)
+          << subject.name << " at jobs " << jobs;
+      EXPECT_EQ(counter_value("decisive_sm_search_labels_pruned_total") - pruned0,
+                subject.pruned)
+          << subject.name << " at jobs " << jobs;
+      EXPECT_EQ(counter_value("decisive_sm_search_merges_total") - merges0, subject.merges)
+          << subject.name << " at jobs " << jobs;
+    }
+  }
 }

@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -229,6 +230,22 @@ int usage() {
   return 2;
 }
 
+/// Reads --jobs into `jobs` (left as is when the flag is absent). Prints an
+/// error and returns false when the value is negative or does not fit in an
+/// int, instead of letting a cast wrap it to another job count.
+bool read_jobs(const Args& args, int& jobs) {
+  const auto text = args.get("jobs");
+  if (!text.has_value()) return true;
+  const long long value = parse_int(*text);
+  if (value < 0 || value > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "error: --jobs must be in [0, %d] (0 = all cores)\n",
+                 std::numeric_limits<int>::max());
+    return false;
+  }
+  jobs = static_cast<int>(value);
+  return true;
+}
+
 int cmd_monitor(const Args& args) {
   if (args.positional.empty()) return usage();
   ssam::SsamModel model;
@@ -342,13 +359,7 @@ int cmd_graph_fmea(const Args& args) {
   }
 
   core::GraphFmeaOptions options;
-  if (const auto jobs = args.get("jobs")) {
-    options.jobs = static_cast<int>(parse_int(*jobs));
-    if (options.jobs < 0) {
-      std::fprintf(stderr, "error: --jobs must be >= 0 (0 = all cores)\n");
-      return 2;
-    }
-  }
+  if (!read_jobs(args, options.jobs)) return 2;
   if (const auto heartbeat = args.get("heartbeat")) {
     if (*heartbeat == "true") {
       std::fprintf(stderr, "error: --heartbeat requires a file path\n");
@@ -468,13 +479,7 @@ int cmd_sm_search(const Args& args) {
 
   // Default (and --pareto): the exact (cost, SPFM) Pareto front.
   core::ParetoOptions options;
-  if (const auto jobs = args.get("jobs")) {
-    options.jobs = static_cast<int>(parse_int(*jobs));
-    if (options.jobs < 0) {
-      std::fprintf(stderr, "error: --jobs must be >= 0 (0 = all cores)\n");
-      return 2;
-    }
-  }
+  if (!read_jobs(args, options.jobs)) return 2;
   if (const auto epsilon = args.get("epsilon")) options.epsilon = parse_double(*epsilon);
   options.row_weights = lfm_weights;
   const auto front = core::pareto_front(fmea, catalogue, options);
@@ -523,13 +528,7 @@ int cmd_fmea(const Args& args) {
   if (const auto threshold = args.get("threshold")) {
     options.relative_threshold = parse_double(*threshold);
   }
-  if (const auto jobs = args.get("jobs")) {
-    options.jobs = static_cast<int>(parse_int(*jobs));
-    if (options.jobs < 0) {
-      std::fprintf(stderr, "error: --jobs must be >= 0 (0 = all cores)\n");
-      return 2;
-    }
-  }
+  if (!read_jobs(args, options.jobs)) return 2;
   if (const auto journal = args.get("journal")) {
     if (*journal == "true") {
       std::fprintf(stderr, "error: --journal requires a file path\n");
@@ -726,13 +725,7 @@ int cmd_session(const Args& args) {
     }
     options.component = *component;
   }
-  if (const auto jobs = args.get("jobs")) {
-    options.analysis.jobs = static_cast<int>(parse_int(*jobs));
-    if (options.analysis.jobs < 0) {
-      std::fprintf(stderr, "error: --jobs must be >= 0 (0 = all cores)\n");
-      return 2;
-    }
-  }
+  if (!read_jobs(args, options.analysis.jobs)) return 2;
   return session::run_service(std::cin, std::cout, options);
 }
 
