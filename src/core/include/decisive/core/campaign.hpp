@@ -45,6 +45,7 @@
 #include "decisive/core/safety_mechanism.hpp"
 #include "decisive/sim/builder.hpp"
 #include "decisive/sim/campaign_solver.hpp"
+#include "decisive/sim/fault.hpp"
 #include "decisive/sim/solver.hpp"
 
 namespace decisive::core {
@@ -59,6 +60,20 @@ class CampaignRunner {
     const sim::BuiltComponent* component = nullptr;
     const ComponentReliability* reliability = nullptr;
     const FailureModeSpec* mode = nullptr;
+    /// Resolved once per runner: the component's element index in the
+    /// circuit (-1 when the circuit has no such element) and the mode's
+    /// fault kind (empty when the name is not a known failure mode). A task
+    /// that does not resolve becomes a NotApplicable row when it runs.
+    int element = -1;
+    std::optional<sim::FaultKind> kind;
+  };
+
+  /// One slot of the reading table: an observable element of the circuit, in
+  /// sim::reading_elements order, resolved once per runner. Rows classify by
+  /// slot, never by name.
+  struct ReadingSlot {
+    std::string name;
+    bool goal = false;  ///< counts toward the safety goal
   };
 
   /// All referenced objects must outlive the runner. `sm_model` may be null.
@@ -97,22 +112,26 @@ class CampaignRunner {
   /// run() (see campaign.cpp).
   struct CrashHooks;
 
-  /// `context`/`workspace` carry the campaign's shared solve context (null
-  /// when batching is off or the context is unusable): the first attempt
-  /// tries it, and every fallback or retry re-runs the classic dense ladder.
-  [[nodiscard]] FmedaRow run_task(const Task& task, const sim::OperatingPoint& baseline,
+  /// `baseline` holds the baseline reading of every slot. `context` and
+  /// `workspace` carry the campaign's shared solve context (null when
+  /// batching is off or the context is unusable): the first attempt tries
+  /// it, and every fallback or retry re-runs the classic dense ladder.
+  [[nodiscard]] FmedaRow run_task(const Task& task, const std::vector<double>& baseline,
                                   const CrashHooks& hooks, const sim::CampaignContext* context,
                                   sim::CampaignContext::Workspace* workspace) const;
-  [[nodiscard]] FmedaRow run_task_once(const Task& task, const sim::OperatingPoint& baseline,
+  [[nodiscard]] FmedaRow run_task_once(const Task& task, const std::vector<double>& baseline,
                                        const sim::SolveOptions& solver, int attempt,
                                        const CrashHooks& hooks,
                                        const sim::CampaignContext* context,
                                        sim::CampaignContext::Workspace* workspace) const;
+  /// An operating point's readings by slot; NaN where the point has none.
+  [[nodiscard]] std::vector<double> slot_readings(const sim::OperatingPoint& point) const;
 
   const sim::BuiltCircuit& built_;
   const SafetyMechanismModel* sm_model_;
   CircuitFmeaOptions options_;
   std::vector<Task> tasks_;
+  std::vector<ReadingSlot> slots_;
   std::vector<std::string> skip_warnings_;
 };
 

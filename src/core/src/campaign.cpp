@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
@@ -92,23 +93,32 @@ void count_outcome(const FmedaRow& row) {
   }
 }
 
-/// Classifies one injected fault by comparing operating points. When
+/// Classifies one injected fault by comparing its readings with the
+/// baseline's, slot by slot; a slot the fault removed (NaN) is skipped. When
 /// `margin_out` is non-null it receives the smallest distance of any
-/// observable's deviation from the classification threshold — the batched
-/// path falls back to the naive solve when a reading sits on that knife
-/// edge, so ulp-level solver differences can never flip an effect class.
-EffectClass classify(const CircuitFmeaOptions& options, const sim::OperatingPoint& baseline,
-                     const sim::OperatingPoint& faulted, double* margin_out = nullptr) {
+/// observable's deviation from the classification threshold — less that
+/// deviation's error bound, when `error` carries one per slot. The fast path
+/// falls back to the naive solve when a reading sits on that knife edge, so
+/// solver differences can never flip an effect class.
+EffectClass classify(const CircuitFmeaOptions& options,
+                     const std::vector<CampaignRunner::ReadingSlot>& slots,
+                     const std::vector<double>& baseline, const std::vector<double>& faulted,
+                     const std::vector<double>* error = nullptr, double* margin_out = nullptr) {
   bool goal_deviated = false;
   bool other_deviated = false;
   double margin = std::numeric_limits<double>::infinity();
-  for (const auto& [name, before] : baseline.readings) {
-    const auto it = faulted.readings.find(name);
-    if (it == faulted.readings.end()) continue;
-    const double deviation = observable_deviation(before, it->second, options.absolute_floor);
-    margin = std::min(margin, std::abs(deviation - options.relative_threshold));
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const double before = baseline[s];
+    const double after = faulted[s];
+    if (std::isnan(after)) continue;
+    const double deviation = observable_deviation(before, after, options.absolute_floor);
+    double slack = std::abs(deviation - options.relative_threshold);
+    if (error != nullptr) {
+      slack -= (*error)[s] / std::max(std::abs(before), options.absolute_floor);
+    }
+    if (!(slack >= margin)) margin = slack;  // a NaN slack (no usable bound) is no margin
     if (deviation > options.relative_threshold) {
-      if (options.is_goal_observable(name)) goal_deviated = true;
+      if (slots[s].goal) goal_deviated = true;
       else other_deviated = true;
     }
   }
@@ -204,6 +214,9 @@ CampaignRunner::CampaignRunner(const sim::BuiltCircuit& built,
                                const SafetyMechanismModel* sm_model,
                                CircuitFmeaOptions options)
     : built_(built), sm_model_(sm_model), options_(std::move(options)) {
+  // Names resolve here, once: a task carries its element index and fault
+  // kind, and the reading table its slots' names and goal flags.
+  const auto& elements = built_.circuit.elements();
   for (const auto& component : built_.components) {
     const ComponentReliability* entry = reliability.find(component.block_type);
     if (entry == nullptr) {
@@ -212,10 +225,30 @@ CampaignRunner::CampaignRunner(const sim::BuiltCircuit& built,
                                "' has no reliability data; skipped");
       continue;
     }
+    const sim::Element* element = built_.circuit.find(component.element);
+    const int index = element == nullptr ? -1 : static_cast<int>(element - elements.data());
     for (const auto& mode : entry->modes) {
-      tasks_.push_back(Task{&component, entry, &mode});
+      Task task{&component, entry, &mode, index, std::nullopt};
+      try {
+        task.kind = sim::fault_kind_from_name(mode.name);
+      } catch (const AnalysisError&) {
+        // Left empty: the task re-raises the same error when it runs.
+      }
+      tasks_.push_back(task);
     }
   }
+  for (const std::size_t i : sim::reading_elements(built_.circuit)) {
+    slots_.push_back(ReadingSlot{elements[i].name, options_.is_goal_observable(elements[i].name)});
+  }
+}
+
+std::vector<double> CampaignRunner::slot_readings(const sim::OperatingPoint& point) const {
+  std::vector<double> readings(slots_.size(), std::numeric_limits<double>::quiet_NaN());
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    const auto it = point.readings.find(slots_[s].name);
+    if (it != point.readings.end()) readings[s] = it->second;
+  }
+  return readings;
 }
 
 std::uint64_t CampaignRunner::fingerprint() const {
@@ -274,8 +307,7 @@ std::vector<size_t> CampaignRunner::shard_task_indices() const {
   return indices;
 }
 
-FmedaRow CampaignRunner::run_task_once(const Task& task,
-                                       const sim::OperatingPoint& baseline,
+FmedaRow CampaignRunner::run_task_once(const Task& task, const std::vector<double>& baseline,
                                        const sim::SolveOptions& solver, int attempt,
                                        const CrashHooks& hooks,
                                        const sim::CampaignContext* context,
@@ -287,16 +319,20 @@ FmedaRow CampaignRunner::run_task_once(const Task& task,
   row.failure_mode = task.mode->name;
   row.distribution = task.mode->distribution;
 
-  sim::Fault fault;
-  fault.element = task.component->element;
   try {
     if (!hooks.task_throw.empty() && attempt < hooks.task_throw_below &&
         task.component->path + "/" + task.mode->name == hooks.task_throw) {
       throw std::runtime_error("injected task crash (DECISIVE_CAMPAIGN_TASK_THROW)");
     }
-    fault.kind = sim::fault_kind_from_name(task.mode->name);
-    const sim::Circuit faulted = sim::inject_fault(
-        built_.circuit, fault, solver.open_resistance, solver.closed_resistance);
+    // An unresolved task raises what resolving it raised: an unknown
+    // failure-mode name, then an unknown element.
+    const sim::FaultKind kind =
+        task.kind.has_value() ? *task.kind : sim::fault_kind_from_name(task.mode->name);
+    if (task.element < 0) (void)built_.circuit.get(task.component->element);
+    const auto index = static_cast<std::size_t>(task.element);
+    const sim::Element failed =
+        sim::faulted_element(built_.circuit.elements()[index], kind, sim::kDefaultDriftFactor,
+                             solver.open_resistance, solver.closed_resistance);
 
     // Fast path: the campaign's shared solve context — a low-rank update
     // against the nominal factor, or (sparse factor only) a refactorisation
@@ -306,11 +342,12 @@ FmedaRow CampaignRunner::run_task_once(const Task& task,
     // cannot diverge.
     if (context != nullptr && workspace != nullptr) {
       CampaignMetrics& metrics = CampaignMetrics::get();
-      const sim::CampaignSolve solve = context->try_solve(faulted, fault, *workspace);
+      const sim::CampaignSolve solve = context->try_solve(index, failed, *workspace);
       bool accepted = false;
-      if (solve.point.has_value()) {
+      if (solve.solved) {
         double margin = std::numeric_limits<double>::infinity();
-        const EffectClass effect = classify(options_, baseline, *solve.point, &margin);
+        const EffectClass effect =
+            classify(options_, slots_, baseline, solve.readings, &solve.reading_error, &margin);
         if (margin > kClassifyGuard) {
           accepted = true;
           row.solver_iterations = solve.diagnostics.iterations;
@@ -337,6 +374,8 @@ FmedaRow CampaignRunner::run_task_once(const Task& task,
     // dense-only campaign", and every gate above funnels doubt down here.
     sim::SolveOptions naive = solver;
     naive.sparse = false;
+    sim::Circuit faulted = built_.circuit;
+    faulted.elements()[index] = failed;
     sim::SolveDiagnostics diagnostics;
     const auto after = sim::try_dc_operating_point(faulted, naive, diagnostics);
     row.solver_iterations = diagnostics.iterations;
@@ -348,7 +387,7 @@ FmedaRow CampaignRunner::run_task_once(const Task& task,
         row.outcome_detail = std::string(to_string(diagnostics.strategy)) + " after " +
                              std::to_string(diagnostics.iterations) + " iterations";
       }
-      row.effect = classify(options_, baseline, *after);
+      row.effect = classify(options_, slots_, baseline, slot_readings(*after));
       row.safety_related = row.effect != EffectClass::None;
     } else {
       // The faulted circuit did not solve. Conservatively safety-related
@@ -368,8 +407,8 @@ FmedaRow CampaignRunner::run_task_once(const Task& task,
     row.outcome = FaultOutcome::NotApplicable;
     row.outcome_detail = error.what();
   } catch (const SimulationError& error) {
-    // inject_fault on an unknown element — a model inconsistency, not a
-    // solver failure; the injection itself is not applicable.
+    // A fault on an unknown element — a model inconsistency, not a solver
+    // failure; the injection itself is not applicable.
     row.outcome = FaultOutcome::NotApplicable;
     row.outcome_detail = error.what();
   } catch (const std::exception& error) {
@@ -389,7 +428,7 @@ FmedaRow CampaignRunner::run_task_once(const Task& task,
   return row;
 }
 
-FmedaRow CampaignRunner::run_task(const Task& task, const sim::OperatingPoint& baseline,
+FmedaRow CampaignRunner::run_task(const Task& task, const std::vector<double>& baseline,
                                   const CrashHooks& hooks, const sim::CampaignContext* context,
                                   sim::CampaignContext::Workspace* workspace) const {
   CampaignMetrics& metrics = CampaignMetrics::get();
@@ -465,24 +504,6 @@ FmedaResult CampaignRunner::run() const {
   std::vector<FmedaRow> rows(shard.size());
   std::vector<char> done(shard.size(), 0);
 
-  // Flight recorder: a throttled heartbeat next to the journal (or wherever
-  // heartbeat_path points). Worker rows are sized to the configured job
-  // count; the pool may end up smaller when few tasks are pending.
-  std::string heartbeat_path = execution.heartbeat_path;
-  if (heartbeat_path.empty() && !execution.journal_path.empty()) {
-    heartbeat_path = execution.journal_path + ".heartbeat.json";
-  }
-  const unsigned jobs_configured =
-      options_.jobs > 0 ? static_cast<unsigned>(options_.jobs)
-                        : std::max(1u, std::thread::hardware_concurrency());
-  obs::ProgressReporterOptions reporter_options;
-  reporter_options.path = heartbeat_path;
-  reporter_options.phase = "campaign";
-  reporter_options.total = shard.size();
-  reporter_options.workers = static_cast<int>(jobs_configured);
-  reporter_options.interval_seconds = execution.heartbeat_interval_seconds;
-  obs::ProgressReporter reporter(reporter_options);
-
   // Resume: replay the journal's checkpointed tasks, then keep appending to
   // its valid prefix. Replay/trim notes go to the log, NOT to
   // result.warnings — a resumed run must stay byte-identical to an
@@ -500,7 +521,6 @@ FmedaResult CampaignRunner::run() const {
           rows[s] = it->second;
           done[s] = 1;
           ++replayed;
-          reporter.task_done(0, to_string(rows[s].outcome));
         }
       }
       metrics.checkpoint_replays.add(static_cast<double>(replayed));
@@ -528,6 +548,33 @@ FmedaResult CampaignRunner::run() const {
   std::vector<size_t> pending;
   for (size_t s = 0; s < shard.size(); ++s) {
     if (!done[s]) pending.push_back(s);
+  }
+
+  // The pool: the configured job count, capped at the pending task count, so
+  // a huge --jobs starts (and sizes per-worker state for) only as many
+  // threads as there is work.
+  const unsigned jobs_configured =
+      options_.jobs > 0 ? static_cast<unsigned>(options_.jobs)
+                        : std::max(1u, std::thread::hardware_concurrency());
+  const auto jobs = static_cast<unsigned>(
+      std::max<size_t>(1, std::min<size_t>(jobs_configured, pending.size())));
+
+  // Flight recorder: a throttled heartbeat next to the journal (or wherever
+  // heartbeat_path points), one worker row per pool thread. Replayed tasks
+  // count as done by worker 0.
+  std::string heartbeat_path = execution.heartbeat_path;
+  if (heartbeat_path.empty() && !execution.journal_path.empty()) {
+    heartbeat_path = execution.journal_path + ".heartbeat.json";
+  }
+  obs::ProgressReporterOptions reporter_options;
+  reporter_options.path = heartbeat_path;
+  reporter_options.phase = "campaign";
+  reporter_options.total = shard.size();
+  reporter_options.workers = static_cast<int>(jobs);
+  reporter_options.interval_seconds = execution.heartbeat_interval_seconds;
+  obs::ProgressReporter reporter(reporter_options);
+  for (size_t s = 0; s < shard.size(); ++s) {
+    if (done[s]) reporter.task_done(0, to_string(rows[s].outcome));
   }
 
   // Step 1: Initialise — baseline operating point (ladder-assisted; a design
@@ -592,13 +639,14 @@ FmedaResult CampaignRunner::run() const {
   }
 
   // Step 2: execute the pending fault tasks. Faults are independent
-  // re-simulations of copies of the circuit, so this is embarrassingly
-  // parallel; results land in pre-assigned slots, keeping output
-  // deterministic for any job count.
+  // re-simulations of the circuit with one element overridden, so this is
+  // embarrassingly parallel; results land in pre-assigned slots, keeping
+  // output deterministic for any job count.
   if (!pending.empty()) {
+    const std::vector<double> baseline_readings = slot_readings(*baseline);
     auto process = [&](size_t s, sim::CampaignContext::Workspace& ws, int worker_id) {
-      rows[s] = run_task(tasks_[shard[s]], *baseline, hooks, context ? &*context : nullptr,
-                         context ? &ws : nullptr);
+      rows[s] = run_task(tasks_[shard[s]], baseline_readings, hooks,
+                         context ? &*context : nullptr, context ? &ws : nullptr);
       if (journal != nullptr) {
         journal->append(shard[s], rows[s]);
         metrics.journal_appends.add();
@@ -609,8 +657,6 @@ FmedaResult CampaignRunner::run() const {
       reporter.task_done(worker_id, to_string(rows[s].outcome));
     };
 
-    unsigned jobs = jobs_configured;
-    if (pending.size() < jobs) jobs = static_cast<unsigned>(pending.size());
     metrics.jobs.set(static_cast<double>(jobs));
 
     if (jobs <= 1) {

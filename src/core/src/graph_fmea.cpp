@@ -139,16 +139,18 @@ std::vector<Unit> collect_units(const SsamModel& ssam, ObjectId root,
 std::vector<UnitAnalysis> analyze_units(const SsamModel& ssam, const std::vector<Unit>& units,
                                         const GraphFmeaOptions& options) {
   std::vector<UnitAnalysis> analyses(units.size());
+  // The pool: the configured job count, capped at the unit count, so a huge
+  // --jobs starts (and sizes per-worker heartbeat rows for) only as many
+  // threads as there are units.
   unsigned jobs = options.jobs > 0 ? static_cast<unsigned>(options.jobs)
                                    : std::max(1u, std::thread::hardware_concurrency());
-  const unsigned jobs_configured = jobs;
   if (units.size() < jobs) jobs = static_cast<unsigned>(std::max<size_t>(units.size(), 1));
 
   obs::ProgressReporterOptions reporter_options;
   reporter_options.path = options.heartbeat_path;
   reporter_options.phase = "graph-fmea";
   reporter_options.total = units.size();
-  reporter_options.workers = static_cast<int>(jobs_configured);
+  reporter_options.workers = static_cast<int>(jobs);
   reporter_options.interval_seconds = options.heartbeat_interval_seconds;
   obs::ProgressReporter reporter(reporter_options);
 

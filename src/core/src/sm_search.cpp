@@ -520,9 +520,11 @@ std::vector<Deployment> pareto_front(const FmedaResult& fmea,
   std::vector<MergeNode> nodes;
   nodes.reserve(2 * rows.size());
   const int root = build_tree(0, rows.size(), nodes);
-  const int jobs = options.jobs > 0
-                       ? options.jobs
-                       : static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  // Helper threads fold subtrees, so more jobs than leaves buy nothing: cap
+  // the budget at the merge tree's leaf count.
+  const int jobs = static_cast<int>(std::min<std::size_t>(
+      rows.size(), options.jobs > 0 ? static_cast<std::size_t>(options.jobs)
+                                    : std::max(1u, std::thread::hardware_concurrency())));
   fold_node(nodes, root, row_options, q, options, epsilon_box, jobs, metrics);
 
   front.reserve(nodes[root].labels.size());

@@ -86,7 +86,8 @@ class Histogram {
   [[nodiscard]] double percentile(double p) const;
   void reset() noexcept;
 
-  /// Default log-spaced latency buckets, 1 µs … 30 s.
+  /// Default latency buckets, 1 µs … 30 s, log-linear: four equal steps
+  /// per octave (1, 1.25, 1.5, 1.75, 2, 2.5, ... µs).
   [[nodiscard]] static std::vector<double> latency_buckets();
 
  private:

@@ -116,8 +116,20 @@ void Histogram::reset() noexcept {
 }
 
 std::vector<double> Histogram::latency_buckets() {
-  return {1e-6, 1e-5, 1e-4, 2.5e-4, 1e-3, 2.5e-3, 1e-2, 2.5e-2,
-          1e-1, 2.5e-1, 1.0,  2.5,   10.0, 30.0};
+  // Log-linear: each octave 2^e µs .. 2^(e+1) µs split into four equal
+  // steps (1, 1.25, 1.5, 1.75, 2, 2.5, 3, 3.5, 4, 5, ... µs), so any
+  // percentile reads within 25 % of the observation; closed at 30 s.
+  std::vector<double> bounds;
+  for (double octave = 1.0;; octave *= 2.0) {
+    for (int step = 0; step < 4; ++step) {
+      const double micros = octave * (1.0 + step / 4.0);
+      if (micros >= 30e6) {
+        bounds.push_back(30.0);
+        return bounds;
+      }
+      bounds.push_back(micros * 1e-6);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

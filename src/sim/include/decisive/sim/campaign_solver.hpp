@@ -1,32 +1,40 @@
 // One solve context per fault-injection campaign.
 //
-// Every fault variant's MNA system differs from the nominal one by (at most)
-// one component stamp. A CampaignContext solves the nominal circuit once,
-// factors its Jacobian once — sparse (Gilbert–Peierls, sparse.hpp) at or
-// above `sparse_min_dim` unknowns, dense below — and answers each fault from
-// that one factorisation:
+// Every fault variant's MNA system differs from the nominal one by one
+// element: the fault is a one-element override (faulted_element), never a
+// copied circuit. A CampaignContext solves the nominal circuit once, factors
+// its Jacobian once — sparse (Gilbert–Peierls, sparse.hpp) at or above
+// `sparse_min_dim` unknowns, dense below — and answers each fault from that
+// one factorisation:
 //
-//  - the *low-rank branch* takes every fault that keeps the MNA structure:
-//    Sherman–Morrison/Woodbury updates whose base solves run against the
-//    shared nominal factor, warm-started from the nominal operating point;
+//  - the *low-rank branch* takes every fault that keeps the MNA structure.
+//    Its Newton iterates live in the span of cached A_nom^-1 columns: the
+//    nominal solution plus columns weighted by the fault's own RHS delta and
+//    the moved diodes' companion-current deltas, then a Woodbury correction
+//    for the conductance deltas — O(k·n) per iteration, no RHS re-stamp and
+//    no triangular solve;
 //  - the *refactor branch* (sparse factor only) takes structural faults (a
 //    voltage source or DC inductor losing its branch unknown) and whatever
 //    the low-rank branch declines: a numeric refactorisation or
 //    partial_factor against the shared nominal symbolic analysis.
 //
-// Both branches pass one gate ladder (iteration headroom, a full-system
-// residual check, the MCU knife-edge guard). Anything that fails it goes
-// back to the caller, who re-runs the fault on the naive dense path — so the
-// campaign's output is byte-identical to the naive one, only cheaper.
+// Both branches pass one gate ladder (iteration headroom, the cold-start
+// walk, a full-system residual check against a fresh RHS assembly, a
+// one-step refinement of the solution's error, the MCU knife-edge guard).
+// Anything that fails it goes back to the caller, who re-runs the fault on
+// the naive dense path — so the campaign's output is byte-identical to the
+// naive one, only cheaper.
 //
 // Thread-safety: a context is immutable after construction. Workers solve
 // concurrently against it, each with its own Workspace; the shared sparse
 // factor's triangular solves write only workspace scratch.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "decisive/sim/circuit.hpp"
 #include "decisive/sim/fault.hpp"
@@ -52,22 +60,32 @@ std::string_view to_string(BatchOutcome outcome) noexcept;
 
 /// What one CampaignContext::try_solve did.
 struct CampaignSolve {
-  /// The operating point, when a branch converged and passed every gate.
-  std::optional<OperatingPoint> point;
-  /// Filled like try_dc_operating_point's when `point` is set; iterations
-  /// are summed over both branches.
+  /// True when a branch converged and passed every gate.
+  bool solved = false;
+  /// When solved: one reading per slot of the context's reading table
+  /// (reading_elements()), valued like OperatingPoint::readings. NaN marks a
+  /// slot the fault removed — an MCU opened or shorted into a resistor.
+  std::vector<double> readings;
+  /// When solved: a first-order bound on each reading's error, from one
+  /// refinement step against the fault's exact matrix (0 for MCU status
+  /// readings, whose supply edge the context gates itself).
+  std::vector<double> reading_error;
+  /// Filled like try_dc_operating_point's when `solved`; iterations are
+  /// summed over both branches.
   SolveDiagnostics diagnostics;
   /// The low-rank branch's verdict. `Structural` means the fault never
   /// entered it.
   BatchOutcome lowrank = BatchOutcome::Disabled;
-  /// The refactor branch's verdict, when it ran. A set `point` comes from
-  /// the refactor branch exactly when this is engaged.
+  /// The refactor branch's verdict, when it ran. A solve comes from the
+  /// refactor branch exactly when this is engaged.
   std::optional<BatchOutcome> refactor;
 };
 
 /// Shared per-campaign solve state: nominal operating point, the one
-/// factorisation of the nominal Jacobian, and cached A^-1 u columns for
-/// every element that can carry a conductance delta.
+/// factorisation of the nominal Jacobian, the nominal solution at its own
+/// linearisation, cached A^-1 u columns for every element that can carry a
+/// conductance or current delta (A^-1 e on the branch row for a voltage
+/// source), and the reading table.
 class CampaignContext {
  public:
   /// Per-worker scratch: low-rank buffers, the sparse solve buffer, and the
@@ -99,16 +117,21 @@ class CampaignContext {
   /// True when the nominal factor is sparse (and the refactor branch live).
   [[nodiscard]] bool sparse_factor() const noexcept;
 
-  /// True when `fault` on the nominal circuit preserves the MNA structure
-  /// and is expressible as a low-rank (or RHS-only) delta.
-  [[nodiscard]] bool eligible(const Fault& fault) const noexcept;
+  /// True when replacing nominal element `element` by `failed` (its
+  /// faulted_element form) preserves the MNA structure and is expressible as
+  /// a low-rank (or RHS-only) delta.
+  [[nodiscard]] bool eligible(std::size_t element, const Element& failed) const noexcept;
 
-  /// Solves `faulted` (the result of inject_fault for `fault` on the
-  /// nominal circuit): the low-rank branch first, then — with a sparse
-  /// factor — the refactor branch for whatever it declined. Counted as one
-  /// solve in the decisive_solver_* family.
-  [[nodiscard]] CampaignSolve try_solve(const Circuit& faulted, const Fault& fault,
+  /// Solves the nominal circuit with element `element` replaced by `failed`:
+  /// the low-rank branch first, then — with a sparse factor — the refactor
+  /// branch for whatever it declined. Counted as one solve in the
+  /// decisive_solver_* family.
+  [[nodiscard]] CampaignSolve try_solve(std::size_t element, const Element& failed,
                                         Workspace& ws) const;
+
+  /// The reading table: the nominal circuit's observable elements
+  /// (reading_elements()), one CampaignSolve::readings slot each.
+  [[nodiscard]] const std::vector<std::size_t>& reading_elements() const noexcept;
 
   /// The nominal operating point (valid when usable()).
   [[nodiscard]] const OperatingPoint& nominal_point() const noexcept;

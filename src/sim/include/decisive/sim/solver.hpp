@@ -10,6 +10,7 @@
 // is tried in order when plain Newton gives up.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -32,6 +33,12 @@ struct OperatingPoint {
 
   [[nodiscard]] double reading(const std::string& name) const;
 };
+
+/// Indices of the circuit's observable elements — every current sensor,
+/// voltage sensor and MCU, the elements OperatingPoint::readings names — in
+/// element order. A campaign resolves them once and keeps its readings by
+/// slot in this order.
+std::vector<std::size_t> reading_elements(const Circuit& circuit);
 
 /// Solver tuning knobs.
 struct SolveOptions {

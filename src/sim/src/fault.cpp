@@ -35,11 +35,10 @@ FaultKind fault_kind_from_name(std::string_view name) {
   throw AnalysisError("unknown failure mode name '" + std::string(name) + "'");
 }
 
-Circuit inject_fault(const Circuit& circuit, const Fault& fault, double open_resistance,
-                     double short_resistance) {
-  Circuit faulted = circuit;
-  Element& e = faulted.get(fault.element);
-  switch (fault.kind) {
+Element faulted_element(const Element& element, FaultKind kind, double drift_factor,
+                        double open_resistance, double short_resistance) {
+  Element e = element;
+  switch (kind) {
     case FaultKind::Open:
       switch (e.kind) {
         case ElementKind::VSource:
@@ -85,10 +84,10 @@ Circuit inject_fault(const Circuit& circuit, const Fault& fault, double open_res
         case ElementKind::VSource:
         case ElementKind::ISource:
         case ElementKind::Mcu:
-          if (fault.drift_factor <= 0.0) {
+          if (drift_factor <= 0.0) {
             throw AnalysisError("drift factor must be positive");
           }
-          e.value *= fault.drift_factor;
+          e.value *= drift_factor;
           break;
         default:
           throw AnalysisError("Drift does not apply to '" + std::string(to_string(e.kind)) +
@@ -102,6 +101,14 @@ Circuit inject_fault(const Circuit& circuit, const Fault& fault, double open_res
       e.ram_ok = false;
       break;
   }
+  return e;
+}
+
+Circuit inject_fault(const Circuit& circuit, const Fault& fault, double open_resistance,
+                     double short_resistance) {
+  Circuit faulted = circuit;
+  Element& e = faulted.get(fault.element);
+  e = faulted_element(e, fault.kind, fault.drift_factor, open_resistance, short_resistance);
   return faulted;
 }
 

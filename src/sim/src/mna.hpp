@@ -140,6 +140,18 @@ inline DiodeLinearisation linearise_diode(double diode_v_estimate, const SolveOp
   return DiodeLinearisation{geq, id - geq * vd};
 }
 
+/// One element replaced without copying the circuit: a campaign fault
+/// (faulted_element) applied to the nominal netlist.
+struct ElementOverride {
+  std::size_t index = 0;
+  const Element* element = nullptr;
+
+  /// elements[i], or the override where it stands in.
+  [[nodiscard]] const Element& at(const std::vector<Element>& elements, std::size_t i) const {
+    return element != nullptr && i == index ? *element : elements[i];
+  }
+};
+
 /// Stamps the MNA system for the given diode linearisation point into `rhs`
 /// (always) and an arbitrary matrix sink: `add(row, col, value)` is invoked
 /// for every matrix stamp in the exact order of the original solver. The
@@ -147,10 +159,13 @@ inline DiodeLinearisation linearise_diode(double diode_v_estimate, const SolveOp
 /// coordinates (pattern build) or replays them through a frozen slot
 /// sequence (numeric refill) — one stamp pass, three consumers, and because
 /// the element loop is shared the add sequence is identical across them.
+/// With `over.element` set, that element stands in for
+/// `circuit.elements()[over.index]`.
 template <typename AddFn>
 inline void assemble_with(const Circuit& circuit, const SolveOptions& opt,
                           const CompanionState& state, const Structure& st,
-                          const std::vector<double>& diode_v, AddFn&& add, double* rhs) {
+                          const std::vector<double>& diode_v, AddFn&& add, double* rhs,
+                          ElementOverride over = {}) {
   const auto& elements = circuit.elements();
   const std::size_t dim = st.dim;
   const int n_nodes = st.n_nodes;
@@ -191,7 +206,7 @@ inline void assemble_with(const Circuit& circuit, const SolveOptions& opt,
   for (int node = 1; node < n_nodes; ++node) add(vrow(node), vrow(node), opt.gmin);
 
   for (std::size_t i = 0; i < elements.size(); ++i) {
-    const Element& e = elements[i];
+    const Element& e = over.at(elements, i);
     switch (e.kind) {
       case ElementKind::Resistor:
         stamp_conductance(e.a, e.b, 1.0 / e.value);
@@ -245,20 +260,22 @@ inline void assemble_with(const Circuit& circuit, const SolveOptions& opt,
 }
 
 /// The classic entry point over flat row-major `dim x dim` storage (`a` may
-/// be null — the batched path re-stamps only the RHS). Both buffers must be
-/// pre-zeroed. The dense add is `+=` of the signed stamp, which is the same
-/// IEEE operation the old in-lambda `-=` performed, so no output byte moved.
+/// be null — the campaign context stamps only the RHS, once per fault, for
+/// its residual gate). Both buffers must be pre-zeroed. The dense add is
+/// `+=` of the signed stamp, which is the same IEEE operation the old
+/// in-lambda `-=` performed, so no output byte moved.
 inline void assemble(const Circuit& circuit, const SolveOptions& opt,
                      const CompanionState& state, const Structure& st,
-                     const std::vector<double>& diode_v, double* a, double* rhs) {
+                     const std::vector<double>& diode_v, double* a, double* rhs,
+                     ElementOverride over = {}) {
   const std::size_t dim = st.dim;
   if (a == nullptr) {
     assemble_with(circuit, opt, state, st, diode_v, [](std::size_t, std::size_t, double) {},
-                  rhs);
+                  rhs, over);
   } else {
     assemble_with(circuit, opt, state, st, diode_v,
                   [a, dim](std::size_t r, std::size_t c, double v) { a[r * dim + c] += v; },
-                  rhs);
+                  rhs, over);
   }
 }
 
@@ -280,6 +297,23 @@ inline SolveResult extract_result(const Circuit& circuit, const Structure& st,
   return result;
 }
 
+/// Junction voltage every cold-started Newton run begins from, and the
+/// largest move of a junction estimate per iteration (voltage limiting). A
+/// cold start therefore needs at least |v - kColdJunctionVolt| /
+/// kJunctionStepVolt iterations to reach a junction voltage v.
+inline constexpr double kColdJunctionVolt = 0.6;
+inline constexpr double kJunctionStepVolt = 0.1;
+
+/// Indices of the diodes in `elements`, in element order: the only elements
+/// a Newton step relinearises.
+inline std::vector<std::size_t> diode_indices(const std::vector<Element>& elements) {
+  std::vector<std::size_t> diodes;
+  for (std::size_t i = 0; i < elements.size(); ++i) {
+    if (elements[i].kind == ElementKind::Diode) diodes.push_back(i);
+  }
+  return diodes;
+}
+
 /// One bounded, non-throwing Newton run over a pluggable linear-solve step.
 ///
 /// `solve_step(diode_v, x_out, failure, message)` solves the MNA system
@@ -287,31 +321,45 @@ inline SolveResult extract_result(const Circuit& circuit, const Structure& st,
 /// returns false with `failure`/`message` set (singular system, low-rank
 /// update rejected, ...). Everything else — budgets, the non-finite guard,
 /// diode voltage limiting, and the convergence test — is shared verbatim
-/// between the naive and batched paths.
+/// between the naive and campaign paths. `diodes` lists the diodes of the
+/// system being solved among `elements` (diode_indices); `diode_v` is
+/// indexed like `elements`. The converged iterate is `x`; extract_result()
+/// turns it into node voltages and branch currents for callers that want
+/// them.
 template <typename SolveStep>
-NewtonAttempt newton_attempt(const Circuit& circuit, const SolveOptions& opt,
+NewtonAttempt newton_attempt(const std::vector<Element>& elements,
+                             const std::vector<std::size_t>& diodes, const SolveOptions& opt,
                              const Structure& st, const NewtonSeed* seed,
                              const Deadline& deadline, SolveStep&& solve_step) {
-  const auto& elements = circuit.elements();
   const std::size_t dim = st.dim;
 
   NewtonAttempt attempt;
   if (dim == 0) {
     attempt.converged = true;
-    attempt.result = SolveResult{
-        std::vector<double>(static_cast<std::size_t>(st.n_nodes), 0.0),
-        std::vector<double>(elements.size(), std::numeric_limits<double>::quiet_NaN())};
     return attempt;
   }
 
   // Diode junction voltage estimates for Newton iteration; warm-started from
   // the previous ladder attempt (or the nominal solve) when available.
-  std::vector<double> diode_v(elements.size(), 0.6);
-  std::vector<double> x(dim, 0.0);
-  if (seed != nullptr) {
-    if (seed->diode_v.size() == diode_v.size()) diode_v = seed->diode_v;
-    if (seed->x.size() == x.size()) x = seed->x;
+  std::vector<double> diode_v;
+  if (seed != nullptr && seed->diode_v.size() == elements.size()) {
+    diode_v = seed->diode_v;
+  } else {
+    diode_v.assign(elements.size(), kColdJunctionVolt);
   }
+  std::vector<double> x(dim, 0.0);
+  if (seed != nullptr && seed->x.size() == x.size()) x = seed->x;
+
+  // The diodes' terminals, gathered once so the per-iteration junction
+  // update reads one compact array.
+  struct Junction {
+    std::size_t index;
+    int a;
+    int b;
+  };
+  std::vector<Junction> junctions;
+  junctions.reserve(diodes.size());
+  for (const std::size_t i : diodes) junctions.push_back({i, elements[i].a, elements[i].b});
 
   auto give_up = [&](SolveFailure failure, std::string message) {
     attempt.converged = false;
@@ -322,6 +370,7 @@ NewtonAttempt newton_attempt(const Circuit& circuit, const SolveOptions& opt,
     return std::move(attempt);
   };
 
+  const bool has_diode = !junctions.empty();
   std::vector<double> x_new(dim, 0.0);
   bool converged = false;
   for (int iteration = 0; !converged; ++iteration) {
@@ -341,36 +390,34 @@ NewtonAttempt newton_attempt(const Circuit& circuit, const SolveOptions& opt,
 
     // Non-finite guard: a NaN/Inf iterate (NaN source value, zero-resistance
     // loop, numeric blow-up) would otherwise poison every later iteration and
-    // masquerade as "singular" once it reaches the diode stamps.
-    for (const double value : x_new) {
-      if (!std::isfinite(value)) {
-        SolverMetrics::get().nonfinite_guard.add();
-        return give_up(SolveFailure::NonFinite,
-                       "newton iterate is not finite (NaN/Inf in circuit values?)");
-      }
+    // masquerade as "singular" once it reaches the diode stamps. The same
+    // pass measures the iterate's change.
+    bool finite = true;
+    double max_change = 0.0;
+    for (std::size_t i = 0; i < dim; ++i) {
+      finite = finite && std::isfinite(x_new[i]);
+      max_change = std::max(max_change, std::abs(x_new[i] - x[i]));
+    }
+    if (!finite) {
+      SolverMetrics::get().nonfinite_guard.add();
+      return give_up(SolveFailure::NonFinite,
+                     "newton iterate is not finite (NaN/Inf in circuit values?)");
     }
 
     // Newton update for diode junction voltages, with voltage limiting for
     // robust convergence.
-    bool has_diode = false;
     double max_diode_change = 0.0;
     auto node_v = [&](int node) {
       return node == 0 ? 0.0 : x_new[static_cast<std::size_t>(node - 1)];
     };
-    for (std::size_t i = 0; i < elements.size(); ++i) {
-      if (elements[i].kind != ElementKind::Diode) continue;
-      has_diode = true;
-      const double target = node_v(elements[i].a) - node_v(elements[i].b);
-      const double previous = diode_v[i];
-      const double step = std::clamp(target - previous, -0.1, 0.1);
-      diode_v[i] = previous + step;
+    for (const Junction& j : junctions) {
+      const double target = node_v(j.a) - node_v(j.b);
+      const double previous = diode_v[j.index];
+      const double step = std::clamp(target - previous, -kJunctionStepVolt, kJunctionStepVolt);
+      diode_v[j.index] = previous + step;
       max_diode_change = std::max(max_diode_change, std::abs(target - previous));
     }
 
-    double max_change = 0.0;
-    for (std::size_t i = 0; i < dim; ++i) {
-      max_change = std::max(max_change, std::abs(x_new[i] - x[i]));
-    }
     std::swap(x, x_new);
     attempt.residual = has_diode ? std::max(max_change, max_diode_change) : max_change;
 
@@ -378,10 +425,22 @@ NewtonAttempt newton_attempt(const Circuit& circuit, const SolveOptions& opt,
                                max_change < std::max(opt.newton_tolerance, 1e-9));
   }
 
-  attempt.result = extract_result(circuit, st, x);
   attempt.converged = true;
   attempt.x = std::move(x);
   attempt.diode_v = std::move(diode_v);
+  return attempt;
+}
+
+/// newton_attempt over every element of `circuit`, with the converged
+/// iterate extracted into `result`.
+template <typename SolveStep>
+NewtonAttempt newton_attempt(const Circuit& circuit, const SolveOptions& opt,
+                             const Structure& st, const NewtonSeed* seed,
+                             const Deadline& deadline, SolveStep&& solve_step) {
+  const auto& elements = circuit.elements();
+  NewtonAttempt attempt = newton_attempt(elements, diode_indices(elements), opt, st, seed,
+                                         deadline, std::forward<SolveStep>(solve_step));
+  if (attempt.converged) attempt.result = extract_result(circuit, st, attempt.x);
   return attempt;
 }
 

@@ -38,6 +38,19 @@ double OperatingPoint::reading(const std::string& name) const {
   return it->second;
 }
 
+std::vector<std::size_t> reading_elements(const Circuit& circuit) {
+  std::vector<std::size_t> slots;
+  const auto& elements = circuit.elements();
+  for (std::size_t i = 0; i < elements.size(); ++i) {
+    const ElementKind kind = elements[i].kind;
+    if (kind == ElementKind::CurrentSensor || kind == ElementKind::VoltageSensor ||
+        kind == ElementKind::Mcu) {
+      slots.push_back(i);
+    }
+  }
+  return slots;
+}
+
 namespace mna {
 
 OperatingPoint make_operating_point(const Circuit& circuit, const SolveResult& solved) {

@@ -2,9 +2,13 @@
 // the deterministic PRNG, and crash-safe file replacement.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <vector>
 #include <unistd.h>
 
 #include "decisive/base/csv.hpp"
@@ -80,6 +84,53 @@ TEST(Strings, FormatNumberTrimsTrailingZeros) {
   EXPECT_EQ(format_number(3.0), "3");
   EXPECT_EQ(format_number(4.5), "4.5");
   EXPECT_EQ(format_number(-0.0), "0");
+}
+
+TEST(Strings, FormatNumberPrintsWhatPrintfPrints) {
+  // format_number prints without printf; the reference is printf's "%.*f"
+  // in the C locale with the same zero and "-0" trimming.
+  const auto reference = [](double value, int decimals) -> std::string {
+    if (std::isnan(value)) return "nan";
+    if (std::isinf(value)) return value > 0 ? "inf" : "-inf";
+    std::vector<char> buffer(400 + static_cast<std::size_t>(decimals));
+    std::snprintf(buffer.data(), buffer.size(), "%.*f", decimals, value);
+    std::string out(buffer.data());
+    if (out.find('.') != std::string::npos) {
+      while (!out.empty() && out.back() == '0') out.pop_back();
+      if (!out.empty() && out.back() == '.') out.pop_back();
+    }
+    return out == "-0" ? "0" : out;
+  };
+  std::vector<double> values = {0.0, -0.0, 0.5, -0.5, 1.5, 2.5, 0.125, 0.375, -2.5,
+                                1e-7, -1e-7, 5e-7, 123456789.0, -42.0, 1e15, 1e300,
+                                std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::denorm_min()};
+  Rng rng(20261018);
+  for (int i = 0; i < 5000; ++i) {
+    const double mantissa = rng.uniform(-10.0, 10.0);
+    const int exponent = static_cast<int>(rng.below(25)) - 12;
+    values.push_back(mantissa * std::pow(10.0, exponent));
+    // Exact halves and integers: ties at the last printed decimal.
+    values.push_back(static_cast<double>(static_cast<long long>(rng.below(2000000)) - 1000000) /
+                     std::pow(2.0, static_cast<double>(rng.below(12))));
+  }
+  for (const double value : values) {
+    for (int decimals = 0; decimals <= 12; ++decimals) {
+      ASSERT_EQ(format_number(value, decimals), reference(value, decimals))
+          << "value " << value << " decimals " << decimals;
+    }
+  }
+  // Past 22 decimals or 2^53 the exact integer scaling hands over.
+  for (const double value : {0x1p53, -0x1p53 - 2.0, 0x1p52 + 0.5, 1.0 / 3.0, -2.5e-20, 7e-23}) {
+    for (int decimals = 0; decimals <= 30; ++decimals) {
+      ASSERT_EQ(format_number(value, decimals), reference(value, decimals))
+          << "value " << value << " decimals " << decimals;
+    }
+  }
+  EXPECT_EQ(format_number(2.5, -1), "2.5");  // a negative precision means 6, as for printf
 }
 
 TEST(Strings, FormatPercent) {

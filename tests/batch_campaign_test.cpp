@@ -83,6 +83,52 @@ core::ReliabilityModel mcu_reliability() {
   return reliability;
 }
 
+/// `fault` resolved against `nominal` the way the campaign runner resolves
+/// it: the element's index and its faulted_element form.
+struct ResolvedFault {
+  std::size_t index = 0;
+  sim::Element failed;
+};
+
+ResolvedFault resolve(const sim::Circuit& nominal, const sim::Fault& fault) {
+  const sim::Element& element = nominal.get(fault.element);
+  return {static_cast<std::size_t>(&element - nominal.elements().data()),
+          sim::faulted_element(element, fault.kind, fault.drift_factor, 1e12, 1e-3)};
+}
+
+bool eligible(const sim::CampaignContext& context, const sim::Circuit& nominal,
+              const sim::Fault& fault) {
+  const ResolvedFault resolved = resolve(nominal, fault);
+  return context.eligible(resolved.index, resolved.failed);
+}
+
+sim::CampaignSolve try_solve(const sim::CampaignContext& context, const sim::Circuit& nominal,
+                             const sim::Fault& fault, sim::CampaignContext::Workspace& ws) {
+  const ResolvedFault resolved = resolve(nominal, fault);
+  return context.try_solve(resolved.index, resolved.failed, ws);
+}
+
+/// Every slot of a solved fault against a fresh solve of the faulted circuit:
+/// within 1e-6 where the fresh solve has the reading, with an error bound
+/// inside that tolerance; absent (NaN) where it has none.
+void expect_readings_match(const sim::CampaignContext& context, const sim::Circuit& nominal,
+                           const sim::CampaignSolve& solve, const sim::OperatingPoint& fresh,
+                           const std::string& what) {
+  const std::vector<std::size_t>& slots = context.reading_elements();
+  ASSERT_EQ(solve.readings.size(), slots.size()) << what;
+  ASSERT_EQ(solve.reading_error.size(), slots.size()) << what;
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const std::string& name = nominal.elements()[slots[s]].name;
+    const auto it = fresh.readings.find(name);
+    if (it == fresh.readings.end()) {
+      EXPECT_TRUE(std::isnan(solve.readings[s])) << what << " reading " << name;
+      continue;
+    }
+    EXPECT_NEAR(solve.readings[s], it->second, 1e-6) << what << " reading " << name;
+    EXPECT_LE(solve.reading_error[s], 1e-6) << what << " reading " << name;
+  }
+}
+
 /// Options that give the context each factor kind on the small subjects:
 /// the default crossover keeps them dense; a crossover of 1 with the fill
 /// gate opened (a handful of unknowns is a dense pattern) makes them sparse.
@@ -135,6 +181,52 @@ TEST(BatchCampaign, ReferenceSubjectByteIdentical) {
   core::CircuitFmeaOptions options;
   options.safety_goal_observables = {"CS1", "MC1"};
   expect_identity_matrix("power_supply.mdl", built, reliability, options);
+}
+
+// Outside the shipped subjects the byte-identity contract rests on these:
+// seeded general netlists (campaign_subjects::random_general_circuit), each
+// against its naive reference at jobs 1 and 4 three ways — the default
+// campaign (a dense factor on these small systems), the dense-factor one
+// (`sparse = false`), and one with the sparse factor forced on, so the
+// sparse nominal factor, the refactor branch and the low-rank branch all run
+// on small systems. A failing seed is a fast-path bug: fix the fast path,
+// never drop the seed.
+void expect_general_circuits_identical(std::uint32_t first, std::uint32_t last) {
+  const core::ReliabilityModel reliability = random_general_reliability();
+  for (std::uint32_t seed = first; seed <= last; ++seed) {
+    const std::string subject = "general-" + std::to_string(seed);
+    const sim::BuiltCircuit built = random_general_circuit(seed);
+    const CampaignOutput reference = run_campaign(built, reliability, naive({}));
+    for (const int jobs : {1, 4}) {
+      core::CircuitFmeaOptions options;
+      options.jobs = jobs;
+      expect_matches_reference(subject, reference, built, reliability, options);
+      options.sparse = false;
+      expect_matches_reference(subject, reference, built, reliability, options);
+      options.sparse = true;
+      options.solver.sparse_min_dim = 1;
+      options.solver.sparse_max_fill = 1.0;  // a handful of unknowns is a dense pattern
+      expect_matches_reference(subject + " (sparse factor)", reference, built, reliability,
+                               options);
+    }
+  }
+}
+
+TEST(BatchCampaign, RandomGeneralCircuitsByteIdenticalSeeds1To120) {
+  expect_general_circuits_identical(1, 120);
+}
+
+TEST(BatchCampaign, RandomGeneralCircuitsByteIdenticalSeeds121To240) {
+  expect_general_circuits_identical(121, 240);
+}
+
+TEST(BatchCampaign, RandomGeneralCircuitsThatNeedEachGate) {
+  // Seeds past the sweep on which the fast path diverged from naive until a
+  // gate caught it: the cold-start walk (326, 1603), the junction error
+  // bound (274, 582, 1040, 1548) and the reading error bound (577, 720, 759).
+  for (const std::uint32_t seed : {326u, 1603u, 274u, 582u, 1040u, 1548u, 577u, 720u, 759u}) {
+    expect_general_circuits_identical(seed, seed);
+  }
 }
 
 // ------------------------------------------- journal + shard determinism --
@@ -207,19 +299,20 @@ TEST(BatchContext, EligibilityFollowsTheFaultTaxonomy) {
     const sim::CampaignContext context(built.circuit, factor_options(sparse));
     ASSERT_TRUE(context.usable());
     EXPECT_EQ(context.sparse_factor(), sparse);
+    const sim::Circuit& c = built.circuit;
     // Conductance-delta faults on two-terminal passives are low-rank.
-    EXPECT_TRUE(context.eligible({"R1", sim::FaultKind::Open}));
-    EXPECT_TRUE(context.eligible({"R1", sim::FaultKind::Short}));
-    EXPECT_TRUE(context.eligible({"R1", sim::FaultKind::Drift}));
+    EXPECT_TRUE(eligible(context, c, {"R1", sim::FaultKind::Open}));
+    EXPECT_TRUE(eligible(context, c, {"R1", sim::FaultKind::Short}));
+    EXPECT_TRUE(eligible(context, c, {"R1", sim::FaultKind::Drift}));
     // VSource Open/Short delete the branch unknown: structural.
-    EXPECT_FALSE(context.eligible({"V1", sim::FaultKind::Open}));
-    EXPECT_FALSE(context.eligible({"V1", sim::FaultKind::Short}));
+    EXPECT_FALSE(eligible(context, c, {"V1", sim::FaultKind::Open}));
+    EXPECT_FALSE(eligible(context, c, {"V1", sim::FaultKind::Short}));
     // ...but value-only faults on the same source keep the structure.
-    EXPECT_TRUE(context.eligible({"V1", sim::FaultKind::Drift}));
-    EXPECT_TRUE(context.eligible({"V1", sim::FaultKind::StuckOff}));
+    EXPECT_TRUE(eligible(context, c, {"V1", sim::FaultKind::Drift}));
+    EXPECT_TRUE(eligible(context, c, {"V1", sim::FaultKind::StuckOff}));
     // MCU faults never touch the matrix (reading-only / RHS-only).
-    EXPECT_TRUE(context.eligible({"MC1", sim::FaultKind::RamFailure}));
-    EXPECT_TRUE(context.eligible({"MC1", sim::FaultKind::Drift}));
+    EXPECT_TRUE(eligible(context, c, {"MC1", sim::FaultKind::RamFailure}));
+    EXPECT_TRUE(eligible(context, c, {"MC1", sim::FaultKind::Drift}));
   }
 }
 
@@ -238,15 +331,13 @@ TEST(BatchContext, SolvedFaultAgreesWithFreshSolve) {
       const std::string what = fault.element + "/" + std::string(to_string(fault.kind)) +
                                " sparse=" + std::to_string(sparse);
       const sim::Circuit faulted = sim::inject_fault(built.circuit, fault);
-      const sim::CampaignSolve solve = context.try_solve(faulted, fault, ws);
-      ASSERT_TRUE(solve.point.has_value()) << what << ": " << to_string(solve.lowrank);
+      const sim::CampaignSolve solve = try_solve(context, built.circuit, fault, ws);
+      ASSERT_TRUE(solve.solved) << what << ": " << to_string(solve.lowrank);
       EXPECT_EQ(solve.lowrank, sim::BatchOutcome::Solved) << what;
       EXPECT_FALSE(solve.refactor.has_value()) << what;
       EXPECT_TRUE(solve.diagnostics.converged) << what;
-      const auto fresh = sim::dc_operating_point(faulted, options);
-      for (const auto& [name, value] : fresh.readings) {
-        EXPECT_NEAR(solve.point->reading(name), value, 1e-6) << what << " reading " << name;
-      }
+      expect_readings_match(context, built.circuit, solve,
+                            sim::dc_operating_point(faulted, options), what);
     }
   }
 }
@@ -265,21 +356,19 @@ TEST(BatchContext, StructuralFaultReportsStructuralFallback) {
     sim::CampaignContext::Workspace ws;
     auto& partial = obs::Registry::global().counter("decisive_sparse_partial_refactors_total");
     const std::uint64_t partial0 = partial.value();
-    const sim::CampaignSolve solve = context.try_solve(faulted, fault, ws);
+    const sim::CampaignSolve solve = try_solve(context, built.circuit, fault, ws);
     EXPECT_EQ(solve.lowrank, sim::BatchOutcome::Structural) << "sparse=" << sparse;
     if (!sparse) {
-      EXPECT_FALSE(solve.point.has_value());
+      EXPECT_FALSE(solve.solved);
       EXPECT_FALSE(solve.refactor.has_value());
       continue;
     }
     ASSERT_TRUE(solve.refactor.has_value());
     EXPECT_EQ(*solve.refactor, sim::BatchOutcome::Solved);
-    ASSERT_TRUE(solve.point.has_value());
+    ASSERT_TRUE(solve.solved);
     EXPECT_GT(partial.value(), partial0);
-    const auto fresh = sim::dc_operating_point(faulted, options);
-    for (const auto& [name, value] : fresh.readings) {
-      EXPECT_NEAR(solve.point->reading(name), value, 1e-6) << "reading " << name;
-    }
+    expect_readings_match(context, built.circuit, solve,
+                          sim::dc_operating_point(faulted, options), "V1/Short");
   }
 }
 
@@ -295,12 +384,42 @@ TEST(BatchContext, UnsolvableNominalDisablesTheContext) {
     const sim::CampaignContext context(c, factor_options(sparse));
     EXPECT_FALSE(context.usable()) << "sparse=" << sparse;
     sim::CampaignContext::Workspace ws;
-    const sim::Fault fault{"R1", sim::FaultKind::Open};
-    const sim::CampaignSolve solve =
-        context.try_solve(sim::inject_fault(c, fault), fault, ws);
-    EXPECT_FALSE(solve.point.has_value());
+    const sim::CampaignSolve solve = try_solve(context, c, {"R1", sim::FaultKind::Open}, ws);
+    EXPECT_FALSE(solve.solved);
     EXPECT_EQ(solve.lowrank, sim::BatchOutcome::Disabled);
   }
+}
+
+TEST(BatchContext, FaultThatRemovesAReadingMatchesNaive) {
+  // An opened MCU is a plain resistor: its status reading is gone from the
+  // faulted circuit. The context leaves that slot empty, fills every other
+  // one, and the campaign row equals the naive one.
+  const auto built = mcu_rig();
+  const sim::Fault fault{"MC1", sim::FaultKind::Open};
+  const sim::Circuit faulted = sim::inject_fault(built.circuit, fault);
+  ASSERT_EQ(sim::dc_operating_point(faulted).readings.count("MC1"), 0u);
+  for (const bool sparse : {false, true}) {
+    const sim::SolveOptions options = factor_options(sparse);
+    const sim::CampaignContext context(built.circuit, options);
+    ASSERT_TRUE(context.usable());
+    sim::CampaignContext::Workspace ws;
+    const sim::CampaignSolve solve = try_solve(context, built.circuit, fault, ws);
+    ASSERT_TRUE(solve.solved) << "sparse=" << sparse << ": " << to_string(solve.lowrank);
+    EXPECT_EQ(solve.lowrank, sim::BatchOutcome::Solved) << "sparse=" << sparse;
+    expect_readings_match(context, built.circuit, solve,
+                          sim::dc_operating_point(faulted, options),
+                          "MC1/Open sparse=" + std::to_string(sparse));
+  }
+
+  core::ReliabilityModel reliability;
+  reliability.add("Mcu", 20.0, {{"Open", 1.0}});
+  auto& batched = obs::Registry::global().counter("decisive_campaign_batched_rows_total");
+  const std::uint64_t batched0 = batched.value();
+  const CampaignOutput fast = run_campaign(built, reliability, {});
+  EXPECT_EQ(batched.value() - batched0, 1u) << "the fast path did not take the row";
+  const CampaignOutput reference = run_campaign(built, reliability, naive({}));
+  EXPECT_EQ(fast.csv, reference.csv);
+  EXPECT_EQ(fast.warnings, reference.warnings);
 }
 
 // ------------------------------------- Sherman–Morrison numerical ground --

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -118,6 +119,168 @@ inline core::ReliabilityModel random_rail_reliability() {
   return reliability;
 }
 
+/// Seeded small general netlist, the fast path's differential subject away
+/// from rails. Every element is a component of its own kind's type.
+///  - A spanning tree over 3–7 nodes of resistors, inductors, closed
+///    switches and current-sensed branches. Inductors (0 V at DC) sit only on
+///    tree edges, so they close no loop.
+///  - Meshes and bridges on top: resistors, switches, diodes that close loops
+///    and anti-parallel diode pairs.
+///  - One to three sources. Each voltage source drives the network through
+///    its own series resistor; the first one through a current sensor too.
+///    Each current source has a parallel resistor, so its current always has
+///    a path.
+///  - MCU loads, voltage sensors, and often a capacitor-isolated island that
+///    floats at DC.
+/// Values stay within 1 Ω–1 MΩ. Faults then open tree edges, strand
+/// sources behind reverse-biased diodes and tie the island in: systems whose
+/// conditioning the fast path has to notice.
+inline sim::BuiltCircuit random_general_circuit(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  const auto pick = [&](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
+  const auto log_uniform = [&](double lo, double hi) {
+    return std::exp(std::uniform_real_distribution<double>(std::log(lo), std::log(hi))(rng));
+  };
+
+  sim::BuiltCircuit built;
+  sim::Circuit& c = built.circuit;
+  int serial = 0;
+  const auto named = [&](const char* type, const char* prefix) {
+    std::string name = prefix + std::to_string(serial++);
+    built.components.push_back({name, type, name});
+    return name;
+  };
+  const auto resistor = [&](int a, int b, double lo, double hi) {
+    c.add_resistor(named("Resistor", "R"), a, b, log_uniform(lo, hi));
+  };
+  const auto diode = [&](int a, int b) { c.add_diode(named("Diode", "D"), a, b); };
+  const auto voltage_sensor = [&](int a, int b) {
+    const std::string name = named("VoltageSensor", "VS");
+    c.add_voltage_sensor(name, a, b);
+    built.observables.push_back(name);
+  };
+  const auto current_sensor = [&](int a, int b) {
+    const std::string name = named("CurrentSensor", "CS");
+    c.add_current_sensor(name, a, b);
+    built.observables.push_back(name);
+  };
+
+  std::vector<int> nodes{0};
+  const int main_nodes = pick(3, 7);
+  for (int i = 0; i < main_nodes; ++i) nodes.push_back(c.make_node());
+  const auto any_node = [&] { return nodes[static_cast<std::size_t>(pick(0, main_nodes))]; };
+  const auto live_node = [&] { return nodes[static_cast<std::size_t>(pick(1, main_nodes))]; };
+  const auto other_node = [&](int a) {  // any node but `a` (ground when the draw hits `a`)
+    const int b = any_node();
+    return b == a ? 0 : b;
+  };
+
+  // Spanning tree of DC-solid edges: every node has a DC path to ground, so
+  // the nominal system is well conditioned.
+  for (int i = 1; i <= main_nodes; ++i) {
+    const int node = nodes[static_cast<std::size_t>(i)];
+    const int parent = nodes[static_cast<std::size_t>(pick(0, i - 1))];
+    switch (pick(0, 9)) {
+      case 0:
+        c.add_switch(named("Switch", "SW"), node, parent, true);
+        break;
+      case 1:
+        c.add_inductor(named("Inductor", "L"), node, parent, log_uniform(1e-6, 1.0));
+        break;
+      case 2: {
+        const int mid = c.make_node();
+        current_sensor(node, mid);
+        resistor(mid, parent, 1.0, 1e4);
+        break;
+      }
+      default:
+        resistor(node, parent, 10.0, 1e5);
+        break;
+    }
+  }
+
+  // Meshes and bridges.
+  for (int extra = pick(1, 4); extra > 0; --extra) {
+    const int a = live_node();
+    const int b = other_node(a);
+    switch (pick(0, 9)) {
+      case 0:
+      case 1:
+        diode(a, b);
+        break;
+      case 2:
+        diode(a, b);
+        diode(b, a);
+        break;
+      case 3:
+        c.add_switch(named("Switch", "SW"), a, b, pick(0, 1) != 0);
+        break;
+      default:
+        resistor(a, b, 1.0, 1e6);
+        break;
+    }
+  }
+
+  // Sources: the first is a voltage source.
+  const int sources = pick(1, 3);
+  for (int s = 0; s < sources; ++s) {
+    if (s == 0 || pick(0, 1) == 0) {
+      const int plus = c.make_node();
+      c.add_vsource(named("VSource", "V"), plus, pick(0, 2) == 0 ? live_node() : 0,
+                    log_uniform(1.0, 12.0));
+      int feed = plus;
+      if (s == 0) {
+        feed = c.make_node();
+        current_sensor(plus, feed);
+      }
+      resistor(feed, live_node(), 1.0, 1e3);
+    } else {
+      const int a = live_node();
+      const int b = other_node(a);
+      c.add_isource(named("ISource", "I"), a, b, log_uniform(1e-5, 1e-3));
+      resistor(a, b, 100.0, 1e4);
+    }
+  }
+
+  for (int m = pick(0, 2); m > 0; --m) {
+    const std::string name = named("Mcu", "MC");
+    c.add_mcu(name, live_node(), 0, log_uniform(100.0, 1e5));
+    built.observables.push_back(name);
+  }
+  for (int v = pick(1, 3); v > 0; --v) {
+    const int a = live_node();
+    voltage_sensor(a, other_node(a));
+  }
+
+  // A passive island coupled to the network only through capacitors: it
+  // floats at 0 V, held by gmin alone, until a capacitor Short ties it in.
+  if (pick(0, 2) != 0) {
+    const int i1 = c.make_node();
+    const int i2 = c.make_node();
+    resistor(i1, i2, 1.0, 1e6);
+    if (pick(0, 1) == 0) diode(i2, i1);
+    c.add_capacitor(named("Capacitor", "C"), i1, live_node(), log_uniform(1e-9, 1e-3));
+    c.add_capacitor(named("Capacitor", "C"), i2, pick(0, 1) == 0 ? 0 : live_node(),
+                    log_uniform(1e-9, 1e-3));
+    voltage_sensor(i1, pick(0, 1) == 0 ? 0 : i2);
+  }
+  return built;
+}
+
+/// Every element kind gets every fault kind, so the not-applicable rows
+/// (RAM failure on a resistor, any fault on an observation point) are part
+/// of each campaign too.
+inline core::ReliabilityModel random_general_reliability() {
+  core::ReliabilityModel reliability;
+  double fit = 1.0;
+  for (const char* type : {"Resistor", "Capacitor", "Inductor", "Diode", "VSource", "ISource",
+                           "CurrentSensor", "VoltageSensor", "Switch", "Mcu"}) {
+    reliability.add(type, fit++, {{"Open", 0.25}, {"Short", 0.25}, {"Drift", 0.2},
+                                  {"Stuck Off", 0.15}, {"RAM Failure", 0.15}});
+  }
+  return reliability;
+}
+
 struct CampaignOutput {
   std::string csv;
   std::vector<std::string> warnings;
@@ -139,6 +302,20 @@ inline core::CircuitFmeaOptions naive(core::CircuitFmeaOptions options) {
   return options;
 }
 
+/// One campaign configuration against the naive reference's CSV and
+/// warnings.
+inline void expect_matches_reference(const std::string& subject, const CampaignOutput& reference,
+                                     const sim::BuiltCircuit& built,
+                                     const core::ReliabilityModel& reliability,
+                                     const core::CircuitFmeaOptions& options) {
+  const CampaignOutput run = run_campaign(built, reliability, options);
+  EXPECT_EQ(run.csv, reference.csv) << subject << ": FMEDA diverged at sparse=" << options.sparse
+                                    << " jobs=" << options.jobs;
+  EXPECT_EQ(run.warnings, reference.warnings)
+      << subject << ": warnings diverged at sparse=" << options.sparse
+      << " jobs=" << options.jobs;
+}
+
 /// One row of the identity matrix: the default campaign and the dense-factor
 /// one (`sparse = false`), each at jobs 1, 4 and 8, must emit the naive
 /// reference's CSV and warnings for this subject.
@@ -150,11 +327,7 @@ inline void expect_identity_matrix(const std::string& subject, const sim::BuiltC
     for (const int jobs : {1, 4, 8}) {
       options.sparse = sparse;
       options.jobs = jobs;
-      const CampaignOutput run = run_campaign(built, reliability, options);
-      EXPECT_EQ(run.csv, reference.csv)
-          << subject << ": FMEDA diverged at sparse=" << sparse << " jobs=" << jobs;
-      EXPECT_EQ(run.warnings, reference.warnings)
-          << subject << ": warnings diverged at sparse=" << sparse << " jobs=" << jobs;
+      expect_matches_reference(subject, reference, built, reliability, options);
     }
   }
 }

@@ -187,6 +187,18 @@ TEST(Cli, FmeaRejectsOutOfRangeJobs) {
   }
 }
 
+TEST(Cli, FmeaHugeJobCountMatchesSerial) {
+  // The largest accepted --jobs used to size the campaign's heartbeat rows
+  // before the pool was capped at the task count, and died of bad_alloc.
+  const std::string args = "fmea " + kAssets + "/power_supply.mdl --reliability " + kAssets +
+                           "/reliability_workbook --sm-model --goals CS1,MC1 --jobs ";
+  const auto serial = run(args + "1");
+  const auto huge = run(args + "2147483647");
+  EXPECT_EQ(serial.exit_code, 0) << serial.output;
+  EXPECT_EQ(huge.exit_code, 0) << huge.output;
+  EXPECT_EQ(huge.output, serial.output);
+}
+
 TEST(Cli, ValidateWellFormedModel) {
   const auto result = run("validate " + kAssets + "/brake_chain.ssam");
   EXPECT_EQ(result.exit_code, 0) << result.output;
@@ -254,6 +266,24 @@ TEST(Cli, GraphFmeaOutputIdenticalAcrossJobCounts) {
                                    std::istreambuf_iterator<char>());
   EXPECT_FALSE(serial_bytes.empty());
   EXPECT_EQ(serial_bytes, parallel_bytes);
+}
+
+TEST(Cli, GraphFmeaHugeJobCountMatchesSerial) {
+  TempDir tmp;
+  const auto serial = (tmp.path / "serial.csv").string();
+  const auto huge = (tmp.path / "huge.csv").string();
+  const std::string args = "graph-fmea " + kAssets + "/brake_chain.ssam --component BrakeChain";
+  const auto run1 = run(args + " --jobs 1 --out " + serial);
+  const auto run2 = run(args + " --jobs 2147483647 --out " + huge);
+  EXPECT_EQ(run1.exit_code, 0) << run1.output;
+  EXPECT_EQ(run2.exit_code, 0) << run2.output;
+  std::ifstream a(serial), b(huge);
+  const std::string serial_bytes((std::istreambuf_iterator<char>(a)),
+                                 std::istreambuf_iterator<char>());
+  const std::string huge_bytes((std::istreambuf_iterator<char>(b)),
+                               std::istreambuf_iterator<char>());
+  EXPECT_FALSE(serial_bytes.empty());
+  EXPECT_EQ(huge_bytes, serial_bytes);
 }
 
 TEST(Cli, GraphFmeaUnknownComponentFails) {
@@ -503,6 +533,16 @@ TEST(Cli, SmSearchOutputIdenticalAcrossJobCounts) {
   // The merge tree's shape depends only on the row count, so any job count
   // must produce byte-identical output.
   EXPECT_EQ(serial.output, parallel.output);
+}
+
+TEST(Cli, SmSearchHugeJobCountMatchesSerial) {
+  // The Pareto DP's helper threads are capped at the merge tree's leaves.
+  TempDir tmp;
+  const auto catalogue = write_catalogue(tmp);
+  const auto serial = run(sm_search_args(catalogue) + " --pareto --jobs 1");
+  const auto huge = run(sm_search_args(catalogue) + " --pareto --jobs 2147483647");
+  EXPECT_EQ(serial.exit_code, 0) << serial.output;
+  EXPECT_EQ(huge.output, serial.output);
 }
 
 TEST(Cli, SmSearchReachesTargetAsil) {
