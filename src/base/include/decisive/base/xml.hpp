@@ -4,6 +4,7 @@
 // entities. No namespaces-aware processing (prefixes are kept verbatim).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -43,12 +44,55 @@ struct Element {
 /// Throws ParseError on malformed input.
 std::unique_ptr<Element> parse(std::string_view text);
 
+/// Parses like parse(), but hands each child element of the root to
+/// `on_child` (with the root's name and attributes) as soon as that child is
+/// complete, and keeps none of them, so a document of many records is never
+/// held as one tree. Returns the root without children. A malformed document
+/// throws ParseError once the parser reaches the fault, after `on_child` saw
+/// the children before it.
+std::unique_ptr<Element> parse_children(
+    std::string_view text,
+    const std::function<void(const Element& root, const Element& child)>& on_child);
+
 /// Reads and parses an XML file; throws IoError/ParseError.
 std::unique_ptr<Element> parse_file(const std::string& path);
 
 /// Serialises the element tree with 2-space indentation and an XML
 /// declaration.
 std::string write(const Element& root);
+
+/// Streams a document in write()'s layout without building an element tree,
+/// so a large document is held only once, as text. Calls nest like the tree
+/// they describe: `start`, then that element's attributes, its text and its
+/// children, then `end`.
+class Writer {
+ public:
+  /// Appends to `out`, beginning with the XML declaration.
+  explicit Writer(std::string& out);
+
+  /// Opens an element inside the innermost open one (the root when none is).
+  void start(std::string_view name);
+  /// Adds an attribute to the element just started.
+  void attribute(std::string_view name, std::string_view value);
+  /// Sets the innermost open element's character data; call it at most once,
+  /// before its children.
+  void text(std::string_view content);
+  /// Closes the innermost open element.
+  void end();
+
+ private:
+  /// How far an open element's start tag and content have been written.
+  enum class Open { Tag, Text, Children };
+  struct Frame {
+    std::string name;
+    Open state = Open::Tag;
+  };
+
+  void indent(size_t depth);
+
+  std::string& out_;
+  std::vector<Frame> open_;
+};
 
 /// Writes the document to a file; throws IoError on failure.
 void write_file(const std::string& path, const Element& root);

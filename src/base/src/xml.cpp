@@ -53,13 +53,16 @@ void Element::set_attribute(std::string attr_name, std::string value) {
 
 namespace {
 
+/// Receives each child of the document root instead of the root keeping it.
+using ChildSink = std::function<void(const Element& root, const Element& child)>;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
-  std::unique_ptr<Element> parse_document() {
+  std::unique_ptr<Element> parse_document(const ChildSink* root_children = nullptr) {
     skip_misc();
-    auto root = parse_element();
+    auto root = parse_element(root_children);
     skip_misc();
     if (pos_ != text_.size()) fail("trailing content after document element");
     return root;
@@ -178,7 +181,8 @@ class Parser {
     return out;
   }
 
-  std::unique_ptr<Element> parse_element() {
+  /// Parses one element; its children go to `sink` when given, else into it.
+  std::unique_ptr<Element> parse_element(const ChildSink* sink = nullptr) {
     expect("<");
     auto element = std::make_unique<Element>();
     element->name = parse_name();
@@ -222,7 +226,12 @@ class Parser {
         expect(">");
         return element;
       } else if (!eof() && peek() == '<') {
-        element->children.push_back(parse_element());
+        std::unique_ptr<Element> child = parse_element();
+        if (sink != nullptr) {
+          (*sink)(*element, *child);
+        } else {
+          element->children.push_back(std::move(child));
+        }
       } else {
         const size_t start = pos_;
         while (!eof() && peek() != '<') ++pos_;
@@ -240,37 +249,21 @@ class Parser {
   size_t pos_ = 0;
 };
 
-void write_element(const Element& element, int depth, std::string& out) {
-  const std::string indent(static_cast<size_t>(depth) * 2, ' ');
-  out += indent;
-  out += '<';
-  out += element.name;
-  for (const auto& [k, v] : element.attributes) {
-    out += ' ';
-    out += k;
-    out += "=\"";
-    out += escape(v);
-    out += '"';
-  }
-  if (element.children.empty() && element.text.empty()) {
-    out += "/>\n";
-    return;
-  }
-  out += '>';
-  if (!element.text.empty()) out += escape(element.text);
-  if (!element.children.empty()) {
-    out += '\n';
-    for (const auto& child : element.children) write_element(*child, depth + 1, out);
-    out += indent;
-  }
-  out += "</";
-  out += element.name;
-  out += ">\n";
+void write_element(const Element& element, Writer& writer) {
+  writer.start(element.name);
+  for (const auto& [k, v] : element.attributes) writer.attribute(k, v);
+  if (!element.text.empty()) writer.text(element.text);
+  for (const auto& child : element.children) write_element(*child, writer);
+  writer.end();
 }
 
 }  // namespace
 
 std::unique_ptr<Element> parse(std::string_view text) { return Parser(text).parse_document(); }
+
+std::unique_ptr<Element> parse_children(std::string_view text, const ChildSink& on_child) {
+  return Parser(text).parse_document(&on_child);
+}
 
 std::unique_ptr<Element> parse_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -281,9 +274,56 @@ std::unique_ptr<Element> parse_file(const std::string& path) {
 }
 
 std::string write(const Element& root) {
-  std::string out = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
-  write_element(root, 0, out);
+  std::string out;
+  Writer writer(out);
+  write_element(root, writer);
   return out;
+}
+
+Writer::Writer(std::string& out) : out_(out) {
+  out_ += "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
+}
+
+void Writer::indent(size_t depth) { out_.append(depth * 2, ' '); }
+
+void Writer::start(std::string_view name) {
+  if (!open_.empty()) {
+    Frame& parent = open_.back();
+    if (parent.state == Open::Tag) out_ += '>';
+    if (parent.state != Open::Children) out_ += '\n';
+    parent.state = Open::Children;
+  }
+  indent(open_.size());
+  out_ += '<';
+  out_ += name;
+  open_.push_back({std::string(name), Open::Tag});
+}
+
+void Writer::attribute(std::string_view name, std::string_view value) {
+  out_ += ' ';
+  out_ += name;
+  out_ += "=\"";
+  out_ += escape(value);
+  out_ += '"';
+}
+
+void Writer::text(std::string_view content) {
+  out_ += '>';
+  out_ += escape(content);
+  open_.back().state = Open::Text;
+}
+
+void Writer::end() {
+  const Frame frame = std::move(open_.back());
+  open_.pop_back();
+  if (frame.state == Open::Tag) {
+    out_ += "/>\n";
+    return;
+  }
+  if (frame.state == Open::Children) indent(open_.size());
+  out_ += "</";
+  out_ += frame.name;
+  out_ += ">\n";
 }
 
 void write_file(const std::string& path, const Element& root) {

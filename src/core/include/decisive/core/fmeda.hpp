@@ -133,6 +133,9 @@ struct FmedaResult {
   /// achieved_asil(spfm()) when the analysis has safety-related hardware,
   /// "no safety-related hardware" otherwise — never a vacuous ASIL-D claim.
   [[nodiscard]] std::string asil_label() const;
+  /// The same label for `spfm`, the value of spfm() the caller already
+  /// computed (each spfm() call is a pass over the rows).
+  [[nodiscard]] std::string asil_label(double spfm) const;
 
   /// Rows for one component, by display name (matches every identity sharing
   /// the name).

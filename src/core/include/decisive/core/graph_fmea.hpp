@@ -17,6 +17,8 @@
 // the recursive walk are independent const reads of the model and run on a
 // thread pool (`jobs`); rows, warnings and model write-backs are emitted by a
 // serial walk afterwards, so the output is byte-identical for any job count.
+// GraphFmea keeps that walk resident: after an edit it re-analyses and
+// re-emits only the units the edited component belongs to (DESIGN.md §8–9).
 //
 // The analysis also *writes back* its verdicts: each FailureMode's
 // `safetyRelated` attribute is set, and a FailureEffect child with the
@@ -26,8 +28,13 @@
 // accumulate duplicates.
 #pragma once
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "decisive/core/fmeda.hpp"
 #include "decisive/core/safety_mechanism.hpp"
+#include "decisive/ssam/graph.hpp"
 #include "decisive/ssam/model.hpp"
 
 namespace decisive::core {
@@ -52,15 +59,75 @@ struct GraphFmeaOptions {
   double heartbeat_interval_seconds = 1.0;
 };
 
-/// Observability of one analyze_component run.
+/// Observability of one analysis run.
 struct GraphFmeaStats {
-  size_t units = 0;  ///< composite components the walk visited
+  size_t units = 0;     ///< composite components the walk visits
+  size_t analysed = 0;  ///< units this run re-analysed (all of them when cold)
 };
 
-/// Runs Algorithm 1 on `component` (a composite SSAM Component). Mutates the
-/// model: failure modes get their `safetyRelated` verdict and a
-/// FailureEffect. Throws AnalysisError when the component has no boundary
-/// IONodes or an IONode carries an invalid `direction`.
+/// Algorithm 1 kept resident across the edits of one model: the session's
+/// edit loop (DESIGN.md §9). For each analysis unit it keeps the unit's
+/// single-point verdicts and, for each of its subcomponents, the span of
+/// rows and warnings that subcomponent emitted, in walk order. `mark` names
+/// the component an edit changed; the next `analyze` rebuilds the graph and
+/// verdicts of only the units that edit can reach, re-emits their rows,
+/// warnings and model write-backs, and splices their spans in place. Rows of
+/// clean units are neither recomputed nor copied.
+///
+/// The walk (which units exist, their subcomponents and IONodes) is fixed
+/// when the object is built, and every unit starts dirty, so the first
+/// `analyze` is a cold run: analyze_component is exactly that. An edit that
+/// changes containment or IONodes needs a new object; attribute edits, new
+/// failure modes, new mechanisms and new relationships only need `mark`.
+class GraphFmea {
+ public:
+  /// Walks the units under `component` (a composite SSAM Component).
+  GraphFmea(ssam::SsamModel& ssam, ssam::ObjectId component, GraphFmeaOptions options = {});
+
+  /// Marks dirty the units an edit of `component` can change: each unit that
+  /// lists it as a subcomponent (its rows) and its own unit (its graph).
+  void mark(ssam::ObjectId component);
+
+  /// Re-analyses the dirty units and returns the FMEA of the current model.
+  /// Mutates the model: failure modes of re-emitted units get their
+  /// `safetyRelated` verdict and a FailureEffect. Throws AnalysisError when a
+  /// dirty unit has no boundary IONodes or an IONode carries an invalid
+  /// `direction`; the result and the model are then left as they were and
+  /// the units stay dirty.
+  const FmedaResult& analyze(GraphFmeaStats* stats = nullptr);
+
+  /// The result of the last `analyze` (empty before the first).
+  [[nodiscard]] const FmedaResult& result() const& noexcept { return result_; }
+  [[nodiscard]] FmedaResult result() && { return std::move(result_); }
+
+ private:
+  struct Unit {
+    ssam::ObjectId component = model::kNullObject;
+    std::string path;  ///< qualified path from the analysis root
+    std::optional<ssam::SinglePointAnalysis> verdicts;
+    bool dirty = true;
+  };
+  /// What one subcomponent of one unit emitted, in walk order: a span of the
+  /// result's rows and a span of its warnings.
+  struct Segment {
+    size_t unit = 0;
+    ssam::ObjectId sub = model::kNullObject;
+    size_t rows = 0;
+    size_t warnings = 0;
+  };
+
+  ssam::SsamModel* ssam_;
+  GraphFmeaOptions options_;
+  std::vector<Unit> units_;        ///< pre-order
+  std::vector<Segment> segments_;  ///< walk order
+  FmedaResult result_;
+  bool empty_denominator_note_ = false;  ///< the last warning says SPFM is vacuous
+};
+
+/// Runs Algorithm 1 on `component` (a composite SSAM Component): a cold
+/// GraphFmea run. Mutates the model: failure modes get their `safetyRelated`
+/// verdict and a FailureEffect. Throws AnalysisError when the component has
+/// no boundary IONodes or an IONode carries an invalid `direction`.
 ///
 /// `stats` (optional) receives the number of analysis units.
 FmedaResult analyze_component(ssam::SsamModel& ssam, ssam::ObjectId component,

@@ -105,9 +105,11 @@ double FmedaResult::spfm() const {
   return 1.0 - single_point_fit() / denominator;
 }
 
-std::string FmedaResult::asil_label() const {
+std::string FmedaResult::asil_label() const { return asil_label(spfm()); }
+
+std::string FmedaResult::asil_label(double spfm) const {
   if (!has_safety_related()) return "no safety-related hardware";
-  return achieved_asil(spfm());
+  return achieved_asil(spfm);
 }
 
 std::vector<const FmedaRow*> FmedaResult::rows_of(std::string_view component) const {

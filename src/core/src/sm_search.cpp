@@ -899,14 +899,14 @@ std::string front_to_json(const FmedaResult& fmea, const std::vector<Deployment>
       c["mechanism"] = choice.mechanism->name;
       c["coverage"] = choice.mechanism->coverage;
       c["cost_hours"] = choice.mechanism->cost_hours;
-      choices.push_back(std::move(c));
+      choices.emplace_back(std::move(c));
     }
     json::Object point;
     point["cost_hours"] = d.total_cost_hours;
     point["spfm"] = d.spfm;
     point["asil"] = achieved_asil(d.spfm);
     point["choices"] = std::move(choices);
-    points.push_back(std::move(point));
+    points.emplace_back(std::move(point));
   }
   json::Object root;
   root["front"] = std::move(points);

@@ -79,12 +79,16 @@ LfmResult classify_latent(const ssam::SsamModel& ssam, const core::FaultTree& tr
     LfmRow row;
     row.row_index = i;
 
+    // Membership first: most rows' components are in no cut set, and
+    // resolving a row's failure mode is a name scan over its component.
     const auto order_it = min_order.find(fmea_row.component_id);
+    if (order_it == min_order.end()) {
+      out.rows.push_back(row);  // NotInvolved
+      continue;
+    }
     const ObjectId fm = failure_mode_of(ssam, fmea_row);
-    const bool loss_mode =
-        fm != model::kNullObject &&
-        core::is_loss_failure_nature(ssam.obj(fm).get_string("nature"));
-    if (order_it == min_order.end() || !loss_mode) {
+    if (fm == model::kNullObject ||
+        !core::is_loss_failure_nature(ssam.obj(fm).get_string("nature"))) {
       out.rows.push_back(row);  // NotInvolved
       continue;
     }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -74,6 +75,16 @@ class ModelObject {
   /// All targets (empty when unset).
   [[nodiscard]] const std::vector<ObjectId>& refs(std::string_view ref_name) const;
 
+  /// All targets of `ref`, a reference of this object's class resolved once
+  /// by the caller (empty when unset). Resolves no name.
+  [[nodiscard]] const std::vector<ObjectId>& refs(const MetaReference& ref) const noexcept;
+
+  /// One reference slot: a reference and its targets.
+  using RefSlot = std::pair<const MetaReference*, std::vector<ObjectId>>;
+
+  /// Every reference slot set on this object, in the order first set.
+  [[nodiscard]] const std::vector<RefSlot>& ref_slots() const noexcept { return refs_; }
+
   /// First target or kNullObject.
   [[nodiscard]] ObjectId ref(std::string_view ref_name) const;
 
@@ -87,7 +98,7 @@ class ModelObject {
   const MetaClass* cls_;
   ObjectId id_;
   std::vector<std::pair<const MetaAttribute*, Value>> attrs_;
-  std::vector<std::pair<const MetaReference*, std::vector<ObjectId>>> refs_;
+  std::vector<RefSlot> refs_;
 };
 
 }  // namespace decisive::model

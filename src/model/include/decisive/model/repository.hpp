@@ -14,7 +14,6 @@
 #include <limits>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "decisive/model/object.hpp"
@@ -54,7 +53,8 @@ class FullLoadRepository {
   FullLoadRepository& operator=(FullLoadRepository&&) = default;
 
   /// Creates a new object of the (concrete) class; throws CapacityError when
-  /// the budget would be exceeded.
+  /// the budget would be exceeded. Ids run from 1 in creation order, and no
+  /// object is ever removed, so ids are exactly 1..size().
   ModelObject& create(const MetaClass& cls);
 
   /// Object lookup; nullptr for unknown/null ids.
@@ -95,8 +95,7 @@ class FullLoadRepository {
   size_t budget_;
   size_t approx_bytes_ = 0;
   ObjectId next_id_ = 1;
-  std::deque<ModelObject> objects_;
-  std::unordered_map<ObjectId, size_t> index_;
+  std::deque<ModelObject> objects_;  ///< object with id N at [N - 1]
 };
 
 /// Columnar, streaming attribute index — the scalable back-end.

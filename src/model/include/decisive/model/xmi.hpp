@@ -18,7 +18,8 @@ void save_xmi_file(const std::string& path, const FullLoadRepository& repo,
 
 /// Parses XMI-style text into the repository (appending to existing content).
 /// Object ids in the file are remapped to fresh repository ids; references
-/// are resolved after all objects exist. Throws ParseError/ModelError.
+/// are resolved after all objects exist. Throws ParseError/ModelError; the
+/// objects read before the fault stay in the repository.
 void load_xmi(FullLoadRepository& repo, const MetaPackage& package, std::string_view text);
 
 /// Reads and loads an XMI file; throws IoError/ParseError/ModelError.

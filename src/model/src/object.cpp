@@ -147,7 +147,10 @@ void ModelObject::set_ref(std::string_view ref_name, ObjectId target) {
 }
 
 const std::vector<ObjectId>& ModelObject::refs(std::string_view ref_name) const {
-  const MetaReference& ref = cls_->reference(ref_name);
+  return refs(cls_->reference(ref_name));
+}
+
+const std::vector<ObjectId>& ModelObject::refs(const MetaReference& ref) const noexcept {
   for (const auto& [r, targets] : refs_) {
     if (r == &ref) return targets;
   }

@@ -19,19 +19,18 @@ void FullLoadRepository::charge(size_t bytes) {
 ModelObject& FullLoadRepository::create(const MetaClass& cls) {
   const ObjectId id = next_id_++;
   objects_.emplace_back(cls, id);
-  index_.emplace(id, objects_.size() - 1);
   charge(objects_.back().approx_bytes() + sizeof(void*) * 4);
   return objects_.back();
 }
 
+// create() is the only insertion point and nothing is ever removed, so the
+// object with id N sits at objects_[N - 1].
 ModelObject* FullLoadRepository::find(ObjectId id) noexcept {
-  const auto it = index_.find(id);
-  return it == index_.end() ? nullptr : &objects_[it->second];
+  return id == kNullObject || id > objects_.size() ? nullptr : &objects_[id - 1];
 }
 
 const ModelObject* FullLoadRepository::find(ObjectId id) const noexcept {
-  const auto it = index_.find(id);
-  return it == index_.end() ? nullptr : &objects_[it->second];
+  return id == kNullObject || id > objects_.size() ? nullptr : &objects_[id - 1];
 }
 
 ModelObject& FullLoadRepository::get(ObjectId id) {

@@ -11,34 +11,41 @@
 namespace decisive::model {
 
 std::string save_xmi(const FullLoadRepository& repo, const MetaPackage& package) {
-  xml::Element root;
-  root.name = "model";
-  root.set_attribute("package", package.name());
+  // Streamed, not built as an element tree first: the tree of a large model
+  // takes several times the memory of the model itself.
+  std::string out;
+  xml::Writer xml(out);
+  xml.start("model");
+  xml.attribute("package", package.name());
   repo.for_each([&](const ModelObject& obj) {
-    xml::Element& el = root.add_child("object");
-    el.set_attribute("id", std::to_string(obj.id()));
-    el.set_attribute("class", obj.meta().name());
+    xml.start("object");
+    xml.attribute("id", std::to_string(obj.id()));
+    xml.attribute("class", obj.meta().name());
     for (const MetaAttribute* attr : obj.meta().all_attributes()) {
       const Value& v = obj.get(attr->name);
       if (std::holds_alternative<std::monostate>(v)) continue;
-      xml::Element& a = el.add_child("attr");
-      a.set_attribute("name", attr->name);
-      a.set_attribute("value", value_to_string(v));
+      xml.start("attr");
+      xml.attribute("name", attr->name);
+      xml.attribute("value", value_to_string(v));
+      xml.end();
     }
     for (const MetaReference* ref : obj.meta().all_references()) {
-      const auto& targets = obj.refs(ref->name);
+      const auto& targets = obj.refs(*ref);
       if (targets.empty()) continue;
-      xml::Element& r = el.add_child("ref");
-      r.set_attribute("name", ref->name);
       std::string ids;
       for (size_t i = 0; i < targets.size(); ++i) {
         if (i != 0) ids += ' ';
         ids += std::to_string(targets[i]);
       }
-      r.set_attribute("targets", ids);
+      xml.start("ref");
+      xml.attribute("name", ref->name);
+      xml.attribute("targets", ids);
+      xml.end();
     }
+    xml.end();
   });
-  return xml::write(root);
+  xml.end();
+  return out;
 }
 
 void save_xmi_file(const std::string& path, const FullLoadRepository& repo,
@@ -50,29 +57,30 @@ void save_xmi_file(const std::string& path, const FullLoadRepository& repo,
 }
 
 void load_xmi(FullLoadRepository& repo, const MetaPackage& package, std::string_view text) {
-  const auto root = xml::parse(text);
-  if (root->name != "model") throw ParseError("expected <model> document root");
-
-  // Pass 1: create objects, remember the id remapping.
+  // Each <object> is created, with its attributes, as soon as the parser
+  // completes it, and then dropped: the element tree of a large model takes
+  // several times the memory of the model itself. References wait until
+  // every object exists (they may point forward), as one (object,
+  // reference, file id) triple per target.
+  struct PendingRef {
+    ObjectId object = kNullObject;
+    const MetaReference* ref = nullptr;
+    std::uint64_t target = 0;
+  };
   std::unordered_map<std::uint64_t, ObjectId> remap;
-  std::vector<std::pair<ObjectId, const xml::Element*>> created;
-  for (const auto& child : root->children) {
-    if (child->name != "object") continue;
-    const std::string* cls_name = child->attribute("class");
-    const std::string* file_id = child->attribute("id");
+  std::vector<PendingRef> pending;
+  const auto root = xml::parse_children(text, [&](const xml::Element& doc,
+                                                  const xml::Element& child) {
+    if (doc.name != "model") throw ParseError("expected <model> document root");
+    if (child.name != "object") return;
+    const std::string* cls_name = child.attribute("class");
+    const std::string* file_id = child.attribute("id");
     if (cls_name == nullptr || file_id == nullptr) {
       throw ParseError("<object> requires 'id' and 'class' attributes");
     }
-    const MetaClass& cls = package.get(*cls_name);
-    ModelObject& obj = repo.create(cls);
+    ModelObject& obj = repo.create(package.get(*cls_name));
     remap[static_cast<std::uint64_t>(parse_int(*file_id))] = obj.id();
-    created.emplace_back(obj.id(), child.get());
-  }
-
-  // Pass 2: attributes and references.
-  for (const auto& [id, element] : created) {
-    ModelObject& obj = repo.get(id);
-    for (const auto& feature : element->children) {
+    for (const auto& feature : child.children) {
       if (feature->name == "attr") {
         const std::string* name = feature->attribute("name");
         const std::string* value = feature->attribute("value");
@@ -90,14 +98,20 @@ void load_xmi(FullLoadRepository& repo, const MetaPackage& package, std::string_
         for (const auto& token : split(*targets, ' ')) {
           if (trim(token).empty()) continue;
           const auto file_target = static_cast<std::uint64_t>(parse_int(token));
-          const auto it = remap.find(file_target);
-          if (it == remap.end()) {
-            throw ModelError("reference '" + *name + "' targets unknown object id " + token);
-          }
-          obj.add_ref(*name, it->second);
+          pending.push_back({obj.id(), &obj.meta().reference(*name), file_target});
         }
       }
     }
+  });
+  if (root->name != "model") throw ParseError("expected <model> document root");
+
+  for (const PendingRef& ref : pending) {
+    const auto it = remap.find(ref.target);
+    if (it == remap.end()) {
+      throw ModelError("reference '" + ref.ref->name + "' targets unknown object id " +
+                       std::to_string(ref.target));
+    }
+    repo.get(ref.object).add_ref(ref.ref->name, it->second);
   }
   repo.recompute_bytes();
 }
@@ -108,7 +122,7 @@ void load_xmi_file(FullLoadRepository& repo, const MetaPackage& package,
   if (!in) throw IoError("cannot open model file '" + path + "'");
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  load_xmi(repo, package, buffer.str());
+  load_xmi(repo, package, std::move(buffer).str());
 }
 
 }  // namespace decisive::model

@@ -143,7 +143,7 @@ std::string ProgressReporter::render_locked() const {
     worker["done"] = json::Value(static_cast<double>(worker_done_[i]));
     worker["last_active_unix_ms"] =
         json::Value(static_cast<double>(worker_last_active_ms_[i]));
-    workers.push_back(json::Value(std::move(worker)));
+    workers.emplace_back(std::move(worker));
   }
   root["workers"] = json::Value(std::move(workers));
   return json::write(json::Value(std::move(root)));

@@ -228,10 +228,10 @@ std::string Registry::to_json() const {
     // Bucket-level data: what makes per-shard snapshots mergeable
     // (bucket-wise addition) instead of merely human-readable.
     json::Array bounds;
-    for (const double b : histogram->bounds()) bounds.push_back(json::Value(b));
+    for (const double b : histogram->bounds()) bounds.emplace_back(b);
     json::Array buckets;
     for (const std::uint64_t c : histogram->bucket_counts()) {
-      buckets.push_back(json::Value(static_cast<double>(c)));
+      buckets.emplace_back(static_cast<double>(c));
     }
     h["bounds"] = json::Value(std::move(bounds));
     h["bucket_counts"] = json::Value(std::move(buckets));

@@ -178,10 +178,10 @@ std::string merge_registry_snapshots(const std::vector<std::string>& texts) {
     h["p90"] = json::Value(percentile_from_buckets(state.bounds, state.bucket_counts, 0.90));
     h["p99"] = json::Value(percentile_from_buckets(state.bounds, state.bucket_counts, 0.99));
     json::Array bounds;
-    for (const double b : state.bounds) bounds.push_back(json::Value(b));
+    for (const double b : state.bounds) bounds.emplace_back(b);
     json::Array buckets;
     for (const std::uint64_t c : state.bucket_counts) {
-      buckets.push_back(json::Value(static_cast<double>(c)));
+      buckets.emplace_back(static_cast<double>(c));
     }
     h["bounds"] = json::Value(std::move(bounds));
     h["bucket_counts"] = json::Value(std::move(buckets));
@@ -241,7 +241,7 @@ std::string merge_chrome_traces(const std::vector<std::string>& texts) {
       }
       json::Object out = event.as_object();
       out["pid"] = json::Value(it->second);
-      merged_events.push_back(json::Value(std::move(out)));
+      merged_events.emplace_back(std::move(out));
     }
   }
 

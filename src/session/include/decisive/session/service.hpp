@@ -1,7 +1,8 @@
 // The `same session` service: a long-lived line-protocol loop that keeps one
 // SSAM model and its last analysis resident, so the DECISIVE Step 4a/4b
-// iteration (edit → re-analyze → inspect) never pays a model reload, and a
-// re-analysis with no edit since the last one replays the resident result.
+// iteration (edit → re-analyze → inspect) never pays a model reload: a
+// re-analysis with no edit since the last one replays the resident result,
+// and one after typed edits re-analyses only the units those edits name.
 //
 // Protocol (full grammar in DESIGN.md §9): one request per line; every
 // request is answered by zero or more informational lines followed by a

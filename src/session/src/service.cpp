@@ -77,7 +77,8 @@ struct ServiceMetrics {
 };
 
 /// The resident state of one service run: the loaded model, its analysis
-/// root, the last FMEDA and the number of edits made since it was computed.
+/// root, the resident graph FMEA (its last result and the units that edits
+/// since then have marked) and the number of those edits.
 class Service {
  public:
   Service(std::ostream& out, const core::GraphFmeaOptions& analysis)
@@ -138,8 +139,8 @@ class Service {
     }
     model_ = std::move(model);
     root_ = root;
-    last_result_.reset();
-    note_edit();
+    fmea_.reset();  // the next reanalyze walks the new model cold
+    note_edit(root_);
     ServiceMetrics::get().model_loads.add();
     out_ << "loaded " << path << " (" << model_->size() << " elements), root '"
          << component_name << "'\n";
@@ -152,21 +153,23 @@ class Service {
   }
 
   /// Called after every change to the resident model (each write verb and
-  /// `load`): the last result and the cached `fta` replies describe the
-  /// model as it was before.
-  void note_edit() {
+  /// `load`) with the component the change names: the resident analysis
+  /// marks the units that component belongs to, and the last result and the
+  /// cached `fta` replies describe the model as it was before.
+  void note_edit(ObjectId changed) {
     ++pending_edits_;
     fta_replies_.clear();
+    if (fmea_) fmea_->mark(changed);
   }
 
   /// True when the last result describes the current model state.
-  [[nodiscard]] bool up_to_date() const { return last_result_ && pending_edits_ == 0; }
+  [[nodiscard]] bool up_to_date() const { return fmea_ && pending_edits_ == 0; }
 
   /// The FMEA of the current model state, re-analysing first when an edit
   /// is pending — no reader may combine the edited model with an old FMEA.
   const core::FmedaResult& current_result() {
     if (!up_to_date()) cmd_reanalyze();
-    return *last_result_;
+    return fmea_->result();
   }
 
   ObjectId component_named(const std::string& name) {
@@ -223,7 +226,7 @@ class Service {
     expect_arity(tokens, 3, "set-fit <component> <fit>");
     const ObjectId component = component_named(tokens[1]);
     model_->obj(component).set_real("fit", parse_double(tokens[2]));
-    note_edit();
+    note_edit(component);
     out_ << "fit(" << tokens[1] << ") = " << tokens[2] << "\n";
   }
 
@@ -231,7 +234,7 @@ class Service {
     expect_arity(tokens, 4, "rewire <parent> <source-io> <target-io>");
     const ObjectId parent = component_named(tokens[1]);
     model_->connect(parent, io_node_named(tokens[2]), io_node_named(tokens[3]));
-    note_edit();
+    note_edit(parent);
     out_ << "wired " << tokens[2] << " -> " << tokens[3] << " in " << tokens[1] << "\n";
   }
 
@@ -239,7 +242,7 @@ class Service {
     expect_arity(tokens, 5, "add-failure-mode <component> <name> <distribution> <nature>");
     const ObjectId component = component_named(tokens[1]);
     model_->add_failure_mode(component, tokens[2], parse_double(tokens[3]), tokens[4]);
-    note_edit();
+    note_edit(component);
     out_ << "failure mode '" << tokens[2] << "' added to " << tokens[1] << "\n";
   }
 
@@ -260,7 +263,7 @@ class Service {
     }
     model_->add_safety_mechanism(component, tokens[2], parse_double(tokens[3]),
                                  parse_double(tokens[4]), covers);
-    note_edit();
+    note_edit(component);
     out_ << "mechanism '" << tokens[2] << "' deployed on " << tokens[1] << "\n";
   }
 
@@ -371,11 +374,12 @@ class Service {
     out_ << reply;
   }
 
-  /// Replays the last result when no edit is pending; otherwise runs a cold
-  /// analysis of the current model state. The reply's unit, dirty and time
-  /// fields keep the layout clients parse: a cold run counts every unit as
-  /// a miss, a replay every unit as a hit, `dirty changed` is the number of
-  /// edits absorbed, and the fingerprint time and widening are always zero.
+  /// Replays the resident result when no edit is pending. Otherwise it
+  /// re-analyses: cold after `load`, and after typed edits only the units
+  /// those edits marked (core::GraphFmea). The reply's unit, dirty and time
+  /// fields keep the layout clients parse: `hits` counts the units replayed
+  /// and `misses` those re-analysed, `dirty changed` is the number of edits
+  /// absorbed, and the fingerprint time and widening are always zero.
   void cmd_reanalyze() {
     require_model();
     ServiceMetrics& metrics = ServiceMetrics::get();
@@ -384,25 +388,36 @@ class Service {
     const auto start = std::chrono::steady_clock::now();
     const size_t edits = pending_edits_;
     const bool short_circuit = up_to_date();
+    size_t misses = 0;
     double analyze_seconds = 0.0;
     if (short_circuit) {
       metrics.short_circuits.add();
     } else {
       core::GraphFmeaStats stats;
-      last_result_ = core::analyze_component(*model_, root_, analysis_, &stats);
+      if (fmea_) {
+        fmea_->analyze(&stats);
+      } else {
+        core::GraphFmea cold(*model_, root_, analysis_);
+        cold.analyze(&stats);
+        fmea_.emplace(std::move(cold));
+      }
       units_ = stats.units;
+      misses = stats.analysed;
       pending_edits_ = 0;
       analyze_seconds = seconds_since(start);
     }
-    const core::FmedaResult& result = *last_result_;
-    metrics.spfm.set(result.spfm());
+    const core::FmedaResult& result = fmea_->result();
+    const double spfm = result.spfm();
+    metrics.spfm.set(spfm);
     metrics.rows.set(static_cast<double>(result.rows.size()));
-    const size_t hits = short_circuit ? units_ : 0;
+    const size_t hits = units_ - misses;
     if (short_circuit) out_ << "short-circuit (model unchanged)\n";
-    out_ << "rows " << result.rows.size() << " spfm " << format_percent(result.spfm()) << " "
-         << result.asil_label() << "\n";
-    out_ << "units " << units_ << " hits " << hits << " misses " << units_ - hits
-         << " hit-rate " << format_percent(hits > 0 ? 1.0 : 0.0) << "\n";
+    out_ << "rows " << result.rows.size() << " spfm " << format_percent(spfm) << " "
+         << result.asil_label(spfm) << "\n";
+    out_ << "units " << units_ << " hits " << hits << " misses " << misses << " hit-rate "
+         << format_percent(units_ > 0 ? static_cast<double>(hits) / static_cast<double>(units_)
+                                      : 0.0)
+         << "\n";
     out_ << "dirty changed " << edits << " widened 0\n";
     out_ << "time fingerprint " << format_ms(0.0) << " analyze " << format_ms(analyze_seconds)
          << " total " << format_ms(seconds_since(start)) << "\n";
@@ -410,8 +425,8 @@ class Service {
 
   const core::FmedaResult& last_result() {
     require_model();
-    if (!last_result_) throw ModelError("no analysis yet (use: reanalyze)");
-    return *last_result_;
+    if (!fmea_) throw ModelError("no analysis yet (use: reanalyze)");
+    return fmea_->result();
   }
 
   void cmd_table() {
@@ -424,8 +439,9 @@ class Service {
 
   void cmd_result() {
     const core::FmedaResult& result = last_result();
-    out_ << "spfm " << format_percent(result.spfm()) << "\n";
-    out_ << "asil " << result.asil_label() << "\n";
+    const double spfm = result.spfm();
+    out_ << "spfm " << format_percent(spfm) << "\n";
+    out_ << "asil " << result.asil_label(spfm) << "\n";
     out_ << "rows " << result.rows.size() << " safety-related "
          << result.safety_related_components().size() << " warnings "
          << result.warnings.size() << "\n";
@@ -451,9 +467,10 @@ class Service {
   core::GraphFmeaOptions analysis_;
   std::unique_ptr<SsamModel> model_;
   ObjectId root_ = model::kNullObject;
-  std::optional<core::FmedaResult> last_result_;
-  size_t units_ = 0;          ///< analysis units of last_result_
-  size_t pending_edits_ = 0;  ///< edits since last_result_ was computed
+  /// The resident analysis; empty until the first reanalyze after `load`.
+  std::optional<core::GraphFmea> fmea_;
+  size_t units_ = 0;          ///< analysis units of the resident analysis
+  size_t pending_edits_ = 0;  ///< edits since its result was computed
   /// Rendered `fta` replies keyed on (mission, max-order) — see cmd_fta.
   std::map<std::pair<double, size_t>, std::string> fta_replies_;
 };

@@ -274,6 +274,48 @@ TEST(Xml, RoundTripPreservesStructure) {
   EXPECT_EQ(again->children[0]->children[0]->attribute_or("t", ""), "2 3");
 }
 
+TEST(Xml, WriteLayoutIsPinned) {
+  // Saved models are this layout byte for byte: self-closed leaves, text
+  // inline, children indented two spaces, the closing tag on its own line.
+  const auto root = xml::parse(
+      "<m p=\"a&lt;b\"><leaf/><t>x &amp; y</t><both k=\"v\">z<c/></both><o><i/></o></m>");
+  EXPECT_EQ(xml::write(*root),
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+            "<m p=\"a&lt;b\">\n"
+            "  <leaf/>\n"
+            "  <t>x &amp; y</t>\n"
+            "  <both k=\"v\">z\n"
+            "    <c/>\n"
+            "  </both>\n"
+            "  <o>\n"
+            "    <i/>\n"
+            "  </o>\n"
+            "</m>\n");
+}
+
+TEST(Xml, ParseChildrenHandsOverEachRootChildAndKeepsNone) {
+  std::vector<std::string> seen;
+  const auto root = xml::parse_children(
+      "<?xml version=\"1.0\"?><m p=\"q\"><a k=\"1\"><x/></a>tail<b/></m>",
+      [&](const xml::Element& doc, const xml::Element& child) {
+        seen.push_back(doc.name + "/" + doc.attribute_or("p", "") + ":" + child.name + "(" +
+                       std::to_string(child.children.size()) + ")");
+      });
+  EXPECT_EQ(seen, (std::vector<std::string>{"m/q:a(1)", "m/q:b(0)"}));
+  EXPECT_EQ(root->name, "m");
+  EXPECT_TRUE(root->children.empty());
+  EXPECT_EQ(root->text, "tail");
+
+  // A fault after two complete children: both were handed over first.
+  seen.clear();
+  EXPECT_THROW(xml::parse_children("<m><a/><b/><c>", [&](const xml::Element&,
+                                                          const xml::Element& child) {
+                 seen.push_back(child.name);
+               }),
+               ParseError);
+  EXPECT_EQ(seen, (std::vector<std::string>{"a", "b"}));
+}
+
 // ------------------------------------------------------------------- JSON --
 
 TEST(Json, ParsesAllTypes) {

@@ -79,7 +79,7 @@ core::ReliabilityModel mcu_reliability() {
   core::ReliabilityModel reliability;
   reliability.add("Source", 5.0, {{"Open", 0.3}, {"Short", 0.2}, {"Drift", 0.5}});
   reliability.add("Resistor", 5.0, {{"Open", 0.5}, {"Short", 0.3}, {"Drift", 0.2}});
-  reliability.add("Mcu", 20.0, {{"RamFailure", 0.6}, {"Drift", 0.4}});
+  reliability.add("Mcu", 20.0, {{"RAM Failure", 0.6}, {"Drift", 0.4}});
   return reliability;
 }
 
@@ -172,6 +172,17 @@ TEST(BatchCampaign, LadderTortureSubjectByteIdentical) {
 
 TEST(BatchCampaign, McuKnifeEdgeSubjectByteIdentical) {
   expect_identity_matrix("mcu-knife-edge", mcu_rig(), mcu_reliability());
+  // The subject must inject the MCU's RAM fault, not skip it as an unknown
+  // mode: its row is solved on either path.
+  const auto result = core::analyze_circuit(mcu_rig(), mcu_reliability());
+  bool found = false;
+  for (const core::FmedaRow& row : result.rows) {
+    if (row.component != "MC1" || row.failure_mode != "RAM Failure") continue;
+    found = true;
+    EXPECT_NE(row.outcome, core::FaultOutcome::NotApplicable) << row.outcome_detail;
+    EXPECT_NE(row.outcome, core::FaultOutcome::Crashed) << row.outcome_detail;
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST(BatchCampaign, ReferenceSubjectByteIdentical) {

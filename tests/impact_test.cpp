@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <string>
 
 #include "decisive/base/error.hpp"
+#include "decisive/core/graph_fmea.hpp"
 #include "decisive/core/impact.hpp"
+#include "decisive/core/synthetic.hpp"
 #include "decisive/core/workflow.hpp"
+#include "decisive/model/xmi.hpp"
+#include "decisive/oracles.hpp"
 
 using namespace decisive;
 using namespace decisive::core;
@@ -108,6 +114,103 @@ TEST(Impact, TextRendering) {
   EXPECT_NE(text.find("S1"), std::string::npos);
   EXPECT_NE(text.find("M1"), std::string::npos);
   EXPECT_NE(text.find("no safety-related"), std::string::npos);
+}
+
+// ------------------------------------------------------ against the oracle --
+
+namespace {
+
+/// For every Component of `ssam`, the one-pass index must report what the
+/// map-based oracle reports: the same ids in the same order, so the same
+/// text.
+void expect_matches_oracle(const SsamModel& ssam, const std::string& subject) {
+  const auto components = ssam.repo().all_of(ssam.meta().get(ssam::cls::Component));
+  ASSERT_FALSE(components.empty()) << subject;
+  for (const ObjectId component : components) {
+    const ImpactReport fast = impact_of_change(ssam, component);
+    const ImpactReport oracle = oracle::impact_of_change(ssam, component);
+    const std::string where = subject + ", component " + std::to_string(component);
+    EXPECT_EQ(fast.ancestors, oracle.ancestors) << where;
+    EXPECT_EQ(fast.connected_components, oracle.connected_components) << where;
+    EXPECT_EQ(fast.requirements, oracle.requirements) << where;
+    EXPECT_EQ(fast.hazards, oracle.hazards) << where;
+    EXPECT_EQ(fast.safety_mechanisms, oracle.safety_mechanisms) << where;
+    EXPECT_EQ(fast.reanalysis_required, oracle.reanalysis_required) << where;
+    EXPECT_EQ(fast.to_text(ssam), oracle.to_text(ssam)) << where;
+  }
+}
+
+}  // namespace
+
+TEST(ImpactOracle, ShippedSubjectsMatchTheMapIndex) {
+  for (const bool analysed : {false, true}) {
+    const std::string state = analysed ? " (analysed)" : "";
+    auto a = make_system_a();
+    auto b = make_system_b();
+    if (analysed) {
+      (void)analyze_component(*a.model, a.system);
+      (void)analyze_component(*b.model, b.system);
+    }
+    expect_matches_oracle(*a.model, "System A" + state);
+    expect_matches_oracle(*b.model, "System B" + state);
+
+    SsamModel brake;
+    model::load_xmi_file(brake.repo(), brake.meta(), DECISIVE_ASSETS_DIR "/brake_chain.ssam");
+    if (analysed) {
+      (void)analyze_component(brake, brake.find_by_name(ssam::cls::Component, "BrakeChain"));
+    }
+    expect_matches_oracle(brake, "brake_chain.ssam" + state);
+  }
+}
+
+TEST(ImpactOracle, RandomScaledModelsWithTraceabilityMatchTheMapIndex) {
+  // Seeded scaled designs, then the traceability a report follows added at
+  // random: requirements citing components and failure modes, failure-mode
+  // hazards, mechanisms, and wires between IONodes anywhere in the model
+  // (across units too, so IONode owners are looked up outside the parent).
+  for (std::uint32_t seed = 1; seed <= 24; ++seed) {
+    std::mt19937 rng(seed);
+    const auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+    auto system = make_scaled_architecture(1 + pick(5), 1 + pick(5), 1 + pick(2));
+    SsamModel& m = *system.model;
+    const auto components = m.repo().all_of(m.meta().get(ssam::cls::Component));
+    const auto nodes = m.repo().all_of(m.meta().get(ssam::cls::IONode));
+    const auto fms = m.repo().all_of(m.meta().get(ssam::cls::FailureMode));
+    if (pick(2) == 0) (void)analyze_component(m, system.system);
+
+    const ObjectId hazards = m.create_hazard_package("hazards");
+    std::vector<ObjectId> hazard_ids;
+    for (size_t h = 0; h < 1 + pick(4); ++h) {
+      hazard_ids.push_back(
+          m.create_hazard(hazards, "H" + std::to_string(h), "S2", 1e-6, "ASIL-B"));
+    }
+    const ObjectId requirements = m.create_requirement_package("requirements");
+    for (size_t r = 0; r < 1 + pick(6); ++r) {
+      const ObjectId req = r % 2 == 0
+                               ? m.create_requirement(requirements, "R" + std::to_string(r),
+                                                      "text", "ASIL-B")
+                               : m.create_safety_requirement(requirements,
+                                                             "SR" + std::to_string(r), "text",
+                                                             "ASIL-B", "function");
+      for (size_t c = 0; c < 1 + pick(3); ++c) {
+        m.cite(req, pick(2) == 0 ? components[pick(components.size())] : fms[pick(fms.size())]);
+      }
+    }
+    for (size_t k = 0; k < 1 + pick(8); ++k) {
+      m.obj(fms[pick(fms.size())]).add_ref("hazards", hazard_ids[pick(hazard_ids.size())]);
+    }
+    for (size_t k = 0; k < pick(4); ++k) {
+      const ObjectId target = components[pick(components.size())];
+      const auto& modes = m.obj(target).refs("failureModes");
+      m.add_safety_mechanism(target, "SM" + std::to_string(k), 0.9, 1.0,
+                             modes.empty() ? model::kNullObject : modes[pick(modes.size())]);
+    }
+    for (size_t k = 0; k < 1 + pick(10); ++k) {
+      m.connect(components[pick(components.size())], nodes[pick(nodes.size())],
+                nodes[pick(nodes.size())]);
+    }
+    expect_matches_oracle(m, "seed " + std::to_string(seed));
+  }
 }
 
 // --------------------------------------------------------------- allocation --

@@ -274,6 +274,36 @@ TEST(Xmi, RoundTripPreservesAttributesAndReferences) {
   EXPECT_EQ(loaded.get(d1_loaded->ref("next")).get_string("name"), "D2");
 }
 
+TEST(Xmi, SaveLayoutIsPinned) {
+  // The file format, byte for byte: attributes in metaclass order (inherited
+  // first), then references, each reference's targets space-separated; an
+  // object with neither is self-closed. Forward references load.
+  TestMeta meta;
+  FullLoadRepository repo;
+  ModelObject& d1 = repo.create(*meta.part);
+  d1.set_real("fit", 2.5);
+  d1.set_string("name", "D<1>");
+  ModelObject& p1 = repo.create(*meta.port);
+  ModelObject& p2 = repo.create(*meta.port);
+  d1.add_ref("ports", p1.id());
+  d1.add_ref("ports", p2.id());
+  const std::string text = save_xmi(repo, meta.pkg);
+  EXPECT_EQ(text,
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+            "<model package=\"test\">\n"
+            "  <object id=\"1\" class=\"Part\">\n"
+            "    <attr name=\"name\" value=\"D&lt;1&gt;\"/>\n"
+            "    <attr name=\"fit\" value=\"2.5\"/>\n"
+            "    <ref name=\"ports\" targets=\"2 3\"/>\n"
+            "  </object>\n"
+            "  <object id=\"2\" class=\"Port\"/>\n"
+            "  <object id=\"3\" class=\"Port\"/>\n"
+            "</model>\n");
+  FullLoadRepository loaded;
+  load_xmi(loaded, meta.pkg, text);
+  EXPECT_EQ(save_xmi(loaded, meta.pkg), text);
+}
+
 TEST(Xmi, LoadAppendsAndRemapsIds) {
   TestMeta meta;
   FullLoadRepository repo;

@@ -10,12 +10,16 @@
 //   screening, the reference for fta::synthesize_fault_tree_zbdd.
 // - rare_event_probability: the rare-event sum over minimal cut sets, the
 //   reference for fta::quantify's rare_event_bound.
+// - impact_of_change: the change-impact report from `std::map` reverse
+//   indices filled by name-resolved reads, the reference for
+//   core::impact_of_change's flat one-pass index.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "decisive/core/fta.hpp"
+#include "decisive/core/impact.hpp"
 #include "decisive/ssam/graph.hpp"
 #include "decisive/ssam/model.hpp"
 
@@ -59,5 +63,10 @@ core::FaultTree synthesize_fault_tree(const ssam::SsamModel& ssam, ssam::ObjectI
 /// `mission_hours`: the sum over minimal cut sets of the product of member
 /// failure probabilities (1 - e^{-lambda t} each), capped at 1.
 double rare_event_probability(const core::FaultTree& tree, double mission_hours);
+
+/// The change-impact report of `component`, computed as
+/// core::impact_of_change was before its one-pass index. Throws ModelError
+/// when `component` is not a Component.
+core::ImpactReport impact_of_change(const ssam::SsamModel& ssam, ssam::ObjectId component);
 
 }  // namespace decisive::oracle

@@ -1,8 +1,9 @@
 // Tests for the `same session` service (src/session): one resident model,
 // edits tracked by the write verbs, `reanalyze` replaying the last result
-// when nothing was edited and re-running the analysis cold otherwise —
-// property-tested byte-identical against cold analyses of the saved model
-// under seeded random edit sequences — plus the protocol's other verbs.
+// when nothing was edited and otherwise re-analysing only the units the
+// edits named — property-tested byte-identical against cold analyses of the
+// saved model under seeded random edit sequences — plus the protocol's other
+// verbs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -95,6 +96,30 @@ std::uint64_t counter(const std::string& name) {
   return obs::Registry::global().counter(name).value();
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// A model the service saved is a fixed point of a cold analysis: loading
+/// it, analysing it cold and saving it again gives the same bytes, so every
+/// `safetyRelated` verdict and FailureEffect was written back.
+void expect_cold_fixed_point(const std::string& path, const std::string& component) {
+  SsamModel model;
+  model::load_xmi_file(model.repo(), model.meta(), path);
+  (void)core::analyze_component(model, model.find_by_name(ssam::cls::Component, component));
+  EXPECT_EQ(model::save_xmi(model.repo(), model.meta()), read_file(path)) << path;
+}
+
+/// The number after `key` in `text` (the first occurrence), or -1.
+long long number_after(const std::string& text, const std::string& key) {
+  const auto at = text.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + key.size()));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -135,8 +160,10 @@ TEST(IncrementalTest, RandomEditSequencesStayByteIdenticalToCold) {
   // Seeded property test through the line protocol: whatever sequence of
   // FIT edits, new failure modes, mechanism deployments and rewires the
   // write verbs apply, the `table` after `reanalyze` equals a cold analysis
-  // of the model the service saves at that step, byte for byte; and a
-  // second `reanalyze` with no edit in between replays the resident result.
+  // of the model the service saves at that step, byte for byte, and that
+  // saved model is a fixed point of a cold analysis (no write-back was
+  // skipped); a second `reanalyze` with no edit in between replays the
+  // resident result.
   constexpr size_t kComposites = 5;
   constexpr size_t kLeaves = 4;
   constexpr int kSteps = 32;
@@ -195,10 +222,54 @@ TEST(IncrementalTest, RandomEditSequencesStayByteIdenticalToCold) {
     EXPECT_EQ(reply[1].find("short-circuit"), std::string::npos) << "step " << step;
     EXPECT_EQ(reply[2].rfind("short-circuit (model unchanged)\n", 0), 0u) << "step " << step;
     ASSERT_EQ(reply[3], cold_table(saved[step], "System")) << "diverged at step " << step;
+    expect_cold_fixed_point(saved[step], "System");
     std::remove(saved[step].c_str());
   }
   EXPECT_EQ(counter("decisive_session_short_circuits_total") - short_circuits0,
             static_cast<std::uint64_t>(kSteps));
+  std::remove(path.c_str());
+}
+
+TEST(IncrementalTest, EachEditReanalysesOnlyItsUnits) {
+  // Nine units: System and its eight composites. A write verb marks the
+  // component it names; the next reanalyze re-runs the unit listing it as a
+  // subcomponent and its own unit, and replays every other one.
+  const std::string path = save_scaled("decisive_session_edit_units.ssam", 8, 4);
+  struct Edit {
+    std::string request;
+    long long misses;
+  };
+  const std::vector<Edit> edits = {
+      {"set-fit Unit3.Leaf1 5", 1},                           // Unit3's rows
+      {"set-fit Unit2 7", 2},                                 // System's rows, Unit2's unit
+      {"add-failure-mode Unit5.Leaf0 FMx 0.1 erroneous", 1},  // Unit5's rows
+      {"deploy-sm Unit6.Leaf2 SMx 0.9 1 Open", 1},            // Unit6's rows
+      {"rewire Unit4 Unit4.Leaf0.out Unit4.Leaf2.in", 2},     // System's rows, Unit4's graph
+      {"rewire System Unit1.out Unit3.in", 1},                // System's graph
+  };
+  std::string script = "reanalyze\nmetrics\n";
+  for (const Edit& edit : edits) script += edit.request + "\nreanalyze\nmetrics\n";
+  script += "quit\n";
+  const auto replies = run_script(path, "System", script);
+  ASSERT_EQ(replies.size(), 2 + 3 * edits.size() + 1);
+  EXPECT_NE(replies[0].find("units 9 hits 0 misses 9 hit-rate 0.00%"), std::string::npos)
+      << replies[0];
+
+  const std::string units_total = "\ndecisive_graph_fmea_units_total ";
+  long long units_before = number_after(replies[1], units_total);
+  ASSERT_GE(units_before, 9);
+  for (size_t i = 0; i < edits.size(); ++i) {
+    const std::string& reanalyze = replies[2 + 3 * i + 1];
+    const std::string& metrics = replies[2 + 3 * i + 2];
+    const long long misses = edits[i].misses;
+    EXPECT_EQ(number_after(reanalyze, " misses "), misses)
+        << edits[i].request << "\n" << reanalyze;
+    EXPECT_EQ(number_after(reanalyze, " hits "), 9 - misses) << edits[i].request;
+    EXPECT_EQ(number_after(reanalyze, "dirty changed "), 1) << edits[i].request;
+    const long long units_after = number_after(metrics, units_total);
+    EXPECT_EQ(units_after - units_before, misses) << edits[i].request;
+    units_before = units_after;
+  }
   std::remove(path.c_str());
 }
 
