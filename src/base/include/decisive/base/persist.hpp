@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -42,6 +43,12 @@ std::uint64_t fnv1a64(std::string_view bytes,
 
 /// Formats a 64-bit hash as 16 lower-case hex digits (the checksum token).
 std::string hash_to_hex(std::uint64_t hash);
+
+/// The whole content of the file at `path`, or nullopt when it cannot be
+/// opened. A regular file is read at its size into one allocation, so a
+/// large model or document is held once rather than through a doubling
+/// buffer; anything else (a pipe, a device) is streamed.
+std::optional<std::string> read_file(const std::string& path);
 
 /// Crash-safe whole-file replacement: writes `content` to a sibling temp
 /// file ("<path>.tmp.<pid>"), flushes it, then renames it over `path`. At

@@ -1,9 +1,10 @@
 #include "decisive/base/csv.hpp"
 
 #include <fstream>
-#include <sstream>
+#include <optional>
 
 #include "decisive/base/error.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/base/strings.hpp"
 
 namespace decisive {
@@ -97,11 +98,9 @@ CsvTable parse_csv(std::string_view text, char sep) {
 }
 
 CsvTable read_csv_file(const std::string& path, char sep) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open CSV file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_csv(buffer.str(), sep);
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw IoError("cannot open CSV file '" + path + "'");
+  return parse_csv(*text, sep);
 }
 
 namespace {

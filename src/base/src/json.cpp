@@ -3,10 +3,10 @@
 #include <cmath>
 #include <charconv>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <optional>
 
 #include "decisive/base/error.hpp"
+#include "decisive/base/persist.hpp"
 
 namespace decisive::json {
 
@@ -297,11 +297,9 @@ void write_value(const Value& value, int depth, std::string& out) {
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
 
 Value parse_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open JSON file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse(buffer.str());
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw IoError("cannot open JSON file '" + path + "'");
+  return parse(*text);
 }
 
 std::string write(const Value& value) {

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -81,6 +82,28 @@ std::string hash_to_hex(std::uint64_t hash) {
   char buffer[24];
   std::snprintf(buffer, sizeof buffer, "%016llx", static_cast<unsigned long long>(hash));
   return buffer;
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::string text;
+  std::error_code error;
+  const auto size = std::filesystem::is_regular_file(path, error)
+                        ? std::filesystem::file_size(path, error)
+                        : std::uintmax_t{0};
+  if (!error && size > 0) {
+    text.resize(static_cast<size_t>(size));
+    in.read(text.data(), static_cast<std::streamsize>(size));
+    text.resize(static_cast<size_t>(in.gcount()));
+  }
+  // A non-regular file, or bytes appended since its size was taken.
+  if (in) {
+    std::ostringstream rest;
+    rest << in.rdbuf();
+    text += std::move(rest).str();
+  }
+  return text;
 }
 
 void atomic_write_file(const std::string& path, std::string_view content) {

@@ -1,9 +1,9 @@
 #include "decisive/base/xml.hpp"
 
 #include <fstream>
-#include <sstream>
 
 #include "decisive/base/error.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/base/strings.hpp"
 
 namespace decisive::xml {
@@ -266,11 +266,9 @@ std::unique_ptr<Element> parse_children(std::string_view text, const ChildSink& 
 }
 
 std::unique_ptr<Element> parse_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open XML file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse(buffer.str());
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw IoError("cannot open XML file '" + path + "'");
+  return parse(*text);
 }
 
 std::string write(const Element& root) {

@@ -113,6 +113,9 @@ struct FmedaResult {
   /// distinct components share it.
   [[nodiscard]] std::vector<std::string> safety_related_components() const;
 
+  /// safety_related_components().size(), without building the names.
+  [[nodiscard]] size_t safety_related_component_count() const;
+
   /// Denominator of Equation 1: total FIT over safety-related components,
   /// counted once per component identity.
   [[nodiscard]] double total_safety_related_fit() const;
@@ -127,7 +130,8 @@ struct FmedaResult {
   /// The Single Point Fault Metric. Convention: returns 1.0 when no component
   /// is safety-related (the metric's denominator is empty). That value is NOT
   /// an ASIL-D claim — callers presenting metrics must check
-  /// has_safety_related() first, or use asil_label() which does.
+  /// has_safety_related() first, or use asil_label() which does. Clamped at
+  /// 0, where rounding could otherwise leave it a hair below.
   [[nodiscard]] double spfm() const;
 
   /// achieved_asil(spfm()) when the analysis has safety-related hardware,

@@ -3,6 +3,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 
 #include "decisive/base/error.hpp"
@@ -112,11 +113,9 @@ CampaignJournalReplay replay_campaign_journal(const std::string& path,
     replay.note = "no journal at '" + path + "'";
     return replay;
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot read campaign journal '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw IoError("cannot read campaign journal '" + path + "'");
+  const std::string& content = *text;
 
   // Walk the lines, tracking the byte offset of the end of the last line
   // whose checksum verified: everything after that offset is a torn or

@@ -1,7 +1,10 @@
 #include "decisive/core/fmeda.hpp"
 
 #include <algorithm>
-#include <set>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <string_view>
 
 #include "decisive/base/error.hpp"
 #include "decisive/base/strings.hpp"
@@ -51,38 +54,60 @@ std::string FmedaResult::outcome_summary() const {
 
 namespace {
 
-/// Aggregation key for one component instance: the stable ObjectId when the
+/// Calls `visit(row)` for the first safety-related row of each component
+/// identity, in row order. The identity is the stable ObjectId when the
 /// producer supplied one, the display name otherwise (id 0 — e.g. circuit
-/// FMEA rows, where names are unique by construction).
-using ComponentKey = std::pair<std::uint64_t, std::string>;
-
-ComponentKey component_key(const FmedaRow& row) {
-  return {row.component_id, row.component_id == 0 ? row.component : std::string()};
+/// FMEA rows, where names are unique by construction). The filter is one
+/// open-addressing table of row indices sized to the rows, so its memory
+/// never depends on how large the ids are.
+template <typename Visit>
+void for_each_safety_related_component(const std::vector<FmedaRow>& rows, Visit visit) {
+  constexpr auto kFree = std::numeric_limits<std::uint32_t>::max();
+  size_t capacity = 16;
+  while (capacity < 2 * rows.size()) capacity *= 2;
+  std::vector<std::uint32_t> slots(capacity, kFree);
+  const size_t mask = capacity - 1;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const FmedaRow& row = rows[i];
+    if (!row.safety_related) continue;
+    const bool by_name = row.component_id == 0;
+    std::uint64_t h = by_name ? std::hash<std::string_view>{}(row.component)
+                              : row.component_id * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 32;
+    size_t slot = h & mask;
+    for (; slots[slot] != kFree; slot = (slot + 1) & mask) {
+      const FmedaRow& seen = rows[slots[slot]];
+      if (seen.component_id == row.component_id &&
+          (!by_name || seen.component == row.component)) {
+        break;
+      }
+    }
+    if (slots[slot] != kFree) continue;  // not the identity's first row
+    slots[slot] = static_cast<std::uint32_t>(i);
+    visit(row);
+  }
 }
 
 }  // namespace
 
 std::vector<std::string> FmedaResult::safety_related_components() const {
   std::vector<std::string> out;
-  std::set<ComponentKey> seen;
-  for (const auto& row : rows) {
-    if (row.safety_related && seen.insert(component_key(row)).second) {
-      out.push_back(row.component);
-    }
-  }
+  for_each_safety_related_component(rows,
+                                    [&](const FmedaRow& row) { out.push_back(row.component); });
   return out;
+}
+
+size_t FmedaResult::safety_related_component_count() const {
+  size_t count = 0;
+  for_each_safety_related_component(rows, [&](const FmedaRow&) { ++count; });
+  return count;
 }
 
 double FmedaResult::total_safety_related_fit() const {
   // Total FIT of each safety-related component, counted once per component
   // *identity* — duplicate names across recursion levels stay distinct.
-  std::set<ComponentKey> counted;
   double total = 0.0;
-  for (const auto& row : rows) {
-    if (row.safety_related && counted.insert(component_key(row)).second) {
-      total += row.fit;
-    }
-  }
+  for_each_safety_related_component(rows, [&](const FmedaRow& row) { total += row.fit; });
   return total;
 }
 
@@ -102,7 +127,10 @@ double FmedaResult::spfm() const {
   // Documented convention: an empty denominator (no safety-related hardware)
   // yields 1.0. Callers must not read that as ASIL-D — see asil_label().
   if (denominator <= 0.0) return 1.0;
-  return 1.0 - single_point_fit() / denominator;
+  // Clamped: with fractional FITs split over modes, Σ residual can round a
+  // hair above Σ FIT and the metric to −2e-16.
+  const double spfm = 1.0 - single_point_fit() / denominator;
+  return spfm < 0.0 ? 0.0 : spfm;
 }
 
 std::string FmedaResult::asil_label() const { return asil_label(spfm()); }

@@ -17,7 +17,7 @@ CsvTable metrics_table(const FmedaResult& result) {
       {"Single_Point_FIT", format_number(result.single_point_fit(), 6)},
       {"Safety_Related_FIT", format_number(result.total_safety_related_fit(), 6)},
       {"Safety_Related_Components",
-       std::to_string(result.safety_related_components().size())},
+       std::to_string(result.safety_related_component_count())},
       {"Rows", std::to_string(result.rows.size())},
       {"Warnings", std::to_string(result.warnings.size())},
   };

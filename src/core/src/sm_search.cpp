@@ -196,8 +196,11 @@ class SpfmEvaluator {
     return weight(row_index) * row.mode_fit() * (1.0 - cov);
   }
 
+  /// Clamped at 0, like FmedaResult::spfm().
   [[nodiscard]] double spfm_of_residual(double residual) const noexcept {
-    return denominator_ <= 0.0 ? 1.0 : 1.0 - residual / denominator_;
+    if (denominator_ <= 0.0) return 1.0;
+    const double spfm = 1.0 - residual / denominator_;
+    return spfm < 0.0 ? 0.0 : spfm;
   }
 
   /// Canonical candidate evaluation: baseline plus per-choice deltas, summed

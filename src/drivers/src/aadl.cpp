@@ -1,10 +1,10 @@
 #include "decisive/drivers/aadl.hpp"
 
 #include <cctype>
-#include <fstream>
-#include <sstream>
+#include <optional>
 
 #include "decisive/base/error.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/base/strings.hpp"
 #include "decisive/obs/registry.hpp"
 #include "decisive/obs/span.hpp"
@@ -327,11 +327,9 @@ AadlPackage parse_aadl(std::string_view text) {
 }
 
 AadlPackage parse_aadl_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open AADL file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_aadl(buffer.str());
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw IoError("cannot open AADL file '" + path + "'");
+  return parse_aadl(*text);
 }
 
 }  // namespace decisive::drivers

@@ -1,9 +1,10 @@
 #include "decisive/drivers/mdl.hpp"
 
 #include <fstream>
-#include <sstream>
+#include <optional>
 
 #include "decisive/base/error.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/base/strings.hpp"
 
 namespace decisive::drivers {
@@ -249,11 +250,9 @@ void write_system(const MdlSystem& system, int depth, std::string& out) {
 MdlModel parse_mdl(std::string_view text) { return MdlParser(text).parse(); }
 
 MdlModel parse_mdl_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open MDL file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_mdl(buffer.str());
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw IoError("cannot open MDL file '" + path + "'");
+  return parse_mdl(*text);
 }
 
 std::string write_mdl(const MdlModel& model) {

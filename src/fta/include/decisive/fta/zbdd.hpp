@@ -10,12 +10,13 @@
 // family containing only the empty set, {∅}). Variables are ordered by
 // their integer id: smaller id = closer to the root. All operations are
 // memoised in the arena, so repeated subproblems — the heart of ZBDD
-// efficiency — cost one hash lookup.
+// efficiency — cost one hash lookup. The unique table and the memos are
+// flat open-addressing tables (the `minimal` memo a vector indexed by
+// node), so an entry costs no allocation of its own.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace decisive::fta {
@@ -26,6 +27,8 @@ using ZbddRef = uint32_t;
 inline constexpr ZbddRef kZbddEmpty = 0;
 /// Terminal {∅} — the family holding exactly the empty set.
 inline constexpr ZbddRef kZbddUnit = 1;
+/// Never a node: marks an unfilled entry of a table indexed by ZbddRef.
+inline constexpr ZbddRef kZbddNone = ~ZbddRef{0};
 
 class ZbddArena {
  public:
@@ -80,35 +83,41 @@ class ZbddArena {
     ZbddRef lo;
     ZbddRef hi;
   };
-  struct Key {
-    uint32_t var;
-    ZbddRef lo;
-    ZbddRef hi;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      // FNV-1a over the three fields: cheap and collision-safe in concert
-      // with Key::operator== (the table never trusts the hash alone).
-      uint64_t h = 1469598103934665603ull;
-      for (const uint64_t v : {uint64_t{k.var}, uint64_t{k.lo}, uint64_t{k.hi}}) {
-        h = (h ^ v) * 1099511628211ull;
-      }
-      return static_cast<size_t>(h);
-    }
+
+  /// Memo from an operand pair packed into 64 bits to a result: linear
+  /// probing over a power-of-two slot array kept at most half full. Exact —
+  /// nothing is evicted — so the arena's node order never depends on it.
+  class PairMemo {
+   public:
+    [[nodiscard]] const ZbddRef* find(uint64_t key) const noexcept;
+    void insert(uint64_t key, ZbddRef value);
+
+   private:
+    static constexpr uint64_t kFree = ~uint64_t{0};
+    struct Slot {
+      uint64_t key = kFree;
+      ZbddRef value = 0;
+    };
+    std::vector<Slot> slots_;
+    size_t used_ = 0;
   };
 
   static uint64_t memo_key(ZbddRef a, ZbddRef b) {
     return (uint64_t{a} << 32) | uint64_t{b};
   }
 
+  /// Slot of (var, lo, hi) in the unique table: the slot holding that node,
+  /// or the free slot where it belongs.
+  [[nodiscard]] size_t unique_slot(uint32_t var, ZbddRef lo, ZbddRef hi) const noexcept;
+  void grow_unique();
+
   std::vector<Node> nodes_;
-  std::unordered_map<Key, ZbddRef, KeyHash> unique_;
-  std::unordered_map<uint64_t, ZbddRef> union_memo_;
-  std::unordered_map<uint64_t, ZbddRef> join_memo_;
-  std::unordered_map<uint64_t, ZbddRef> without_memo_;
-  std::unordered_map<ZbddRef, ZbddRef> minimal_memo_;
-  std::unordered_map<uint64_t, ZbddRef> subset_memo_;
+  std::vector<ZbddRef> unique_;  ///< node refs by hash; kZbddEmpty = free slot
+  PairMemo union_memo_;
+  PairMemo join_memo_;
+  PairMemo without_memo_;
+  PairMemo subset_memo_;
+  std::vector<ZbddRef> minimal_memo_;  ///< by node; kZbddNone = not yet computed
 };
 
 }  // namespace decisive::fta

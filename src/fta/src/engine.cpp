@@ -1,9 +1,12 @@
 #include "decisive/fta/engine.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <map>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "decisive/fta/zbdd.hpp"
@@ -42,6 +45,32 @@ struct EngineMetrics {
   }
 };
 
+/// Compressed sparse rows: the successors of vertex v, ascending and
+/// without repeats, are targets[offsets[v], offsets[v + 1]).
+struct Adjacency {
+  std::vector<int> offsets;
+  std::vector<int> targets;
+
+  [[nodiscard]] std::span<const int> operator[](size_t v) const {
+    return {targets.data() + offsets[v], targets.data() + offsets[v + 1]};
+  }
+
+  /// Sorts and deduplicates `edges`, (from, to) pairs, in place.
+  static Adjacency from_edges(std::vector<std::pair<int, int>>& edges, size_t vertex_count) {
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    Adjacency out;
+    out.offsets.assign(vertex_count + 1, 0);
+    out.targets.reserve(edges.size());
+    for (const auto& [from, to] : edges) {
+      ++out.offsets[static_cast<size_t>(from) + 1];
+      out.targets.push_back(to);
+    }
+    for (size_t v = 0; v < vertex_count; ++v) out.offsets[v + 1] += out.offsets[v];
+    return out;
+  }
+};
+
 /// Flow graph flattened to dense vertex indices: 0 = super-source,
 /// 1 = super-sink, 2 + i = graph.nodes[i]. Component failure removes every
 /// vertex the component owns; boundary vertices have no owner and are
@@ -49,8 +78,8 @@ struct EngineMetrics {
 /// supervertices), so it is exact on irregular wirings where contraction
 /// could over-connect.
 struct FlowGraph {
-  std::vector<std::vector<int>> fwd;  ///< index-sorted adjacency
-  std::vector<std::vector<int>> bwd;
+  Adjacency fwd;
+  Adjacency bwd;
   std::vector<int> owner_of;                  ///< component index or -1
   std::vector<ObjectId> components;           ///< component index → id
   std::vector<std::vector<int>> comp_vertices;
@@ -63,57 +92,119 @@ constexpr int kSink = 1;
 FlowGraph flatten(const ssam::ComponentGraph& graph) {
   FlowGraph out;
   out.vertex_count = graph.nodes.size() + 2;
-  std::map<ObjectId, int> index;
+  // (id, vertex) sorted by id: a repeated id resolves to its last vertex.
+  std::vector<std::pair<ObjectId, int>> index;
+  index.reserve(graph.nodes.size());
   for (size_t i = 0; i < graph.nodes.size(); ++i) {
-    index[graph.nodes[i]] = static_cast<int>(i) + 2;
+    index.emplace_back(graph.nodes[i], static_cast<int>(i) + 2);
   }
-  out.fwd.resize(out.vertex_count);
-  out.bwd.resize(out.vertex_count);
-  const auto add_edge = [&](int from, int to) {
-    out.fwd[static_cast<size_t>(from)].push_back(to);
-    out.bwd[static_cast<size_t>(to)].push_back(from);
+  std::sort(index.begin(), index.end());
+  const auto vertex_of = [&](ObjectId id) {
+    const auto it = std::upper_bound(index.begin(), index.end(),
+                                     std::pair{id, std::numeric_limits<int>::max()});
+    return it != index.begin() && std::prev(it)->first == id ? std::prev(it)->second : -1;
   };
-  for (const ObjectId input : graph.inputs) add_edge(kSource, index.at(input));
-  for (const ObjectId output : graph.outputs) add_edge(index.at(output), kSink);
+  std::vector<std::pair<int, int>> edges;
+  const auto add_edge = [&](int from, int to) { edges.emplace_back(from, to); };
+  for (const ObjectId input : graph.inputs) add_edge(kSource, vertex_of(input));
+  for (const ObjectId output : graph.outputs) add_edge(vertex_of(output), kSink);
   for (const auto& [from, tos] : graph.edges) {
-    const auto from_it = index.find(from);
-    if (from_it == index.end()) continue;
+    const int from_vertex = vertex_of(from);
+    if (from_vertex < 0) continue;
     for (const ObjectId to : tos) {
-      const auto to_it = index.find(to);
-      if (to_it != index.end()) add_edge(from_it->second, to_it->second);
+      const int to_vertex = vertex_of(to);
+      if (to_vertex >= 0) add_edge(from_vertex, to_vertex);
     }
   }
-  for (auto& adj : out.fwd) {
-    std::sort(adj.begin(), adj.end());
-    adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
-  }
-  for (auto& adj : out.bwd) {
-    std::sort(adj.begin(), adj.end());
-    adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
-  }
+  out.fwd = Adjacency::from_edges(edges, out.vertex_count);
+  for (auto& [from, to] : edges) std::swap(from, to);
+  out.bwd = Adjacency::from_edges(edges, out.vertex_count);
 
+  // Components indexed by ObjectId (the variable *order* is assigned
+  // separately, from BFS discovery).
+  for (const auto& [node, owner] : graph.owner) out.components.push_back(owner);
+  std::sort(out.components.begin(), out.components.end());
+  out.components.erase(std::unique(out.components.begin(), out.components.end()),
+                       out.components.end());
+  out.comp_vertices.resize(out.components.size());
   out.owner_of.assign(out.vertex_count, -1);
-  std::map<ObjectId, int> comp_index;
-  // Deterministic component indexing: by ObjectId (the variable *order* is
-  // assigned separately, from BFS discovery).
   for (const auto& [node, owner] : graph.owner) {
-    if (!comp_index.contains(owner)) {
-      comp_index[owner] = static_cast<int>(out.components.size());
-      out.components.push_back(owner);
-      out.comp_vertices.emplace_back();
-    }
-  }
-  for (const auto& [node, owner] : graph.owner) {
-    const auto it = index.find(node);
-    if (it == index.end()) continue;
-    const int comp = comp_index.at(owner);
-    out.owner_of[static_cast<size_t>(it->second)] = comp;
-    out.comp_vertices[static_cast<size_t>(comp)].push_back(it->second);
+    const int vertex = vertex_of(node);
+    if (vertex < 0) continue;
+    const auto comp = static_cast<int>(
+        std::lower_bound(out.components.begin(), out.components.end(), owner) -
+        out.components.begin());
+    out.owner_of[static_cast<size_t>(vertex)] = comp;
+    out.comp_vertices[static_cast<size_t>(comp)].push_back(vertex);
   }
   return out;
 }
 
+/// Memo of decomposition states. Keys are word strings stored back to back
+/// in one pool and found through an open-addressing index, so a state costs
+/// no allocation of its own.
+class StateMemo {
+ public:
+  static uint64_t hash(const std::vector<uint32_t>& key) {
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const uint32_t word : key) h = (h ^ word) * 0x100000001b3ull;
+    return h ^ (h >> 29);
+  }
+
+  [[nodiscard]] const ZbddRef* find(const std::vector<uint32_t>& key, uint64_t h) const {
+    if (slots_.empty()) return nullptr;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = h & mask; slots_[i].value != kZbddNone; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.hash == h && slot.size == key.size() &&
+          std::equal(key.begin(), key.end(),
+                     pool_.begin() + static_cast<ptrdiff_t>(slot.offset))) {
+        return &slot.value;
+      }
+    }
+    return nullptr;
+  }
+
+  /// Copies `key` into the pool ahead of its result (the caller's key
+  /// buffer is reused by the sub-states) and returns where it landed.
+  size_t stash(const std::vector<uint32_t>& key) {
+    pool_.insert(pool_.end(), key.begin(), key.end());
+    return pool_.size() - key.size();
+  }
+
+  void insert(uint64_t h, size_t offset, size_t size, ZbddRef value) {
+    if (2 * (used_ + 1) > slots_.size()) {
+      std::vector<Slot> old(slots_.empty() ? 64 : 2 * slots_.size());
+      old.swap(slots_);
+      used_ = 0;
+      for (const Slot& slot : old) {
+        if (slot.value != kZbddNone) insert(slot.hash, slot.offset, slot.size, slot.value);
+      }
+    }
+    const size_t mask = slots_.size() - 1;
+    size_t i = h & mask;
+    while (slots_[i].value != kZbddNone) i = (i + 1) & mask;
+    slots_[i] = {h, offset, size, value};
+    ++used_;
+  }
+
+ private:
+  struct Slot {
+    uint64_t hash = 0;
+    size_t offset = 0;
+    size_t size = 0;
+    ZbddRef value = kZbddNone;  ///< kZbddNone = free slot
+  };
+  std::vector<uint32_t> pool_;
+  std::vector<Slot> slots_;
+  size_t used_ = 0;
+};
+
 /// Shannon decomposition of the structure function with memoised states.
+/// The state (removed vertices, perfect components) lives in two arrays
+/// that each branch sets and restores; the BFS queues, seen arrays, key and
+/// local-index arrays are scratch reused by every state, and each seen
+/// array is reset from the list of vertices its pass touched.
 class Decomposer {
  public:
   Decomposer(const FlowGraph& graph, size_t max_order)
@@ -123,13 +214,20 @@ class Decomposer {
     // budgets on one memo key.
     budget0_ = max_order == 0 ? ncomps_ : std::min(max_order, ncomps_);
     order_of_.assign(ncomps_, -1);
+    const size_t n = graph.vertex_count;
+    removed_.assign(n, 0);
+    perfect_.assign(ncomps_, 0);
+    counted_.assign(ncomps_, 0);
+    live_.assign(n, 0);
+    fwd_seen_.assign(n, 0);
+    bwd_seen_.assign(n, 0);
+    seen_.assign(n, 0);
+    local_of_.assign(n, -1);
   }
 
   ZbddRef run(ZbddArena& arena) {
-    std::vector<char> removed(graph_.vertex_count, 0);
-    assign_variable_order(removed);
-    std::vector<char> perfect(ncomps_, 0);
-    return decompose(arena, removed, perfect, budget0_);
+    assign_variable_order();
+    return decompose(arena, budget0_);
   }
 
   [[nodiscard]] bool truncated() const { return truncated_; }
@@ -139,13 +237,18 @@ class Decomposer {
   }
 
  private:
-  /// Forward BFS from `start` over vertices passing `admit`; fills `seen`.
+  /// Row delimiter of the state key: never a local index.
+  static constexpr uint32_t kRowEnd = std::numeric_limits<uint32_t>::max();
+
+  /// BFS from `start` over vertices passing `admit`: marks `seen` and leaves
+  /// exactly the marked vertices in `queue`.
   template <typename Admit>
-  void bfs(int start, const std::vector<std::vector<int>>& adj, Admit admit,
-           std::vector<char>& seen) const {
+  void bfs(int start, const Adjacency& adj, Admit admit,
+           std::vector<char>& seen, std::vector<int>& queue) const {
+    queue.clear();
     if (!admit(start)) return;
     seen[static_cast<size_t>(start)] = 1;
-    std::vector<int> queue{start};
+    queue.push_back(start);
     for (size_t head = 0; head < queue.size(); ++head) {
       for (const int next : adj[static_cast<size_t>(queue[head])]) {
         if (seen[static_cast<size_t>(next)] || !admit(next)) continue;
@@ -155,31 +258,50 @@ class Decomposer {
     }
   }
 
+  static void unmark(std::vector<char>& marks, const std::vector<int>& touched) {
+    for (const int v : touched) marks[static_cast<size_t>(v)] = 0;
+  }
+
+  /// Live = reachable from the source ∧ co-reachable to the sink over
+  /// non-removed vertices: sets live_ and lists those vertices in
+  /// live_list_. Returns false, marking nothing, when source and sink are
+  /// already disconnected.
+  bool mark_live() {
+    const auto admit = [&](int v) { return !removed_[static_cast<size_t>(v)]; };
+    bfs(kSource, graph_.fwd, admit, fwd_seen_, fwd_queue_);
+    live_list_.clear();
+    if (fwd_seen_[kSink]) {
+      bfs(kSink, graph_.bwd, admit, bwd_seen_, bwd_queue_);
+      for (const int v : bwd_queue_) {
+        if (!fwd_seen_[static_cast<size_t>(v)]) continue;
+        live_[static_cast<size_t>(v)] = 1;
+        live_list_.push_back(v);
+      }
+      unmark(bwd_seen_, bwd_queue_);
+    }
+    unmark(fwd_seen_, fwd_queue_);
+    return !live_list_.empty();
+  }
+
+  void unmark_live() { unmark(live_, live_list_); }
+
   /// Variable order = component discovery order of a BFS from the source
   /// over the initial live subgraph (index-sorted adjacency ⇒ deterministic).
   /// Branching always picks the minimum free variable, and both sub-states
   /// only shrink the free set, so every ZBDD node respects this order.
-  void assign_variable_order(const std::vector<char>& removed) {
-    std::vector<char> live;
-    const bool connected = live_vertices(removed, live);
+  void assign_variable_order() {
     int next = 0;
-    if (connected) {
-      std::vector<char> seen(graph_.vertex_count, 0);
-      std::vector<int> queue{kSource};
-      seen[kSource] = 1;
-      for (size_t head = 0; head < queue.size(); ++head) {
-        const int v = queue[head];
+    if (mark_live()) {
+      const auto admit = [&](int v) { return live_[static_cast<size_t>(v)] != 0; };
+      bfs(kSource, graph_.fwd, admit, seen_, queue_);
+      for (const int v : queue_) {
         const int owner = graph_.owner_of[static_cast<size_t>(v)];
         if (owner >= 0 && order_of_[static_cast<size_t>(owner)] < 0) {
           order_of_[static_cast<size_t>(owner)] = next++;
         }
-        for (const int to : graph_.fwd[static_cast<size_t>(v)]) {
-          if (!seen[static_cast<size_t>(to)] && live[static_cast<size_t>(to)]) {
-            seen[static_cast<size_t>(to)] = 1;
-            queue.push_back(to);
-          }
-        }
       }
+      unmark(seen_, queue_);
+      unmark_live();
     }
     // Components outside the live subgraph never appear in a cut set; give
     // them trailing order ids so the mapping stays total.
@@ -192,172 +314,152 @@ class Decomposer {
     }
   }
 
-  /// Live = reachable from the source ∧ co-reachable to the sink over
-  /// non-removed vertices. Returns false when source and sink are already
-  /// disconnected (live is then all-zero).
-  bool live_vertices(const std::vector<char>& removed, std::vector<char>& live) const {
-    const auto admit = [&](int v) { return !removed[static_cast<size_t>(v)]; };
-    std::vector<char> fwd(graph_.vertex_count, 0);
-    bfs(kSource, graph_.fwd, admit, fwd);
-    if (!fwd[kSink]) {
-      live.assign(graph_.vertex_count, 0);
-      return false;
-    }
-    std::vector<char> bwd(graph_.vertex_count, 0);
-    bfs(kSink, graph_.bwd, admit, bwd);
-    live.resize(graph_.vertex_count);
-    for (size_t v = 0; v < graph_.vertex_count; ++v) {
-      live[v] = static_cast<char>(fwd[v] && bwd[v]);
-    }
-    return true;
+  [[nodiscard]] bool is_free(size_t v) const {
+    const int owner = graph_.owner_of[v];
+    return live_[v] && owner >= 0 && !perfect_[static_cast<size_t>(owner)];
   }
 
   /// True when a source→sink path survives through unfailable (boundary) and
   /// perfect-component vertices only — no remaining failure combination can
   /// sever it, so the residual cut family is empty.
-  bool permanently_connected(const std::vector<char>& live,
-                             const std::vector<char>& perfect) const {
+  bool permanently_connected() {
     const auto admit = [&](int v) {
-      if (!live[static_cast<size_t>(v)]) return false;
-      const int owner = graph_.owner_of[static_cast<size_t>(v)];
-      return owner < 0 || perfect[static_cast<size_t>(owner)] != 0;
+      return live_[static_cast<size_t>(v)] && !is_free(static_cast<size_t>(v));
     };
-    std::vector<char> seen(graph_.vertex_count, 0);
-    bfs(kSource, graph_.fwd, admit, seen);
-    return seen[kSink] != 0;
+    bfs(kSource, graph_.fwd, admit, seen_, queue_);
+    const bool connected = seen_[kSink] != 0;
+    unmark(seen_, queue_);
+    return connected;
   }
 
-  /// Canonical memo signature of the residual subproblem. The raw
-  /// (live, perfect) bitmaps over-distinguish: on a redundant lattice every
-  /// already-decided stage configuration with at least one perfect unit
-  /// leaves the *same* residual function, but a different bitmap — an
-  /// exponential memo. The residual function over the free (live, not yet
-  /// perfect) components is fully determined by reachability between free
-  /// vertices through the non-free live region: any surviving path is an
-  /// alternation of free vertices and unfailable (boundary/perfect) segments,
-  /// and only the free vertices can ever be removed below this state. So the
-  /// key contracts the unfailable region away:
-  ///   effective budget ∥ free-vertex ids ∥ per-row reachability bitsets
-  /// with one row for the super-source and one per free vertex (bits: each
-  /// free vertex + the sink). Equal keys ⇒ identical residual families, and
-  /// decided stages collapse regardless of which unit survived.
-  std::string state_key(const std::vector<char>& live, const std::vector<char>& perfect,
-                        size_t budget) const {
-    std::vector<int> free_vertices;
-    std::vector<int> local_of(graph_.vertex_count, -1);
-    std::vector<char> comp_free(ncomps_, 0);
-    for (size_t v = 0; v < graph_.vertex_count; ++v) {
-      const int owner = graph_.owner_of[v];
-      if (!live[v] || owner < 0 || perfect[static_cast<size_t>(owner)]) continue;
-      local_of[v] = static_cast<int>(free_vertices.size());
-      free_vertices.push_back(static_cast<int>(v));
-      comp_free[static_cast<size_t>(owner)] = 1;
-    }
-    // Budgets at or above the free-component count can never bind below this
-    // state; collapse them to one sentinel so unbounded runs don't fragment
-    // the memo by depth.
-    size_t free_count = 0;
-    for (size_t c = 0; c < ncomps_; ++c) free_count += comp_free[c] != 0;
-    const size_t effective = budget >= free_count ? size_t{0xFFFF} : budget;
-
-    const size_t bits_per_row = free_vertices.size() + 1;  // + sink bit
-    const size_t bytes_per_row = (bits_per_row + 7) / 8;
-    std::string key;
-    key.reserve(2 + 2 * free_vertices.size() + (free_vertices.size() + 1) * bytes_per_row);
-    key.push_back(static_cast<char>(effective & 0xFF));
-    key.push_back(static_cast<char>((effective >> 8) & 0xFF));
-    for (const int v : free_vertices) {
-      key.push_back(static_cast<char>(v & 0xFF));
-      key.push_back(static_cast<char>((v >> 8) & 0xFF));
-    }
-
-    // Row of `start`: which free vertices / the sink it reaches through
-    // non-free live vertices only (free vertices are hit but not crossed).
-    std::vector<char> row(bits_per_row);
-    std::vector<char> seen(graph_.vertex_count);
-    std::vector<int> queue;
-    const auto append_row = [&](int start) {
-      std::fill(row.begin(), row.end(), 0);
-      std::fill(seen.begin(), seen.end(), 0);
-      queue.assign(1, start);
-      seen[static_cast<size_t>(start)] = 1;
-      for (size_t head = 0; head < queue.size(); ++head) {
-        for (const int to : graph_.fwd[static_cast<size_t>(queue[head])]) {
-          if (seen[static_cast<size_t>(to)] || !live[static_cast<size_t>(to)]) continue;
-          seen[static_cast<size_t>(to)] = 1;
-          if (to == kSink) {
-            row[free_vertices.size()] = 1;
-          } else if (local_of[static_cast<size_t>(to)] >= 0) {
-            row[static_cast<size_t>(local_of[static_cast<size_t>(to)])] = 1;
-          } else {
-            queue.push_back(to);
-          }
-        }
-      }
-      unsigned char byte = 0;
-      for (size_t i = 0; i < bits_per_row; ++i) {
-        byte = static_cast<unsigned char>((byte << 1) | (row[i] ? 1u : 0u));
-        if ((i & 7u) == 7u) {
-          key.push_back(static_cast<char>(byte));
-          byte = 0;
-        }
-      }
-      if ((bits_per_row & 7u) != 0) key.push_back(static_cast<char>(byte));
-    };
-    append_row(kSource);
-    for (const int v : free_vertices) append_row(v);
-    return key;
-  }
-
-  ZbddRef decompose(ZbddArena& arena, const std::vector<char>& removed,
-                    const std::vector<char>& perfect, size_t budget) {
-    std::vector<char> live;
-    if (!live_vertices(removed, live)) return kZbddUnit;  // already severed
-    if (permanently_connected(live, perfect)) return kZbddEmpty;
-    // From here on: not severed, and every surviving path crosses at least
-    // one free component, so cuts DO exist in the unbounded semantics.
-    if (budget == 0) {
-      truncated_ = true;  // the order bound clipped a non-empty sub-family
-      return kZbddEmpty;
-    }
-
-    const std::string key = state_key(live, perfect, budget);
-    if (const auto it = memo_.find(key); it != memo_.end()) {
-      EngineMetrics::get().state_hits.add();
-      return it->second;
-    }
-    EngineMetrics::get().states.add();
-
-    // Branch on the free live component with the smallest variable order.
+  /// Writes the canonical memo signature of the residual subproblem into
+  /// key_ and returns the free component with the smallest variable order
+  /// (the branch), or -1 when none is free. The raw (live, perfect) bitmaps
+  /// over-distinguish: on a redundant lattice every already-decided stage
+  /// configuration with at least one perfect unit leaves the *same* residual
+  /// function, but a different bitmap — an exponential memo. The residual
+  /// function over the free (live, not yet perfect) components is fully
+  /// determined by reachability between free vertices through the non-free
+  /// live region: any surviving path is an alternation of free vertices and
+  /// unfailable (boundary/perfect) segments, and only the free vertices can
+  /// ever be removed below this state. So the key contracts the unfailable
+  /// region away:
+  ///   effective budget ∥ free-vertex count ∥ free-vertex ids ∥ rows
+  /// with one row for the super-source and one per free vertex: the sorted
+  /// local indices of the free vertices it reaches (the sink is index F),
+  /// closed by kRowEnd. A row lists exactly the set bits of the dense
+  /// reachability bitset it replaces, so equal bitsets give equal keys and
+  /// the delimiter keeps the split between rows unambiguous. Equal keys ⇒
+  /// identical residual families, and decided stages collapse regardless of
+  /// which unit survived.
+  int build_key(size_t budget) {
+    free_.clear();
     int branch = -1;
+    size_t free_count = 0;
     for (size_t v = 0; v < graph_.vertex_count; ++v) {
+      if (!is_free(v)) continue;
       const int owner = graph_.owner_of[v];
-      if (!live[v] || owner < 0 || perfect[static_cast<size_t>(owner)]) continue;
+      local_of_[v] = static_cast<int>(free_.size());
+      free_.push_back(static_cast<int>(v));
+      if (!counted_[static_cast<size_t>(owner)]) {
+        counted_[static_cast<size_t>(owner)] = 1;
+        ++free_count;
+      }
       if (branch < 0 || order_of_[static_cast<size_t>(owner)] <
                             order_of_[static_cast<size_t>(branch)]) {
         branch = owner;
       }
     }
+    for (const int v : free_) {
+      counted_[static_cast<size_t>(graph_.owner_of[static_cast<size_t>(v)])] = 0;
+    }
+    // Budgets at or above the free-component count can never bind below this
+    // state; collapse them to one sentinel so unbounded runs don't fragment
+    // the memo by depth.
+    const uint32_t effective =
+        budget >= free_count ? kRowEnd : static_cast<uint32_t>(budget);
+
+    key_.clear();
+    key_.push_back(effective);
+    key_.push_back(static_cast<uint32_t>(free_.size()));
+    for (const int v : free_) key_.push_back(static_cast<uint32_t>(v));
+    const auto sink_local = static_cast<uint32_t>(free_.size());
+    // Row of `start`: which free vertices / the sink it reaches through
+    // non-free live vertices only (free vertices are hit but not crossed).
+    const auto append_row = [&](int start) {
+      hits_.clear();
+      queue_.assign(1, start);
+      seen_[static_cast<size_t>(start)] = 1;
+      for (size_t head = 0; head < queue_.size(); ++head) {
+        for (const int to : graph_.fwd[static_cast<size_t>(queue_[head])]) {
+          if (seen_[static_cast<size_t>(to)] || !live_[static_cast<size_t>(to)]) continue;
+          seen_[static_cast<size_t>(to)] = 1;
+          if (to == kSink) {
+            hits_.push_back(sink_local);
+          } else if (local_of_[static_cast<size_t>(to)] >= 0) {
+            hits_.push_back(static_cast<uint32_t>(local_of_[static_cast<size_t>(to)]));
+          } else {
+            queue_.push_back(to);
+          }
+        }
+      }
+      unmark(seen_, queue_);
+      for (const uint32_t local : hits_) {
+        seen_[local == sink_local ? size_t{kSink} : static_cast<size_t>(free_[local])] = 0;
+      }
+      std::sort(hits_.begin(), hits_.end());
+      key_.insert(key_.end(), hits_.begin(), hits_.end());
+      key_.push_back(kRowEnd);
+    };
+    append_row(kSource);
+    for (const int v : free_) append_row(v);
+    for (const int v : free_) local_of_[static_cast<size_t>(v)] = -1;
+    return branch;
+  }
+
+  ZbddRef decompose(ZbddArena& arena, size_t budget) {
+    if (!mark_live()) return kZbddUnit;  // already severed
+    if (permanently_connected()) {
+      unmark_live();
+      return kZbddEmpty;
+    }
+    // From here on: not severed, and every surviving path crosses at least
+    // one free component, so cuts DO exist in the unbounded semantics.
+    if (budget == 0) {
+      unmark_live();
+      truncated_ = true;  // the order bound clipped a non-empty sub-family
+      return kZbddEmpty;
+    }
+
+    const int branch = build_key(budget);
+    unmark_live();
+    const uint64_t hash = StateMemo::hash(key_);
+    if (const ZbddRef* hit = memo_.find(key_, hash)) {
+      EngineMetrics::get().state_hits.add();
+      return *hit;
+    }
+    EngineMetrics::get().states.add();
     // Unreachable: a live path with no free component would have been caught
     // by permanently_connected above.
     if (branch < 0) return kZbddEmpty;
+    const size_t key_size = key_.size();
+    const size_t key_offset = memo_.stash(key_);
 
-    std::vector<char> perfect_lo = perfect;
-    perfect_lo[static_cast<size_t>(branch)] = 1;
-    const ZbddRef lo = decompose(arena, removed, perfect_lo, budget);
-
-    std::vector<char> removed_hi = removed;
-    for (const int v : graph_.comp_vertices[static_cast<size_t>(branch)]) {
-      removed_hi[static_cast<size_t>(v)] = 1;
-    }
-    const ZbddRef hi_raw = decompose(arena, removed_hi, perfect, budget - 1);
+    // Branch on the free live component with the smallest variable order:
+    // healthy for good (perfect), then failed (its vertices removed).
+    const auto b = static_cast<size_t>(branch);
+    perfect_[b] = 1;
+    const ZbddRef lo = decompose(arena, budget);
+    perfect_[b] = 0;
+    for (const int v : graph_.comp_vertices[b]) removed_[static_cast<size_t>(v)] = 1;
+    const ZbddRef hi_raw = decompose(arena, budget - 1);
+    for (const int v : graph_.comp_vertices[b]) removed_[static_cast<size_t>(v)] = 0;
     // A cut through `branch` is only minimal if it is not a superset of a
     // cut that leaves `branch` healthy.
     const ZbddRef hi = arena.without_supersets(hi_raw, lo);
 
-    const ZbddRef result =
-        arena.node(static_cast<uint32_t>(order_of_[static_cast<size_t>(branch)]), lo, hi);
-    memo_.emplace(key, result);
+    const ZbddRef result = arena.node(static_cast<uint32_t>(order_of_[b]), lo, hi);
+    memo_.insert(hash, key_offset, key_size, result);
     return result;
   }
 
@@ -367,7 +469,20 @@ class Decomposer {
   bool truncated_ = false;
   std::vector<int> order_of_;       ///< component index → ZBDD variable
   std::vector<int> comp_of_order_;  ///< ZBDD variable → component index
-  std::unordered_map<std::string, ZbddRef> memo_;
+  StateMemo memo_;
+  // The state being decomposed, set and restored around each branch.
+  std::vector<char> removed_;  ///< by vertex
+  std::vector<char> perfect_;  ///< by component
+  // Scratch, all-zero (local_of_: all −1) between uses.
+  std::vector<char> live_;
+  std::vector<int> live_list_;
+  std::vector<char> fwd_seen_, bwd_seen_, seen_;
+  std::vector<int> fwd_queue_, bwd_queue_, queue_;
+  std::vector<char> counted_;  ///< by component: free component already counted
+  std::vector<int> local_of_;  ///< by vertex: index among the free vertices
+  std::vector<int> free_;
+  std::vector<uint32_t> hits_;
+  std::vector<uint32_t> key_;
 };
 
 }  // namespace

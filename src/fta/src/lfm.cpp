@@ -1,7 +1,8 @@
 #include "decisive/fta/lfm.hpp"
 
 #include <algorithm>
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "decisive/base/strings.hpp"
 
@@ -63,14 +64,16 @@ std::string LfmResult::to_text() const {
 
 LfmResult classify_latent(const ssam::SsamModel& ssam, const core::FaultTree& tree,
                           const core::FmedaResult& fmea) {
-  // Minimal cut order per cut-participating component.
-  std::map<std::uint64_t, size_t> min_order;
+  // Minimal cut order per cut-participating component: (component, order)
+  // sorted by component, the smallest order first within a component.
+  std::vector<std::pair<ObjectId, size_t>> min_order;
   for (const auto& cut : tree.cut_sets) {
-    for (const ObjectId member : cut) {
-      auto [it, inserted] = min_order.try_emplace(member, cut.size());
-      if (!inserted) it->second = std::min(it->second, cut.size());
-    }
+    for (const ObjectId member : cut) min_order.emplace_back(member, cut.size());
   }
+  std::sort(min_order.begin(), min_order.end());
+  min_order.erase(std::unique(min_order.begin(), min_order.end(),
+                              [](const auto& a, const auto& b) { return a.first == b.first; }),
+                  min_order.end());
 
   LfmResult out;
   double relevant_fit = 0.0;
@@ -81,8 +84,9 @@ LfmResult classify_latent(const ssam::SsamModel& ssam, const core::FaultTree& tr
 
     // Membership first: most rows' components are in no cut set, and
     // resolving a row's failure mode is a name scan over its component.
-    const auto order_it = min_order.find(fmea_row.component_id);
-    if (order_it == min_order.end()) {
+    const auto order_it = std::lower_bound(min_order.begin(), min_order.end(),
+                                           std::pair{fmea_row.component_id, size_t{0}});
+    if (order_it == min_order.end() || order_it->first != fmea_row.component_id) {
       out.rows.push_back(row);  // NotInvolved
       continue;
     }

@@ -9,21 +9,83 @@ namespace {
 // Terminals sort after every real variable so the min-var recursion rules
 // treat them uniformly.
 constexpr uint32_t kTerminalVar = std::numeric_limits<uint32_t>::max();
+
+/// splitmix64's finaliser: spreads packed operand bits over the whole word,
+/// so linear probing on the low bits stays short.
+uint64_t mix(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+uint64_t node_hash(uint32_t var, ZbddRef lo, ZbddRef hi) {
+  return mix(((uint64_t{lo} << 32) | hi) ^ (uint64_t{var} * 0x9e3779b97f4a7c15ull));
+}
 }  // namespace
+
+const ZbddRef* ZbddArena::PairMemo::find(uint64_t key) const noexcept {
+  if (slots_.empty()) return nullptr;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = mix(key) & mask;; i = (i + 1) & mask) {
+    if (slots_[i].key == key) return &slots_[i].value;
+    if (slots_[i].key == kFree) return nullptr;
+  }
+}
+
+void ZbddArena::PairMemo::insert(uint64_t key, ZbddRef value) {
+  if (2 * (used_ + 1) > slots_.size()) {
+    std::vector<Slot> old(slots_.empty() ? 64 : 2 * slots_.size());
+    old.swap(slots_);
+    used_ = 0;
+    for (const Slot& slot : old) {
+      if (slot.key != kFree) insert(slot.key, slot.value);
+    }
+  }
+  const size_t mask = slots_.size() - 1;
+  size_t i = mix(key) & mask;
+  while (slots_[i].key != kFree) i = (i + 1) & mask;
+  slots_[i] = {key, value};
+  ++used_;
+}
 
 ZbddArena::ZbddArena() {
   nodes_.push_back({kTerminalVar, kZbddEmpty, kZbddEmpty});  // kZbddEmpty
   nodes_.push_back({kTerminalVar, kZbddUnit, kZbddUnit});    // kZbddUnit
+  unique_.assign(64, kZbddEmpty);
+}
+
+size_t ZbddArena::unique_slot(uint32_t var, ZbddRef lo, ZbddRef hi) const noexcept {
+  const size_t mask = unique_.size() - 1;
+  for (size_t i = node_hash(var, lo, hi) & mask;; i = (i + 1) & mask) {
+    const ZbddRef ref = unique_[i];
+    if (ref == kZbddEmpty) return i;
+    const Node& n = nodes_[ref];
+    if (n.var == var && n.lo == lo && n.hi == hi) return i;
+  }
+}
+
+void ZbddArena::grow_unique() {
+  // Terminals never enter the table, so every real node re-lands once.
+  unique_.assign(2 * unique_.size(), kZbddEmpty);
+  for (ZbddRef ref = 2; ref < nodes_.size(); ++ref) {
+    unique_[unique_slot(nodes_[ref].var, nodes_[ref].lo, nodes_[ref].hi)] = ref;
+  }
 }
 
 ZbddRef ZbddArena::node(uint32_t var, ZbddRef lo, ZbddRef hi) {
   if (hi == kZbddEmpty) return lo;  // zero-suppression rule
-  const Key key{var, lo, hi};
-  const auto it = unique_.find(key);
-  if (it != unique_.end()) return it->second;
+  const size_t slot = unique_slot(var, lo, hi);
+  if (unique_[slot] != kZbddEmpty) return unique_[slot];
+  const auto ref = static_cast<ZbddRef>(nodes_.size());
   nodes_.push_back({var, lo, hi});
-  const auto ref = static_cast<ZbddRef>(nodes_.size() - 1);
-  unique_.emplace(key, ref);
+  // Keep the table at most half full; the two terminals are never in it.
+  if (2 * (nodes_.size() - 2) > unique_.size()) {
+    grow_unique();
+  } else {
+    unique_[slot] = ref;
+  }
   return ref;
 }
 
@@ -34,7 +96,7 @@ ZbddRef ZbddArena::set_union(ZbddRef a, ZbddRef b) {
   if (b == kZbddEmpty || a == b) return a;
   if (a > b) std::swap(a, b);  // commutative: canonicalise the memo key
   const uint64_t key = memo_key(a, b);
-  if (const auto it = union_memo_.find(key); it != union_memo_.end()) return it->second;
+  if (const ZbddRef* hit = union_memo_.find(key)) return *hit;
   const uint32_t va = nodes_[a].var;
   const uint32_t vb = nodes_[b].var;
   ZbddRef result;
@@ -46,7 +108,7 @@ ZbddRef ZbddArena::set_union(ZbddRef a, ZbddRef b) {
     result = node(va, set_union(nodes_[a].lo, nodes_[b].lo),
                   set_union(nodes_[a].hi, nodes_[b].hi));
   }
-  union_memo_.emplace(key, result);
+  union_memo_.insert(key, result);
   return result;
 }
 
@@ -56,7 +118,7 @@ ZbddRef ZbddArena::join(ZbddRef a, ZbddRef b) {
   if (b == kZbddUnit) return a;
   if (a > b) std::swap(a, b);  // commutative
   const uint64_t key = memo_key(a, b);
-  if (const auto it = join_memo_.find(key); it != join_memo_.end()) return it->second;
+  if (const ZbddRef* hit = join_memo_.find(key)) return *hit;
   const uint32_t va = nodes_[a].var;
   const uint32_t vb = nodes_[b].var;
   ZbddRef result;
@@ -72,7 +134,7 @@ ZbddRef ZbddArena::join(ZbddRef a, ZbddRef b) {
         join(nodes_[a].lo, nodes_[b].hi));
     result = node(va, join(nodes_[a].lo, nodes_[b].lo), hi);
   }
-  join_memo_.emplace(key, result);
+  join_memo_.insert(key, result);
   return result;
 }
 
@@ -82,7 +144,7 @@ ZbddRef ZbddArena::without_supersets(ZbddRef f, ZbddRef g) {
   if (g == kZbddUnit) return kZbddEmpty;  // ∅ subsumes every set
   if (f == kZbddUnit) return contains_empty(g) ? kZbddEmpty : kZbddUnit;
   const uint64_t key = memo_key(f, g);
-  if (const auto it = without_memo_.find(key); it != without_memo_.end()) return it->second;
+  if (const ZbddRef* hit = without_memo_.find(key)) return *hit;
   const uint32_t vf = nodes_[f].var;
   const uint32_t vg = nodes_[g].var;
   ZbddRef result;
@@ -98,19 +160,20 @@ ZbddRef ZbddArena::without_supersets(ZbddRef f, ZbddRef g) {
         without_supersets(without_supersets(nodes_[f].hi, nodes_[g].lo), nodes_[g].hi);
     result = node(vf, without_supersets(nodes_[f].lo, nodes_[g].lo), hi);
   }
-  without_memo_.emplace(key, result);
+  without_memo_.insert(key, result);
   return result;
 }
 
 ZbddRef ZbddArena::minimal(ZbddRef f) {
   if (f == kZbddEmpty || f == kZbddUnit) return f;
-  if (const auto it = minimal_memo_.find(f); it != minimal_memo_.end()) return it->second;
+  if (f < minimal_memo_.size() && minimal_memo_[f] != kZbddNone) return minimal_memo_[f];
   const uint32_t v = nodes_[f].var;
   const ZbddRef m0 = minimal(nodes_[f].lo);
   // A set {v}∪s is minimal iff s is minimal in f1 and no v-free set subsumes it.
   const ZbddRef m1 = without_supersets(minimal(nodes_[f].hi), m0);
   const ZbddRef result = node(v, m0, m1);
-  minimal_memo_.emplace(f, result);
+  if (f >= minimal_memo_.size()) minimal_memo_.resize(nodes_.size(), kZbddNone);
+  minimal_memo_[f] = result;
   return result;
 }
 
@@ -120,10 +183,10 @@ ZbddRef ZbddArena::subsets_with(ZbddRef f, uint32_t var) {
   if (vf > var) return kZbddEmpty;  // var cannot appear below vf
   if (vf == var) return nodes_[f].hi;
   const uint64_t key = memo_key(f, var);
-  if (const auto it = subset_memo_.find(key); it != subset_memo_.end()) return it->second;
+  if (const ZbddRef* hit = subset_memo_.find(key)) return *hit;
   const ZbddRef result =
       node(vf, subsets_with(nodes_[f].lo, var), subsets_with(nodes_[f].hi, var));
-  subset_memo_.emplace(key, result);
+  subset_memo_.insert(key, result);
   return result;
 }
 
@@ -133,7 +196,10 @@ bool ZbddArena::contains_empty(ZbddRef f) const {
 }
 
 size_t ZbddArena::count(ZbddRef f) const {
-  std::unordered_map<ZbddRef, size_t> memo;
+  std::vector<size_t> memo(nodes_.size(), 0);
+  std::vector<char> known(nodes_.size(), 0);
+  memo[kZbddUnit] = 1;
+  known[kZbddEmpty] = known[kZbddUnit] = 1;
   const auto saturating_add = [](size_t a, size_t b) {
     return a > std::numeric_limits<size_t>::max() - b
                ? std::numeric_limits<size_t>::max()
@@ -143,37 +209,22 @@ size_t ZbddArena::count(ZbddRef f) const {
   std::vector<ZbddRef> stack{f};
   while (!stack.empty()) {
     const ZbddRef cur = stack.back();
-    if (cur == kZbddEmpty || cur == kZbddUnit || memo.contains(cur)) {
+    if (known[cur]) {
       stack.pop_back();
       continue;
     }
     const ZbddRef lo = nodes_[cur].lo;
     const ZbddRef hi = nodes_[cur].hi;
-    const auto value_of = [&](ZbddRef r) -> const size_t* {
-      if (r == kZbddEmpty) {
-        static constexpr size_t kZero = 0;
-        return &kZero;
-      }
-      if (r == kZbddUnit) {
-        static constexpr size_t kOne = 1;
-        return &kOne;
-      }
-      const auto it = memo.find(r);
-      return it == memo.end() ? nullptr : &it->second;
-    };
-    const size_t* lo_count = value_of(lo);
-    const size_t* hi_count = value_of(hi);
-    if (lo_count != nullptr && hi_count != nullptr) {
-      memo.emplace(cur, saturating_add(*lo_count, *hi_count));
+    if (known[lo] && known[hi]) {
+      memo[cur] = saturating_add(memo[lo], memo[hi]);
+      known[cur] = 1;
       stack.pop_back();
     } else {
-      if (lo_count == nullptr) stack.push_back(lo);
-      if (hi_count == nullptr) stack.push_back(hi);
+      if (!known[lo]) stack.push_back(lo);
+      if (!known[hi]) stack.push_back(hi);
     }
   }
-  if (f == kZbddEmpty) return 0;
-  if (f == kZbddUnit) return 1;
-  return memo.at(f);
+  return memo[f];
 }
 
 namespace {

@@ -54,6 +54,10 @@ class ModelObject {
   /// Raw accessor; returns an unset Value when never assigned.
   [[nodiscard]] const Value& get(std::string_view attr_name) const;
 
+  /// Raw accessor for `attr`, an attribute of this object's class resolved
+  /// once by the caller (unset when never assigned). Resolves no name.
+  [[nodiscard]] const Value& get(const MetaAttribute& attr) const noexcept;
+
   /// Typed getters with defaults for unset attributes.
   [[nodiscard]] std::string get_string(std::string_view attr_name,
                                        std::string_view fallback = "") const;

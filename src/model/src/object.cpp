@@ -79,7 +79,10 @@ void ModelObject::set_bool(std::string_view attr_name, bool value) {
 }
 
 const Value& ModelObject::get(std::string_view attr_name) const {
-  const MetaAttribute& attr = cls_->attribute(attr_name);
+  return get(cls_->attribute(attr_name));
+}
+
+const Value& ModelObject::get(const MetaAttribute& attr) const noexcept {
   for (const auto& [a, v] : attrs_) {
     if (a == &attr) return v;
   }

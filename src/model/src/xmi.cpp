@@ -1,19 +1,28 @@
 #include "decisive/model/xmi.hpp"
 
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <unordered_map>
 
 #include "decisive/base/error.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/base/strings.hpp"
 #include "decisive/base/xml.hpp"
 
 namespace decisive::model {
 
-std::string save_xmi(const FullLoadRepository& repo, const MetaPackage& package) {
-  // Streamed, not built as an element tree first: the tree of a large model
-  // takes several times the memory of the model itself.
-  std::string out;
+namespace {
+
+/// Bytes of XMI text save_xmi_file holds before writing them out.
+constexpr size_t kSaveChunk = size_t{1} << 16;
+
+/// Streams the model as XMI into `out`, not as an element tree first: the
+/// tree of a large model takes several times the memory of the model
+/// itself. Calls `drain(out)` after each object, so a caller may write out
+/// and clear the text so far.
+template <typename Drain>
+void write_xmi(const FullLoadRepository& repo, const MetaPackage& package, std::string& out,
+               Drain drain) {
   xml::Writer xml(out);
   xml.start("model");
   xml.attribute("package", package.name());
@@ -22,7 +31,7 @@ std::string save_xmi(const FullLoadRepository& repo, const MetaPackage& package)
     xml.attribute("id", std::to_string(obj.id()));
     xml.attribute("class", obj.meta().name());
     for (const MetaAttribute* attr : obj.meta().all_attributes()) {
-      const Value& v = obj.get(attr->name);
+      const Value& v = obj.get(*attr);
       if (std::holds_alternative<std::monostate>(v)) continue;
       xml.start("attr");
       xml.attribute("name", attr->name);
@@ -43,8 +52,16 @@ std::string save_xmi(const FullLoadRepository& repo, const MetaPackage& package)
       xml.end();
     }
     xml.end();
+    drain(out);
   });
   xml.end();
+}
+
+}  // namespace
+
+std::string save_xmi(const FullLoadRepository& repo, const MetaPackage& package) {
+  std::string out;
+  write_xmi(repo, package, out, [](std::string&) {});
   return out;
 }
 
@@ -52,7 +69,17 @@ void save_xmi_file(const std::string& path, const FullLoadRepository& repo,
                    const MetaPackage& package) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw IoError("cannot write model file '" + path + "'");
-  out << save_xmi(repo, package);
+  // The document goes out in chunks of about kSaveChunk bytes: never held
+  // whole, and the bytes are save_xmi's.
+  std::string chunk;
+  const auto write_out = [&](std::string& text) {
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+    text.clear();
+  };
+  write_xmi(repo, package, chunk, [&](std::string& text) {
+    if (text.size() >= kSaveChunk) write_out(text);
+  });
+  write_out(chunk);
   if (!out) throw IoError("failed while writing model file '" + path + "'");
 }
 
@@ -118,11 +145,9 @@ void load_xmi(FullLoadRepository& repo, const MetaPackage& package, std::string_
 
 void load_xmi_file(FullLoadRepository& repo, const MetaPackage& package,
                    const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open model file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  load_xmi(repo, package, std::move(buffer).str());
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw IoError("cannot open model file '" + path + "'");
+  load_xmi(repo, package, *text);
 }
 
 }  // namespace decisive::model

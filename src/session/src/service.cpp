@@ -443,7 +443,7 @@ class Service {
     out_ << "spfm " << format_percent(spfm) << "\n";
     out_ << "asil " << result.asil_label(spfm) << "\n";
     out_ << "rows " << result.rows.size() << " safety-related "
-         << result.safety_related_components().size() << " warnings "
+         << result.safety_related_component_count() << " warnings "
          << result.warnings.size() << "\n";
   }
 

@@ -222,13 +222,17 @@ std::vector<ObjectId> SsamModel::all_components_under(ObjectId root) const {
 
 ObjectId SsamModel::find_by_name(std::string_view class_name, std::string_view name) const {
   const auto& wanted = meta().get(class_name);
-  ObjectId found = kNullObject;
-  repo_.for_each([&](const ModelObject& o) {
-    if (found == kNullObject && o.is_kind_of(wanted) && o.get_string("name") == name) {
-      found = o.id();
-    }
-  });
-  return found;
+  // Resolved once; every instance of `wanted` shares it. Without it, each
+  // candidate resolves its own (and throws when its class has none).
+  const model::MetaAttribute* name_attr = wanted.find_attribute("name");
+  for (ObjectId id = 1; id <= repo_.size(); ++id) {
+    const ModelObject& o = repo_.get(id);
+    if (!o.is_kind_of(wanted)) continue;
+    const auto* text = std::get_if<std::string>(
+        &o.get(name_attr != nullptr ? *name_attr : o.meta().attribute("name")));
+    if ((text != nullptr ? std::string_view(*text) : std::string_view()) == name) return id;
+  }
+  return kNullObject;
 }
 
 query::Value run_extraction(const SsamModel& ssam, ObjectId external_reference) {

@@ -2,9 +2,19 @@
 // (paper Equation 1 and the SPFM targets).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "decisive/base/error.hpp"
+#include "decisive/base/strings.hpp"
 #include "decisive/core/campaign.hpp"
 #include "decisive/core/fmeda.hpp"
+#include "decisive/core/sm_search.hpp"
 
 using namespace decisive;
 using namespace decisive::core;
@@ -300,3 +310,76 @@ TEST_P(SpfmProperty, BoundsAndCoverageMonotonicity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpfmProperty, ::testing::Range(1, 26));
+
+namespace {
+
+/// The identity filter as it was written with a std::set: each component
+/// identity's first safety-related row, keyed (id, "") or, for id 0,
+/// (0, display name).
+struct SetReference {
+  std::vector<std::string> names;
+  double fit = 0.0;
+};
+
+SetReference set_reference(const FmedaResult& result) {
+  SetReference out;
+  std::set<std::pair<std::uint64_t, std::string>> seen;
+  for (const auto& r : result.rows) {
+    const std::pair<std::uint64_t, std::string> key{
+        r.component_id, r.component_id == 0 ? r.component : std::string()};
+    if (r.safety_related && seen.insert(key).second) {
+      out.names.push_back(r.component);
+      out.fit += r.fit;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST_P(SpfmProperty, IdentityFilterMatchesTheStdSetReference) {
+  // Random rows mixing model ids and id-0 (circuit) rows: ids repeat out of
+  // order, names repeat under id 0 and across ids, and one id is huge.
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919u);
+  FmedaResult result;
+  const size_t count = 1 + rng.below(400);
+  for (size_t i = 0; i < count; ++i) {
+    FmedaRow r = row(("c" + std::to_string(rng.below(12))).c_str(), rng.uniform(0.1, 90.0),
+                     "Open", rng.uniform(), rng.chance(0.7));
+    switch (rng.below(4)) {
+      case 0: r.component_id = 0; break;
+      case 1: r.component_id = std::numeric_limits<std::uint64_t>::max() - rng.below(3); break;
+      default: r.component_id = 1 + rng.below(40); break;
+    }
+    result.rows.push_back(r);
+  }
+  const SetReference reference = set_reference(result);
+  EXPECT_EQ(result.safety_related_components(), reference.names);
+  EXPECT_EQ(result.safety_related_component_count(), reference.names.size());
+  // Same rows summed in the same order: the same bits.
+  EXPECT_EQ(result.total_safety_related_fit(), reference.fit);
+}
+
+TEST(Fmeda, SpfmClampsAtZeroWhenRoundingGoesBelow) {
+  // Undeployed, every mode safety-related, fractional FITs split over two
+  // half-share modes: Σ residual rounds a hair above Σ FIT, and the
+  // unclamped metric reads −2.2e-16, which printed as "-0.0000%".
+  FmedaResult result;
+  for (const auto& [name, fit] : {std::pair{"A", 0.1}, std::pair{"B", 0.35}}) {
+    result.rows.push_back(row(name, fit, "Open", 0.5, true));
+    result.rows.push_back(row(name, fit, "Short", 0.5, true));
+  }
+  ASSERT_LT(1.0 - result.single_point_fit() / result.total_safety_related_fit(), 0.0);
+  EXPECT_EQ(result.spfm(), 0.0);
+  EXPECT_FALSE(std::signbit(result.spfm()));
+  EXPECT_EQ(format_percent(result.spfm(), 4), "0.0000%");
+
+  // The deployment search's evaluator clamps the same way: the undeployed
+  // point of the front prints 0.0000%.
+  SafetyMechanismModel catalogue;
+  catalogue.add({"A", "Open", "Monitor", 0.9, 1.0});
+  const auto front = pareto_front(result, catalogue);
+  ASSERT_FALSE(front.empty());
+  EXPECT_TRUE(front.front().choices.empty());
+  EXPECT_EQ(front_to_csv(result, front).rows.front()[1], "0.0000%");
+}

@@ -7,11 +7,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "decisive/base/csv.hpp"
 #include "decisive/base/error.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/core/fta.hpp"
 #include "decisive/core/graph_fmea.hpp"
 #include "decisive/core/sm_search.hpp"
@@ -20,6 +25,8 @@
 #include "decisive/fta/lfm.hpp"
 #include "decisive/fta/quantify.hpp"
 #include "decisive/fta/zbdd.hpp"
+#include "decisive/model/xmi.hpp"
+#include "decisive/obs/registry.hpp"
 #include "decisive/oracles.hpp"
 
 using namespace decisive;
@@ -555,4 +562,180 @@ TEST(FtaLfm, TargetsFollowIso26262) {
   EXPECT_EQ(achieved_asil_lfm(0.95), "ASIL-D");
   EXPECT_EQ(achieved_asil_lfm(0.65), "ASIL-B");
   EXPECT_THROW(lfm_target("ASIL-Z"), AnalysisError);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned outputs
+// ---------------------------------------------------------------------------
+
+namespace {
+
+void append_hex(std::string& bytes, double value) {
+  char buffer[40];
+  std::snprintf(buffer, sizeof buffer, "%a;", value);
+  bytes += buffer;
+}
+
+/// FNV-1a digest of everything one `fta` run emits on `root` at `max_order`:
+/// the tree text, the cut-set CSV, every quantification double as %a, the
+/// LFM classification against a cold graph FMEA, the synthesis' arena size
+/// and its `states` / `state_cache_hits` counter deltas.
+std::uint64_t fta_digest(SsamModel& m, ObjectId root, size_t max_order) {
+  auto& registry = obs::Registry::global();
+  auto& states = registry.counter("decisive_fta_states_total");
+  auto& hits = registry.counter("decisive_fta_state_cache_hits_total");
+  const auto states0 = states.value();
+  const auto hits0 = hits.value();
+  const auto tree = fta::synthesize_fault_tree_zbdd(m, root, {.max_order = max_order});
+  std::string bytes = tree.to_text();
+  bytes += "states " + std::to_string(states.value() - states0) + " hits " +
+           std::to_string(hits.value() - hits0) + " nodes " +
+           std::to_string(registry.gauge("decisive_fta_zbdd_nodes").value()) + "\n";
+  for (const double mission : {10'000.0, 0.5}) {
+    bytes += write_csv(fta::cut_sets_csv(tree, mission));
+    const auto q = fta::quantify(tree, mission);
+    append_hex(bytes, q.exact_probability);
+    append_hex(bytes, q.rare_event_bound);
+    for (const auto& row : q.importance) {
+      bytes += std::to_string(row.component) + " " + row.label + " ";
+      for (const double v :
+           {row.probability, row.birnbaum, row.fussell_vesely, row.raw, row.rrw}) {
+        append_hex(bytes, v);
+      }
+      bytes += row.indispensable ? "!\n" : "\n";
+    }
+  }
+  const auto fmea = analyze_component(m, root);
+  const auto lfm = fta::classify_latent(m, tree, fmea);
+  for (const auto& row : lfm.rows) {
+    bytes += std::to_string(row.row_index) + " " + std::string(fta::to_string(row.cls)) + " " +
+             std::to_string(row.min_cut_order) + " ";
+    for (const double v : {row.detected_fit, row.perceived_fit, row.latent_fit}) {
+      append_hex(bytes, v);
+    }
+    bytes += "\n";
+  }
+  for (const double v : {lfm.single_point_residual_fit, lfm.multi_point_fit, lfm.detected_fit,
+                         lfm.perceived_fit, lfm.latent_fit, lfm.denominator_fit, lfm.lfm()}) {
+    append_hex(bytes, v);
+  }
+  return fnv1a64(bytes);
+}
+
+/// Two decided states of this subject leave the same free vertices and the
+/// same reachability rows but for one member that moves between adjacent
+/// rows: state A (Z1 perfect, Z2 failed) reaches t from y, state B (Z1
+/// failed, Z2 perfect) from x. Their residual families differ ({Y} against
+/// {X, Y}, {T, Y}), and only the row delimiter of the state key tells the
+/// two apart. Z1 and Z2 each have an output node fed from the system input,
+/// so the BFS variable order decides them first.
+ObjectId build_row_split_subject(SsamModel& m) {
+  const auto pkg = m.create_component_package("design");
+  const ObjectId sys = m.create_component(pkg, "sys");
+  const ObjectId in = m.add_io_node(sys, "in", "in");
+  const ObjectId out = m.add_io_node(sys, "out", "out");
+  const auto unit = [&](const std::string& name, double fit) {
+    const ObjectId c = m.create_component(sys, name);
+    m.obj(c).set_real("fit", fit);
+    m.add_failure_mode(c, "Open", 0.5, "lossOfFunction");
+    return c;
+  };
+  ObjectId early[2];
+  ObjectId detour_in[2];
+  ObjectId detour_out[2];
+  for (int k = 0; k < 2; ++k) {
+    const std::string name = "Z" + std::to_string(k + 1);
+    const ObjectId z = unit(name, 30.0 + 10.0 * k);
+    early[k] = m.add_io_node(z, name + ".early", "out");
+    detour_in[k] = m.add_io_node(z, name + ".in", "in");
+    detour_out[k] = m.add_io_node(z, name + ".out", "out");
+  }
+  const ObjectId x = m.add_io_node(unit("X", 11.0), "x", "inout");
+  const ObjectId y = m.add_io_node(unit("Y", 13.0), "y", "inout");
+  const ObjectId t = m.add_io_node(unit("T", 17.0), "t", "inout");
+  for (const auto& [from, to] : std::vector<std::pair<ObjectId, ObjectId>>{
+           {in, early[0]}, {in, early[1]}, {in, x}, {in, y},  // the system input
+           {early[0], y}, {y, detour_in[0]}, {detour_out[0], t},   // y → Z1 → t
+           {early[1], x}, {x, detour_in[1]}, {detour_out[1], t},   // x → Z2 → t
+           {x, y}, {y, out}, {t, out}}) {
+    m.connect(sys, from, to);
+  }
+  return sys;
+}
+
+struct PinnedSubject {
+  const char* name;  ///< "scaled", "brake_chain" or "row_split"
+  size_t composites, leaves, width;
+  std::uint64_t digest[4];  ///< at max_order 0, 1, 2, 3
+};
+
+}  // namespace
+
+TEST(FtaEngine, OutputsArePinnedBitForBit) {
+  // Digests recorded before the flat-table rewrite of the ZBDD arena, the
+  // decomposer's state keys and the quantifier's memos: every byte the
+  // engine emits, and how many states it expanded and reused, must stay put.
+  const PinnedSubject subjects[] = {
+      {"scaled", 9, 1, 5,
+       {0xfddb3113b0a2f55aull, 0x1a5c463972c618e2ull,
+        0x42404ef2c8c8f8b8ull, 0x142b42f3a1fe66a0ull}},
+      {"scaled", 6, 2, 3,
+       {0xbba3098ec702c384ull, 0x1b47f11ff1218df2ull,
+        0x2112ccfdd5eaa3a1ull, 0xdb06e7323df1297dull}},
+      {"scaled", 4, 3, 4,
+       {0xef0d43ff62dacfbdull, 0x562497624b106446ull,
+        0x9652d9f209522932ull, 0xcb33f06e12959c56ull}},
+      {"scaled", 12, 1, 3,
+       {0x38006ddb5bf6c86cull, 0x6617c69b0fb69f0bull,
+        0xb91920a78c236b9eull, 0x3d006fbec9c41830ull}},
+      {"scaled", 3, 2, 6,
+       {0xa874cee0b9a7b950ull, 0xb3e867ff4fa0e4b5ull,
+        0xbf5668b9c4dc9296ull, 0x99bae9e102a311bbull}},
+      {"scaled", 5, 1, 8,
+       {0xa51b9786809ba0beull, 0x7197a42fd25084acull,
+        0xcf7571c93514b60dull, 0xa0b7304ad379cb05ull}},
+      {"scaled", 40, 32, 1,
+       {0x1c9fa57358bebedfull, 0x1c9fa57358bebedfull,
+        0x1c9fa57358bebedfull, 0x1c9fa57358bebedfull}},
+      {"scaled", 8, 4, 1,
+       {0xf6adfdb78d7e66bbull, 0xf6adfdb78d7e66bbull,
+        0xf6adfdb78d7e66bbull, 0xf6adfdb78d7e66bbull}},
+      {"brake_chain", 0, 0, 0,
+       {0x7b747710e8354754ull, 0x7b747710e8354754ull,
+        0x7b747710e8354754ull, 0x7b747710e8354754ull}},
+      {"row_split", 0, 0, 0,
+       {0x114275fbffc8a8eeull, 0x3487d5e5b6477b50ull,
+        0x6a2b5559486813aaull, 0xd36fe860c957402bull}},
+  };
+  std::string recorded;
+  bool all_match = true;
+  for (const auto& subject : subjects) {
+    SyntheticSystem scaled;
+    SsamModel brake;
+    SsamModel* m = &brake;
+    ObjectId root = model::kNullObject;
+    if (std::string_view(subject.name) == "brake_chain") {
+      model::load_xmi_file(brake.repo(), brake.meta(), DECISIVE_ASSETS_DIR "/brake_chain.ssam");
+      root = brake.find_by_name(ssam::cls::Component, "BrakeChain");
+    } else if (std::string_view(subject.name) == "row_split") {
+      root = build_row_split_subject(brake);
+    } else {
+      scaled = make_scaled_architecture(subject.composites, subject.leaves, subject.width);
+      m = scaled.model.get();
+      root = scaled.system;
+    }
+    char line[160];
+    std::snprintf(line, sizeof line, "      {\"%s\", %zu, %zu, %zu,\n       {", subject.name,
+                  subject.composites, subject.leaves, subject.width);
+    recorded += line;
+    for (size_t order = 0; order < 4; ++order) {
+      const std::uint64_t digest = fta_digest(*m, root, order);
+      all_match = all_match && digest == subject.digest[order];
+      static constexpr const char* kAfter[] = {", ", ",\n        ", ", ", "}},\n"};
+      std::snprintf(line, sizeof line, "0x%016llxull%s",
+                    static_cast<unsigned long long>(digest), kAfter[order]);
+      recorded += line;
+    }
+  }
+  EXPECT_TRUE(all_match) << "digests now:\n" << recorded;
 }

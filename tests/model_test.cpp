@@ -2,6 +2,11 @@
 // metamodel, dynamic objects, repositories and XMI persistence.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+
 #include "decisive/base/error.hpp"
 #include "decisive/model/meta.hpp"
 #include "decisive/model/object.hpp"
@@ -330,6 +335,40 @@ TEST(Xmi, DanglingReferenceThrows) {
                         "<object id=\"1\" class=\"Part\">"
                         "<ref name=\"next\" targets=\"99\"/></object></model>"),
                ModelError);
+}
+
+TEST(Xmi, FileSaveInChunksEqualsTheStringAndReloads) {
+  // save_xmi_file writes the document out in 64 KiB chunks as it streams;
+  // a model several chunks long must land byte-identical to save_xmi's
+  // string, and load back (read at its exact size) to the same model.
+  TestMeta meta;
+  FullLoadRepository repo;
+  for (int i = 0; i < 2000; ++i) {
+    ModelObject& part = repo.create(*meta.part);
+    part.set_string("name", "Part & <" + std::to_string(i) + ">");
+    part.set_real("fit", 0.5 + i);
+    part.set_int("count", i);
+    for (int k = 0; k < 2; ++k) {
+      ModelObject& port = repo.create(*meta.port);
+      port.set_string("direction", k == 0 ? "in" : "out");
+      part.add_ref("ports", port.id());
+    }
+  }
+  const std::string text = save_xmi(repo, meta.pkg);
+  ASSERT_GT(text.size(), 4u * 65536u);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "decisive_xmi_chunked.xmi").string();
+  save_xmi_file(path, repo, meta.pkg);
+  std::ifstream in(path, std::ios::binary);
+  const std::string on_disk{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+  EXPECT_EQ(on_disk, text);
+  FullLoadRepository loaded;
+  load_xmi_file(loaded, meta.pkg, path);
+  EXPECT_EQ(loaded.size(), repo.size());
+  EXPECT_EQ(save_xmi(loaded, meta.pkg), text);
+  std::remove(path.c_str());
+  EXPECT_THROW(load_xmi_file(loaded, meta.pkg, path), IoError);
 }
 
 TEST(Xmi, ValueFromStringParsesEachType) {

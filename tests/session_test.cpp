@@ -12,6 +12,7 @@
 #include <random>
 #include <sstream>
 
+#include "decisive/base/persist.hpp"
 #include "decisive/core/graph_fmea.hpp"
 #include "decisive/core/synthetic.hpp"
 #include "decisive/model/xmi.hpp"
@@ -420,6 +421,69 @@ TEST(ServiceTest, FtaAndParetoReanalysePendingEditsFirst) {
   EXPECT_NE(front(before[0]), expected[2]);
   EXPECT_EQ(front(after[2]), expected[2]);
   std::remove(catalogue.c_str());
+}
+
+TEST(ServiceTest, FtaRepliesArePinnedAlongASeededEditScript) {
+  // Every `fta` reply along a seeded script of FIT edits, new failure
+  // modes, mechanism deployments and bypass rewires on a width-3 lattice,
+  // at three (mission, max-order) settings, hashed and compared with the
+  // digest recorded before the FTA kernels moved to flat tables.
+  constexpr size_t kStages = 5;
+  constexpr size_t kWidth = 3;
+  const std::string path = save_scaled("decisive_session_fta_pinned.ssam", kStages, 2, kWidth);
+  std::mt19937 rng(20261018u);
+  const auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+  const auto unit = [](size_t c, size_t k) {
+    return "Unit" + std::to_string(c) + "_" + std::to_string(k);
+  };
+  std::string script = "reanalyze\n";
+  for (int step = 0; step < 24; ++step) {
+    // Every draw every step, in one fixed order.
+    const size_t stage = pick(kStages);
+    const std::string target = unit(stage, pick(kWidth));
+    const size_t verb = pick(4);
+    const size_t value = pick(900);
+    const bool loss = pick(2) == 0;
+    const size_t next = stage + 2 + pick(2);
+    const size_t next_unit = pick(kWidth);
+    const std::string tag = std::to_string(step);
+    switch (verb) {
+      case 0:
+        script += "set-fit " + target + " " + std::to_string(5 + value) + "\n";
+        break;
+      case 1:
+        script += "add-failure-mode " + target + " FM" + tag + " 0." +
+                  std::to_string(1 + value % 9) + (loss ? " lossOfFunction\n" : " omission\n");
+        break;
+      case 2:
+        script += "deploy-sm " + target + " SM" + tag + " 0." + std::to_string(5 + value % 5) +
+                  " 1 Open\n";
+        break;
+      default:
+        script += "rewire System " + target + ".out " +
+                  (next >= kStages ? "System.out" : unit(next, next_unit) + ".in") + "\n";
+        break;
+    }
+    script += "reanalyze\nfta\nfta 5000 2\nfta 0.5 1\n";
+  }
+  script += "quit\n";
+
+  const auto replies = run_script(path, "System", script);
+  ASSERT_EQ(replies.size(), 1 + 24 * 5 + 1);
+  for (const std::string& reply : replies) ASSERT_TRUE(reply.ends_with("ok\n")) << reply;
+  std::string fta;
+  for (size_t step = 0; step < 24; ++step) {
+    for (size_t i = 0; i < 3; ++i) {
+      const std::string& reply = replies[1 + 5 * step + 2 + i];
+      ASSERT_NE(reply.find("cut-sets "), std::string::npos) << reply;
+      fta += reply;
+    }
+  }
+  char digest[24];
+  std::snprintf(digest, sizeof digest, "0x%016llx",
+                static_cast<unsigned long long>(fnv1a64(fta)));
+  EXPECT_EQ(std::string(digest), "0x0345a8fc76383d8d") << fta.size() << " bytes";
+  std::remove(path.c_str());
 }
 
 TEST(ServiceTest, RequestsWithoutAModelFailSoftly) {

@@ -127,6 +127,34 @@ TEST(SsamFacade, CiteAndFind) {
   EXPECT_EQ(m.find_by_name(cls::HazardousSituation, "H9"), model::kNullObject);
 }
 
+TEST(SsamFacade, FindByNameReturnsTheFirstMatchInRepositoryOrder) {
+  SsamModel m;
+  const auto pkg = m.create_component_package("design");
+  const auto sys = m.create_component(pkg, "sys");
+  const auto port = m.add_io_node(sys, "dup", "in");
+  const auto first = m.create_component(sys, "dup");
+  const auto second = m.create_component(sys, "dup");
+  ASSERT_LT(first, second);
+  // An IONode of the same name earlier in the repository is not a Component.
+  EXPECT_EQ(m.find_by_name(cls::Component, "dup"), first);
+  EXPECT_EQ(m.find_by_name(cls::IONode, "dup"), port);
+  // A base class matches its subclasses: the first element of any kind.
+  EXPECT_EQ(m.find_by_name(cls::ComponentElement, "dup"), port);
+  EXPECT_EQ(m.find_by_name(cls::ModelElement, "sys"), sys);
+  const auto reqs = m.create_requirement_package("reqs");
+  const auto safety = m.create_safety_requirement(reqs, "SR1", "text", "ASIL-B", "brake");
+  EXPECT_EQ(m.find_by_name(cls::Requirement, "SR1"), safety);
+  EXPECT_EQ(m.find_by_name(cls::Component, "SR1"), model::kNullObject);
+  // An object whose name was never set reads as the empty name.
+  EXPECT_EQ(m.find_by_name(cls::Component, ""), model::kNullObject);
+  const auto unnamed = m.repo().create(m.meta().get(cls::Component)).id();
+  EXPECT_EQ(m.find_by_name(cls::Component, ""), unnamed);
+  EXPECT_EQ(m.find_by_name(cls::Component, "ghost"), model::kNullObject);
+  // Every SSAM class inherits `name` from ModelElement; an unknown class
+  // name is the error a caller can hit.
+  EXPECT_THROW((void)m.find_by_name("NoSuchClass", "dup"), ModelError);
+}
+
 // ------------------------------------------------------------- federation --
 
 TEST(Federation, ExtractsFromExternalCsv) {
