@@ -74,8 +74,8 @@ struct CircuitFmeaOptions {
   /// Campaign worker threads: 1 = serial, 0 = hardware concurrency. The
   /// FMEDA output is byte-identical for any value.
   int jobs = 1;
-  /// Campaign solve context (campaign_solver.hpp): solve the nominal system
-  /// once, factor its Jacobian once, and answer each fault from that factor
+  /// Campaign solve context (campaign_solver.hpp): factor the nominal
+  /// Jacobian once, at the baseline, and answer each fault from that factor
   /// — a low-rank update for structure-preserving faults, a refactorisation
   /// over the shared symbolic for the rest (sparse factor only) — falling
   /// back to the classic per-fault ladder whenever any correctness gate
@@ -86,7 +86,8 @@ struct CircuitFmeaOptions {
   /// no context.
   bool batch = true;
   /// Lets the context factor sparse at or above `solver.sparse_min_dim`
-  /// unknowns (with `solver.sparse` also set). `false` is the `--no-sparse`
+  /// unknowns (with `solver.sparse` also set); the baseline and every naive
+  /// solve run the dense kernel either way. `false` is the `--no-sparse`
   /// escape hatch: the context keeps a dense nominal factor and structural
   /// faults go naive. Byte-identical either way and, like `batch`, excluded
   /// from the campaign fingerprint.

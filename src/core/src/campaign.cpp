@@ -369,15 +369,12 @@ FmedaRow CampaignRunner::run_task_once(const Task& task, const std::vector<doubl
       if (accepted) return row;
     }
 
-    // Naive oracle: always the dense kernel, whatever the session-level
-    // sparse default — the FMEDA byte-identity contract is "same bytes as a
-    // dense-only campaign", and every gate above funnels doubt down here.
-    sim::SolveOptions naive = solver;
-    naive.sparse = false;
+    // Naive oracle: the dense ladder, the one general solver — every gate
+    // above funnels doubt down here.
     sim::Circuit faulted = built_.circuit;
     faulted.elements()[index] = failed;
     sim::SolveDiagnostics diagnostics;
-    const auto after = sim::try_dc_operating_point(faulted, naive, diagnostics);
+    const auto after = sim::try_dc_operating_point(faulted, solver, diagnostics);
     row.solver_iterations = diagnostics.iterations;
     row.ladder_rung = diagnostics.ladder_rung;
     if (after.has_value()) {
@@ -581,17 +578,12 @@ FmedaResult CampaignRunner::run() const {
   // whose *baseline* does not solve cannot be analysed at all). A fully
   // replayed campaign skips the baseline: there is nothing left to compare.
   std::optional<sim::OperatingPoint> baseline;
+  sim::SolveDiagnostics baseline_diagnostics;
   if (!pending.empty()) {
-    sim::SolveDiagnostics baseline_diagnostics;
     {
       obs::Span baseline_span("campaign.baseline");
-      // The baseline anchors every row's classification, so it always runs
-      // on the dense kernel: campaign bytes must not depend on the sparse
-      // default (the sparse tier is gated against exactly this baseline).
-      sim::SolveOptions baseline_solver = options_.solver;
-      baseline_solver.sparse = false;
-      baseline = sim::try_dc_operating_point(built_.circuit, baseline_solver,
-                                             baseline_diagnostics);
+      baseline =
+          sim::try_dc_operating_point(built_.circuit, options_.solver, baseline_diagnostics);
     }
     if (!baseline.has_value()) {
       const std::string detail = "baseline operating point did not solve (" +
@@ -623,18 +615,21 @@ FmedaResult CampaignRunner::run() const {
     }
   }
 
-  // Step 1b: the campaign's solve context — one nominal solve and one
-  // factorisation of its Jacobian (sparse above the crossover, dense
-  // below), shared read-only by every worker. Faults it cannot answer
-  // behind its gates fall back to the classic per-fault ladder, so results
-  // are byte-identical with it on or off. `sparse = false` pins its factor
-  // to the dense kernel.
+  // Step 1b: the campaign's solve context — one factorisation of the
+  // Jacobian at the baseline (sparse above the crossover, dense below),
+  // shared read-only by every worker. Faults it cannot answer behind its
+  // gates fall back to the classic per-fault ladder, so results are
+  // byte-identical with it on or off; `options_.sparse` off pins its factor
+  // to the dense kernel. Only a baseline plain Newton reached is a shared
+  // linearisation point: where the nominal system needs the recovery
+  // ladder, a warm start from it converges on faults the cold-started naive
+  // path cannot, so every row goes naive.
   std::optional<sim::CampaignContext> context;
-  if (options_.batch && !pending.empty()) {
+  if (options_.batch && !pending.empty() && baseline_diagnostics.ladder_rung == 0) {
     obs::Span context_span("campaign.context");
     sim::SolveOptions context_solver = options_.solver;
     context_solver.sparse = options_.sparse && options_.solver.sparse;
-    context.emplace(built_.circuit, context_solver);
+    context.emplace(built_.circuit, *baseline, context_solver);
     if (!context->usable()) context.reset();
   }
 

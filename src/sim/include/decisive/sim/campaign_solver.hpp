@@ -2,10 +2,10 @@
 //
 // Every fault variant's MNA system differs from the nominal one by one
 // element: the fault is a one-element override (faulted_element), never a
-// copied circuit. A CampaignContext solves the nominal circuit once, factors
-// its Jacobian once — sparse (Gilbert–Peierls, sparse.hpp) at or above
-// `sparse_min_dim` unknowns, dense below — and answers each fault from that
-// one factorisation:
+// copied circuit. A CampaignContext takes the campaign's baseline operating
+// point, factors the nominal Jacobian once at that point — sparse
+// (Gilbert–Peierls, sparse.hpp) at or above `sparse_min_dim` unknowns,
+// dense below — and answers each fault from that one factorisation:
 //
 //  - the *low-rank branch* takes every fault that keeps the MNA structure.
 //    Its Newton iterates live in the span of cached A_nom^-1 columns: the
@@ -53,7 +53,7 @@ enum class BatchOutcome {
   NotConverged,   ///< Newton did not converge fast enough on the shared factor
   NearThreshold,  ///< result lands on a classification knife edge (MCU supply
                   ///< at its brown-out boundary); naive path must decide
-  Disabled,       ///< context unusable (nominal solve failed / trivial system)
+  Disabled,       ///< context unusable (singular or trivial nominal system)
 };
 
 std::string_view to_string(BatchOutcome outcome) noexcept;
@@ -81,8 +81,8 @@ struct CampaignSolve {
   std::optional<BatchOutcome> refactor;
 };
 
-/// Shared per-campaign solve state: nominal operating point, the one
-/// factorisation of the nominal Jacobian, the nominal solution at its own
+/// Shared per-campaign solve state: the nominal linearisation point, the one
+/// factorisation of the nominal Jacobian there, the nominal solution at that
 /// linearisation, cached A^-1 u columns for every element that can carry a
 /// conductance or current delta (A^-1 e on the branch row for a voltage
 /// source), and the reading table.
@@ -104,13 +104,17 @@ class CampaignContext {
     std::unique_ptr<Impl> impl_;
   };
 
-  /// Solves the nominal circuit (plain Newton, no ladder) and factors its
-  /// Jacobian: sparse when `options.sparse`, the system has at least
-  /// `options.sparse_min_dim` unknowns and the fill gate passes; dense
-  /// otherwise. When the nominal solve fails or the system is trivial, the
-  /// context stays constructed but unusable() — every try_solve() reports
-  /// Disabled and the campaign runs naive.
-  CampaignContext(const Circuit& nominal, const SolveOptions& options);
+  /// Linearises every diode of `nominal` at its terminals' voltage
+  /// difference in `baseline` — the nominal circuit's converged operating
+  /// point, which the caller solved — and factors the Jacobian there: sparse
+  /// when `options.sparse`, the system has at least `options.sparse_min_dim`
+  /// unknowns and the fill gate passes; dense otherwise. Runs no Newton of
+  /// its own. When the system is trivial or singular, or `baseline` does
+  /// not hold one voltage per node, the context stays constructed but
+  /// unusable() — every try_solve() reports Disabled and the campaign runs
+  /// naive.
+  CampaignContext(const Circuit& nominal, const OperatingPoint& baseline,
+                  const SolveOptions& options);
 
   [[nodiscard]] bool usable() const noexcept;
 
@@ -132,9 +136,6 @@ class CampaignContext {
   /// The reading table: the nominal circuit's observable elements
   /// (reading_elements()), one CampaignSolve::readings slot each.
   [[nodiscard]] const std::vector<std::size_t>& reading_elements() const noexcept;
-
-  /// The nominal operating point (valid when usable()).
-  [[nodiscard]] const OperatingPoint& nominal_point() const noexcept;
 
   ~CampaignContext();
   CampaignContext(CampaignContext&&) noexcept;

@@ -54,15 +54,14 @@ struct SolveOptions {
   /// attempt; <= 0 disables the budget.
   double max_wall_clock_seconds = 5.0;
 
-  /// Use the sparse symbolic-LU kernel for systems of at least
-  /// `sparse_min_dim` unknowns: the stamp pattern is analysed once per
-  /// circuit structure and every later Newton iteration / transient step
-  /// replays the numbers through the frozen pattern. Any numeric
-  /// surprise (pivot-gate trip, fill blow-up, non-convergence) silently
-  /// re-runs the attempt on the dense kernel, so results are identical to
-  /// `sparse = false`; the flag is an escape hatch, not a different answer.
+  /// Lets a campaign solve context (campaign_solver.hpp) factor on the
+  /// sparse symbolic-LU kernel: its nominal system when that has at least
+  /// `sparse_min_dim` unknowns, and any factor only while its fill stays
+  /// under `sparse_max_fill`. Nothing else reads these three: every DC and
+  /// transient solve runs the dense kernel, the oracle the context is gated
+  /// against, so campaign bytes are identical with `sparse = false`.
   bool sparse = true;
-  int sparse_min_dim = 48;       ///< below this, dense factorisation wins anyway
+  int sparse_min_dim = 48;       ///< below this, the context factors dense
   double sparse_max_fill = 0.25; ///< LU nnz / n^2 above which dense takes over
   /// When plain Newton gives up, try gmin stepping then source stepping
   /// before declaring the solve failed.

@@ -211,11 +211,7 @@ struct SparseMetrics {
   obs::Counter& partial_refactors;  ///< structural edits absorbed by partial_factor
   obs::Counter& partial_reused_columns;  ///< symbolic prefix columns reused across those
   obs::Counter& symbolic_reuse;     ///< factorisations that adopted a cached Symbolic
-  obs::Counter& fallback_small_dim;      ///< dense because dim < sparse_min_dim
-  obs::Counter& fallback_fill;           ///< dense because fill ratio exceeded the gate
-  obs::Counter& fallback_singular;       ///< dense because the sparse factor hit the floor
-  obs::Counter& fallback_pivot;          ///< dense because repivoting did not heal the gate
-  obs::Counter& fallback_not_converged;  ///< dense re-run because sparse Newton gave up
+  obs::Counter& fallback_fill;      ///< dense because fill ratio exceeded the gate
   obs::Gauge& nnz;         ///< A nonzeros of the last factored pattern
   obs::Gauge& lu_nnz;      ///< L+U entries of the last factorisation
   obs::Gauge& fill_gauge;  ///< lu_nnz / nnz of the last factorisation
@@ -229,11 +225,7 @@ struct SparseMetrics {
         registry.counter("decisive_sparse_partial_refactors_total"),
         registry.counter("decisive_sparse_partial_reused_columns_total"),
         registry.counter("decisive_sparse_symbolic_reuse_total"),
-        registry.counter("decisive_sparse_fallback_small_dim_total"),
         registry.counter("decisive_sparse_fallback_fill_total"),
-        registry.counter("decisive_sparse_fallback_singular_total"),
-        registry.counter("decisive_sparse_fallback_pivot_total"),
-        registry.counter("decisive_sparse_fallback_not_converged_total"),
         registry.gauge("decisive_sparse_nnz"),
         registry.gauge("decisive_sparse_lu_nnz"),
         registry.gauge("decisive_sparse_fill_ratio")};

@@ -224,13 +224,16 @@ struct CampaignContext::Impl {
   SolveOptions opt;
   mna::Structure structure;
   mna::CompanionState dc_state;  // DC: no companion sources
-  mna::NewtonSeed seed;          // nominal converged state: warm start for faults
-  OperatingPoint nominal_point;
+  // The warm start of every fault: `diode_v` is the nominal linearisation
+  // point (each diode's junction voltage at the baseline), `x` is x_pin =
+  // A_nom^-1 rhs_nom, the nominal solution at that linearisation and the
+  // base every low-rank iterate starts from.
+  mna::NewtonSeed seed;
   std::vector<std::size_t> readings;  // the reading table: observable element indices
   bool usable = false;
 
   // The one factorisation of the nominal Jacobian, assembled at the
-  // converged diode linearisation. Sparse: `plan` holds the nominal pattern
+  // nominal linearisation point. Sparse: `plan` holds the nominal pattern
   // and CSC values (the residual gate's matrix and partial_factor's base)
   // and `slu` the factor whose symbolic the refactor branch shares. Dense:
   // `a_nom` is the unfactored copy for the residual gate.
@@ -253,9 +256,6 @@ struct CampaignContext::Impl {
   // elements' incidence vectors, and A_nom^-1 e_k over voltage sources'
   // branch rows.
   std::vector<double> z_cols;
-  // x_pin = A_nom^-1 rhs_nom: the nominal solution at the nominal
-  // linearisation, the base every low-rank iterate starts from.
-  std::vector<double> x_pin;
 
   [[nodiscard]] std::size_t dim() const noexcept { return structure.dim; }
 
@@ -312,7 +312,7 @@ struct CampaignContext::Impl {
   /// With z = A_nom^-1 b this solves (A_nom + sum g_j u_j u_j^T) x = b.
   void woodbury_correct(std::vector<double>& z, Ws& w) const;
 
-  bool solve_and_factor();
+  bool factor(const OperatingPoint& baseline);
   void cache_columns();
   [[nodiscard]] bool eligible(std::size_t index, const Element& failed) const noexcept;
   [[nodiscard]] bool fill_ok(const sparse::SparseLu& factor, std::size_t n) const {
@@ -334,49 +334,32 @@ struct CampaignContext::Impl {
                               CampaignSolve& out) const;
 };
 
-bool CampaignContext::Impl::solve_and_factor() {
-  // Nominal plain-Newton solve (no recovery ladder: a nominal system that
-  // needs the ladder is not a good shared linearisation point). Above the
-  // crossover it runs on the sparse kernel, whose workspace then hands over
-  // the frozen assembly plan and symbolic analysis.
-  const std::size_t n = dim();
-  const bool want_sparse =
-      opt.sparse && n >= static_cast<std::size_t>(std::max(opt.sparse_min_dim, 1));
-  const mna::Deadline deadline = deadline_from(std::chrono::steady_clock::now(), opt);
-  mna::Workspace ws;
-  mna::NewtonAttempt attempt =
-      want_sparse ? mna::attempt_solve_auto(nominal, opt, dc_state, structure, nullptr,
-                                            deadline, ws)
-                  : mna::attempt_solve_dense(nominal, opt, dc_state, structure, nullptr,
-                                             deadline, ws);
-  if (!attempt.converged) return false;
-  nominal_point = mna::make_operating_point(nominal, attempt.result);
-  seed.x = std::move(attempt.x);
-  seed.diode_v = std::move(attempt.diode_v);
+bool CampaignContext::Impl::factor(const OperatingPoint& baseline) {
+  // Linearise each diode where the baseline's Newton converged: at its
+  // terminals' voltage difference. Every other entry keeps Newton's cold
+  // start, as a solve of its own would have left it.
+  const auto& elements = nominal.elements();
+  const std::vector<double>& v = baseline.node_voltage;
+  if (v.size() != static_cast<std::size_t>(structure.n_nodes)) return false;
+  seed.diode_v.assign(elements.size(), mna::kColdJunctionVolt);
+  for (const std::size_t d : diode_indices) {
+    seed.diode_v[d] = v[static_cast<std::size_t>(elements[d].a)] -
+                      v[static_cast<std::size_t>(elements[d].b)];
+  }
 
+  const std::size_t n = dim();
   rhs_nom.assign(n, 0.0);
-  if (want_sparse && !ws.sparse_disabled && ws.slu.symbolic() != nullptr) {
-    // Refill at the converged linearisation and replay the numbers over the
-    // nominal symbolic; a stale pivot re-pivots once. A kernel that still
-    // objects leaves the context on the dense factor.
-    plan = std::move(ws.plan);
-    slu = std::move(ws.slu);
-    if (plan.refill(nominal, opt, dc_state, structure, seed.diode_v, rhs_nom.data())) {
-      sparse::SparseMetrics& smetrics = sparse::SparseMetrics::get();
-      bool ok = slu.refactor(plan.pattern, plan.values.data(), nullptr);
-      if (!ok) {
-        ok = slu.factor(plan.pattern, plan.values.data(), nullptr);
-        if (ok) smetrics.repivots.add();
-      }
-      if (ok && !fill_ok(slu, n)) {
-        smetrics.fallback_fill.add();
-        ok = false;
-      }
-      if (ok) {
+  if (opt.sparse && n >= static_cast<std::size_t>(std::max(opt.sparse_min_dim, 1))) {
+    plan.build(nominal, opt, dc_state, structure);
+    if (plan.refill(nominal, opt, dc_state, structure, seed.diode_v, rhs_nom.data()) &&
+        slu.factor(plan.pattern, plan.values.data(), nullptr)) {
+      if (fill_ok(slu, n)) {
         sparse = true;
         return true;
       }
+      sparse::SparseMetrics::get().fallback_fill.add();
     }
+    // A kernel that objects leaves the context on the dense factor.
     plan = mna::SparsePlan{};
     slu = sparse::SparseLu{};
     std::fill(rhs_nom.begin(), rhs_nom.end(), 0.0);
@@ -404,7 +387,6 @@ void CampaignContext::Impl::cache_columns() {
   geq_nom.assign(elements.size(), 0.0);
   ieq_nom.assign(elements.size(), 0.0);
   col_of.assign(elements.size(), -1);
-  diode_indices = mna::diode_indices(elements);
   std::vector<double> u(n, 0.0);
   std::vector<double> scratch;
   for (std::size_t i = 0; i < elements.size(); ++i) {
@@ -441,8 +423,8 @@ void CampaignContext::Impl::cache_columns() {
     col_of[i] = static_cast<int>(z_cols.size() / n);
     z_cols.insert(z_cols.end(), u.begin(), u.end());
   }
-  x_pin = rhs_nom;
-  solve_nominal(x_pin.data(), scratch);
+  seed.x = rhs_nom;
+  solve_nominal(seed.x.data(), scratch);
 }
 
 bool CampaignContext::Impl::eligible(std::size_t index, const Element& failed) const noexcept {
@@ -632,7 +614,7 @@ BatchOutcome CampaignContext::Impl::solve_lowrank(std::size_t index, const Eleme
     }
     diodes = &w.diodes;
   }
-  w.x_fault.assign(x_pin.begin(), x_pin.end());
+  w.x_fault.assign(seed.x.begin(), seed.x.end());
   if (rhs_fault != 0.0 && col_of[index] >= 0) {
     axpy(rhs_fault, column(col_of[index]), w.x_fault.data(), n);
   }
@@ -857,7 +839,8 @@ BatchOutcome CampaignContext::Impl::solve_refactor(std::size_t index, const Elem
       [&](std::vector<double>& r) { w.slu.solve_in_place(r.data(), w.solve_scratch); }, out);
 }
 
-CampaignContext::CampaignContext(const Circuit& nominal, const SolveOptions& options)
+CampaignContext::CampaignContext(const Circuit& nominal, const OperatingPoint& baseline,
+                                 const SolveOptions& options)
     : impl_(std::make_unique<Impl>()) {
   BatchMetrics& metrics = BatchMetrics::get();
   metrics.contexts.add();
@@ -866,9 +849,10 @@ CampaignContext::CampaignContext(const Circuit& nominal, const SolveOptions& opt
   im.opt = options;
   im.structure = mna::analyze_structure(im.nominal, false);
   im.readings = sim::reading_elements(im.nominal);
-  // A trivial system is free on the naive path; a nominal system that does
-  // not solve cleanly is no shared linearisation point.
-  if (im.dim() == 0 || !im.solve_and_factor()) {
+  im.diode_indices = mna::diode_indices(im.nominal.elements());
+  // A trivial system is free on the naive path; a singular one, or a
+  // baseline that is not this circuit's, is no shared linearisation point.
+  if (im.dim() == 0 || !im.factor(baseline)) {
     metrics.contexts_unusable.add();
     return;
   }
@@ -884,10 +868,6 @@ CampaignContext& CampaignContext::operator=(CampaignContext&&) noexcept = defaul
 bool CampaignContext::usable() const noexcept { return impl_->usable; }
 
 bool CampaignContext::sparse_factor() const noexcept { return impl_->sparse; }
-
-const OperatingPoint& CampaignContext::nominal_point() const noexcept {
-  return impl_->nominal_point;
-}
 
 const std::vector<std::size_t>& CampaignContext::reading_elements() const noexcept {
   return impl_->readings;

@@ -76,7 +76,7 @@ struct SolveResult {
 };
 
 /// Warm-start state handed from one recovery-ladder attempt to the next (and
-/// from the nominal solve to every fault variant on the batched path).
+/// from the campaign context's nominal linearisation to every fault variant).
 struct NewtonSeed {
   std::vector<double> x;        ///< previous raw solution vector
   std::vector<double> diode_v;  ///< previous diode junction estimates
@@ -160,12 +160,13 @@ struct ElementOverride {
 /// sequence (numeric refill) — one stamp pass, three consumers, and because
 /// the element loop is shared the add sequence is identical across them.
 /// With `over.element` set, that element stands in for
-/// `circuit.elements()[over.index]`.
+/// `circuit.elements()[over.index]`. Aligned, like the LU kernels, so no
+/// instance's speed depends on where the linker happens to put it.
 template <typename AddFn>
-inline void assemble_with(const Circuit& circuit, const SolveOptions& opt,
-                          const CompanionState& state, const Structure& st,
-                          const std::vector<double>& diode_v, AddFn&& add, double* rhs,
-                          ElementOverride over = {}) {
+[[gnu::aligned(64)]] inline void assemble_with(const Circuit& circuit, const SolveOptions& opt,
+                                               const CompanionState& state, const Structure& st,
+                                               const std::vector<double>& diode_v, AddFn&& add,
+                                               double* rhs, ElementOverride over = {}) {
   const auto& elements = circuit.elements();
   const std::size_t dim = st.dim;
   const int n_nodes = st.n_nodes;
@@ -325,12 +326,14 @@ inline std::vector<std::size_t> diode_indices(const std::vector<Element>& elemen
 /// system being solved among `elements` (diode_indices); `diode_v` is
 /// indexed like `elements`. The converged iterate is `x`; extract_result()
 /// turns it into node voltages and branch currents for callers that want
-/// them.
+/// them. Aligned like assemble_with.
 template <typename SolveStep>
-NewtonAttempt newton_attempt(const std::vector<Element>& elements,
-                             const std::vector<std::size_t>& diodes, const SolveOptions& opt,
-                             const Structure& st, const NewtonSeed* seed,
-                             const Deadline& deadline, SolveStep&& solve_step) {
+[[gnu::aligned(64)]] NewtonAttempt newton_attempt(const std::vector<Element>& elements,
+                                                  const std::vector<std::size_t>& diodes,
+                                                  const SolveOptions& opt, const Structure& st,
+                                                  const NewtonSeed* seed,
+                                                  const Deadline& deadline,
+                                                  SolveStep&& solve_step) {
   const std::size_t dim = st.dim;
 
   NewtonAttempt attempt;
@@ -434,9 +437,11 @@ NewtonAttempt newton_attempt(const std::vector<Element>& elements,
 /// newton_attempt over every element of `circuit`, with the converged
 /// iterate extracted into `result`.
 template <typename SolveStep>
-NewtonAttempt newton_attempt(const Circuit& circuit, const SolveOptions& opt,
-                             const Structure& st, const NewtonSeed* seed,
-                             const Deadline& deadline, SolveStep&& solve_step) {
+[[gnu::aligned(64)]] NewtonAttempt newton_attempt(const Circuit& circuit,
+                                                  const SolveOptions& opt, const Structure& st,
+                                                  const NewtonSeed* seed,
+                                                  const Deadline& deadline,
+                                                  SolveStep&& solve_step) {
   const auto& elements = circuit.elements();
   NewtonAttempt attempt = newton_attempt(elements, diode_indices(elements), opt, st, seed,
                                          deadline, std::forward<SolveStep>(solve_step));
@@ -454,9 +459,6 @@ struct SparsePlan {
   std::vector<std::int32_t> slots;   ///< CSC slot of each recorded stamp, in order
   std::vector<double> values;        ///< CSC numeric array, refilled per assembly
   std::uint64_t fingerprint = 0;     ///< pattern.fingerprint(), computed once
-  std::size_t dim = 0;
-  bool transient = false;
-  bool ready = false;
 
   void build(const Circuit& circuit, const SolveOptions& opt, const CompanionState& state,
              const Structure& st) {
@@ -470,9 +472,6 @@ struct SparsePlan {
     builder.freeze(pattern, slots);
     fingerprint = pattern.fingerprint();
     values.assign(pattern.nnz(), 0.0);
-    dim = st.dim;
-    transient = state.transient;
-    ready = true;
   }
 
   /// Numeric refill: zeroes `values`, replays the stamp pass through the
@@ -500,23 +499,17 @@ struct SparsePlan {
 };
 
 /// Reusable buffers of one solve path. Hoisted out of the Newton loop so an
-/// attempt allocates its matrix once, and shared across ladder rungs /
-/// transient steps / campaign variants by the callers. The sparse plan and
-/// factorisation ride along so a repeated-solve caller pays symbolic
-/// analysis once per structure; `sparse_disabled` is the sticky half of the
-/// fallback ladder — once any sparse attempt on this workspace misbehaves,
-/// every later attempt goes straight to the dense kernel.
+/// attempt allocates its matrix once, and shared across ladder rungs and
+/// transient steps by the callers.
 struct Workspace {
   dense::LuFactorization lu;
   std::vector<double> rhs;
-  SparsePlan plan;
-  sparse::SparseLu slu;
-  std::vector<double> solve_scratch;  ///< slu's triangular-solve buffer
-  bool sparse_disabled = false;
 };
 
-/// The classic path: assemble the full matrix and factor it every iteration,
-/// with `ws` providing the (reused) storage.
+/// The one general solve step: assemble the full matrix and factor it every
+/// iteration on the dense kernel, with `ws` providing the (reused) storage.
+/// Every DC rung and transient step runs here, and so does the campaign's
+/// naive oracle; only the campaign context factors sparse.
 inline NewtonAttempt attempt_solve_dense(const Circuit& circuit, const SolveOptions& opt,
                                          const CompanionState& state, const Structure& st,
                                          const NewtonSeed* seed, const Deadline& deadline,
@@ -539,93 +532,6 @@ inline NewtonAttempt attempt_solve_dense(const Circuit& circuit, const SolveOpti
     return true;
   };
   return newton_attempt(circuit, opt, st, seed, deadline, solve_step);
-}
-
-/// The default path: sparse refactor-per-iteration for big systems, with a
-/// fall-back-on-anything-suspicious ladder onto the dense kernel. A sparse
-/// attempt that misbehaves in *any* way — singular factorisation, a
-/// pivot-gate trip that a fresh factorisation cannot heal, fill blow-up, a
-/// stamp-stream mismatch, or plain Newton non-convergence — is re-run in
-/// full on the dense kernel (identical classification and messages to
-/// attempt_solve_dense) and this workspace's sparse path is disabled for
-/// good. The dense kernel therefore stays the behavioural oracle: enabling
-/// sparse can only change which rounding a *converged* solution carries,
-/// never whether or how an attempt fails.
-inline NewtonAttempt attempt_solve_auto(const Circuit& circuit, const SolveOptions& opt,
-                                        const CompanionState& state, const Structure& st,
-                                        const NewtonSeed* seed, const Deadline& deadline,
-                                        Workspace& ws) {
-  if (!opt.sparse || ws.sparse_disabled) {
-    return attempt_solve_dense(circuit, opt, state, st, seed, deadline, ws);
-  }
-  auto& metrics = sparse::SparseMetrics::get();
-  if (st.dim < static_cast<std::size_t>(std::max(opt.sparse_min_dim, 1))) {
-    metrics.fallback_small_dim.add();
-    return attempt_solve_dense(circuit, opt, state, st, seed, deadline, ws);
-  }
-  // (Re)derive the assembly plan when the structure changed — e.g. one
-  // workspace shared between a transient run's DC initial condition and its
-  // stepping loop, whose systems differ in both dimension and stamps.
-  if (!ws.plan.ready || ws.plan.dim != st.dim || ws.plan.transient != state.transient) {
-    ws.plan.build(circuit, opt, state, st);
-    ws.slu = sparse::SparseLu{};  // symbolic was for another structure
-  }
-
-  obs::Counter* fallback_reason = &metrics.fallback_not_converged;
-  auto solve_step = [&](const std::vector<double>& diode_v, std::vector<double>& x_out,
-                        SolveFailure& failure, std::string& message) {
-    ws.rhs.assign(st.dim, 0.0);
-    if (!ws.plan.refill(circuit, opt, state, st, diode_v, ws.rhs.data())) {
-      fallback_reason = &metrics.fallback_singular;
-      failure = SolveFailure::Singular;
-      message = "sparse plan does not match the stamped circuit";
-      return false;
-    }
-    std::string err;
-    bool ok = false;
-    if (ws.slu.symbolic() != nullptr &&
-        ws.slu.symbolic()->pattern_fingerprint == ws.plan.fingerprint) {
-      ok = ws.slu.refactor(ws.plan.pattern, ws.plan.values.data(), &err);
-      if (!ok) {
-        // A frozen pivot went numerically stale; re-pivot from scratch
-        // before conceding the step.
-        ok = ws.slu.factor(ws.plan.pattern, ws.plan.values.data(), &err);
-        if (ok) {
-          metrics.repivots.add();
-        } else {
-          fallback_reason = &metrics.fallback_pivot;
-        }
-      }
-    } else {
-      ok = ws.slu.factor(ws.plan.pattern, ws.plan.values.data(), &err);
-      if (!ok) fallback_reason = &metrics.fallback_singular;
-    }
-    if (!ok) {
-      failure = SolveFailure::Singular;
-      message = std::move(err);
-      return false;
-    }
-    const double dim_sq = static_cast<double>(st.dim) * static_cast<double>(st.dim);
-    if (static_cast<double>(ws.slu.lu_nnz()) > opt.sparse_max_fill * dim_sq) {
-      fallback_reason = &metrics.fallback_fill;
-      failure = SolveFailure::Singular;
-      message = "sparse factorisation fill exceeded the density gate";
-      return false;
-    }
-    ws.slu.solve_in_place(ws.rhs.data(), ws.solve_scratch);
-    x_out = ws.rhs;
-    return true;
-  };
-
-  NewtonAttempt attempt = newton_attempt(circuit, opt, st, seed, deadline, solve_step);
-  if (attempt.converged) return attempt;
-
-  // Anything suspicious: count why, disable this workspace's sparse path,
-  // and re-run the whole attempt on the dense oracle so the failure (or a
-  // late dense-only convergence) classifies exactly as with sparse off.
-  fallback_reason->add();
-  ws.sparse_disabled = true;
-  return attempt_solve_dense(circuit, opt, state, st, seed, deadline, ws);
 }
 
 OperatingPoint make_operating_point(const Circuit& circuit, const SolveResult& solved);

@@ -123,7 +123,7 @@ std::optional<OperatingPoint> try_dc_operating_point(const Circuit& circuit,
 
   // Rung 0: plain Newton.
   mna::NewtonAttempt plain =
-      mna::attempt_solve_auto(circuit, options, state, structure, nullptr, deadline, ws);
+      mna::attempt_solve_dense(circuit, options, state, structure, nullptr, deadline, ws);
   diagnostics.iterations += plain.iterations;
   if (plain.converged || !options.recovery_ladder ||
       plain.failure == SolveFailure::WallClockBudget) {
@@ -144,7 +144,7 @@ std::optional<OperatingPoint> try_dc_operating_point(const Circuit& circuit,
     for (int k = 0; k < steps; ++k) {
       const double t = static_cast<double>(k) / (steps - 1);
       damped.gmin = start_gmin * std::pow(options.gmin / start_gmin, t);
-      mna::NewtonAttempt attempt = mna::attempt_solve_auto(
+      mna::NewtonAttempt attempt = mna::attempt_solve_dense(
           circuit, damped, state, structure, seed.x.empty() ? nullptr : &seed, deadline, ws);
       diagnostics.iterations += attempt.iterations;
       seed.x = attempt.x;
@@ -178,7 +178,7 @@ std::optional<OperatingPoint> try_dc_operating_point(const Circuit& circuit,
           scaled.elements()[i].value = original[i] * alpha;
         }
       }
-      mna::NewtonAttempt attempt = mna::attempt_solve_auto(
+      mna::NewtonAttempt attempt = mna::attempt_solve_dense(
           scaled, options, state, structure, seed.x.empty() ? nullptr : &seed, deadline, ws);
       diagnostics.iterations += attempt.iterations;
       seed.x = attempt.x;
@@ -208,8 +208,8 @@ std::vector<TransientSample> transient(const Circuit& circuit, double t_end, dou
   // Initial condition: the DC operating point.
   const mna::CompanionState dc_state;
   const mna::Structure dc_structure = mna::analyze_structure(circuit, false);
-  mna::NewtonAttempt initial = mna::attempt_solve_auto(circuit, options, dc_state, dc_structure,
-                                                       nullptr, std::nullopt, ws);
+  mna::NewtonAttempt initial = mna::attempt_solve_dense(
+      circuit, options, dc_state, dc_structure, nullptr, std::nullopt, ws);
   if (!initial.converged) throw SimulationError(initial.message);
   const mna::SolveResult& dc = initial.result;
 
@@ -240,7 +240,7 @@ std::vector<TransientSample> transient(const Circuit& circuit, double t_end, dou
   for (long long k = 1; k <= n_steps; ++k) {
     const double t = static_cast<double>(k) * dt;
     mna::NewtonAttempt attempt =
-        mna::attempt_solve_auto(circuit, options, state, structure, nullptr, std::nullopt, ws);
+        mna::attempt_solve_dense(circuit, options, state, structure, nullptr, std::nullopt, ws);
     if (!attempt.converged) throw SimulationError(attempt.message);
     const mna::SolveResult& step = attempt.result;
     // Update storage-element history for the next step.

@@ -141,6 +141,12 @@ sim::SolveOptions factor_options(bool sparse) {
   return options;
 }
 
+/// The context as the campaign runner builds it: linearised at the dense
+/// baseline of `nominal`.
+sim::CampaignContext make_context(const sim::Circuit& nominal, const sim::SolveOptions& options) {
+  return sim::CampaignContext(nominal, sim::dc_operating_point(nominal, options), options);
+}
+
 }  // namespace
 
 // ------------------------------------------------- campaign identity matrix --
@@ -168,6 +174,44 @@ TEST(BatchCampaign, LadderTortureSubjectByteIdentical) {
   core::CircuitFmeaOptions options;
   options.solver.max_newton_iterations = 40;
   expect_identity_matrix("ladder-torture", drifting_source_rig(), reliability, options);
+}
+
+TEST(BatchCampaign, LadderBaselineBuildsNoContext) {
+  // A reverse diode whose cold-started Newton walk (0.6 V to -12 V at 0.1 V
+  // per iteration) overruns a 30-iteration budget: the baseline converges
+  // only through the recovery ladder, so the campaign must not linearise a
+  // context there. Every row goes naive and prints the naive bytes.
+  sim::BuiltCircuit built;
+  sim::Circuit& c = built.circuit;
+  const int p = c.node("p");
+  const int k = c.node("k");
+  c.add_vsource("V1", p, 0, 12.0);
+  c.add_resistor("R1", p, k, 1000.0);
+  c.add_diode("D1", 0, k);
+  c.add_voltage_sensor("VS1", k, 0);
+  built.observables.push_back("VS1");
+  built.components.push_back({"R1", "Resistor", "R1"});
+  core::ReliabilityModel reliability;
+  reliability.add("Resistor", 5.0, {{"Open", 0.5}, {"Short", 0.3}, {"Drift", 0.2}});
+  core::CircuitFmeaOptions options;
+  options.solver.max_newton_iterations = 30;
+
+  sim::SolveDiagnostics baseline;
+  ASSERT_TRUE(sim::try_dc_operating_point(c, options.solver, baseline).has_value());
+  ASSERT_GE(baseline.ladder_rung, 1) << "the baseline no longer needs the ladder";
+
+  auto& registry = obs::Registry::global();
+  const char* const untouched[] = {
+      "decisive_batch_contexts_total", "decisive_batch_factor_reuses_total",
+      "decisive_campaign_batched_rows_total", "decisive_campaign_batch_fallback_total",
+      "decisive_campaign_sparse_rows_total", "decisive_campaign_sparse_fallback_total"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : untouched) before.push_back(registry.counter(name).value());
+  (void)run_campaign(built, reliability, options);
+  for (std::size_t i = 0; i < std::size(untouched); ++i) {
+    EXPECT_EQ(registry.counter(untouched[i]).value(), before[i]) << untouched[i];
+  }
+  expect_identity_matrix("ladder-baseline", built, reliability, options);
 }
 
 TEST(BatchCampaign, McuKnifeEdgeSubjectByteIdentical) {
@@ -240,6 +284,13 @@ TEST(BatchCampaign, RandomGeneralCircuitsThatNeedEachGate) {
   }
 }
 
+// The sweep past the suite's 240 seeds, for a change to the context: ~40 s
+// optimised, so the suite skips it and CI runs it on its own with
+// --gtest_also_run_disabled_tests.
+TEST(BatchCampaign, DISABLED_RandomGeneralCircuitsWideSweep) {
+  expect_general_circuits_identical(241, 3000);
+}
+
 // ------------------------------------------- journal + shard determinism --
 
 TEST(BatchCampaign, JournalsInterchangeBetweenBatchedAndNaiveRuns) {
@@ -290,24 +341,10 @@ TEST(BatchCampaign, ShardedBatchedJournalsMergeToNaiveBytes) {
 // ------------------------------------------------ context-level behaviour --
 // Every case runs against both factor kinds.
 
-TEST(BatchContext, NominalPointMatchesClassicSolve) {
-  const auto built = make_rail(4);
-  const auto classic = sim::dc_operating_point(built.circuit);
-  for (const bool sparse : {false, true}) {
-    const sim::CampaignContext context(built.circuit, factor_options(sparse));
-    ASSERT_TRUE(context.usable());
-    EXPECT_EQ(context.sparse_factor(), sparse);
-    for (const auto& [name, value] : classic.readings) {
-      EXPECT_NEAR(context.nominal_point().reading(name), value, 1e-9)
-          << name << " sparse=" << sparse;
-    }
-  }
-}
-
 TEST(BatchContext, EligibilityFollowsTheFaultTaxonomy) {
   const auto built = mcu_rig();
   for (const bool sparse : {false, true}) {
-    const sim::CampaignContext context(built.circuit, factor_options(sparse));
+    const sim::CampaignContext context = make_context(built.circuit, factor_options(sparse));
     ASSERT_TRUE(context.usable());
     EXPECT_EQ(context.sparse_factor(), sparse);
     const sim::Circuit& c = built.circuit;
@@ -331,7 +368,7 @@ TEST(BatchContext, SolvedFaultAgreesWithFreshSolve) {
   const auto built = make_rail(4);
   for (const bool sparse : {false, true}) {
     const sim::SolveOptions options = factor_options(sparse);
-    const sim::CampaignContext context(built.circuit, options);
+    const sim::CampaignContext context = make_context(built.circuit, options);
     ASSERT_TRUE(context.usable());
     ASSERT_EQ(context.sparse_factor(), sparse);
     sim::CampaignContext::Workspace ws;
@@ -362,7 +399,7 @@ TEST(BatchContext, StructuralFaultReportsStructuralFallback) {
   const sim::Circuit faulted = sim::inject_fault(built.circuit, fault);
   for (const bool sparse : {false, true}) {
     const sim::SolveOptions options = factor_options(sparse);
-    const sim::CampaignContext context(built.circuit, options);
+    const sim::CampaignContext context = make_context(built.circuit, options);
     ASSERT_TRUE(context.usable());
     sim::CampaignContext::Workspace ws;
     auto& partial = obs::Registry::global().counter("decisive_sparse_partial_refactors_total");
@@ -386,13 +423,16 @@ TEST(BatchContext, StructuralFaultReportsStructuralFallback) {
 TEST(BatchContext, UnsolvableNominalDisablesTheContext) {
   // Contradictory sources: the nominal system is singular, so the context
   // must construct unusable and refuse every solve instead of throwing.
+  // It has no baseline to give, so the context gets a point of zeros.
   sim::Circuit c;
   const int a = c.node("a");
   c.add_vsource("V1", a, 0, 12.0);
   c.add_vsource("V2", a, 0, 5.0);
   c.add_resistor("R1", a, 0, 100.0);
+  sim::OperatingPoint zero;
+  zero.node_voltage.assign(static_cast<std::size_t>(c.node_count()), 0.0);
   for (const bool sparse : {false, true}) {
-    const sim::CampaignContext context(c, factor_options(sparse));
+    const sim::CampaignContext context(c, zero, factor_options(sparse));
     EXPECT_FALSE(context.usable()) << "sparse=" << sparse;
     sim::CampaignContext::Workspace ws;
     const sim::CampaignSolve solve = try_solve(context, c, {"R1", sim::FaultKind::Open}, ws);
@@ -411,7 +451,7 @@ TEST(BatchContext, FaultThatRemovesAReadingMatchesNaive) {
   ASSERT_EQ(sim::dc_operating_point(faulted).readings.count("MC1"), 0u);
   for (const bool sparse : {false, true}) {
     const sim::SolveOptions options = factor_options(sparse);
-    const sim::CampaignContext context(built.circuit, options);
+    const sim::CampaignContext context = make_context(built.circuit, options);
     ASSERT_TRUE(context.usable());
     sim::CampaignContext::Workspace ws;
     const sim::CampaignSolve solve = try_solve(context, built.circuit, fault, ws);

@@ -187,6 +187,28 @@ TEST(Cli, FmeaRejectsOutOfRangeJobs) {
   }
 }
 
+TEST(Cli, FmeaRejectsOutOfRangeShardAndRetries) {
+  // Each value used to wrap through an int cast: the two shard specs ran as
+  // an unsharded 0/1 campaign and exited 0, and the retries ran as 0.
+  const std::string args =
+      "fmea " + kAssets + "/power_supply.mdl --reliability " + kAssets + "/reliability_workbook ";
+  const struct {
+    const char* flag;
+    const char* message;
+  } cases[] = {
+      {"--shard 0/4294967297", "--shard N must be in [0, 2147483647]"},
+      {"--shard 4294967296/4294967297", "--shard i must be in [0, 2147483647]"},
+      {"--retries 4294967296", "--retries must be in [0, 2147483647]"},
+  };
+  for (const auto& c : cases) {
+    const auto result = run(args + c.flag);
+    EXPECT_EQ(result.exit_code, 2) << c.flag << ": " << result.output;
+    EXPECT_NE(result.output.find(c.message), std::string::npos) << c.flag << ": "
+                                                                << result.output;
+    EXPECT_EQ(result.output.find("SPFM"), std::string::npos) << c.flag << ": " << result.output;
+  }
+}
+
 TEST(Cli, FmeaHugeJobCountMatchesSerial) {
   // The largest accepted --jobs used to size the campaign's heartbeat rows
   // before the pool was capped at the task count, and died of bad_alloc.

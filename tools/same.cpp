@@ -33,6 +33,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "decisive/assurance/case.hpp"
@@ -230,20 +231,24 @@ int usage() {
   return 2;
 }
 
-/// Reads --jobs into `jobs` (left as is when the flag is absent). Prints an
-/// error and returns false when the value is negative or does not fit in an
-/// int, instead of letting a cast wrap it to another job count.
-bool read_jobs(const Args& args, int& jobs) {
-  const auto text = args.get("jobs");
-  if (!text.has_value()) return true;
-  const long long value = parse_int(*text);
+/// Stores the integer `text` in `out`. Prints "error: <what> must be in
+/// [0, INT_MAX]<note>" and returns false when it is negative or does not fit
+/// in an int, instead of letting a cast wrap it to another value.
+bool read_count(std::string_view text, const char* what, int& out, const char* note = "") {
+  const long long value = parse_int(text);
   if (value < 0 || value > std::numeric_limits<int>::max()) {
-    std::fprintf(stderr, "error: --jobs must be in [0, %d] (0 = all cores)\n",
-                 std::numeric_limits<int>::max());
+    std::fprintf(stderr, "error: %s must be in [0, %d]%s\n", what,
+                 std::numeric_limits<int>::max(), note);
     return false;
   }
-  jobs = static_cast<int>(value);
+  out = static_cast<int>(value);
   return true;
+}
+
+/// Reads --jobs into `jobs` (left as is when the flag is absent).
+bool read_jobs(const Args& args, int& jobs) {
+  const auto text = args.get("jobs");
+  return !text.has_value() || read_count(*text, "--jobs", jobs, " (0 = all cores)");
 }
 
 int cmd_monitor(const Args& args) {
@@ -542,20 +547,18 @@ int cmd_fmea(const Args& args) {
       std::fprintf(stderr, "error: --shard expects i/N (e.g. --shard 0/4)\n");
       return 2;
     }
-    options.execution.shard_index = static_cast<int>(parse_int(shard->substr(0, slash)));
-    options.execution.shard_count = static_cast<int>(parse_int(shard->substr(slash + 1)));
-    if (options.execution.shard_count < 1 || options.execution.shard_index < 0 ||
+    if (!read_count(shard->substr(0, slash), "--shard i", options.execution.shard_index) ||
+        !read_count(shard->substr(slash + 1), "--shard N", options.execution.shard_count)) {
+      return 2;
+    }
+    if (options.execution.shard_count < 1 ||
         options.execution.shard_index >= options.execution.shard_count) {
       std::fprintf(stderr, "error: --shard i/N needs 0 <= i < N\n");
       return 2;
     }
   }
   if (const auto retries = args.get("retries")) {
-    options.execution.max_retries = static_cast<int>(parse_int(*retries));
-    if (options.execution.max_retries < 0) {
-      std::fprintf(stderr, "error: --retries must be >= 0\n");
-      return 2;
-    }
+    if (!read_count(*retries, "--retries", options.execution.max_retries)) return 2;
   }
   options.execution.best_effort = args.has("best-effort");
   options.batch = !args.has("no-batch");
