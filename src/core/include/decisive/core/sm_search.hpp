@@ -105,10 +105,12 @@ std::vector<Deployment> pareto_front_exhaustive(const FmedaResult& fmea,
 /// SPFM-gain-per-cost ratio until the target ASIL's SPFM is met or no
 /// mechanism remains. Returns nullopt when the target is unreachable with
 /// the given catalogue. The input FMEA must be *undeployed* (rows may
-/// already carry mechanisms; they are treated as fixed). The loop and the
-/// trim pass both maintain the residual FIT incrementally: one move costs
-/// O(1), not O(rows). Always optimises the classic SPFM objective —
-/// row_weights apply to the Pareto engines only.
+/// already carry mechanisms; they are treated as fixed). Ties go to the
+/// first row, then the first mechanism in catalogue order. Each open row's
+/// best move waits in a heap and the residual FIT is maintained
+/// incrementally, so a move costs O(log rows), not a rescan of every row.
+/// Always optimises the classic SPFM objective — row_weights apply to the
+/// Pareto engines only.
 std::optional<Deployment> greedy_reach_asil(const FmedaResult& fmea,
                                             const SafetyMechanismModel& catalogue,
                                             std::string_view target_asil);

@@ -22,7 +22,9 @@ void save_xmi_file(const std::string& path, const FullLoadRepository& repo,
 /// objects read before the fault stay in the repository.
 void load_xmi(FullLoadRepository& repo, const MetaPackage& package, std::string_view text);
 
-/// Reads and loads an XMI file; throws IoError/ParseError/ModelError.
+/// Loads an XMI file; throws IoError/ParseError/ModelError. The file is
+/// read through xml::parse_children's window, never held whole: the same
+/// objects, ids, references and errors as load_xmi on the file's text.
 void load_xmi_file(FullLoadRepository& repo, const MetaPackage& package,
                    const std::string& path);
 

@@ -1,11 +1,9 @@
 #include "decisive/model/xmi.hpp"
 
 #include <fstream>
-#include <optional>
 #include <unordered_map>
 
 #include "decisive/base/error.hpp"
-#include "decisive/base/persist.hpp"
 #include "decisive/base/strings.hpp"
 #include "decisive/base/xml.hpp"
 
@@ -83,7 +81,13 @@ void save_xmi_file(const std::string& path, const FullLoadRepository& repo,
   if (!out) throw IoError("failed while writing model file '" + path + "'");
 }
 
-void load_xmi(FullLoadRepository& repo, const MetaPackage& package, std::string_view text) {
+namespace {
+
+/// The body of load_xmi and load_xmi_file: `parse_children(on_child)` runs
+/// xml::parse_children over the text or the file.
+template <typename ParseChildren>
+void load_objects(FullLoadRepository& repo, const MetaPackage& package,
+                  ParseChildren parse_children) {
   // Each <object> is created, with its attributes, as soon as the parser
   // completes it, and then dropped: the element tree of a large model takes
   // several times the memory of the model itself. References wait until
@@ -96,8 +100,7 @@ void load_xmi(FullLoadRepository& repo, const MetaPackage& package, std::string_
   };
   std::unordered_map<std::uint64_t, ObjectId> remap;
   std::vector<PendingRef> pending;
-  const auto root = xml::parse_children(text, [&](const xml::Element& doc,
-                                                  const xml::Element& child) {
+  const auto root = parse_children([&](const xml::Element& doc, const xml::Element& child) {
     if (doc.name != "model") throw ParseError("expected <model> document root");
     if (child.name != "object") return;
     const std::string* cls_name = child.attribute("class");
@@ -143,11 +146,21 @@ void load_xmi(FullLoadRepository& repo, const MetaPackage& package, std::string_
   repo.recompute_bytes();
 }
 
+}  // namespace
+
+void load_xmi(FullLoadRepository& repo, const MetaPackage& package, std::string_view text) {
+  load_objects(repo, package,
+               [&](const auto& on_child) { return xml::parse_children(text, on_child); });
+}
+
 void load_xmi_file(FullLoadRepository& repo, const MetaPackage& package,
                    const std::string& path) {
-  const std::optional<std::string> text = read_file(path);
-  if (!text) throw IoError("cannot open model file '" + path + "'");
-  load_xmi(repo, package, *text);
+  // Streamed through xml::parse_children's window: the file's text is
+  // never held whole beside the model being built.
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw IoError("cannot open model file '" + path + "'");
+  load_objects(repo, package,
+               [&](const auto& on_child) { return xml::parse_children(in, on_child); });
 }
 
 }  // namespace decisive::model

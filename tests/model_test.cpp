@@ -371,6 +371,87 @@ TEST(Xmi, FileSaveInChunksEqualsTheStringAndReloads) {
   EXPECT_THROW(load_xmi_file(loaded, meta.pkg, path), IoError);
 }
 
+namespace {
+
+/// A model of `parts` parts, each with two ports, one name `name_length`
+/// characters long.
+std::string sample_xmi(const TestMeta& meta, int parts, size_t name_length = 0) {
+  FullLoadRepository repo;
+  for (int i = 0; i < parts; ++i) {
+    ModelObject& part = repo.create(*meta.part);
+    part.set_string("name", "Part & <" + std::to_string(i) + ">" +
+                                std::string(i == parts / 2 ? name_length : 0, 'n'));
+    part.set_real("fit", 0.5 + i);
+    for (int k = 0; k < 2; ++k) {
+      ModelObject& port = repo.create(*meta.port);
+      port.set_string("direction", k == 0 ? "in" : "out");
+      part.add_ref("ports", port.id());
+    }
+    if (i > 0) part.set_ref("next", part.id() - 3);
+  }
+  return save_xmi(repo, meta.pkg);
+}
+
+/// load_xmi's outcome: the reloaded model's XMI, or the error message.
+template <typename Load>
+std::string load_outcome(const TestMeta& meta, Load load) {
+  FullLoadRepository loaded;
+  try {
+    load(loaded);
+  } catch (const Error& error) {
+    return std::string("error: ") + error.what();
+  }
+  return save_xmi(loaded, meta.pkg);
+}
+
+}  // namespace
+
+TEST(Xmi, FileLoadThroughTheWindowEqualsTheTextLoad) {
+  // load_xmi_file reads through a 64 KiB window: in a model several windows
+  // long, objects straddle its boundaries, and one object's 150 000-character
+  // name makes that object longer than a window. The reload is the same
+  // model, byte for byte.
+  TestMeta meta;
+  const std::string text = sample_xmi(meta, 3000, 150'000);
+  ASSERT_GT(text.size(), 8u * 65536u);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "decisive_xmi_window.xmi").string();
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  EXPECT_EQ(load_outcome(meta, [&](auto& repo) { load_xmi_file(repo, meta.pkg, path); }), text);
+  std::remove(path.c_str());
+}
+
+TEST(Xmi, FileCutMidObjectGivesTheTextLoadsParseError) {
+  // A file cut inside an object (mid-attribute, mid-tag, between an
+  // object's children, before </model>) is a structured ParseError, with
+  // the message, line number included, of the whole text's load.
+  TestMeta meta;
+  const std::string text = sample_xmi(meta, 3000);
+  ASSERT_GT(text.size(), 3u * 65536u);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "decisive_xmi_cut.xmi").string();
+  for (const size_t cut : {size_t{65536} + 10, text.size() / 2, text.size() / 2 + 17,
+                           text.size() - 20, text.size() - 2}) {
+    const std::string prefix = text.substr(0, cut);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << prefix;
+    }
+    const std::string expected =
+        load_outcome(meta, [&](auto& repo) { load_xmi(repo, meta.pkg, prefix); });
+    ASSERT_NE(expected.find("xml: "), std::string::npos) << expected;
+    EXPECT_EQ(load_outcome(meta, [&](auto& repo) { load_xmi_file(repo, meta.pkg, path); }),
+              expected)
+        << "cut " << cut;
+    FullLoadRepository loaded;
+    EXPECT_THROW(load_xmi_file(loaded, meta.pkg, path), ParseError) << "cut " << cut;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Xmi, ValueFromStringParsesEachType) {
   EXPECT_EQ(std::get<std::string>(value_from_string(AttrType::String, "x")), "x");
   EXPECT_EQ(std::get<long long>(value_from_string(AttrType::Int, "4")), 4);

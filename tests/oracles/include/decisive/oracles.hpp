@@ -13,13 +13,18 @@
 // - impact_of_change: the change-impact report from `std::map` reverse
 //   indices filled by name-resolved reads, the reference for
 //   core::impact_of_change's flat one-pass index.
+// - greedy_reach_asil: the greedy deployment search that rescans every open
+//   row per move, the reference for core::greedy_reach_asil's best-move heap.
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "decisive/core/fta.hpp"
 #include "decisive/core/impact.hpp"
+#include "decisive/core/sm_search.hpp"
 #include "decisive/ssam/graph.hpp"
 #include "decisive/ssam/model.hpp"
 
@@ -68,5 +73,14 @@ double rare_event_probability(const core::FaultTree& tree, double mission_hours)
 /// core::impact_of_change was before its one-pass index. Throws ModelError
 /// when `component` is not a Component.
 core::ImpactReport impact_of_change(const ssam::SsamModel& ssam, ssam::ObjectId component);
+
+/// core::greedy_reach_asil as it was before its best-move heap: each move
+/// scans every open row's applicable mechanisms (resolved here through
+/// SafetyMechanismModel::applicable) and deploys the first maximum of the
+/// gain per cost hour; the same trim pass follows. Same arithmetic, so the
+/// result must match the engine's bit for bit.
+std::optional<core::Deployment> greedy_reach_asil(const core::FmedaResult& fmea,
+                                                  const core::SafetyMechanismModel& catalogue,
+                                                  std::string_view target_asil);
 
 }  // namespace decisive::oracle

@@ -16,6 +16,7 @@
 #include "decisive/fta/engine.hpp"
 #include "decisive/fta/lfm.hpp"
 #include "decisive/obs/registry.hpp"
+#include "decisive/oracles.hpp"
 
 using namespace decisive;
 using namespace decisive::core;
@@ -289,9 +290,9 @@ RandomInstance make_aliased_instance(uint64_t seed) {
   for (int c = 0; c < components; ++c) {
     const std::string name = "U" + std::to_string(c);
     const char* type = kTypes[rng.below(2)][rng.below(4)];
-    // Whole FITs keep the undeployed SPFM at exactly 0 (see ROADMAP: with
-    // fractional FITs, two half-share modes can round it to -2.2e-16).
-    const double fit = static_cast<double>(10 + rng.below(200));
+    // Fractional FITs: two half-share modes can round the undeployed SPFM
+    // below 0, which the evaluator clamps like FmedaResult::spfm().
+    const double fit = 10.0 + rng.uniform() * 200.0;
     for (const auto& mode : kModes) {
       FmedaRow row = make_row(name.c_str(), fit, mode[rng.below(2)], 0.5, true);
       row.component_type = type;
@@ -389,6 +390,124 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OptimalProperty, ::testing::Range(1, 41));
 TEST_P(SearchProperty, AliasedGreedyConsistentWithFront) {
   const auto instance = make_aliased_instance(static_cast<uint64_t>(GetParam()));
   expect_greedy_consistent_with_front(instance.fmea, instance.catalogue);
+}
+
+namespace {
+
+/// Seeded instance aimed at greedy's edge cases: 3-16 rows with fractional
+/// FITs, some zero-FIT, some sharing one FIT and one mechanism (equal gain
+/// per cost hour across rows), some not safety-related or already deployed;
+/// types and modes spelled by MCU aliases and case variants; catalogue
+/// entries with coverages and costs from small sets, including zero-cost
+/// ones (the 1e18 + gain ratio) and upgrades cheaper than the pick they
+/// replace; and rows no entry matches, so high targets are often out of
+/// reach.
+RandomInstance make_greedy_instance(uint64_t seed) {
+  static const char* const kTypes[][4] = {{"MCU", "mc", "Microcontroller", "micro controller"},
+                                          {"ADC", "adc", "Adc", "aDC"},
+                                          {"Sensor", "sensor", "SENSOR", "Sensor"}};
+  static const char* const kModes[][2] = {{"Open", "open"}, {"Drift", "DRIFT"}};
+  static const double kCoverages[] = {0.6, 0.9, 0.99};
+  static const double kCosts[] = {0.0, 1.0, 2.0, 4.0};
+  Rng rng(seed);
+  RandomInstance out;
+  const int n = 3 + static_cast<int>(rng.below(14));
+  for (int i = 0; i < n; ++i) {
+    const std::string name = "U" + std::to_string(i);
+    double fit = rng.chance(0.4) ? 20.0 : 0.5 + rng.uniform() * 150.0;
+    if (rng.chance(0.12)) fit = 0.0;
+    FmedaRow row = make_row(name.c_str(), fit, kModes[rng.below(2)][rng.below(2)],
+                            rng.chance(0.3) ? 0.35 : 1.0, !rng.chance(0.1));
+    row.component_type = kTypes[rng.below(3)][rng.below(4)];
+    if (rng.chance(0.1)) {
+      row.safety_mechanism = "fixed";
+      row.sm_coverage = 0.5;
+    }
+    out.fmea.rows.push_back(row);
+  }
+  for (const auto& type : kTypes) {
+    for (const auto& mode : kModes) {
+      const int entries = static_cast<int>(rng.below(4));
+      for (int k = 0; k < entries; ++k) {
+        const double coverage =
+            rng.chance(0.6) ? kCoverages[rng.below(3)] : 0.5 + rng.uniform() * 0.49;
+        const double cost = rng.chance(0.6) ? kCosts[rng.below(4)] : rng.uniform() * 5.0;
+        out.catalogue.add({type[rng.below(4)], mode[rng.below(2)],
+                           std::string(type[0]) + "/" + mode[0] + "-sm" + std::to_string(k),
+                           coverage, cost});
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+// The best-move heap must reproduce the full-scan greedy it replaced bit for
+// bit, and branch-and-bound (seeded with that greedy) must stay no costlier
+// and fail exactly when it fails, at every ASIL target.
+class GreedyOracleProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(GreedyOracleProperty, HeapGreedyMatchesTheFullScanAtEveryTarget) {
+  const auto instance = make_greedy_instance(static_cast<uint64_t>(GetParam()));
+  for (const char* target : {"ASIL-A", "ASIL-B", "ASIL-C", "ASIL-D"}) {
+    const auto oracle = oracle::greedy_reach_asil(instance.fmea, instance.catalogue, target);
+    const auto greedy = greedy_reach_asil(instance.fmea, instance.catalogue, target);
+    const auto optimal = optimal_reach_asil(instance.fmea, instance.catalogue, target);
+    ASSERT_EQ(greedy.has_value(), oracle.has_value()) << target;
+    ASSERT_EQ(optimal.has_value(), oracle.has_value()) << target;
+    if (!oracle.has_value()) continue;
+    ASSERT_EQ(greedy->choices.size(), oracle->choices.size()) << target;
+    for (size_t c = 0; c < oracle->choices.size(); ++c) {
+      EXPECT_EQ(greedy->choices[c].row_index, oracle->choices[c].row_index) << target;
+      EXPECT_EQ(greedy->choices[c].mechanism, oracle->choices[c].mechanism) << target;
+    }
+    EXPECT_EQ(greedy->total_cost_hours, oracle->total_cost_hours) << target;
+    EXPECT_EQ(greedy->spfm, oracle->spfm) << target;
+    EXPECT_LE(optimal->total_cost_hours, oracle->total_cost_hours + 1e-9) << target;
+    EXPECT_GE(optimal->spfm, spfm_target(target)) << target;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GreedyOracleProperty, ::testing::Range(1, 201));
+
+TEST(GreedyOracle, InstancesReachTheEdgeCases) {
+  // The seeds above must exercise what the heap's ordering has to get
+  // right: a zero-cost pick, a tie in gain per cost hour between rows, and
+  // an unreachable target.
+  bool zero_cost = false;
+  bool tie = false;
+  bool unreachable = false;
+  for (int seed = 1; seed <= 200; ++seed) {
+    const auto instance = make_greedy_instance(static_cast<uint64_t>(seed));
+    for (const char* target : {"ASIL-B", "ASIL-C", "ASIL-D"}) {
+      const auto oracle = oracle::greedy_reach_asil(instance.fmea, instance.catalogue, target);
+      if (!oracle.has_value()) {
+        unreachable = true;
+        continue;
+      }
+      for (const auto& choice : oracle->choices) {
+        zero_cost = zero_cost || choice.mechanism->cost_hours == 0.0;
+      }
+    }
+    // Two open rows with one FIT and one applicable list offer equal ratios.
+    const auto& rows = instance.fmea.rows;
+    for (size_t i = 0; i < rows.size() && !tie; ++i) {
+      for (size_t j = i + 1; j < rows.size() && !tie; ++j) {
+        const auto options = instance.catalogue.applicable(rows[i].component_type,
+                                                           rows[i].failure_mode);
+        tie = rows[i].safety_related && rows[j].safety_related &&
+              rows[i].safety_mechanism.empty() && rows[j].safety_mechanism.empty() &&
+              rows[i].mode_fit() > 0.0 && rows[i].mode_fit() == rows[j].mode_fit() &&
+              !options.empty() &&
+              options == instance.catalogue.applicable(rows[j].component_type,
+                                                       rows[j].failure_mode);
+      }
+    }
+  }
+  EXPECT_TRUE(zero_cost);
+  EXPECT_TRUE(tie);
+  EXPECT_TRUE(unreachable);
 }
 
 TEST(Pareto, JobsCountNeverChangesTheFront) {
