@@ -99,7 +99,8 @@ void count_outcome(const FmedaRow& row) {
 /// observable's deviation from the classification threshold — less that
 /// deviation's error bound, when `error` carries one per slot. The fast path
 /// falls back to the naive solve when a reading sits on that knife edge, so
-/// solver differences can never flip an effect class.
+/// solver differences can never flip an effect class. The deviation is
+/// observable_deviation's arithmetic, inline.
 EffectClass classify(const CircuitFmeaOptions& options,
                      const std::vector<CampaignRunner::ReadingSlot>& slots,
                      const std::vector<double>& baseline, const std::vector<double>& faulted,
@@ -111,11 +112,10 @@ EffectClass classify(const CircuitFmeaOptions& options,
     const double before = baseline[s];
     const double after = faulted[s];
     if (std::isnan(after)) continue;
-    const double deviation = observable_deviation(before, after, options.absolute_floor);
+    const double reference = std::max(std::abs(before), options.absolute_floor);
+    const double deviation = std::abs(after - before) / reference;
     double slack = std::abs(deviation - options.relative_threshold);
-    if (error != nullptr) {
-      slack -= (*error)[s] / std::max(std::abs(before), options.absolute_floor);
-    }
+    if (error != nullptr) slack -= (*error)[s] / reference;
     if (!(slack >= margin)) margin = slack;  // a NaN slack (no usable bound) is no margin
     if (deviation > options.relative_threshold) {
       if (slots[s].goal) goal_deviated = true;
@@ -342,7 +342,7 @@ FmedaRow CampaignRunner::run_task_once(const Task& task, const std::vector<doubl
     // cannot diverge.
     if (context != nullptr && workspace != nullptr) {
       CampaignMetrics& metrics = CampaignMetrics::get();
-      const sim::CampaignSolve solve = context->try_solve(index, failed, *workspace);
+      const sim::CampaignSolve& solve = context->try_solve(index, failed, *workspace);
       bool accepted = false;
       if (solve.solved) {
         double margin = std::numeric_limits<double>::infinity();
@@ -712,6 +712,7 @@ FmedaResult CampaignRunner::run() const {
 
   // Step 3: assemble — derive the display warnings from the structured
   // outcomes, in task order (single source of truth: the rows themselves).
+  result.rows.reserve(rows.size());
   for (auto& row : rows) {
     std::string warning = outcome_warning(row);
     if (!warning.empty()) result.warnings.push_back(std::move(warning));

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -73,7 +74,9 @@ class ProgressReporter {
   ProgressReporterOptions options_;
   mutable std::mutex mutex_;
   std::uint64_t done_ = 0;
-  std::map<std::string, std::uint64_t> outcomes_;
+  /// Transparent comparator: a tick looks its label up without building a
+  /// string; only a label's first tick stores one.
+  std::map<std::string, std::uint64_t, std::less<>> outcomes_;
   std::vector<std::uint64_t> worker_done_;
   std::vector<std::uint64_t> worker_last_active_ms_;
   std::uint64_t started_unix_ms_ = 0;

@@ -76,7 +76,11 @@ void ProgressReporter::task_done(int worker, std::string_view outcome) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (finished_) return;
   ++done_;
-  ++outcomes_[std::string(outcome)];
+  if (const auto it = outcomes_.find(outcome); it != outcomes_.end()) {
+    ++it->second;
+  } else {
+    outcomes_.emplace(outcome, 1);
+  }
   const size_t slot = static_cast<size_t>(
       std::clamp(worker, 0, options_.workers - 1));
   ++worker_done_[slot];

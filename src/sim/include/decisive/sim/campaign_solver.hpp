@@ -88,9 +88,10 @@ struct CampaignSolve {
 /// source), and the reading table.
 class CampaignContext {
  public:
-  /// Per-worker scratch: low-rank buffers, the sparse solve buffer, and the
-  /// refactor branch's own assembly plan and factorisation. Opaque —
-  /// everything in it is an implementation detail of the sim library.
+  /// Per-worker scratch: the Newton run and the last try_solve result,
+  /// low-rank buffers, the sparse solve buffer, and the refactor branch's own
+  /// assembly plan and factorisation. Opaque — everything in it is an
+  /// implementation detail of the sim library.
   class Workspace {
    public:
     Workspace();
@@ -129,9 +130,12 @@ class CampaignContext {
   /// Solves the nominal circuit with element `element` replaced by `failed`:
   /// the low-rank branch first, then — with a sparse factor — the refactor
   /// branch for whatever it declined. Counted as one solve in the
-  /// decisive_solver_* family.
-  [[nodiscard]] CampaignSolve try_solve(std::size_t element, const Element& failed,
-                                        Workspace& ws) const;
+  /// decisive_solver_* family. The result lives in `ws` until its next
+  /// try_solve: the workspace owns every buffer of the solve, readings
+  /// included, so a worker that reuses one allocates nothing per fault once
+  /// its buffers have grown, and gets what a fresh workspace would give.
+  [[nodiscard]] const CampaignSolve& try_solve(std::size_t element, const Element& failed,
+                                               Workspace& ws) const;
 
   /// The reading table: the nominal circuit's observable elements
   /// (reading_elements()), one CampaignSolve::readings slot each.

@@ -86,7 +86,10 @@ using Deadline = std::optional<std::chrono::steady_clock::time_point>;
 
 /// One bounded, non-throwing Newton run. `result` is only meaningful when
 /// `converged`; `x`/`diode_v` always carry the final iterate so a later
-/// ladder rung can continue from whatever progress this attempt made.
+/// ladder rung can continue from whatever progress this attempt made. A
+/// caller that solves many systems keeps one and hands it to every
+/// newton_attempt: the run overwrites it, and its vectors keep their
+/// capacity.
 struct NewtonAttempt {
   bool converged = false;
   SolveFailure failure = SolveFailure::None;
@@ -140,6 +143,24 @@ inline DiodeLinearisation linearise_diode(double diode_v_estimate, const SolveOp
   return DiodeLinearisation{geq, id - geq * vd};
 }
 
+/// A diode's terminals, gathered once so the per-iteration junction update
+/// reads one compact array: `index` into the elements (and `diode_v`), `a`
+/// and `b` its nodes.
+struct Junction {
+  std::size_t index = 0;
+  int a = 0;
+  int b = 0;
+};
+
+/// The junction of every diode in `elements`, in element order, into `out`
+/// (whose capacity is kept): the only elements a Newton step relinearises.
+inline void diode_junctions(const std::vector<Element>& elements, std::vector<Junction>& out) {
+  out.clear();
+  for (std::size_t i = 0; i < elements.size(); ++i) {
+    if (elements[i].kind == ElementKind::Diode) out.push_back({i, elements[i].a, elements[i].b});
+  }
+}
+
 /// One element replaced without copying the circuit: a campaign fault
 /// (faulted_element) applied to the nominal netlist.
 struct ElementOverride {
@@ -152,21 +173,30 @@ struct ElementOverride {
   }
 };
 
-/// Stamps the MNA system for the given diode linearisation point into `rhs`
-/// (always) and an arbitrary matrix sink: `add(row, col, value)` is invoked
-/// for every matrix stamp in the exact order of the original solver. The
-/// dense path adds into flat row-major storage; the sparse path records
-/// coordinates (pattern build) or replays them through a frozen slot
-/// sequence (numeric refill) — one stamp pass, three consumers, and because
-/// the element loop is shared the add sequence is identical across them.
+/// Stamps the MNA system into `rhs` (always) and an arbitrary matrix sink:
+/// `add(row, col, value)` is invoked for every matrix stamp in the exact
+/// order of the original solver. The dense path adds into flat row-major
+/// storage; the sparse path records coordinates (pattern build) or replays
+/// them through a frozen slot sequence (numeric refill) — one stamp pass,
+/// three consumers, and because the element loop is shared the add sequence
+/// is identical across them. `diode_lin(i)` gives diode `i`'s companion
+/// linearisation (linearise_at: at a junction-voltage estimate per element).
 /// With `over.element` set, that element stands in for
-/// `circuit.elements()[over.index]`. Aligned, like the LU kernels, so no
-/// instance's speed depends on where the linker happens to put it.
-template <typename AddFn>
+/// `circuit.elements()[over.index]`.
+///
+/// With `visit` set, only the listed elements (ascending indices) and
+/// `over.index` are stamped, in element order. A caller that skips only
+/// elements whose stamps its sinks ignore gets the same sums: the campaign
+/// context's RHS-only assembly visits just the elements that stamp the RHS.
+/// Either way diodes are linearised in ascending element order, once each.
+/// Aligned, like the LU kernels, so no instance's speed depends on where the
+/// linker happens to put it.
+template <typename DiodeLin, typename AddFn>
 [[gnu::aligned(64)]] inline void assemble_with(const Circuit& circuit, const SolveOptions& opt,
                                                const CompanionState& state, const Structure& st,
-                                               const std::vector<double>& diode_v, AddFn&& add,
-                                               double* rhs, ElementOverride over = {}) {
+                                               DiodeLin&& diode_lin, AddFn&& add, double* rhs,
+                                               ElementOverride over = {},
+                                               const std::vector<std::size_t>* visit = nullptr) {
   const auto& elements = circuit.elements();
   const std::size_t dim = st.dim;
   const int n_nodes = st.n_nodes;
@@ -206,7 +236,21 @@ template <typename AddFn>
   // standard SPICE trick; an "open" fault would otherwise be singular).
   for (int node = 1; node < n_nodes; ++node) add(vrow(node), vrow(node), opt.gmin);
 
-  for (std::size_t i = 0; i < elements.size(); ++i) {
+  // One loop, the stamps in its body: position k walks every element, or
+  // `visit` with the override merged into its order.
+  const std::size_t count = visit == nullptr ? elements.size() : visit->size();
+  bool override_due = visit != nullptr && over.element != nullptr;
+  for (std::size_t k = 0; k < count || override_due;) {
+    std::size_t i = k;
+    if (visit == nullptr) {
+      ++k;
+    } else if (override_due && (k == count || over.index <= (*visit)[k])) {
+      i = over.index;
+      override_due = false;
+      if (k < count && (*visit)[k] == i) ++k;
+    } else {
+      i = (*visit)[k++];
+    }
     const Element& e = over.at(elements, i);
     switch (e.kind) {
       case ElementKind::Resistor:
@@ -241,7 +285,7 @@ template <typename AddFn>
         break;
       case ElementKind::Diode: {
         // Linearise around the current junction-voltage estimate.
-        const DiodeLinearisation lin = linearise_diode(diode_v[i], opt);
+        const DiodeLinearisation lin = diode_lin(i);
         stamp_conductance(e.a, e.b, lin.geq);
         stamp_current(e.a, e.b, lin.ieq);
         break;
@@ -260,24 +304,22 @@ template <typename AddFn>
   }
 }
 
-/// The classic entry point over flat row-major `dim x dim` storage (`a` may
-/// be null — the campaign context stamps only the RHS, once per fault, for
-/// its residual gate). Both buffers must be pre-zeroed. The dense add is
-/// `+=` of the signed stamp, which is the same IEEE operation the old
-/// in-lambda `-=` performed, so no output byte moved.
+/// The diode linearisation of a full assembly: diode `i` at its junction
+/// estimate `diode_v[i]`.
+inline auto linearise_at(const std::vector<double>& diode_v, const SolveOptions& opt) {
+  return [&diode_v, &opt](std::size_t i) { return linearise_diode(diode_v[i], opt); };
+}
+
+/// The classic entry point over flat row-major `dim x dim` storage. Both
+/// buffers must be pre-zeroed. The dense add is `+=` of the signed stamp,
+/// which is the same IEEE operation the old in-lambda `-=` performed, so no
+/// output byte moved.
 inline void assemble(const Circuit& circuit, const SolveOptions& opt,
                      const CompanionState& state, const Structure& st,
-                     const std::vector<double>& diode_v, double* a, double* rhs,
-                     ElementOverride over = {}) {
+                     const std::vector<double>& diode_v, double* a, double* rhs) {
   const std::size_t dim = st.dim;
-  if (a == nullptr) {
-    assemble_with(circuit, opt, state, st, diode_v, [](std::size_t, std::size_t, double) {},
-                  rhs, over);
-  } else {
-    assemble_with(circuit, opt, state, st, diode_v,
-                  [a, dim](std::size_t r, std::size_t c, double v) { a[r * dim + c] += v; },
-                  rhs, over);
-  }
+  assemble_with(circuit, opt, state, st, linearise_at(diode_v, opt),
+                [a, dim](std::size_t r, std::size_t c, double v) { a[r * dim + c] += v; }, rhs);
 }
 
 inline SolveResult extract_result(const Circuit& circuit, const Structure& st,
@@ -305,76 +347,83 @@ inline SolveResult extract_result(const Circuit& circuit, const Structure& st,
 inline constexpr double kColdJunctionVolt = 0.6;
 inline constexpr double kJunctionStepVolt = 0.1;
 
-/// Indices of the diodes in `elements`, in element order: the only elements
-/// a Newton step relinearises.
-inline std::vector<std::size_t> diode_indices(const std::vector<Element>& elements) {
-  std::vector<std::size_t> diodes;
-  for (std::size_t i = 0; i < elements.size(); ++i) {
-    if (elements[i].kind == ElementKind::Diode) diodes.push_back(i);
-  }
-  return diodes;
-}
-
-/// One bounded, non-throwing Newton run over a pluggable linear-solve step.
+/// One bounded, non-throwing Newton run over a pluggable linear-solve step,
+/// written into the caller's `attempt`.
 ///
 /// `solve_step(diode_v, x_out, failure, message)` solves the MNA system
 /// linearised at `diode_v` into `x_out` (sized dim) and returns true, or
 /// returns false with `failure`/`message` set (singular system, low-rank
 /// update rejected, ...). Everything else — budgets, the non-finite guard,
 /// diode voltage limiting, and the convergence test — is shared verbatim
-/// between the naive and campaign paths. `diodes` lists the diodes of the
-/// system being solved among `elements` (diode_indices); `diode_v` is
-/// indexed like `elements`. The converged iterate is `x`; extract_result()
-/// turns it into node voltages and branch currents for callers that want
-/// them. Aligned like assemble_with.
+/// between the naive and campaign paths. `junctions` lists the diodes of the
+/// system being solved (diode_junctions); `diode_v` is indexed like its
+/// `element_count` elements. `x_new` is the caller's buffer for the next
+/// iterate; `seed` must not alias `attempt`. The converged iterate is
+/// `attempt.x`; extract_result() turns it into node voltages and branch
+/// currents for callers that want them.
+///
+/// The scans over the iterate and the junctions keep their maxima in
+/// independent accumulators, so no iteration waits on the previous one's
+/// max. That changes no value: max is exact and, on the non-NaN values it
+/// keeps (std::max drops a NaN second argument, in any chain), independent
+/// of the order it sees them, and a non-finite iterate gives up before its
+/// change is read. Aligned like assemble_with.
 template <typename SolveStep>
-[[gnu::aligned(64)]] NewtonAttempt newton_attempt(const std::vector<Element>& elements,
-                                                  const std::vector<std::size_t>& diodes,
-                                                  const SolveOptions& opt, const Structure& st,
-                                                  const NewtonSeed* seed,
-                                                  const Deadline& deadline,
-                                                  SolveStep&& solve_step) {
+[[gnu::aligned(64)]] void newton_attempt(std::size_t element_count,
+                                         const std::vector<Junction>& junctions,
+                                         const SolveOptions& opt, const Structure& st,
+                                         const NewtonSeed* seed, const Deadline& deadline,
+                                         std::vector<double>& x_new, NewtonAttempt& attempt,
+                                         SolveStep&& solve_step) {
   const std::size_t dim = st.dim;
-
-  NewtonAttempt attempt;
+  attempt.converged = false;
+  attempt.failure = SolveFailure::None;
+  attempt.message.clear();
+  attempt.iterations = 0;
+  attempt.residual = 0.0;
+  std::vector<double>& x = attempt.x;
+  std::vector<double>& diode_v = attempt.diode_v;
   if (dim == 0) {
+    x.clear();
+    diode_v.clear();
     attempt.converged = true;
-    return attempt;
+    return;
   }
 
   // Diode junction voltage estimates for Newton iteration; warm-started from
   // the previous ladder attempt (or the nominal solve) when available.
-  std::vector<double> diode_v;
-  if (seed != nullptr && seed->diode_v.size() == elements.size()) {
-    diode_v = seed->diode_v;
+  if (seed != nullptr && seed->diode_v.size() == element_count) {
+    diode_v.assign(seed->diode_v.begin(), seed->diode_v.end());
   } else {
-    diode_v.assign(elements.size(), kColdJunctionVolt);
+    diode_v.assign(element_count, kColdJunctionVolt);
   }
-  std::vector<double> x(dim, 0.0);
-  if (seed != nullptr && seed->x.size() == x.size()) x = seed->x;
+  if (seed != nullptr && seed->x.size() == dim) {
+    x.assign(seed->x.begin(), seed->x.end());
+  } else {
+    x.assign(dim, 0.0);
+  }
+  x_new.resize(dim);
 
-  // The diodes' terminals, gathered once so the per-iteration junction
-  // update reads one compact array.
-  struct Junction {
-    std::size_t index;
-    int a;
-    int b;
-  };
-  std::vector<Junction> junctions;
-  junctions.reserve(diodes.size());
-  for (const std::size_t i : diodes) junctions.push_back({i, elements[i].a, elements[i].b});
-
-  auto give_up = [&](SolveFailure failure, std::string message) {
-    attempt.converged = false;
+  auto give_up = [&](SolveFailure failure, const char* message) {
     attempt.failure = failure;
-    attempt.message = std::move(message);
-    attempt.x = std::move(x);
-    attempt.diode_v = std::move(diode_v);
-    return std::move(attempt);
+    attempt.message = message;
   };
 
   const bool has_diode = !junctions.empty();
-  std::vector<double> x_new(dim, 0.0);
+  const std::size_t n_junctions = junctions.size();
+  auto node_v = [&](int node) {
+    return node == 0 ? 0.0 : x_new[static_cast<std::size_t>(node - 1)];
+  };
+  // Newton update for one diode junction voltage, with voltage limiting for
+  // robust convergence; returns the move Newton asked for.
+  auto update_junction = [&](const Junction& j) {
+    const double target = node_v(j.a) - node_v(j.b);
+    const double previous = diode_v[j.index];
+    const double step = std::clamp(target - previous, -kJunctionStepVolt, kJunctionStepVolt);
+    diode_v[j.index] = previous + step;
+    return std::abs(target - previous);
+  };
+
   bool converged = false;
   for (int iteration = 0; !converged; ++iteration) {
     if (iteration >= opt.max_newton_iterations) {
@@ -386,9 +435,9 @@ template <typename SolveStep>
     attempt.iterations = iteration + 1;
 
     SolveFailure failure = SolveFailure::Singular;
-    std::string message;
-    if (!solve_step(diode_v, x_new, failure, message)) {
-      return give_up(failure, std::move(message));
+    if (!solve_step(diode_v, x_new, failure, attempt.message)) {
+      attempt.failure = failure;
+      return;
     }
 
     // Non-finite guard: a NaN/Inf iterate (NaN source value, zero-resistance
@@ -396,30 +445,34 @@ template <typename SolveStep>
     // masquerade as "singular" once it reaches the diode stamps. The same
     // pass measures the iterate's change.
     bool finite = true;
-    double max_change = 0.0;
-    for (std::size_t i = 0; i < dim; ++i) {
-      finite = finite && std::isfinite(x_new[i]);
-      max_change = std::max(max_change, std::abs(x_new[i] - x[i]));
+    double change0 = 0.0;
+    double change1 = 0.0;
+    std::size_t i = 0;
+    for (; i + 2 <= dim; i += 2) {
+      finite &= std::isfinite(x_new[i]) & std::isfinite(x_new[i + 1]);
+      change0 = std::max(change0, std::abs(x_new[i] - x[i]));
+      change1 = std::max(change1, std::abs(x_new[i + 1] - x[i + 1]));
+    }
+    if (i < dim) {
+      finite &= std::isfinite(x_new[i]);
+      change0 = std::max(change0, std::abs(x_new[i] - x[i]));
     }
     if (!finite) {
       SolverMetrics::get().nonfinite_guard.add();
       return give_up(SolveFailure::NonFinite,
                      "newton iterate is not finite (NaN/Inf in circuit values?)");
     }
+    const double max_change = std::max(change0, change1);
 
-    // Newton update for diode junction voltages, with voltage limiting for
-    // robust convergence.
-    double max_diode_change = 0.0;
-    auto node_v = [&](int node) {
-      return node == 0 ? 0.0 : x_new[static_cast<std::size_t>(node - 1)];
-    };
-    for (const Junction& j : junctions) {
-      const double target = node_v(j.a) - node_v(j.b);
-      const double previous = diode_v[j.index];
-      const double step = std::clamp(target - previous, -kJunctionStepVolt, kJunctionStepVolt);
-      diode_v[j.index] = previous + step;
-      max_diode_change = std::max(max_diode_change, std::abs(target - previous));
+    double moved0 = 0.0;
+    double moved1 = 0.0;
+    std::size_t j = 0;
+    for (; j + 2 <= n_junctions; j += 2) {
+      moved0 = std::max(moved0, update_junction(junctions[j]));
+      moved1 = std::max(moved1, update_junction(junctions[j + 1]));
     }
+    if (j < n_junctions) moved0 = std::max(moved0, update_junction(junctions[j]));
+    const double max_diode_change = std::max(moved0, moved1);
 
     std::swap(x, x_new);
     attempt.residual = has_diode ? std::max(max_change, max_diode_change) : max_change;
@@ -427,26 +480,29 @@ template <typename SolveStep>
     converged = !has_diode || (max_diode_change < opt.newton_tolerance &&
                                max_change < std::max(opt.newton_tolerance, 1e-9));
   }
-
   attempt.converged = true;
-  attempt.x = std::move(x);
-  attempt.diode_v = std::move(diode_v);
-  return attempt;
 }
 
+/// Newton storage a caller keeps across solves, so that a solve allocates
+/// nothing once the buffers have grown: the next iterate and the junction
+/// list.
+struct NewtonScratch {
+  std::vector<double> x_new;
+  std::vector<Junction> junctions;
+};
+
 /// newton_attempt over every element of `circuit`, with the converged
-/// iterate extracted into `result`.
+/// iterate extracted into `attempt.result`.
 template <typename SolveStep>
-[[gnu::aligned(64)]] NewtonAttempt newton_attempt(const Circuit& circuit,
-                                                  const SolveOptions& opt, const Structure& st,
-                                                  const NewtonSeed* seed,
-                                                  const Deadline& deadline,
-                                                  SolveStep&& solve_step) {
+[[gnu::aligned(64)]] void newton_attempt(const Circuit& circuit, const SolveOptions& opt,
+                                         const Structure& st, const NewtonSeed* seed,
+                                         const Deadline& deadline, NewtonScratch& scratch,
+                                         NewtonAttempt& attempt, SolveStep&& solve_step) {
   const auto& elements = circuit.elements();
-  NewtonAttempt attempt = newton_attempt(elements, diode_indices(elements), opt, st, seed,
-                                         deadline, std::forward<SolveStep>(solve_step));
+  diode_junctions(elements, scratch.junctions);
+  newton_attempt(elements.size(), scratch.junctions, opt, st, seed, deadline, scratch.x_new,
+                 attempt, std::forward<SolveStep>(solve_step));
   if (attempt.converged) attempt.result = extract_result(circuit, st, attempt.x);
-  return attempt;
 }
 
 /// One circuit structure's frozen sparse assembly plan: the CSC pattern of
@@ -465,10 +521,10 @@ struct SparsePlan {
     sparse::PatternBuilder builder;
     builder.begin(st.dim);
     std::vector<double> rhs_sink(st.dim, 0.0);
-    const std::vector<double> diode_guess(circuit.elements().size(), 0.6);
-    assemble_with(circuit, opt, state, st, diode_guess,
-                  [&](std::size_t r, std::size_t c, double) { builder.add(r, c); },
-                  rhs_sink.data());
+    assemble_with(
+        circuit, opt, state, st,
+        [&opt](std::size_t) { return linearise_diode(kColdJunctionVolt, opt); },
+        [&](std::size_t r, std::size_t c, double) { builder.add(r, c); }, rhs_sink.data());
     builder.freeze(pattern, slots);
     fingerprint = pattern.fingerprint();
     values.assign(pattern.nnz(), 0.0);
@@ -485,7 +541,7 @@ struct SparsePlan {
     std::fill(values.begin(), values.end(), 0.0);
     std::size_t t = 0;
     bool overflow = false;
-    assemble_with(circuit, opt, state, st, diode_v,
+    assemble_with(circuit, opt, state, st, linearise_at(diode_v, opt),
                   [&](std::size_t, std::size_t, double v) {
                     if (t < slots.size()) {
                       values[static_cast<std::size_t>(slots[t++])] += v;
@@ -504,6 +560,7 @@ struct SparsePlan {
 struct Workspace {
   dense::LuFactorization lu;
   std::vector<double> rhs;
+  NewtonScratch newton;
 };
 
 /// The one general solve step: assemble the full matrix and factor it every
@@ -531,7 +588,9 @@ inline NewtonAttempt attempt_solve_dense(const Circuit& circuit, const SolveOpti
     x_out = ws.rhs;
     return true;
   };
-  return newton_attempt(circuit, opt, st, seed, deadline, solve_step);
+  NewtonAttempt attempt;
+  newton_attempt(circuit, opt, st, seed, deadline, ws.newton, attempt, solve_step);
+  return attempt;
 }
 
 OperatingPoint make_operating_point(const Circuit& circuit, const SolveResult& solved);

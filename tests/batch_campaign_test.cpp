@@ -7,8 +7,11 @@
 // differ.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -471,6 +474,113 @@ TEST(BatchContext, FaultThatRemovesAReadingMatchesNaive) {
   const CampaignOutput reference = run_campaign(built, reliability, naive({}));
   EXPECT_EQ(fast.csv, reference.csv);
   EXPECT_EQ(fast.warnings, reference.warnings);
+}
+
+namespace {
+
+/// Every fault the taxonomy gives each element of `nominal`, in element
+/// order.
+std::vector<ResolvedFault> every_fault(const sim::Circuit& nominal) {
+  std::vector<ResolvedFault> faults;
+  const auto& elements = nominal.elements();
+  for (std::size_t i = 0; i < elements.size(); ++i) {
+    for (const sim::FaultKind kind :
+         {sim::FaultKind::Open, sim::FaultKind::Short, sim::FaultKind::StuckOff,
+          sim::FaultKind::Drift, sim::FaultKind::RamFailure}) {
+      try {
+        faults.push_back({i, sim::faulted_element(elements[i], kind, sim::kDefaultDriftFactor,
+                                                  1e12, 1e-3)});
+      } catch (const AnalysisError&) {
+        // Not applicable to this element kind.
+      }
+    }
+  }
+  return faults;
+}
+
+/// Everything a solve reports but its wall time, doubles as bit patterns.
+std::string solve_record(const sim::CampaignSolve& solve) {
+  std::ostringstream out;
+  out << std::hex << "solved " << solve.solved << " lowrank " << to_string(solve.lowrank)
+      << " refactor " << (solve.refactor ? to_string(*solve.refactor) : "none")
+      << " converged " << solve.diagnostics.converged << " rung "
+      << solve.diagnostics.ladder_rung << " iterations " << solve.diagnostics.iterations
+      << " residual " << std::bit_cast<std::uint64_t>(solve.diagnostics.residual)
+      << " failure " << to_string(solve.diagnostics.failure) << " readings";
+  for (const double r : solve.readings) out << ' ' << std::bit_cast<std::uint64_t>(r);
+  out << " errors";
+  for (const double e : solve.reading_error) out << ' ' << std::bit_cast<std::uint64_t>(e);
+  return out.str();
+}
+
+/// What a subject's faults exercised: solved faults, and faults the
+/// refactor branch took.
+struct Exercised {
+  int solved = 0;
+  int refactored = 0;
+};
+
+/// Solves every fault of `nominal` three ways: through one workspace in
+/// fault order, through it again in reverse order, and each through a
+/// fresh workspace. A workspace keeps buffers, never results: every record
+/// must agree bit for bit.
+Exercised expect_workspace_stateless(const std::string& subject, const sim::Circuit& nominal,
+                                     const sim::SolveOptions& options) {
+  const sim::CampaignContext context = make_context(nominal, options);
+  EXPECT_TRUE(context.usable()) << subject;
+  const std::vector<ResolvedFault> faults = every_fault(nominal);
+  std::vector<std::string> fresh;
+  Exercised exercised;
+  for (const ResolvedFault& f : faults) {
+    sim::CampaignContext::Workspace ws;
+    const sim::CampaignSolve& solve = context.try_solve(f.index, f.failed, ws);
+    exercised.solved += solve.solved ? 1 : 0;
+    exercised.refactored += solve.refactor.has_value() ? 1 : 0;
+    fresh.push_back(solve_record(solve));
+  }
+  sim::CampaignContext::Workspace ws;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    EXPECT_EQ(solve_record(context.try_solve(faults[i].index, faults[i].failed, ws)), fresh[i])
+        << subject << " fault " << i << " in order";
+  }
+  for (std::size_t i = faults.size(); i-- > 0;) {
+    EXPECT_EQ(solve_record(context.try_solve(faults[i].index, faults[i].failed, ws)), fresh[i])
+        << subject << " fault " << i << " in reverse order";
+  }
+  return exercised;
+}
+
+}  // namespace
+
+TEST(BatchContext, ReusedWorkspaceIsStateless) {
+  const auto rail = make_rail(48);
+  const sim::SolveOptions defaults;
+  ASSERT_TRUE(make_context(rail.circuit, defaults).sparse_factor());
+  const Exercised on_rail = expect_workspace_stateless("rail-48", rail.circuit, defaults);
+  EXPECT_GT(on_rail.solved, 0);
+  EXPECT_GT(on_rail.refactored, 0);
+
+  const auto power_supply =
+      sim::build_circuit(drivers::parse_mdl_file(kAssets + "/power_supply.mdl"));
+  ASSERT_FALSE(make_context(power_supply.circuit, defaults).sparse_factor());
+  EXPECT_GT(
+      expect_workspace_stateless("power_supply.mdl", power_supply.circuit, defaults).solved, 0);
+
+  // Both factor kinds, so the refactor branch's plan and factor are reused
+  // across faults too.
+  Exercised general;
+  for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+    const sim::BuiltCircuit built = random_general_circuit(seed);
+    for (const bool sparse : {false, true}) {
+      const Exercised one = expect_workspace_stateless(
+          "general-" + std::to_string(seed) + (sparse ? " (sparse factor)" : ""), built.circuit,
+          factor_options(sparse));
+      general.solved += one.solved;
+      general.refactored += one.refactored;
+    }
+  }
+  EXPECT_GT(general.solved, 0);
+  EXPECT_GT(general.refactored, 0);
 }
 
 // ------------------------------------- Sherman–Morrison numerical ground --

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -227,13 +228,38 @@ sim::BuiltCircuit shuffled(sim::BuiltCircuit built, Rng& rng) {
   return built;
 }
 
+/// Element-name substitutions: old name to new.
+using Names = std::map<std::string, std::string>;
+
+/// `text` with every quoted 'name' of `names` replaced by its image — how a
+/// row's outcome detail and the warnings cite an element.
+std::string rename_quoted(std::string text, const Names& names) {
+  for (const auto& [from, to] : names) {
+    const std::string key = "'" + from + "'";
+    const std::string image = "'" + to + "'";
+    for (auto at = text.find(key); at != std::string::npos; at = text.find(key, at + image.size())) {
+      text.replace(at, key.size(), image);
+    }
+  }
+  return text;
+}
+
 /// The campaign's verdicts, independent of row order: sorted CSV data rows,
-/// then the SPFM, then the sorted warnings.
+/// then the SPFM, then the sorted warnings. With `back`, every element
+/// name in them is mapped through it first.
 std::tuple<std::vector<std::string>, double, std::vector<std::string>> verdicts_of(
     const sim::BuiltCircuit& built, const core::ReliabilityModel& reliability,
-    const core::SafetyMechanismModel* sm_model, core::CircuitFmeaOptions options, int jobs) {
+    const core::SafetyMechanismModel* sm_model, core::CircuitFmeaOptions options, int jobs,
+    const Names& back = {}) {
   options.jobs = jobs;
-  const auto result = core::analyze_circuit(built, reliability, sm_model, options);
+  auto result = core::analyze_circuit(built, reliability, sm_model, options);
+  if (!back.empty()) {
+    for (auto& row : result.rows) {
+      row.component = back.at(row.component);
+      row.outcome_detail = rename_quoted(row.outcome_detail, back);
+    }
+    for (auto& warning : result.warnings) warning = rename_quoted(warning, back);
+  }
   std::vector<std::string> rows;
   std::istringstream csv(write_csv(result.to_csv()));
   for (std::string line; std::getline(csv, line);) rows.push_back(line);
@@ -282,6 +308,93 @@ TEST(ElementOrderProperty, SparseRailVerdictsIgnoreElementOrder) {
       EXPECT_EQ(verdicts_of(built, reliability, nullptr, {}, jobs), reference)
           << "seed " << seed << " jobs " << jobs;
       EXPECT_GT(sim::sparse::SparseMetrics::get().factors.value(), factors);
+    }
+  }
+}
+
+// ---------------------------------------------------- element-name metamorphic --
+// Names are labels. Renaming every block, element and component under a
+// bijection — the goal observables renamed to match — must leave the FMEDA
+// as it was once the names are mapped back: the same rows (as a multiset,
+// every column), the same SPFM and the same warnings.
+
+namespace {
+
+/// A seeded bijection from `names` onto fresh names, and its inverse. The
+/// new names are longer than a small-string buffer, so every renamed label
+/// lives on the heap.
+std::pair<Names, Names> seeded_renaming(const std::vector<std::string>& names, Rng& rng) {
+  std::vector<std::size_t> order(names.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  shuffle(order.begin(), order.end(), rng);
+  Names to;
+  Names back;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const std::string image = "renamed_element_" + std::to_string(order[i]);
+    to.emplace(names[i], image);
+    back.emplace(image, names[i]);
+  }
+  return {to, back};
+}
+
+}  // namespace
+
+TEST(ElementNameProperty, PowerSupplyVerdictsIgnoreBlockNames) {
+  const std::string mdl = std::string(DECISIVE_ASSETS_DIR) + "/power_supply.mdl";
+  const auto workbook = drivers::DriverRegistry::global().open(
+      std::string(DECISIVE_ASSETS_DIR) + "/reliability_workbook");
+  const auto reliability = core::ReliabilityModel::from_source(*workbook, "Reliability");
+  const auto sm_model = core::SafetyMechanismModel::from_source(*workbook, "SafetyMechanisms");
+  core::CircuitFmeaOptions options;
+  options.safety_goal_observables = {"CS1", "MC1"};
+
+  const auto reference = verdicts_of(sim::build_circuit(drivers::parse_mdl_file(mdl)),
+                                     reliability, &sm_model, options, 1);
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    drivers::MdlModel model = drivers::parse_mdl_file(mdl);
+    std::vector<std::string> names;
+    for (const auto& block : model.root.blocks) {
+      ASSERT_EQ(block.subsystem, nullptr) << "a nested block would need its path renamed";
+      names.push_back(block.name);
+    }
+    const auto [to, back] = seeded_renaming(names, rng);
+    for (auto& block : model.root.blocks) block.name = to.at(block.name);
+    for (auto& line : model.root.lines) {
+      line.src_block = to.at(line.src_block);
+      line.dst_block = to.at(line.dst_block);
+    }
+    core::CircuitFmeaOptions renamed_options = options;
+    for (auto& goal : renamed_options.safety_goal_observables) goal = to.at(goal);
+    const sim::BuiltCircuit built = sim::build_circuit(model);
+    ASSERT_NE(built.circuit.find(to.at("CS1")), nullptr);
+    for (const int jobs : {1, 4}) {
+      EXPECT_EQ(verdicts_of(built, reliability, &sm_model, renamed_options, jobs, back),
+                reference)
+          << "seed " << seed << " jobs " << jobs;
+    }
+  }
+}
+
+TEST(ElementNameProperty, SparseRailVerdictsIgnoreElementNames) {
+  const auto rail = campaign_subjects::make_rail(48);
+  const auto reliability = campaign_subjects::rail_reliability();
+  const auto reference = verdicts_of(rail, reliability, nullptr, {}, 1);
+  std::vector<std::string> names;
+  for (const auto& e : rail.circuit.elements()) names.push_back(e.name);
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    const auto [to, back] = seeded_renaming(names, rng);
+    sim::BuiltCircuit built = rail;
+    for (auto& e : built.circuit.elements()) e.name = to.at(e.name);
+    for (auto& component : built.components) {
+      component.path = to.at(component.path);
+      component.element = to.at(component.element);
+    }
+    for (auto& observable : built.observables) observable = to.at(observable);
+    for (const int jobs : {1, 4}) {
+      EXPECT_EQ(verdicts_of(built, reliability, nullptr, {}, jobs, back), reference)
+          << "seed " << seed << " jobs " << jobs;
     }
   }
 }

@@ -644,6 +644,50 @@ TEST(Cli, SmSearchRejectsOutOfRangeJobs) {
   }
 }
 
+TEST(Cli, SmSearchLfmWithoutMultiPointFaultsWritesTheEmptyFront) {
+  // brake_chain.ssam has no multi-point fault: the LFM front is empty, and
+  // the files asked for must still be written, holding it.
+  TempDir tmp;
+  const auto csv_path = (tmp.path / "lfm.csv").string();
+  const auto json_path = (tmp.path / "lfm.json").string();
+  const auto result = run(sm_search_args(write_catalogue(tmp)) + " --objective lfm --out " +
+                          csv_path + " --json " + json_path);
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("no multi-point faults"), std::string::npos) << result.output;
+  std::ifstream csv(csv_path);
+  ASSERT_TRUE(csv.good()) << "no --out file";
+  const std::string csv_text((std::istreambuf_iterator<char>(csv)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_EQ(csv_text, "Cost(hrs),LFM,ASIL,Choices,Deployment\n");
+  std::ifstream json(json_path);
+  ASSERT_TRUE(json.good()) << "no --json file";
+  const std::string json_text((std::istreambuf_iterator<char>(json)),
+                              std::istreambuf_iterator<char>());
+  EXPECT_EQ(json_text, "{\n  \"front\": []\n}\n");
+}
+
+TEST(Cli, SmSearchChecksEveryArgumentBeforeTheAnalysis) {
+  // --objective lfm with --target-asil is an argument error on every
+  // design: it used to exit 0 on one without multi-point faults, because
+  // that early exit ran before the check. So is a bad --epsilon or --jobs,
+  // whichever branch the run would take.
+  TempDir tmp;
+  const auto catalogue = write_catalogue(tmp);
+  const auto combined = run(sm_search_args(catalogue) + " --objective lfm --target-asil ASIL-B");
+  EXPECT_EQ(combined.exit_code, 2) << combined.output;
+  EXPECT_NE(combined.output.find("drop --target-asil"), std::string::npos) << combined.output;
+  EXPECT_EQ(combined.output.find("no multi-point faults"), std::string::npos)
+      << combined.output;
+  for (const std::string extra : {" --objective lfm --epsilon 2", " --objective lfm --jobs -1",
+                                  " --target-asil ASIL-B --epsilon nan",
+                                  " --target-asil ASIL-B --jobs 2147483648"}) {
+    const auto result = run(sm_search_args(catalogue) + extra);
+    EXPECT_EQ(result.exit_code, 2) << extra << ": " << result.output;
+    EXPECT_EQ(result.output.find("no multi-point faults"), std::string::npos) << extra;
+    EXPECT_EQ(result.output.find("mechanism(s)"), std::string::npos) << extra;
+  }
+}
+
 TEST(Cli, SmSearchRequiresCatalogue) {
   const auto result = run("sm-search " + kAssets +
                           "/brake_chain.ssam --component BrakeChain --pareto");

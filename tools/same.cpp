@@ -410,6 +410,35 @@ int cmd_sm_search(const Args& args) {
     std::fprintf(stderr, "error: --catalogue <csv-or-workbook> is required\n");
     return 2;
   }
+  // Every argument is checked before any analysis, so a bad one fails the
+  // same way on every design.
+  //
+  // --objective lfm: weight the Pareto metric axis by the FTA's multi-point
+  // rows, so the front trades cost against latent-fault exposure instead of
+  // the single-point SPFM.
+  const std::string objective = to_lower(args.get("objective").value_or("spfm"));
+  if (objective != "spfm" && objective != "lfm") {
+    std::fprintf(stderr, "error: --objective must be 'spfm' or 'lfm'\n");
+    return 2;
+  }
+  const auto target = args.get("target-asil");
+  if (target.has_value() && objective == "lfm") {
+    std::fprintf(stderr,
+                 "error: --objective lfm applies to the Pareto front only "
+                 "(drop --target-asil)\n");
+    return 2;
+  }
+  core::ParetoOptions options;
+  if (!read_jobs(args, options.jobs)) return 2;
+  if (const auto epsilon = args.get("epsilon")) {
+    options.epsilon = parse_double(*epsilon);
+    if (!(options.epsilon >= 0.0 && options.epsilon < 1.0)) {  // NaN fails both
+      std::fprintf(stderr, "error: --epsilon must be in [0, 1)\n");
+      return 2;
+    }
+  }
+  const auto out = args.get("out");
+  const auto json_out = args.get("json");
 
   ssam::SsamModel model;
   model::load_xmi_file(model.repo(), model.meta(), args.positional[0]);
@@ -421,32 +450,34 @@ int cmd_sm_search(const Args& args) {
   const auto fmea = core::analyze_component(model, component, {});
   const auto catalogue = load_catalogue(*catalogue_location);
 
-  // --objective lfm: weight the Pareto metric axis by the FTA's multi-point
-  // rows, so the front trades cost against latent-fault exposure instead of
-  // the single-point SPFM.
-  const std::string objective = to_lower(args.get("objective").value_or("spfm"));
-  if (objective != "spfm" && objective != "lfm") {
-    std::fprintf(stderr, "error: --objective must be 'spfm' or 'lfm'\n");
-    return 2;
-  }
-  std::vector<double> lfm_weights;
+  // Writes a front (or one deployment) to --out and --json, as asked.
+  auto write_front = [&](const CsvTable& table, const std::vector<core::Deployment>& front,
+                         const char* what) {
+    if (out.has_value()) {
+      write_csv_file(*out, table);
+      std::printf("%s written to %s\n", what, out->c_str());
+    }
+    if (json_out.has_value()) {
+      std::ofstream file(*json_out, std::ios::binary);
+      if (!file) throw IoError("cannot write '" + *json_out + "'");
+      file << core::front_to_json(fmea, front);
+      std::printf("%s written to %s\n", what, json_out->c_str());
+    }
+  };
+
   if (objective == "lfm") {
     const auto tree = fta::synthesize_fault_tree_zbdd(model, component);
     const auto lfm = fta::classify_latent(model, tree, fmea);
     if (!lfm.has_multi_point()) {
+      // Nothing to trade: the front is empty, and the files asked for hold it.
       std::printf("no multi-point faults: the LFM objective has nothing to optimise\n");
+      write_front(core::front_to_csv(fmea, {}, core::ParetoMetric::Lfm), {}, "front");
       return 0;
     }
-    lfm_weights = fta::lfm_row_weights(lfm);
+    options.row_weights = fta::lfm_row_weights(lfm);
   }
 
-  if (const auto target = args.get("target-asil")) {
-    if (objective == "lfm") {
-      std::fprintf(stderr,
-                   "error: --objective lfm applies to the Pareto front only "
-                   "(drop --target-asil)\n");
-      return 2;
-    }
+  if (target.has_value()) {
     // Min-cost deployment for one target: greedy by default, provably
     // optimal branch-and-bound with --optimal.
     const auto deployment = args.has("optimal")
@@ -469,40 +500,18 @@ int cmd_sm_search(const Args& args) {
     std::printf("SPFM %s -> %s  ->  SPFM %s -> %s\n", format_percent(fmea.spfm()).c_str(),
                 fmea.asil_label().c_str(), format_percent(deployment->spfm).c_str(),
                 core::achieved_asil(deployment->spfm).c_str());
-    if (const auto out = args.get("out")) {
-      write_csv_file(*out, core::front_to_csv(fmea, {*deployment}));
-      std::printf("deployment written to %s\n", out->c_str());
-    }
-    if (const auto json_out = args.get("json")) {
-      std::ofstream file(*json_out, std::ios::binary);
-      if (!file) throw IoError("cannot write '" + *json_out + "'");
-      file << core::front_to_json(fmea, {*deployment});
-      std::printf("deployment written to %s\n", json_out->c_str());
-    }
+    write_front(core::front_to_csv(fmea, {*deployment}), {*deployment}, "deployment");
     return 0;
   }
 
   // Default (and --pareto): the exact (cost, SPFM) Pareto front.
-  core::ParetoOptions options;
-  if (!read_jobs(args, options.jobs)) return 2;
-  if (const auto epsilon = args.get("epsilon")) options.epsilon = parse_double(*epsilon);
-  options.row_weights = lfm_weights;
   const auto front = core::pareto_front(fmea, catalogue, options);
   const CsvTable table = core::front_to_csv(
       fmea, front,
       objective == "lfm" ? core::ParetoMetric::Lfm : core::ParetoMetric::Spfm);
   std::printf("%s", write_csv(table).c_str());
   std::printf("front: %zu deployment(s)\n", front.size());
-  if (const auto out = args.get("out")) {
-    write_csv_file(*out, table);
-    std::printf("front written to %s\n", out->c_str());
-  }
-  if (const auto json_out = args.get("json")) {
-    std::ofstream file(*json_out, std::ios::binary);
-    if (!file) throw IoError("cannot write '" + *json_out + "'");
-    file << core::front_to_json(fmea, front);
-    std::printf("front written to %s\n", json_out->c_str());
-  }
+  write_front(table, front, "front");
   return 0;
 }
 
