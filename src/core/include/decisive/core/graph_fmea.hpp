@@ -90,10 +90,11 @@ class GraphFmea {
 
   /// Re-analyses the dirty units and returns the FMEA of the current model.
   /// Mutates the model: failure modes of re-emitted units get their
-  /// `safetyRelated` verdict and a FailureEffect. Throws AnalysisError when a
-  /// dirty unit has no boundary IONodes or an IONode carries an invalid
-  /// `direction`; the result and the model are then left as they were and
-  /// the units stay dirty.
+  /// `safetyRelated` verdict and a FailureEffect. Throws AnalysisError when
+  /// ssam::build_graph rejects a dirty unit (no boundary IONodes, an invalid
+  /// `direction`, a relationship endpoint missing or out of scope); the
+  /// result and the model are then left as they were and the units stay
+  /// dirty.
   const FmedaResult& analyze(GraphFmeaStats* stats = nullptr);
 
   /// The result of the last `analyze` (empty before the first).
@@ -126,8 +127,8 @@ class GraphFmea {
 
 /// Runs Algorithm 1 on `component` (a composite SSAM Component): a cold
 /// GraphFmea run. Mutates the model: failure modes get their `safetyRelated`
-/// verdict and a FailureEffect. Throws AnalysisError when the component has
-/// no boundary IONodes or an IONode carries an invalid `direction`.
+/// verdict and a FailureEffect. Throws AnalysisError when ssam::build_graph
+/// rejects a unit's graph.
 ///
 /// `stats` (optional) receives the number of analysis units.
 FmedaResult analyze_component(ssam::SsamModel& ssam, ssam::ObjectId component,

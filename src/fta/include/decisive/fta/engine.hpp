@@ -31,9 +31,10 @@ struct ZbddFtaOptions {
 };
 
 /// Synthesises the fault tree for the loss of `component`'s function via
-/// ZBDD decomposition. Same contract as the enumeration oracle (labels,
-/// rates, AnalysisError without boundary IONodes) but never
-/// enumerates paths, so dense graphs with order-4/5 cuts stay tractable.
+/// ZBDD decomposition of the flow graph ssam::build_graph returns. Same
+/// contract as the enumeration oracle (labels, rates, AnalysisError when
+/// build_graph rejects the component) but never enumerates paths, so dense
+/// graphs with order-4/5 cuts stay tractable.
 core::FaultTree synthesize_fault_tree_zbdd(const ssam::SsamModel& ssam,
                                            ssam::ObjectId component,
                                            const ZbddFtaOptions& options = {});

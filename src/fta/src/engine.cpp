@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <limits>
 #include <map>
-#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "decisive/fta/zbdd.hpp"
@@ -45,100 +44,9 @@ struct EngineMetrics {
   }
 };
 
-/// Compressed sparse rows: the successors of vertex v, ascending and
-/// without repeats, are targets[offsets[v], offsets[v + 1]).
-struct Adjacency {
-  std::vector<int> offsets;
-  std::vector<int> targets;
-
-  [[nodiscard]] std::span<const int> operator[](size_t v) const {
-    return {targets.data() + offsets[v], targets.data() + offsets[v + 1]};
-  }
-
-  /// Sorts and deduplicates `edges`, (from, to) pairs, in place.
-  static Adjacency from_edges(std::vector<std::pair<int, int>>& edges, size_t vertex_count) {
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    Adjacency out;
-    out.offsets.assign(vertex_count + 1, 0);
-    out.targets.reserve(edges.size());
-    for (const auto& [from, to] : edges) {
-      ++out.offsets[static_cast<size_t>(from) + 1];
-      out.targets.push_back(to);
-    }
-    for (size_t v = 0; v < vertex_count; ++v) out.offsets[v + 1] += out.offsets[v];
-    return out;
-  }
-};
-
-/// Flow graph flattened to dense vertex indices: 0 = super-source,
-/// 1 = super-sink, 2 + i = graph.nodes[i]. Component failure removes every
-/// vertex the component owns; boundary vertices have no owner and are
-/// unfailable. The decomposition runs on this *uncontracted* graph (no owner
-/// supervertices), so it is exact on irregular wirings where contraction
-/// could over-connect.
-struct FlowGraph {
-  Adjacency fwd;
-  Adjacency bwd;
-  std::vector<int> owner_of;                  ///< component index or -1
-  std::vector<ObjectId> components;           ///< component index → id
-  std::vector<std::vector<int>> comp_vertices;
-  size_t vertex_count = 0;
-};
-
-constexpr int kSource = 0;
-constexpr int kSink = 1;
-
-FlowGraph flatten(const ssam::ComponentGraph& graph) {
-  FlowGraph out;
-  out.vertex_count = graph.nodes.size() + 2;
-  // (id, vertex) sorted by id: a repeated id resolves to its last vertex.
-  std::vector<std::pair<ObjectId, int>> index;
-  index.reserve(graph.nodes.size());
-  for (size_t i = 0; i < graph.nodes.size(); ++i) {
-    index.emplace_back(graph.nodes[i], static_cast<int>(i) + 2);
-  }
-  std::sort(index.begin(), index.end());
-  const auto vertex_of = [&](ObjectId id) {
-    const auto it = std::upper_bound(index.begin(), index.end(),
-                                     std::pair{id, std::numeric_limits<int>::max()});
-    return it != index.begin() && std::prev(it)->first == id ? std::prev(it)->second : -1;
-  };
-  std::vector<std::pair<int, int>> edges;
-  const auto add_edge = [&](int from, int to) { edges.emplace_back(from, to); };
-  for (const ObjectId input : graph.inputs) add_edge(kSource, vertex_of(input));
-  for (const ObjectId output : graph.outputs) add_edge(vertex_of(output), kSink);
-  for (const auto& [from, tos] : graph.edges) {
-    const int from_vertex = vertex_of(from);
-    if (from_vertex < 0) continue;
-    for (const ObjectId to : tos) {
-      const int to_vertex = vertex_of(to);
-      if (to_vertex >= 0) add_edge(from_vertex, to_vertex);
-    }
-  }
-  out.fwd = Adjacency::from_edges(edges, out.vertex_count);
-  for (auto& [from, to] : edges) std::swap(from, to);
-  out.bwd = Adjacency::from_edges(edges, out.vertex_count);
-
-  // Components indexed by ObjectId (the variable *order* is assigned
-  // separately, from BFS discovery).
-  for (const auto& [node, owner] : graph.owner) out.components.push_back(owner);
-  std::sort(out.components.begin(), out.components.end());
-  out.components.erase(std::unique(out.components.begin(), out.components.end()),
-                       out.components.end());
-  out.comp_vertices.resize(out.components.size());
-  out.owner_of.assign(out.vertex_count, -1);
-  for (const auto& [node, owner] : graph.owner) {
-    const int vertex = vertex_of(node);
-    if (vertex < 0) continue;
-    const auto comp = static_cast<int>(
-        std::lower_bound(out.components.begin(), out.components.end(), owner) -
-        out.components.begin());
-    out.owner_of[static_cast<size_t>(vertex)] = comp;
-    out.comp_vertices[static_cast<size_t>(comp)].push_back(vertex);
-  }
-  return out;
-}
+using Graph = ssam::ComponentGraph;
+constexpr int kSource = Graph::kSource;
+constexpr int kSink = Graph::kSink;
 
 /// Memo of decomposition states. Keys are word strings stored back to back
 /// in one pool and found through an open-addressing index, so a state costs
@@ -200,21 +108,30 @@ class StateMemo {
   size_t used_ = 0;
 };
 
-/// Shannon decomposition of the structure function with memoised states.
-/// The state (removed vertices, perfect components) lives in two arrays
-/// that each branch sets and restores; the BFS queues, seen arrays, key and
-/// local-index arrays are scratch reused by every state, and each seen
-/// array is reset from the list of vertices its pass touched.
+/// Shannon decomposition of the structure function with memoised states,
+/// on the *uncontracted* flow graph (no owner supervertices), so it is exact
+/// on irregular wirings where contraction could over-connect. Failing a
+/// component removes every vertex it owns; the component's own IONodes have
+/// no owner and never fail. The state (removed vertices, perfect components)
+/// lives in two arrays that each branch sets and restores; the BFS queues,
+/// seen arrays, key and local-index arrays are scratch reused by every
+/// state, and each seen array is reset from the list of vertices its pass
+/// touched.
 class Decomposer {
  public:
-  Decomposer(const FlowGraph& graph, size_t max_order)
-      : graph_(graph), ncomps_(graph.components.size()) {
+  Decomposer(const Graph& graph, size_t max_order)
+      : graph_(graph), ncomps_(graph.subcomponents.size()) {
     // A cut only ever fails free live components, so any budget covering the
     // whole component set behaves as unbounded; clamping keeps equivalent
     // budgets on one memo key.
     budget0_ = max_order == 0 ? ncomps_ : std::min(max_order, ncomps_);
     order_of_.assign(ncomps_, -1);
-    const size_t n = graph.vertex_count;
+    const size_t n = graph.size();
+    std::vector<std::pair<int, int>> owned;  // (component, vertex)
+    for (size_t v = 0; v < n; ++v) {
+      if (graph.owner[v] >= 0) owned.emplace_back(graph.owner[v], static_cast<int>(v));
+    }
+    vertices_of_ = ssam::CsrRows::from_edges(owned, ncomps_);
     removed_.assign(n, 0);
     perfect_.assign(ncomps_, 0);
     counted_.assign(ncomps_, 0);
@@ -243,7 +160,7 @@ class Decomposer {
   /// BFS from `start` over vertices passing `admit`: marks `seen` and leaves
   /// exactly the marked vertices in `queue`.
   template <typename Admit>
-  void bfs(int start, const Adjacency& adj, Admit admit,
+  void bfs(int start, const ssam::CsrRows& adj, Admit admit,
            std::vector<char>& seen, std::vector<int>& queue) const {
     queue.clear();
     if (!admit(start)) return;
@@ -268,10 +185,10 @@ class Decomposer {
   /// already disconnected.
   bool mark_live() {
     const auto admit = [&](int v) { return !removed_[static_cast<size_t>(v)]; };
-    bfs(kSource, graph_.fwd, admit, fwd_seen_, fwd_queue_);
+    bfs(kSource, graph_.succ, admit, fwd_seen_, fwd_queue_);
     live_list_.clear();
     if (fwd_seen_[kSink]) {
-      bfs(kSink, graph_.bwd, admit, bwd_seen_, bwd_queue_);
+      bfs(kSink, graph_.pred, admit, bwd_seen_, bwd_queue_);
       for (const int v : bwd_queue_) {
         if (!fwd_seen_[static_cast<size_t>(v)]) continue;
         live_[static_cast<size_t>(v)] = 1;
@@ -293,9 +210,9 @@ class Decomposer {
     int next = 0;
     if (mark_live()) {
       const auto admit = [&](int v) { return live_[static_cast<size_t>(v)] != 0; };
-      bfs(kSource, graph_.fwd, admit, seen_, queue_);
+      bfs(kSource, graph_.succ, admit, seen_, queue_);
       for (const int v : queue_) {
-        const int owner = graph_.owner_of[static_cast<size_t>(v)];
+        const int owner = graph_.owner[static_cast<size_t>(v)];
         if (owner >= 0 && order_of_[static_cast<size_t>(owner)] < 0) {
           order_of_[static_cast<size_t>(owner)] = next++;
         }
@@ -315,7 +232,7 @@ class Decomposer {
   }
 
   [[nodiscard]] bool is_free(size_t v) const {
-    const int owner = graph_.owner_of[v];
+    const int owner = graph_.owner[v];
     return live_[v] && owner >= 0 && !perfect_[static_cast<size_t>(owner)];
   }
 
@@ -326,7 +243,7 @@ class Decomposer {
     const auto admit = [&](int v) {
       return live_[static_cast<size_t>(v)] && !is_free(static_cast<size_t>(v));
     };
-    bfs(kSource, graph_.fwd, admit, seen_, queue_);
+    bfs(kSource, graph_.succ, admit, seen_, queue_);
     const bool connected = seen_[kSink] != 0;
     unmark(seen_, queue_);
     return connected;
@@ -356,9 +273,9 @@ class Decomposer {
     free_.clear();
     int branch = -1;
     size_t free_count = 0;
-    for (size_t v = 0; v < graph_.vertex_count; ++v) {
+    for (size_t v = 0; v < graph_.size(); ++v) {
       if (!is_free(v)) continue;
-      const int owner = graph_.owner_of[v];
+      const int owner = graph_.owner[v];
       local_of_[v] = static_cast<int>(free_.size());
       free_.push_back(static_cast<int>(v));
       if (!counted_[static_cast<size_t>(owner)]) {
@@ -371,7 +288,7 @@ class Decomposer {
       }
     }
     for (const int v : free_) {
-      counted_[static_cast<size_t>(graph_.owner_of[static_cast<size_t>(v)])] = 0;
+      counted_[static_cast<size_t>(graph_.owner[static_cast<size_t>(v)])] = 0;
     }
     // Budgets at or above the free-component count can never bind below this
     // state; collapse them to one sentinel so unbounded runs don't fragment
@@ -391,7 +308,7 @@ class Decomposer {
       queue_.assign(1, start);
       seen_[static_cast<size_t>(start)] = 1;
       for (size_t head = 0; head < queue_.size(); ++head) {
-        for (const int to : graph_.fwd[static_cast<size_t>(queue_[head])]) {
+        for (const int to : graph_.succ[static_cast<size_t>(queue_[head])]) {
           if (seen_[static_cast<size_t>(to)] || !live_[static_cast<size_t>(to)]) continue;
           seen_[static_cast<size_t>(to)] = 1;
           if (to == kSink) {
@@ -451,9 +368,9 @@ class Decomposer {
     perfect_[b] = 1;
     const ZbddRef lo = decompose(arena, budget);
     perfect_[b] = 0;
-    for (const int v : graph_.comp_vertices[b]) removed_[static_cast<size_t>(v)] = 1;
+    for (const int v : vertices_of_[b]) removed_[static_cast<size_t>(v)] = 1;
     const ZbddRef hi_raw = decompose(arena, budget - 1);
-    for (const int v : graph_.comp_vertices[b]) removed_[static_cast<size_t>(v)] = 0;
+    for (const int v : vertices_of_[b]) removed_[static_cast<size_t>(v)] = 0;
     // A cut through `branch` is only minimal if it is not a superset of a
     // cut that leaves `branch` healthy.
     const ZbddRef hi = arena.without_supersets(hi_raw, lo);
@@ -463,8 +380,9 @@ class Decomposer {
     return result;
   }
 
-  const FlowGraph& graph_;
+  const Graph& graph_;
   size_t ncomps_;
+  ssam::CsrRows vertices_of_;  ///< by component: the vertices it owns
   size_t budget0_ = 0;
   bool truncated_ = false;
   std::vector<int> order_of_;       ///< component index → ZBDD variable
@@ -493,8 +411,7 @@ core::FaultTree synthesize_fault_tree_zbdd(const SsamModel& ssam, ObjectId compo
   obs::Span span("fta.synthesize", &metrics.synth_seconds);
   metrics.syntheses.add();
 
-  const ssam::ComponentGraph raw = ssam::build_graph(ssam, component);
-  const FlowGraph graph = flatten(raw);
+  const Graph graph = ssam::build_graph(ssam, component);
 
   ZbddArena arena;
   Decomposer decomposer(graph, options.max_order);
@@ -509,7 +426,8 @@ core::FaultTree synthesize_fault_tree_zbdd(const SsamModel& ssam, ObjectId compo
     std::vector<ObjectId> members;
     members.reserve(vars.size());
     for (const uint32_t var : vars) {
-      members.push_back(graph.components[static_cast<size_t>(decomposer.component_of_var(var))]);
+      members.push_back(
+          graph.subcomponents[static_cast<size_t>(decomposer.component_of_var(var))]);
     }
     std::sort(members.begin(), members.end());
     cuts.push_back(std::move(members));

@@ -179,9 +179,26 @@ class Service {
     return id;
   }
 
-  ObjectId io_node_named(const std::string& name) {
-    const ObjectId id = model_->find_by_name(ssam::cls::IONode, name);
-    if (id == model::kNullObject) throw ModelError("no IONode named '" + name + "'");
+  /// The first IONode named `name` among `parent`'s own IONodes and then its
+  /// subcomponents': the only IONodes a relationship of `parent` may wire
+  /// (ssam::build_graph rejects any other).
+  ObjectId io_node_in_scope(ObjectId parent, const std::string& name) {
+    const auto named = [&](ObjectId owner) {
+      for (const ObjectId node : model_->obj(owner).refs("ioNodes")) {
+        if (model_->obj(node).get_string("name") == name) return node;
+      }
+      return model::kNullObject;
+    };
+    ObjectId id = named(parent);
+    for (const ObjectId sub : model_->obj(parent).refs("subcomponents")) {
+      if (id != model::kNullObject) break;
+      id = named(sub);
+    }
+    if (id == model::kNullObject) {
+      const std::string parent_name = model_->obj(parent).get_string("name");
+      throw ModelError("no IONode named '" + name + "' on '" + parent_name +
+                       "' or its subcomponents");
+    }
     return id;
   }
 
@@ -194,7 +211,8 @@ class Service {
     out_ << "commands:\n"
             "  load <model.ssam> <component>      bind the session to a model\n"
             "  set-fit <component> <fit>          edit: component FIT\n"
-            "  rewire <parent> <src-io> <dst-io>  edit: add a connection\n"
+            "  rewire <parent> <src-io> <dst-io>  edit: add a connection between\n"
+            "      IONodes of <parent> or of its subcomponents\n"
             "  add-failure-mode <component> <name> <distribution> <nature>\n"
             "  deploy-sm <component> <name> <coverage> <cost-hours> [<failure-mode>]\n"
             "  impact <component>                 change-impact report\n"
@@ -233,7 +251,8 @@ class Service {
   void cmd_rewire(const std::vector<std::string>& tokens) {
     expect_arity(tokens, 4, "rewire <parent> <source-io> <target-io>");
     const ObjectId parent = component_named(tokens[1]);
-    model_->connect(parent, io_node_named(tokens[2]), io_node_named(tokens[3]));
+    const ObjectId source = io_node_in_scope(parent, tokens[2]);
+    model_->connect(parent, source, io_node_in_scope(parent, tokens[3]));
     note_edit(parent);
     out_ << "wired " << tokens[2] << " -> " << tokens[3] << " in " << tokens[1] << "\n";
   }

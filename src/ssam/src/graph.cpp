@@ -1,6 +1,8 @@
 #include "decisive/ssam/graph.hpp"
 
-#include <set>
+#include <algorithm>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -34,54 +36,113 @@ NodeDirection direction_of(const SsamModel& ssam, ObjectId node, const std::stri
 
 }  // namespace
 
+CsrRows CsrRows::from_edges(std::vector<std::pair<int, int>>& edges, size_t vertex_count) {
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  CsrRows rows;
+  rows.offsets.assign(vertex_count + 1, 0);
+  rows.targets.reserve(edges.size());
+  for (const auto& [from, to] : edges) {
+    ++rows.offsets[static_cast<size_t>(from) + 1];
+    rows.targets.push_back(to);
+  }
+  for (size_t v = 0; v < vertex_count; ++v) rows.offsets[v + 1] += rows.offsets[v];
+  return rows;
+}
+
 ComponentGraph build_graph(const SsamModel& ssam, ObjectId component) {
+  using G = ComponentGraph;
   ComponentGraph graph;
   const auto& comp = ssam.obj(component);
   const std::string comp_name = comp.get_string("name");
+  graph.node = {model::kNullObject, model::kNullObject};
+  graph.direction = {NodeDirection::InOut, NodeDirection::InOut};
+  graph.owner = {-1, -1};
+  const auto list = [&](ObjectId node, const std::string& scope, int owner) {
+    graph.node.push_back(node);
+    graph.direction.push_back(direction_of(ssam, node, scope));
+    graph.owner.push_back(owner);
+    return graph.direction.back();
+  };
+  // Edges between listings first; each endpoint moves to the last listing
+  // of its IONode once every listing is known.
+  std::vector<std::pair<int, int>> edges;
 
-  // Parent boundary nodes. An inout node carries both roles.
+  // The component's own IONodes. An inout node carries both roles.
+  bool has_input = false;
+  bool has_output = false;
   for (const ObjectId node : comp.refs("ioNodes")) {
-    graph.nodes.push_back(node);
-    const NodeDirection dir = direction_of(ssam, node, comp_name);
-    graph.direction[node] = dir;
-    if (dir != NodeDirection::Out) graph.inputs.push_back(node);
-    if (dir != NodeDirection::In) graph.outputs.push_back(node);
+    const auto v = static_cast<int>(graph.size());
+    const NodeDirection dir = list(node, comp_name, -1);
+    if (dir != NodeDirection::Out) edges.emplace_back(G::kSource, v);
+    if (dir != NodeDirection::In) edges.emplace_back(v, G::kSink);
+    has_input = has_input || dir != NodeDirection::Out;
+    has_output = has_output || dir != NodeDirection::In;
   }
-  if (graph.inputs.empty() || graph.outputs.empty()) {
+  if (!has_input || !has_output) {
     throw AnalysisError("component '" + comp_name +
                         "' needs at least one input and one output IONode for path analysis");
   }
 
-  // Subcomponent nodes + implicit through edges from every input-role node
-  // to every output-role node (no self edge for inout nodes).
-  for (const ObjectId sub : comp.refs("subcomponents")) {
-    const std::string sub_name = ssam.obj(sub).get_string("name");
-    std::vector<ObjectId> sub_inputs;
-    std::vector<ObjectId> sub_outputs;
-    for (const ObjectId node : ssam.obj(sub).refs("ioNodes")) {
-      graph.nodes.push_back(node);
-      graph.owner[node] = sub;
-      const NodeDirection dir = direction_of(ssam, node, sub_name);
-      graph.direction[node] = dir;
-      if (dir != NodeDirection::Out) sub_inputs.push_back(node);
-      if (dir != NodeDirection::In) sub_outputs.push_back(node);
-    }
-    for (const ObjectId in : sub_inputs) {
-      for (const ObjectId out : sub_outputs) {
-        if (in != out) graph.edges[in].push_back(out);
+  // Subcomponent IONodes, and a through edge from every input-role node of
+  // a subcomponent to every output-role node (no self edge for inout nodes).
+  graph.subcomponents = comp.refs("subcomponents");
+  for (size_t s = 0; s < graph.subcomponents.size(); ++s) {
+    const auto& sub = ssam.obj(graph.subcomponents[s]);
+    const std::string sub_name = sub.get_string("name");
+    const size_t begin = graph.size();
+    for (const ObjectId node : sub.refs("ioNodes")) list(node, sub_name, static_cast<int>(s));
+    for (size_t in = begin; in < graph.size(); ++in) {
+      if (graph.direction[in] == NodeDirection::Out) continue;
+      for (size_t out = begin; out < graph.size(); ++out) {
+        if (graph.direction[out] != NodeDirection::In && graph.node[in] != graph.node[out]) {
+          edges.emplace_back(static_cast<int>(in), static_cast<int>(out));
+        }
       }
     }
   }
 
-  // Explicit wire edges.
-  for (const ObjectId rel : comp.refs("relationships")) {
-    const ObjectId source = ssam.obj(rel).ref("source");
-    const ObjectId target = ssam.obj(rel).ref("target");
-    if (source == model::kNullObject || target == model::kNullObject) {
-      throw AnalysisError("component relationship with missing endpoint");
-    }
-    graph.edges[source].push_back(target);
+  // `index` holds (id, vertex) sorted, so the last listing of an id is the
+  // last entry of its run.
+  std::vector<std::pair<ObjectId, int>> index;
+  index.reserve(graph.size() - 2);
+  for (size_t v = 2; v < graph.size(); ++v) {
+    index.emplace_back(graph.node[v], static_cast<int>(v));
   }
+  std::sort(index.begin(), index.end());
+  const auto vertex_of = [&](ObjectId id) {
+    const auto it = std::upper_bound(index.begin(), index.end(),
+                                     std::pair{id, std::numeric_limits<int>::max()});
+    return it != index.begin() && std::prev(it)->first == id ? std::prev(it)->second : -1;
+  };
+  for (auto& [from, to] : edges) {
+    if (from >= 2) from = vertex_of(graph.node[static_cast<size_t>(from)]);
+    if (to >= 2) to = vertex_of(graph.node[static_cast<size_t>(to)]);
+  }
+
+  // Explicit wire edges, each endpoint in scope: one of the component's own
+  // IONodes or one of its subcomponents'.
+  for (const ObjectId rel : comp.refs("relationships")) {
+    const auto& rel_obj = ssam.obj(rel);
+    const ObjectId source = rel_obj.ref("source");
+    const ObjectId target = rel_obj.ref("target");
+    if (source == model::kNullObject || target == model::kNullObject) {
+      throw AnalysisError("relationship '" + rel_obj.get_string("name") + "' of '" + comp_name +
+                          "' is missing an endpoint");
+    }
+    const int from = vertex_of(source);
+    const int to = vertex_of(target);
+    if (from < 0 || to < 0) {
+      const std::string node = ssam.obj(from < 0 ? source : target).get_string("name");
+      throw AnalysisError("relationship '" + rel_obj.get_string("name") + "' of '" + comp_name +
+                          "' wires IONode '" + node + "', which is neither an IONode of '" +
+                          comp_name + "' nor of one of its subcomponents");
+    }
+    edges.emplace_back(from, to);
+  }
+  graph.succ = CsrRows::from_edges(edges, graph.size());
+  for (auto& [from, to] : edges) std::swap(from, to);
+  graph.pred = CsrRows::from_edges(edges, graph.size());
   return graph;
 }
 
@@ -91,53 +152,11 @@ ComponentGraph build_graph(const SsamModel& ssam, ObjectId component) {
 
 namespace {
 
-/// Dense-index view of a ComponentGraph plus the virtual super-source (fed
-/// into every boundary input) and super-sink (fed by every boundary output).
-struct FlowGraph {
-  static constexpr int kSource = 0;
-  static constexpr int kSink = 1;
-
-  std::vector<ObjectId> id_of;  ///< vertex index -> ObjectId (kNullObject for S/T)
-  std::map<ObjectId, int> index_of;
-  std::vector<std::vector<int>> succ;
-  std::vector<std::vector<int>> pred;
-
-  [[nodiscard]] size_t size() const noexcept { return id_of.size(); }
-};
-
-FlowGraph make_flow_graph(const ComponentGraph& graph) {
-  FlowGraph flow;
-  flow.id_of = {model::kNullObject, model::kNullObject};  // S, T
-  const auto intern = [&flow](ObjectId id) {
-    const auto [it, inserted] = flow.index_of.try_emplace(id, static_cast<int>(flow.id_of.size()));
-    if (inserted) flow.id_of.push_back(id);
-    return it->second;
-  };
-  for (const ObjectId id : graph.nodes) intern(id);
-  // Defensive: relationships may reference IONodes outside the component's
-  // declared vertex set (caught by the validator, not by build_graph).
-  for (const auto& [from, targets] : graph.edges) {
-    intern(from);
-    for (const ObjectId to : targets) intern(to);
-  }
-
-  flow.succ.resize(flow.size());
-  flow.pred.resize(flow.size());
-  const auto add_edge = [&flow](int a, int b) {
-    flow.succ[static_cast<size_t>(a)].push_back(b);
-    flow.pred[static_cast<size_t>(b)].push_back(a);
-  };
-  for (const ObjectId in : graph.inputs) add_edge(FlowGraph::kSource, flow.index_of.at(in));
-  for (const ObjectId out : graph.outputs) add_edge(flow.index_of.at(out), FlowGraph::kSink);
-  for (const auto& [from, targets] : graph.edges) {
-    for (const ObjectId to : targets) add_edge(flow.index_of.at(from), flow.index_of.at(to));
-  }
-  return flow;
-}
-
-/// Iterative reachability over an adjacency vector (explicit stack — never
-/// recursion, so chain depth is bounded by heap, not stack).
-std::vector<char> reach(const std::vector<std::vector<int>>& adj, int start) {
+/// Iterative reachability from `start` over CSR rows, entering only the
+/// vertices `admit` accepts (explicit stack — never recursion, so chain
+/// depth is bounded by heap, not stack).
+template <class Admit>
+std::vector<char> reach(const CsrRows& adj, int start, Admit admit) {
   std::vector<char> seen(adj.size(), 0);
   std::vector<int> stack{start};
   seen[static_cast<size_t>(start)] = 1;
@@ -145,7 +164,7 @@ std::vector<char> reach(const std::vector<std::vector<int>>& adj, int start) {
     const int v = stack.back();
     stack.pop_back();
     for (const int w : adj[static_cast<size_t>(v)]) {
-      if (!seen[static_cast<size_t>(w)]) {
+      if (!seen[static_cast<size_t>(w)] && admit(w)) {
         seen[static_cast<size_t>(w)] = 1;
         stack.push_back(w);
       }
@@ -158,8 +177,7 @@ std::vector<char> reach(const std::vector<std::vector<int>>& adj, int start) {
 /// iterative Cooper–Harvey–Kennedy dataflow on reverse postorder. Works on
 /// arbitrary digraphs (cycles included). Returns idom indexed by vertex;
 /// unreachable vertices keep -1.
-std::vector<int> immediate_dominators(const std::vector<std::vector<int>>& succ,
-                                      const std::vector<std::vector<int>>& pred) {
+std::vector<int> immediate_dominators(const CsrRows& succ, const CsrRows& pred) {
   const size_t n = succ.size();
   // Iterative DFS postorder from the root.
   std::vector<int> postorder;
@@ -171,7 +189,7 @@ std::vector<int> immediate_dominators(const std::vector<std::vector<int>>& succ,
     seen[0] = 1;
     while (!stack.empty()) {
       auto& [v, next] = stack.back();
-      const auto& children = succ[static_cast<size_t>(v)];
+      const std::span<const int> children = succ[static_cast<size_t>(v)];
       bool descended = false;
       while (next < children.size()) {
         const int w = children[next++];
@@ -232,67 +250,65 @@ std::vector<int> immediate_dominators(const std::vector<std::vector<int>>& succ,
 }  // namespace
 
 SinglePointAnalysis::SinglePointAnalysis(const ComponentGraph& graph) {
-  // Every owner starts as "not a single point" so lookups are total.
-  for (const auto& [node, owner] : graph.owner) verdict_.try_emplace(owner, false);
-
-  const FlowGraph flow = make_flow_graph(graph);
-  const std::vector<char> fwd = reach(flow.succ, FlowGraph::kSource);
-  const std::vector<char> bwd = reach(flow.pred, FlowGraph::kSink);
-  has_path_ = fwd[FlowGraph::kSink] != 0;
+  using G = ComponentGraph;
+  const size_t n = graph.size();
+  const auto any = [](int) { return true; };
+  const std::vector<char> fwd = reach(graph.succ, G::kSource, any);
+  const std::vector<char> bwd = reach(graph.pred, G::kSink, any);
+  has_path_ = fwd[G::kSink] != 0;
   if (!has_path_) return;
 
-  std::vector<char> live(flow.size(), 0);
-  for (size_t v = 0; v < flow.size(); ++v) live[v] = fwd[v] && bwd[v];
-  for (size_t v = 2; v < flow.size(); ++v) live_nodes_ += live[v] != 0;
+  std::vector<char> live(n, 0);
+  for (size_t v = 0; v < n; ++v) live[v] = fwd[v] && bwd[v];
+  for (size_t v = 2; v < n; ++v) live_nodes_ += live[v] != 0;
 
-  // Contract each subcomponent's live IONodes into one supervertex; boundary
-  // (unowned) vertices stay individual. S keeps index 0, T index 1.
-  std::vector<int> super(flow.size(), -1);
-  std::map<ObjectId, int> owner_super;
+  // Contract each subcomponent's live IONodes into one supervertex; the
+  // component's own IONodes stay individual. S keeps index 0, T index 1.
+  const size_t subs = graph.subcomponents.size();
+  std::vector<int> super(n, -1);
+  std::vector<int> super_of_sub(subs, -1);
   int h_count = 2;
-  super[FlowGraph::kSource] = FlowGraph::kSource;
-  super[FlowGraph::kSink] = FlowGraph::kSink;
-  for (size_t v = 2; v < flow.size(); ++v) {
+  super[G::kSource] = G::kSource;
+  super[G::kSink] = G::kSink;
+  for (size_t v = 2; v < n; ++v) {
     if (!live[v]) continue;
-    const auto owner_it = graph.owner.find(flow.id_of[v]);
-    if (owner_it == graph.owner.end()) {
+    const int owner = graph.owner[v];
+    if (owner < 0) {
       super[v] = h_count++;
     } else {
-      const auto [it, inserted] = owner_super.try_emplace(owner_it->second, h_count);
-      if (inserted) ++h_count;
-      super[v] = it->second;
+      int& sv = super_of_sub[static_cast<size_t>(owner)];
+      if (sv < 0) sv = h_count++;
+      super[v] = sv;
     }
   }
 
-  std::vector<std::vector<int>> h_succ(static_cast<size_t>(h_count));
-  std::vector<std::vector<int>> h_pred(static_cast<size_t>(h_count));
-  std::set<std::pair<int, int>> h_edges;
-  for (size_t v = 0; v < flow.size(); ++v) {
+  // Intra-component and self edges are irrelevant to cuts.
+  std::vector<std::pair<int, int>> h_edges;
+  for (size_t v = 0; v < n; ++v) {
     if (!live[v]) continue;
-    for (const int w : flow.succ[v]) {
-      if (!live[static_cast<size_t>(w)]) continue;
-      const int a = super[v];
-      const int b = super[static_cast<size_t>(w)];
-      if (a == b) continue;  // intra-component / self edge: irrelevant to cuts
-      if (h_edges.emplace(a, b).second) {
-        h_succ[static_cast<size_t>(a)].push_back(b);
-        h_pred[static_cast<size_t>(b)].push_back(a);
+    for (const int w : graph.succ[v]) {
+      if (live[static_cast<size_t>(w)] && super[v] != super[static_cast<size_t>(w)]) {
+        h_edges.emplace_back(super[v], super[static_cast<size_t>(w)]);
       }
     }
   }
+  const CsrRows h_succ = CsrRows::from_edges(h_edges, static_cast<size_t>(h_count));
+  for (auto& [from, to] : h_edges) std::swap(from, to);
+  const CsrRows h_pred = CsrRows::from_edges(h_edges, static_cast<size_t>(h_count));
 
   // A supervertex separates S from T iff it dominates T: walk the dominator
   // chain of the super-sink once and flag every subcomponent on it.
   const std::vector<int> idom = immediate_dominators(h_succ, h_pred);
   std::vector<char> on_chain(static_cast<size_t>(h_count), 0);
-  if (idom[FlowGraph::kSink] >= 0) {
-    for (int v = idom[FlowGraph::kSink];; v = idom[static_cast<size_t>(v)]) {
+  if (idom[G::kSink] >= 0) {
+    for (int v = idom[G::kSink];; v = idom[static_cast<size_t>(v)]) {
       on_chain[static_cast<size_t>(v)] = 1;
-      if (v == FlowGraph::kSource) break;
+      if (v == G::kSource) break;
     }
   }
-  for (const auto& [owner, sv] : owner_super) {
-    if (on_chain[static_cast<size_t>(sv)]) verdict_[owner] = true;
+  std::vector<char> single(subs, 0);
+  for (size_t s = 0; s < subs; ++s) {
+    single[s] = super_of_sub[s] >= 0 && on_chain[static_cast<size_t>(super_of_sub[s])];
   }
 
   // Contraction is exact when every inter-component edge leaves an
@@ -303,67 +319,48 @@ SinglePointAnalysis::SinglePointAnalysis(const ComponentGraph& graph) {
   // exactly with one reachability pass each. Positive verdicts are always
   // sound: a contracted cut only removes the subcomponent's own vertices.
   bool irregular = false;
-  for (size_t v = 2; v < flow.size() && !irregular; ++v) {
+  for (size_t v = 2; v < n && !irregular; ++v) {
     if (!live[v]) continue;
-    const ObjectId from_id = flow.id_of[v];
-    const auto from_owner = graph.owner.find(from_id);
-    for (const int w : flow.succ[v]) {
-      if (w < 2 || !live[static_cast<size_t>(w)]) continue;
-      const ObjectId to_id = flow.id_of[static_cast<size_t>(w)];
-      const auto to_owner = graph.owner.find(to_id);
-      const bool same_owner = from_owner != graph.owner.end() &&
-                              to_owner != graph.owner.end() &&
-                              from_owner->second == to_owner->second;
-      if (same_owner) continue;  // through edge
-      const auto from_dir = graph.direction.find(from_id);
-      const auto to_dir = graph.direction.find(to_id);
-      if ((from_owner != graph.owner.end() && from_dir != graph.direction.end() &&
-           from_dir->second == NodeDirection::In) ||
-          (to_owner != graph.owner.end() && to_dir != graph.direction.end() &&
-           to_dir->second == NodeDirection::Out)) {
+    const int from_owner = graph.owner[v];
+    for (const int w : graph.succ[v]) {
+      const auto to = static_cast<size_t>(w);
+      if (w < 2 || !live[to]) continue;
+      const int to_owner = graph.owner[to];
+      if (from_owner >= 0 && from_owner == to_owner) continue;  // through edge
+      if ((from_owner >= 0 && graph.direction[v] == NodeDirection::In) ||
+          (to_owner >= 0 && graph.direction[to] == NodeDirection::Out)) {
         irregular = true;
         break;
       }
     }
   }
-  if (!irregular) return;
-  // Irregular wiring forces the exact per-subcomponent re-check; the counter
-  // makes this slow path visible at runtime (it defeats the dominator
-  // shortcut, so a model that trips it constantly deserves attention).
-  static obs::Counter& exact_fallbacks =
-      obs::Registry::global().counter("decisive_graph_fmea_exact_fallback_total");
-  exact_fallbacks.add();
-  obs::Span fallback_span("graph_fmea.exact_fallback");
+  if (irregular) {
+    // Irregular wiring forces the exact per-subcomponent re-check; the
+    // counter makes this slow path visible at runtime (it defeats the
+    // dominator shortcut, so a model that trips it constantly deserves
+    // attention).
+    static obs::Counter& exact_fallbacks =
+        obs::Registry::global().counter("decisive_graph_fmea_exact_fallback_total");
+    exact_fallbacks.add();
+    obs::Span fallback_span("graph_fmea.exact_fallback");
 
-  for (const auto& [owner, sv] : owner_super) {
-    if (verdict_[owner]) continue;
-    // Reachability S -> T skipping this owner's vertices.
-    std::vector<char> seen(flow.size(), 0);
-    std::vector<int> stack{FlowGraph::kSource};
-    seen[FlowGraph::kSource] = 1;
-    bool connected = false;
-    while (!stack.empty() && !connected) {
-      const int v = stack.back();
-      stack.pop_back();
-      for (const int w : flow.succ[static_cast<size_t>(v)]) {
-        if (seen[static_cast<size_t>(w)]) continue;
-        const auto it = graph.owner.find(flow.id_of[static_cast<size_t>(w)]);
-        if (it != graph.owner.end() && it->second == owner) continue;
-        if (w == FlowGraph::kSink) {
-          connected = true;
-          break;
-        }
-        seen[static_cast<size_t>(w)] = 1;
-        stack.push_back(w);
-      }
+    for (size_t s = 0; s < subs; ++s) {
+      if (super_of_sub[s] < 0 || single[s]) continue;
+      const auto elsewhere = [&](int w) {
+        return graph.owner[static_cast<size_t>(w)] != static_cast<int>(s);
+      };
+      single[s] = !reach(graph.succ, G::kSource, elsewhere)[G::kSink];
     }
-    if (!connected) verdict_[owner] = true;
   }
+
+  for (size_t s = 0; s < subs; ++s) {
+    if (single[s]) single_points_.push_back(graph.subcomponents[s]);
+  }
+  std::sort(single_points_.begin(), single_points_.end());
 }
 
 bool SinglePointAnalysis::is_single_point(ObjectId subcomponent) const {
-  const auto it = verdict_.find(subcomponent);
-  return it != verdict_.end() && it->second;
+  return std::binary_search(single_points_.begin(), single_points_.end(), subcomponent);
 }
 
 }  // namespace decisive::ssam

@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "decisive/base/json.hpp"
+#include "decisive/model/xmi.hpp"
 #include "decisive/obs/snapshot.hpp"
+#include "spare_subject.hpp"
 
 namespace {
 
@@ -238,23 +240,58 @@ TEST(Cli, FtaOnSsamModel) {
 }
 
 TEST(Cli, FtaRejectsOutOfRangeMissionTime) {
-  // A negative mission gave negative probabilities and NaN gave NaN.
-  for (const char* hours : {"-100", "nan", "inf"}) {
-    const auto result = run("fta " + kAssets +
-                            "/brake_chain.ssam --component BrakeChain --mission-hours " + hours);
-    EXPECT_NE(result.exit_code, 0) << hours << ": " << result.output;
-    EXPECT_NE(result.output.find("mission time"), std::string::npos) << result.output;
-    EXPECT_EQ(result.output.find("P(top event"), std::string::npos) << result.output;
+  // A negative mission gave negative probabilities and NaN gave NaN. The
+  // argument is checked before the model is loaded, so a missing model file
+  // does not mask it.
+  for (const std::string& model : {kAssets + "/brake_chain.ssam", kAssets + "/missing.ssam"}) {
+    for (const char* hours : {"-100", "nan", "inf", "ten"}) {
+      const auto result =
+          run("fta " + model + " --component BrakeChain --mission-hours " + hours);
+      EXPECT_EQ(result.exit_code, 2) << hours << ": " << result.output;
+      EXPECT_NE(result.output.find("error: --mission-hours"), std::string::npos)
+          << result.output;
+      EXPECT_NE(result.output.find("mission time"), std::string::npos) << result.output;
+      EXPECT_EQ(result.output.find("P(top event"), std::string::npos) << result.output;
+    }
   }
 }
 
 TEST(Cli, FtaRejectsNegativeMaxOrder) {
-  // -1 used to wrap to an "unbounded" order without a word.
-  const auto result =
-      run("fta " + kAssets + "/brake_chain.ssam --component BrakeChain --max-order -1");
-  EXPECT_EQ(result.exit_code, 2) << result.output;
-  EXPECT_NE(result.output.find("--max-order"), std::string::npos) << result.output;
-  EXPECT_EQ(result.output.find("minimal cut sets"), std::string::npos) << result.output;
+  // -1 used to wrap to an "unbounded" order without a word, and a
+  // non-integer order failed with a parse error after the model was loaded.
+  for (const std::string& model : {kAssets + "/brake_chain.ssam", kAssets + "/missing.ssam"}) {
+    for (const char* order : {"-1", "x", "1.5"}) {
+      const auto result = run("fta " + model + " --component BrakeChain --max-order " + order);
+      EXPECT_EQ(result.exit_code, 2) << order << ": " << result.output;
+      EXPECT_NE(result.output.find("error: --max-order"), std::string::npos) << result.output;
+      EXPECT_EQ(result.output.find("minimal cut sets"), std::string::npos) << result.output;
+    }
+  }
+}
+
+TEST(Cli, OutOfScopeWireFailsGraphFmeaAndFtaAlike) {
+  // Graph FMEA used to keep spare_subject's bypass through Spare.in (Driver
+  // not safety-related, SPFM 40.00%) while the FTA dropped it ({Driver} an
+  // order-1 cut); both now reject the model.
+  TempDir tmp;
+  const auto model = (tmp.path / "spare.ssam").string();
+  {
+    decisive::ssam::SsamModel m;
+    spare_subject::build(m, /*bypass=*/true);
+    decisive::model::save_xmi_file(model, m.repo(), m.meta());
+  }
+
+  const auto validate = run("validate " + model);
+  EXPECT_EQ(validate.exit_code, 1) << validate.output;
+  EXPECT_NE(validate.output.find("[rel-endpoint-scope]"), std::string::npos) << validate.output;
+
+  const auto fmea = run("graph-fmea " + model + " --component BrakeChain");
+  const auto fta = run("fta " + model + " --component BrakeChain");
+  EXPECT_EQ(fmea.exit_code, 1) << fmea.output;
+  EXPECT_EQ(fta.exit_code, 1) << fta.output;
+  EXPECT_NE(fmea.output.find("relationship 'bypass1'"), std::string::npos) << fmea.output;
+  EXPECT_NE(fmea.output.find("'Spare.in'"), std::string::npos) << fmea.output;
+  EXPECT_EQ(fmea.output, fta.output);
 }
 
 TEST(Cli, FtaUnknownComponentFails) {

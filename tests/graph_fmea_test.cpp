@@ -3,9 +3,6 @@
 // single-point-failure oracle on random layered architectures.
 #include <gtest/gtest.h>
 
-#include <map>
-#include <set>
-
 #include "decisive/base/csv.hpp"
 #include "decisive/base/error.hpp"
 #include "decisive/base/table.hpp"
@@ -459,28 +456,23 @@ TEST(GraphFmea, ScaledArchitectureAnalysesEveryUnitOncePerRun) {
 
 namespace {
 
-/// Oracle: component c is a single point of failure iff removing c's through
-/// edges disconnects every input->output path.
+/// Oracle: component c is a single point of failure iff no output stays
+/// reachable from an input once c's IONodes are removed.
 bool oracle_single_point(const ssam::ComponentGraph& graph, ObjectId component) {
-  // BFS over edges, skipping any node owned by `component`.
-  std::set<ObjectId> visited;
-  std::vector<ObjectId> stack;
-  const std::set<ObjectId> outputs(graph.outputs.begin(), graph.outputs.end());
-  auto blocked = [&](ObjectId node) {
-    const auto it = graph.owner.find(node);
-    return it != graph.owner.end() && it->second == component;
+  // DFS over the graph's edges, skipping any vertex owned by `component`.
+  std::vector<char> visited(graph.size(), 0);
+  std::vector<int> stack{ssam::ComponentGraph::kSource};
+  const auto blocked = [&](int vertex) {
+    const int owner = graph.owner[static_cast<size_t>(vertex)];
+    return owner >= 0 && graph.subcomponents[static_cast<size_t>(owner)] == component;
   };
-  for (const ObjectId input : graph.inputs) {
-    if (!blocked(input)) stack.push_back(input);
-  }
   while (!stack.empty()) {
-    const ObjectId node = stack.back();
+    const int vertex = stack.back();
     stack.pop_back();
-    if (!visited.insert(node).second) continue;
-    if (outputs.contains(node)) return false;  // still reachable
-    const auto it = graph.edges.find(node);
-    if (it == graph.edges.end()) continue;
-    for (const ObjectId next : it->second) {
+    if (visited[static_cast<size_t>(vertex)]) continue;
+    visited[static_cast<size_t>(vertex)] = 1;
+    if (vertex == ssam::ComponentGraph::kSink) return false;  // still reachable
+    for (const int next : graph.succ[static_cast<size_t>(vertex)]) {
       if (!blocked(next)) stack.push_back(next);
     }
   }
@@ -551,9 +543,11 @@ TEST_P(Algorithm1Property, MatchesBruteForceOracleOnRandomArchitectures) {
     // least one path.
     bool on_some_path = false;
     for (const auto& path : paths) {
-      for (const ObjectId node : path) {
-        const auto it = graph.owner.find(node);
-        if (it != graph.owner.end() && it->second == comp) on_some_path = true;
+      for (const int vertex : path) {
+        const int owner = graph.owner[static_cast<size_t>(vertex)];
+        if (owner >= 0 && graph.subcomponents[static_cast<size_t>(owner)] == comp) {
+          on_some_path = true;
+        }
       }
     }
     if (on_some_path) {

@@ -37,14 +37,15 @@ std::vector<double> solve_dense(const std::vector<std::vector<double>>& a,
                                 std::vector<double> b);
 
 /// Enumerates all simple paths from any input to any output, as sequences of
-/// IONodes. Throws AnalysisError when more than `max_paths` exist (guards
-/// against combinatorial blow-up on dense graphs).
-std::vector<std::vector<ssam::ObjectId>> enumerate_paths(const ssam::ComponentGraph& graph,
-                                                         size_t max_paths = 100000);
+/// graph vertices (IONode listings, without the super-source and the
+/// super-sink); a path ends at the first output it reaches. Throws
+/// AnalysisError when more than `max_paths` exist (guards against
+/// combinatorial blow-up on dense graphs).
+std::vector<std::vector<int>> enumerate_paths(const ssam::ComponentGraph& graph,
+                                              size_t max_paths = 100000);
 
-/// True when `subcomponent` owns at least one IONode on *every* path.
-bool on_all_paths(const ssam::ComponentGraph& graph,
-                  const std::vector<std::vector<ssam::ObjectId>>& paths,
+/// True when `subcomponent` owns at least one vertex on *every* path.
+bool on_all_paths(const ssam::ComponentGraph& graph, const std::vector<std::vector<int>>& paths,
                   ssam::ObjectId subcomponent);
 
 struct FtaOptions {

@@ -2,8 +2,8 @@
 #include <cmath>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
+#include <utility>
 
 #include "decisive/obs/log.hpp"
 #include "decisive/oracles.hpp"
@@ -99,34 +99,28 @@ core::FaultTree synthesize_fault_tree(const SsamModel& ssam, ObjectId component,
   const ssam::ComponentGraph graph = ssam::build_graph(ssam, component);
   const auto paths = enumerate_paths(graph, options.max_paths);
 
-  // Components that participate in at least one path, in stable order.
-  std::vector<ObjectId> members;
-  {
-    std::set<ObjectId> seen;
-    for (const auto& path : paths) {
-      for (const ObjectId node : path) {
-        const auto it = graph.owner.find(node);
-        if (it != graph.owner.end() && seen.insert(it->second).second) {
-          members.push_back(it->second);
-        }
-      }
-    }
-  }
-
-  // Per path: sorted member indices (into `members`).
-  std::map<ObjectId, int> member_index;
-  for (size_t i = 0; i < members.size(); ++i) {
-    member_index[members[i]] = static_cast<int>(i);
-  }
+  // Components that participate in at least one path, in stable order
+  // (`members` holds owner indices), and per path the sorted indices into
+  // `members` of the components it crosses.
+  std::vector<int> member_of(graph.subcomponents.size(), -1);
+  std::vector<int> members;
   std::vector<std::vector<int>> path_members;
   path_members.reserve(paths.size());
   for (const auto& path : paths) {
-    std::set<int> indices;
-    for (const ObjectId node : path) {
-      const auto it = graph.owner.find(node);
-      if (it != graph.owner.end()) indices.insert(member_index.at(it->second));
+    std::vector<int> indices;
+    for (const int vertex : path) {
+      const int owner = graph.owner[static_cast<size_t>(vertex)];
+      if (owner < 0) continue;
+      int& member = member_of[static_cast<size_t>(owner)];
+      if (member < 0) {
+        member = static_cast<int>(members.size());
+        members.push_back(owner);
+      }
+      indices.push_back(member);
     }
-    path_members.emplace_back(indices.begin(), indices.end());
+    std::sort(indices.begin(), indices.end());
+    indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
+    path_members.push_back(std::move(indices));
   }
 
   // Enumerate minimal cut sets up to the size bound. Sizes in increasing
@@ -163,7 +157,9 @@ core::FaultTree synthesize_fault_tree(const SsamModel& ssam, ObjectId component,
   for (const auto& cut : cuts) {
     std::vector<ObjectId> cut_components;
     cut_components.reserve(cut.size());
-    for (const size_t member : cut) cut_components.push_back(members[member]);
+    for (const size_t member : cut) {
+      cut_components.push_back(graph.subcomponents[static_cast<size_t>(members[member])]);
+    }
     std::sort(cut_components.begin(), cut_components.end());
     sorted_cuts.push_back(std::move(cut_components));
   }

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <set>
 #include <string>
 
 #include "decisive/base/error.hpp"
@@ -7,38 +6,37 @@
 
 namespace decisive::oracle {
 
-using ssam::ObjectId;
+using Graph = ssam::ComponentGraph;
 
-std::vector<std::vector<ObjectId>> enumerate_paths(const ssam::ComponentGraph& graph,
-                                                   size_t max_paths) {
-  const std::set<ObjectId> goals(graph.outputs.begin(), graph.outputs.end());
-  std::vector<std::vector<ObjectId>> paths;
+std::vector<std::vector<int>> enumerate_paths(const Graph& graph, size_t max_paths) {
+  std::vector<char> goal(graph.size(), 0);
+  for (const int output : graph.pred[Graph::kSink]) goal[static_cast<size_t>(output)] = 1;
+  std::vector<std::vector<int>> paths;
 
   // Iterative backtracking DFS (explicit frame stack) so deep chains cannot
   // overflow the call stack even in the oracle.
   struct Frame {
-    ObjectId node;
+    int vertex;
     size_t next = 0;  ///< index of the next successor to try
   };
-  for (const ObjectId input : graph.inputs) {
-    std::vector<ObjectId> current;
-    std::set<ObjectId> visited;
+  std::vector<char> visited(graph.size(), 0);
+  for (const int input : graph.succ[Graph::kSource]) {
+    std::vector<int> current;
     std::vector<Frame> stack;
-    const auto push = [&](ObjectId node) {
-      current.push_back(node);
-      visited.insert(node);
-      stack.push_back({node, 0});
+    const auto push = [&](int vertex) {
+      current.push_back(vertex);
+      visited[static_cast<size_t>(vertex)] = 1;
+      stack.push_back({vertex, 0});
     };
     const auto pop = [&] {
-      visited.erase(stack.back().node);
+      visited[static_cast<size_t>(stack.back().vertex)] = 0;
       current.pop_back();
       stack.pop_back();
     };
     push(input);
     while (!stack.empty()) {
-      const size_t depth = stack.size() - 1;
-      const ObjectId node = stack[depth].node;
-      if (stack[depth].next == 0 && goals.contains(node)) {
+      Frame& frame = stack.back();
+      if (frame.next == 0 && goal[static_cast<size_t>(frame.vertex)]) {
         if (paths.size() >= max_paths) {
           throw AnalysisError("path enumeration exceeded " + std::to_string(max_paths) +
                               " paths; the component graph is too dense");
@@ -47,35 +45,33 @@ std::vector<std::vector<ObjectId>> enumerate_paths(const ssam::ComponentGraph& g
         pop();
         continue;
       }
-      const auto it = graph.edges.find(node);
-      bool descended = false;
-      if (it != graph.edges.end()) {
-        while (stack[depth].next < it->second.size()) {
-          const ObjectId next = it->second[stack[depth].next++];
-          if (!visited.contains(next)) {
-            push(next);
-            descended = true;
-            break;
-          }
+      const auto successors = graph.succ[static_cast<size_t>(frame.vertex)];
+      int next = -1;
+      while (next < 0 && frame.next < successors.size()) {
+        const int candidate = successors[frame.next++];
+        if (candidate != Graph::kSink && !visited[static_cast<size_t>(candidate)]) {
+          next = candidate;
         }
       }
-      if (!descended) pop();
+      if (next >= 0) {
+        push(next);
+      } else {
+        pop();
+      }
     }
   }
   return paths;
 }
 
-bool on_all_paths(const ssam::ComponentGraph& graph,
-                  const std::vector<std::vector<ObjectId>>& paths, ObjectId subcomponent) {
+bool on_all_paths(const Graph& graph, const std::vector<std::vector<int>>& paths,
+                  ssam::ObjectId subcomponent) {
   if (paths.empty()) return false;
-  for (const auto& path : paths) {
-    const bool present = std::any_of(path.begin(), path.end(), [&](ObjectId node) {
-      const auto it = graph.owner.find(node);
-      return it != graph.owner.end() && it->second == subcomponent;
+  return std::all_of(paths.begin(), paths.end(), [&](const std::vector<int>& path) {
+    return std::any_of(path.begin(), path.end(), [&](int vertex) {
+      const int owner = graph.owner[static_cast<size_t>(vertex)];
+      return owner >= 0 && graph.subcomponents[static_cast<size_t>(owner)] == subcomponent;
     });
-    if (!present) return false;
-  }
-  return true;
+  });
 }
 
 }  // namespace decisive::oracle

@@ -18,6 +18,7 @@
 #include "decisive/model/xmi.hpp"
 #include "decisive/obs/registry.hpp"
 #include "decisive/session/service.hpp"
+#include "spare_subject.hpp"
 
 using namespace decisive;
 using namespace decisive::session;
@@ -381,6 +382,76 @@ TEST(ServiceTest, RejectsNegativeMaxOrderAndNanEpsilon) {
   EXPECT_NE(replies[1].find("max-order"), std::string::npos) << replies[1];
   EXPECT_EQ(replies[2].rfind("error: ", 0), 0u) << replies[2];
   EXPECT_NE(replies[2].find("epsilon"), std::string::npos) << replies[2];
+}
+
+namespace {
+
+/// Saves spare_subject's model, with or without its bypass wires.
+std::string save_spare_model(const std::string& name, bool bypass) {
+  SsamModel m;
+  spare_subject::build(m, bypass);
+  const std::string path = temp_path(name);
+  model::save_xmi_file(path, m.repo(), m.meta());
+  return path;
+}
+
+}  // namespace
+
+TEST(ServiceTest, RewireStaysInTheParentsScope) {
+  // `rewire` used to take the first IONode of that name anywhere in the
+  // model: two rewires through Spare.in moved the SPFM from 36.67% to
+  // 40.00% while `fta` still listed {Driver}. It now resolves names among
+  // BrakeChain's IONodes and its subcomponents' only, and refuses Spare.in
+  // before it touches the model.
+  const std::string model = save_spare_model("decisive_session_spare.ssam", false);
+  const std::string saved = temp_path("decisive_session_spare_saved.ssam");
+  const std::string reference = temp_path("decisive_session_spare_reference.ssam");
+  const auto replies = run_script(model, "BrakeChain",
+                                  "reanalyze\n"
+                                  "rewire BrakeChain Sensor.out Spare.in\n"
+                                  "rewire BrakeChain Spare.in caliper\n"
+                                  "reanalyze\n"
+                                  "fta\n"
+                                  "save " + saved + "\n"
+                                  "rewire BrakeChain Sensor.out caliper\n"
+                                  "reanalyze\n"
+                                  "quit\n");
+  ASSERT_EQ(replies.size(), 9u);
+  EXPECT_NE(replies[0].find("spfm 36.67%"), std::string::npos) << replies[0];
+  for (size_t i = 1; i <= 2; ++i) {
+    EXPECT_EQ(replies[i],
+              "error: model error: no IONode named 'Spare.in' on 'BrakeChain' or its "
+              "subcomponents\n");
+  }
+  // No edit is pending: the reanalyze replays the first result.
+  EXPECT_EQ(replies[3].rfind("short-circuit (model unchanged)\nrows 2 spfm 36.67% ", 0), 0u)
+      << replies[3];
+  EXPECT_NE(replies[3].find("\ndirty changed 0 "), std::string::npos) << replies[3];
+  EXPECT_NE(replies[4].find("( ) loss of 'Driver'"), std::string::npos) << replies[4];
+  // The refused rewires left nothing behind: the saved model is the one a
+  // session that made no edit saves.
+  const auto untouched =
+      run_script(model, "BrakeChain", "reanalyze\nsave " + reference + "\nquit\n");
+  ASSERT_EQ(untouched.size(), 3u);
+  const auto saved_bytes = decisive::read_file(saved);
+  ASSERT_TRUE(saved_bytes.has_value());
+  EXPECT_EQ(saved_bytes, decisive::read_file(reference));
+  // An in-scope rewire may name the parent's own IONode: Driver is bypassed.
+  EXPECT_EQ(replies[6].rfind("wired Sensor.out -> caliper in BrakeChain\n", 0), 0u)
+      << replies[6];
+  EXPECT_NE(replies[7].find("spfm 40.00%"), std::string::npos) << replies[7];
+  for (const auto& path : {model, saved, reference}) std::remove(path.c_str());
+
+  // A loaded model that already wires Spare.in fails graph FMEA and FTA
+  // with one error.
+  const std::string bypassed = save_spare_model("decisive_session_spare_bypass.ssam", true);
+  const auto failed = run_script(bypassed, "BrakeChain", "reanalyze\nfta\nquit\n");
+  ASSERT_EQ(failed.size(), 3u);
+  EXPECT_EQ(failed[0].rfind("error: analysis error: relationship 'bypass1' of 'BrakeChain'", 0),
+            0u)
+      << failed[0];
+  EXPECT_EQ(failed[1], failed[0]);
+  std::remove(bypassed.c_str());
 }
 
 TEST(ServiceTest, FtaAndParetoReanalysePendingEditsFirst) {

@@ -2,8 +2,11 @@
 // federation and the component graph used by Algorithm 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <vector>
 
 #include "decisive/base/error.hpp"
 #include "decisive/oracles.hpp"
@@ -326,9 +329,13 @@ TEST(Graph, InoutBoundaryNodeIsBothInputAndOutput) {
   const auto sys = m.create_component(pkg, "sys");
   const auto io = m.add_io_node(sys, "bus", "inout");
   const auto graph = build_graph(m, sys);
-  EXPECT_EQ(graph.inputs, std::vector<ObjectId>{io});
-  EXPECT_EQ(graph.outputs, std::vector<ObjectId>{io});
-  EXPECT_EQ(graph.direction.at(io), NodeDirection::InOut);
+  ASSERT_EQ(graph.size(), 3u);  // source, sink, bus
+  EXPECT_EQ(graph.node[2], io);
+  EXPECT_EQ(graph.owner[2], -1);
+  EXPECT_EQ(graph.direction[2], NodeDirection::InOut);
+  const std::vector<int> bus{2};
+  EXPECT_TRUE(std::ranges::equal(graph.succ[ComponentGraph::kSource], bus));
+  EXPECT_TRUE(std::ranges::equal(graph.pred[ComponentGraph::kSink], bus));
 }
 
 TEST(Graph, InoutSubNodeGetsNoSelfThroughEdge) {
@@ -338,13 +345,55 @@ TEST(Graph, InoutSubNodeGetsNoSelfThroughEdge) {
   f.m.connect(f.sys, f.in, xio);
   f.m.connect(f.sys, xio, f.out);
   const auto graph = build_graph(f.m, f.sys);
-  const auto it = graph.edges.find(xio);
-  if (it != graph.edges.end()) {
-    for (const ObjectId target : it->second) EXPECT_NE(target, xio);
+  for (size_t v = 2; v < graph.size(); ++v) {
+    for (const int target : graph.succ[v]) EXPECT_NE(static_cast<size_t>(target), v);
   }
   const auto paths = oracle::enumerate_paths(graph);
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_TRUE(oracle::on_all_paths(graph, paths, x));
+}
+
+TEST(Graph, VerticesFollowTheListingAndEdgesEndAtTheLastListing) {
+  // Vertex 2 + i is the i-th IONode listing (the component's own, then each
+  // subcomponent's). b lists a.out a second time: every edge ends at that
+  // last listing, which b owns, and a's own listing of it stays isolated.
+  GraphFixture f;
+  const auto a = f.leaf("a");
+  const auto b = f.leaf("b");
+  f.m.obj(b.comp).add_ref("ioNodes", a.out);
+  f.m.connect(f.sys, f.in, a.in);
+  f.m.connect(f.sys, a.out, b.in);
+  f.m.connect(f.sys, b.out, f.out);
+  const auto graph = build_graph(f.m, f.sys);
+  EXPECT_EQ(graph.node, (std::vector<ObjectId>{model::kNullObject, model::kNullObject, f.in,
+                                               f.out, a.in, a.out, b.in, b.out, a.out}));
+  EXPECT_EQ(graph.owner, (std::vector<int>{-1, -1, -1, -1, 0, 0, 1, 1, 1}));
+  EXPECT_EQ(graph.subcomponents, (std::vector<ObjectId>{a.comp, b.comp}));
+  const auto row = [](std::span<const int> r) { return std::vector<int>(r.begin(), r.end()); };
+  const std::vector<std::vector<int>> succ{{2}, {}, {4}, {1}, {8}, {}, {7, 8}, {3}, {6}};
+  const std::vector<std::vector<int>> pred{{}, {3}, {0}, {7}, {2}, {}, {8}, {6}, {4, 6}};
+  for (size_t v = 0; v < graph.size(); ++v) {
+    EXPECT_EQ(row(graph.succ[v]), succ[v]) << "successors of " << v;
+    EXPECT_EQ(row(graph.pred[v]), pred[v]) << "predecessors of " << v;
+  }
+}
+
+TEST(Graph, OutOfScopeEndpointThrowsNamingTheRelationshipAndTheNode) {
+  GraphFixture f;
+  const auto a = f.leaf("a");
+  f.m.connect(f.sys, f.in, a.in);
+  f.m.connect(f.sys, a.out, f.out);
+  const auto elsewhere = f.m.create_component(f.m.create_component_package("other"), "x");
+  const auto foreign = f.m.add_io_node(elsewhere, "x.in", "in");
+  f.m.obj(f.m.connect(f.sys, a.out, foreign)).set_string("name", "stray");
+  try {
+    build_graph(f.m, f.sys);
+    FAIL() << "expected AnalysisError";
+  } catch (const AnalysisError& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("relationship 'stray' of 'sys'"), std::string::npos) << message;
+    EXPECT_NE(message.find("IONode 'x.in'"), std::string::npos) << message;
+  }
 }
 
 TEST(Graph, UnknownDirectionThrowsNamingTheNode) {

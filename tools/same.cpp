@@ -303,22 +303,41 @@ int cmd_fta(const Args& args) {
     std::fprintf(stderr, "error: --component <name> is required\n");
     return 2;
   }
+  // Every argument is checked before the model is loaded.
+  const std::string hours = args.get("mission-hours").value_or("10000");
+  double mission = 0.0;
+  try {
+    mission = parse_double(hours);
+    fta::validate_mission_hours(mission);
+  } catch (const Error&) {
+    std::fprintf(stderr,
+                 "error: --mission-hours must be a finite mission time >= 0 hours, got '%s'\n",
+                 hours.c_str());
+    return 2;
+  }
+  fta::ZbddFtaOptions options;
+  if (const auto max_order = args.get("max-order")) {
+    long long order = -1;
+    try {
+      order = parse_int(*max_order);
+    } catch (const ParseError&) {
+      // Not an integer: reported below, as a negative one is.
+    }
+    if (order < 0) {
+      std::fprintf(stderr,
+                   "error: --max-order must be an integer >= 0 (0 = unbounded), got '%s'\n",
+                   max_order->c_str());
+      return 2;
+    }
+    options.max_order = static_cast<size_t>(order);
+  }
+
   ssam::SsamModel model;
   model::load_xmi_file(model.repo(), model.meta(), args.positional[0]);
   const auto component = model.find_by_name(ssam::cls::Component, *component_name);
   if (component == model::kNullObject) {
     std::fprintf(stderr, "error: no component named '%s'\n", component_name->c_str());
     return 1;
-  }
-  const double mission = parse_double(args.get("mission-hours").value_or("10000"));
-  fta::ZbddFtaOptions options;
-  if (const auto max_order = args.get("max-order")) {
-    const long long order = parse_int(*max_order);
-    if (order < 0) {
-      std::fprintf(stderr, "error: --max-order must be >= 0 (0 = unbounded)\n");
-      return 2;
-    }
-    options.max_order = static_cast<size_t>(order);
   }
 
   const auto tree = fta::synthesize_fault_tree_zbdd(model, component, options);
