@@ -1,10 +1,12 @@
-// Minimal XML DOM parser/writer, sufficient for XMI-style model persistence
-// and for the external-model XML driver. Supports elements, attributes,
-// character data, comments, processing instructions and the five predefined
-// entities. No namespaces-aware processing (prefixes are kept verbatim).
+// Minimal XML tokenizer, DOM parser and writer, sufficient for XMI-style
+// model persistence and for the external-model XML driver. Supports
+// elements, attributes, character data, comments, processing instructions
+// and the five predefined entities. No namespaces-aware processing
+// (prefixes are kept verbatim). One tokenizer, Reader, reads every
+// document: parse() builds an element tree from its events, and the model
+// loader builds objects from them without one.
 #pragma once
 
-#include <functional>
 #include <istream>
 #include <memory>
 #include <string>
@@ -41,31 +43,71 @@ struct Element {
   void set_attribute(std::string attr_name, std::string value);
 };
 
+/// One token of a root child as Reader hands it over. `name` and `value`
+/// view the reader's window (or, for a value with an entity, its decoding
+/// scratch), so they stay valid only until the reader's next call.
+struct Event {
+  enum class Kind : unsigned char {
+    Start,      ///< a start tag: `name`
+    Attribute,  ///< an attribute of the start tag before it: `name`, decoded `value`
+    Text,       ///< a text run, decoded and trimmed, never empty: `value`
+    Cdata,      ///< a CDATA section, verbatim: `value`
+    End,        ///< the end of the innermost open element (also of "<a/>")
+  };
+  Kind kind = Kind::Start;
+  std::string_view name;
+  std::string_view value;
+};
+
+/// The value of the first attribute `attr_name` of the start tag at
+/// `events[tag]`, or nullptr when it has none.
+const std::string_view* find_attribute(const std::vector<Event>& events, size_t tag,
+                                       std::string_view attr_name) noexcept;
+
+/// The one XML tokenizer: reads a document one root child at a time, from a
+/// whole text or through a window of a stream, and hands each child over
+/// complete, so already validated, as a list of events. The list, the
+/// window and the decoding scratch are reused from child to child: a child
+/// costs no allocation once they have grown to its size (a numeric
+/// character reference aside). parse() builds its
+/// element tree from these events; model::load_xmi builds objects from them.
+class Reader {
+ public:
+  /// Reads the whole `text` (which must outlive the reader).
+  explicit Reader(std::string_view text);
+
+  /// Reads `in` through a window of about `window` bytes, so the document is
+  /// never held whole, not even as text: the window holds the root child
+  /// being read (growing while one child is longer). A seekable stream
+  /// shorter than the window is read whole, into a buffer of its size. The
+  /// children, the root and every ParseError message (line numbers count
+  /// from the start of the stream) are those of the whole text's reader.
+  explicit Reader(std::istream& in, size_t window = size_t{1} << 16);
+
+  /// Reads on to the next child element of the root and returns true with
+  /// its events (from its Start to its End) in events(). Returns false once
+  /// the root is closed and the rest of the document is checked. Throws
+  /// ParseError at the first fault, after handing over every child before
+  /// it. A reader that threw or returned false is spent.
+  bool next();
+
+  /// The events of the child the last next() read.
+  [[nodiscard]] const std::vector<Event>& events() const noexcept;
+
+  /// The root element, once next() was called: its name and attributes, and
+  /// the text read so far among its children. It never holds children.
+  [[nodiscard]] const Element& root() const noexcept;
+
+  ~Reader();
+
+ private:
+  class Tokenizer;
+  std::unique_ptr<Tokenizer> tokenizer_;
+};
+
 /// Parses a complete document and returns its root element.
 /// Throws ParseError on malformed input.
 std::unique_ptr<Element> parse(std::string_view text);
-
-/// Parses like parse(), but hands each child element of the root to
-/// `on_child` (with the root's name and attributes) as soon as that child is
-/// complete, and keeps none of them, so a document of many records is never
-/// held as one tree. Returns the root without children. A malformed document
-/// throws ParseError once the parser reaches the fault, after `on_child` saw
-/// the children before it.
-std::unique_ptr<Element> parse_children(
-    std::string_view text,
-    const std::function<void(const Element& root, const Element& child)>& on_child);
-
-/// parse_children over a stream, read through a window of about `window`
-/// bytes, so the document is never held whole, not even as text: the window
-/// holds the root child being parsed (growing while one child is longer). A
-/// seekable stream shorter than the window is read whole, into a buffer of
-/// its size. The children, the returned root and every ParseError message
-/// (line numbers count from the start of the stream) are parse_children's
-/// on the whole text.
-std::unique_ptr<Element> parse_children(
-    std::istream& in,
-    const std::function<void(const Element& root, const Element& child)>& on_child,
-    size_t window = size_t{1} << 16);
 
 /// Reads and parses an XML file; throws IoError/ParseError.
 std::unique_ptr<Element> parse_file(const std::string& path);
@@ -109,8 +151,5 @@ class Writer {
 
 /// Writes the document to a file; throws IoError on failure.
 void write_file(const std::string& path, const Element& root);
-
-/// Escapes the five predefined entities in attribute/text content.
-std::string escape(std::string_view text);
 
 }  // namespace decisive::xml

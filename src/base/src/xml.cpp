@@ -1,7 +1,9 @@
 #include "decisive/base/xml.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
@@ -56,13 +58,10 @@ void Element::set_attribute(std::string attr_name, std::string value) {
 
 namespace {
 
-/// Receives each child of the document root instead of the root keeping it.
-using ChildSink = std::function<void(const Element& root, const Element& child)>;
-
 /// The number of '\n' in `text`, eight bytes at a time: in `x`, a byte is
 /// zero where the text has '\n', and `zero` keeps the top bit of exactly
 /// those bytes (bytes carry nothing into each other: (b & 0x7f) + 0x7f is at
-/// most 0xfe). A streamed parse counts every byte it drops from its window,
+/// most 0xfe). A streamed read counts every byte it drops from its window,
 /// and a byte loop there cost as much as the rest of the window's work.
 size_t count_newlines(std::string_view text) {
   constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
@@ -81,14 +80,96 @@ size_t count_newlines(std::string_view text) {
   return count;
 }
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
+/// The bytes a name may hold.
+constexpr std::array<bool, 256> kNameChars = [] {
+  std::array<bool, 256> table{};
+  for (int c = 0; c < 256; ++c) {
+    table[static_cast<size_t>(c)] = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                                    (c >= '0' && c <= '9') || c == '_' || c == '-' ||
+                                    c == '.' || c == ':';
+  }
+  return table;
+}();
 
-  /// Reads `in` through a window of about `window` bytes instead of taking
-  /// the whole text (parse_streamed). A seekable stream shorter than the
-  /// window is read whole by the first read, into a buffer of its size.
-  Parser(std::istream& in, size_t window) : in_(&in), window_(std::max<size_t>(window, 1)) {
+/// Adds a text or CDATA event to `element`'s text: CDATA verbatim, a text
+/// run after a space.
+void add_text(Element& element, const Event& event) {
+  if (event.kind == Event::Kind::Text && !element.text.empty()) element.text += ' ';
+  element.text += event.value;
+}
+
+/// The element tree of one root child's events.
+std::unique_ptr<Element> build_element(const std::vector<Event>& events) {
+  auto element = std::make_unique<Element>();
+  std::vector<Element*> open;
+  for (const Event& event : events) {
+    switch (event.kind) {
+      case Event::Kind::Start:
+        if (open.empty()) {
+          element->name = event.name;
+          open.push_back(element.get());
+        } else {
+          open.push_back(&open.back()->add_child(std::string(event.name)));
+        }
+        break;
+      case Event::Kind::Attribute:
+        open.back()->attributes.emplace_back(event.name, event.value);
+        break;
+      case Event::Kind::Text:
+      case Event::Kind::Cdata: add_text(*open.back(), event); break;
+      case Event::Kind::End: open.pop_back(); break;
+    }
+  }
+  return element;
+}
+
+/// Appends `text` to `out` with the five predefined entities escaped, copying
+/// the runs between them whole.
+void append_escaped(std::string& out, std::string_view text) {
+  size_t run = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char* entity = nullptr;
+    switch (text[i]) {
+      case '&': entity = "&amp;"; break;
+      case '<': entity = "&lt;"; break;
+      case '>': entity = "&gt;"; break;
+      case '"': entity = "&quot;"; break;
+      case '\'': entity = "&apos;"; break;
+      default: continue;
+    }
+    out.append(text.data() + run, i - run);
+    out += entity;
+    run = i + 1;
+  }
+  out.append(text.data() + run, text.size() - run);
+}
+
+void write_element(const Element& element, Writer& writer) {
+  writer.start(element.name);
+  for (const auto& [k, v] : element.attributes) writer.attribute(k, v);
+  if (!element.text.empty()) writer.text(element.text);
+  for (const auto& child : element.children) write_element(*child, writer);
+  writer.end();
+}
+
+}  // namespace
+
+const std::string_view* find_attribute(const std::vector<Event>& events, size_t tag,
+                                       std::string_view attr_name) noexcept {
+  for (size_t i = tag + 1; i < events.size() && events[i].kind == Event::Kind::Attribute; ++i) {
+    if (events[i].name == attr_name) return &events[i].value;
+  }
+  return nullptr;
+}
+
+class Reader::Tokenizer {
+ public:
+  explicit Tokenizer(std::string_view text) : text_(text) {}
+
+  /// A seekable stream shorter than the window is read whole by the first
+  /// read, into a buffer of its size.
+  Tokenizer(std::istream& in, size_t window)
+      : in_(&in), window_(std::max<size_t>(window, 1)), at_end_(false) {
     std::streambuf* buf = in.rdbuf();
     const std::streampos here =
         buf != nullptr ? buf->pubseekoff(0, std::ios::cur, std::ios::in) : std::streampos(-1);
@@ -103,28 +184,61 @@ class Parser {
     refill(0);
   }
 
-  std::unique_ptr<Element> parse_document(const ChildSink* root_children = nullptr) {
-    if (in_ != nullptr) return parse_streamed(*root_children);
-    skip_misc();
-    auto root = parse_element(root_children);
-    skip_misc();
-    if (pos_ != text_.size()) fail("trailing content after document element");
-    return root;
+  /// Reader::next. The window holds one piece of the root's content at a
+  /// time: the prologue with the root's start tag, then each child,
+  /// comment, CDATA section or text run. A piece that fails to read while
+  /// the stream has more, or a text run that reaches the window's end, is
+  /// read again from its start once more of the stream is in; a read that
+  /// succeeded never looked past the window. Only a failure with the whole
+  /// rest of the stream in the window is reported, so it reads exactly as
+  /// the whole text's would, line number included. A child is handed over
+  /// outside the retry, so the caller's own errors propagate.
+  bool next() {
+    if (state_ == State::Prologue) read_root();
+    while (state_ == State::Content) {
+      // Keep an eighth of a window ahead, so that only a piece longer than
+      // that ends up read twice, and a refill moves at most that much.
+      if (!at_end_ && text_.size() - pos_ < window_ / 8) refill(pos_);
+      const size_t start = pos_;
+      Item item = Item::Other;
+      try {
+        item = read_piece();
+        if (item == Item::Text && eof() && !at_end_) {
+          pos_ = start;
+          refill(start);
+          continue;
+        }
+      } catch (const ParseError&) {
+        pos_ = start;
+        if (!refill(start)) throw;
+        continue;
+      }
+      if (item == Item::Element) return true;
+      if (item == Item::Closed) {
+        finish_document();
+      } else {
+        for (const Event& event : events_) add_text(root_, event);
+      }
+    }
+    return false;
   }
 
+  std::vector<Event> events_;
+  Element root_;
+
  private:
+  /// What read_item met.
+  enum class Item { Closed, Element, Text, Other };
+
   [[noreturn]] void fail(const std::string& message) const {
-    size_t line = 1 + line_base_;
-    for (size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-      if (text_[i] == '\n') ++line;
-    }
+    const size_t line = 1 + line_base_ + count_newlines(text_.substr(0, pos_));
     throw ParseError("xml: " + message + " (line " + std::to_string(line) + ")");
   }
 
   /// Streaming: drops the window's bytes before `keep_from` and appends the
   /// next bytes of the stream, as many as the window holds (so a piece longer
   /// than the window doubles it). pos_ moves with the kept bytes. False once
-  /// the stream was already spent.
+  /// the stream was already spent, and always for a whole text.
   bool refill(size_t keep_from) {
     if (at_end_) return false;
     line_base_ += count_newlines(text_.substr(0, keep_from));
@@ -140,84 +254,235 @@ class Parser {
     return true;
   }
 
-  /// parse_document over a stream. The window holds one piece of the root's
-  /// content at a time: the prologue with the root's start tag, then each
-  /// child, comment or text run. A piece that fails to parse while the
-  /// stream has more, or a text run that reaches the window's end, is parsed
-  /// again from its start once more of the stream is in; a parse that
-  /// succeeded never looked past the window. Only a failure with the whole
-  /// rest of the stream in the window is reported, so it reads exactly as the
-  /// whole text's parse would, line number included. Each child goes to
-  /// `sink` after it parsed, outside the retry, so the sink's own errors
-  /// propagate.
-  std::unique_ptr<Element> parse_streamed(const ChildSink& sink) {
-    std::unique_ptr<Element> root;
+  /// The prologue and the root's start tag, into root_.
+  void read_root() {
     bool closed = false;
     for (;;) {
       try {
         pos_ = 0;
+        start_piece();
         skip_misc();
-        root = parse_start_tag(closed);
+        closed = read_start_tag();
         break;
       } catch (const ParseError&) {
         if (!refill(0)) throw;
       }
     }
-    std::unique_ptr<Element> child;
-    std::string text;
-    while (!closed) {
-      // Keep an eighth of a window ahead, so that only a piece longer than
-      // that ends up parsed twice, and a refill moves at most that much.
-      if (!at_end_ && text_.size() - pos_ < window_ / 8) refill(pos_);
-      const size_t start = pos_;
-      Item item = Item::Comment;
-      try {
-        item = parse_item(*root, child, text);
-        if (item == Item::Text && eof() && !at_end_) {
-          pos_ = start;
-          refill(start);
-          continue;
-        }
-      } catch (const ParseError&) {
-        pos_ = start;
-        if (!refill(start)) throw;
-        continue;
-      }
-      closed = item == Item::Closed;
-      if (item == Item::Child) {
-        sink(*root, *child);
-      } else {
-        add_text(*root, item, text);
-      }
+    finish_piece();
+    root_.name = events_.front().name;
+    for (size_t i = 1; i < events_.size(); ++i) {
+      root_.attributes.emplace_back(events_[i].name, events_[i].value);
     }
+    state_ = State::Content;
+    if (closed) finish_document();
+  }
+
+  /// After the root's end tag: the rest of the stream holds nothing but
+  /// whitespace, comments and processing instructions.
+  void finish_document() {
     while (refill(pos_)) {
     }
     skip_misc();
     if (pos_ != text_.size()) fail("trailing content after document element");
-    return root;
+    state_ = State::Done;
+  }
+
+  void start_piece() {
+    events_.clear();
+    scratch_.clear();
+    decoded_.clear();
+    open_.clear();
+  }
+
+  /// Points each decoded value's view into scratch_, which has stopped
+  /// growing.
+  void finish_piece() {
+    for (const auto& [event, offset] : decoded_) {
+      Event& decoded = events_[event];
+      decoded.value = std::string_view(scratch_.data() + offset, decoded.value.size());
+    }
+  }
+
+  /// One piece of the root's content into events_: a whole child element,
+  /// a CDATA section or a text run (an event unless blank), a comment, or
+  /// the root's end tag.
+  Item read_piece() {
+    start_piece();
+    const Item item = read_item(root_.name);
+    if (item == Item::Element) {
+      while (!open_.empty()) {
+        const std::string_view name = events_[open_.back()].name;
+        if (read_item(name) == Item::Closed) {
+          events_.push_back({Event::Kind::End, name, {}});
+          open_.pop_back();
+        }
+      }
+    }
+    finish_piece();
+    return item;
+  }
+
+  /// The next item of the open element `name`'s content. An element's start
+  /// tag goes to events_, with its End when it is self-closed, else it is
+  /// left open on open_.
+  Item read_item(std::string_view name) {
+    if (eof()) fail("unterminated element '" + std::string(name) + "'");
+    if (consume("<!--")) {
+      const size_t end = text_.find("-->", pos_);
+      if (end == std::string_view::npos) fail("unterminated comment");
+      pos_ = end + 3;
+      return Item::Other;
+    }
+    if (consume("<![CDATA[")) {
+      const size_t end = text_.find("]]>", pos_);
+      if (end == std::string_view::npos) fail("unterminated CDATA section");
+      events_.push_back({Event::Kind::Cdata, {}, text_.substr(pos_, end - pos_)});
+      pos_ = end + 3;
+      return Item::Other;
+    }
+    if (consume("</")) {
+      const std::string_view closing = read_name();
+      if (closing != name) {
+        fail("mismatched closing tag '" + std::string(closing) + "' for '" + std::string(name) +
+             "'");
+      }
+      skip_ws();
+      expect(">");
+      return Item::Closed;
+    }
+    if (text_[pos_] == '<') {
+      const size_t tag = events_.size();
+      if (read_start_tag()) {
+        events_.push_back({Event::Kind::End, events_[tag].name, {}});
+      } else {
+        open_.push_back(tag);
+      }
+      return Item::Element;
+    }
+    const size_t start = pos_;
+    pos_ = std::min(text_.find('<', pos_), text_.size());
+    add_value(Event::Kind::Text, {}, text_.substr(start, pos_ - start));
+    return Item::Text;
+  }
+
+  /// A start tag into events_: its Start and its attributes. True when it
+  /// closes itself ("<name .../>").
+  bool read_start_tag() {
+    expect("<");
+    events_.push_back({Event::Kind::Start, read_name(), {}});
+    for (;;) {
+      skip_ws();
+      if (eof()) fail("unterminated start tag");
+      if (consume("/>")) return true;
+      if (consume(">")) return false;
+      const std::string_view attr = read_name();
+      skip_ws();
+      expect("=");
+      skip_ws();
+      if (eof()) fail("unexpected end of input");
+      const char quote = text_[pos_++];
+      if (quote != '"' && quote != '\'') fail("expected quoted attribute value");
+      const size_t start = pos_;
+      pos_ = std::min(text_.find(quote, pos_), text_.size());
+      if (eof()) fail("unterminated attribute value");
+      add_value(Event::Kind::Attribute, attr, text_.substr(start, pos_ - start));
+      ++pos_;  // closing quote
+    }
+  }
+
+  /// Adds an event with `raw` as its value: `raw` itself when it holds no
+  /// entity, else its decoding in scratch_; a text run is trimmed, and
+  /// dropped when blank.
+  void add_value(Event::Kind kind, std::string_view name, std::string_view raw) {
+    const bool text = kind == Event::Kind::Text;
+    if (raw.find('&') == std::string_view::npos) {
+      const std::string_view value = text ? trim(raw) : raw;
+      if (!text || !value.empty()) events_.push_back({kind, name, value});
+      return;
+    }
+    const size_t from = scratch_.size();
+    decode_entities(raw);
+    std::string_view value(scratch_.data() + from, scratch_.size() - from);
+    if (text) {
+      value = trim(value);
+      if (value.empty()) {
+        scratch_.resize(from);
+        return;
+      }
+    }
+    decoded_.emplace_back(events_.size(), static_cast<size_t>(value.data() - scratch_.data()));
+    events_.push_back({kind, name, value});
+  }
+
+  /// Appends `raw` to scratch_ with its entities decoded.
+  void decode_entities(std::string_view raw) {
+    size_t i = 0;
+    for (size_t amp = raw.find('&'); amp != std::string_view::npos; amp = raw.find('&', i)) {
+      scratch_.append(raw.substr(i, amp - i));
+      const size_t semi = raw.find(';', amp);
+      if (semi == std::string_view::npos) fail("unterminated entity reference");
+      const std::string_view entity = raw.substr(amp + 1, semi - amp - 1);
+      if (entity == "amp") scratch_ += '&';
+      else if (entity == "lt") scratch_ += '<';
+      else if (entity == "gt") scratch_ += '>';
+      else if (entity == "quot") scratch_ += '"';
+      else if (entity == "apos") scratch_ += '\'';
+      else if (!entity.empty() && entity[0] == '#') {
+        long code = 0;
+        const std::string_view digits = entity.substr(1);
+        if (!digits.empty() && (digits[0] == 'x' || digits[0] == 'X')) {
+          code = std::strtol(std::string(digits.substr(1)).c_str(), nullptr, 16);
+        } else {
+          code = std::strtol(std::string(digits).c_str(), nullptr, 10);
+        }
+        if (code <= 0 || code > 0x10FFFF) fail("bad character reference");
+        // UTF-8 encode.
+        const unsigned long cp = static_cast<unsigned long>(code);
+        if (cp < 0x80) {
+          scratch_ += static_cast<char>(cp);
+        } else if (cp < 0x800) {
+          scratch_ += static_cast<char>(0xC0 | (cp >> 6));
+          scratch_ += static_cast<char>(0x80 | (cp & 0x3F));
+        } else if (cp < 0x10000) {
+          scratch_ += static_cast<char>(0xE0 | (cp >> 12));
+          scratch_ += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+          scratch_ += static_cast<char>(0x80 | (cp & 0x3F));
+        } else {
+          scratch_ += static_cast<char>(0xF0 | (cp >> 18));
+          scratch_ += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+          scratch_ += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+          scratch_ += static_cast<char>(0x80 | (cp & 0x3F));
+        }
+      } else {
+        fail("unknown entity '&" + std::string(entity) + ";'");
+      }
+      i = semi + 1;
+    }
+    scratch_.append(raw.substr(i));
   }
 
   [[nodiscard]] bool eof() const noexcept { return pos_ >= text_.size(); }
-  [[nodiscard]] char peek() const { return text_[pos_]; }
-  char get() {
-    if (eof()) fail("unexpected end of input");
-    return text_[pos_++];
-  }
-  bool consume(std::string_view token) {
+
+  bool consume(std::string_view token) noexcept {
     if (text_.substr(pos_, token.size()) == token) {
       pos_ += token.size();
       return true;
     }
     return false;
   }
+
   void expect(std::string_view token) {
     if (!consume(token)) fail("expected '" + std::string(token) + "'");
   }
-  void skip_ws() {
-    while (!eof() && (peek() == ' ' || peek() == '\t' || peek() == '\n' || peek() == '\r')) ++pos_;
+
+  void skip_ws() noexcept {
+    while (!eof() && (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
+                      text_[pos_] == '\r')) {
+      ++pos_;
+    }
   }
 
-  // Skips whitespace, comments, PIs and the XML declaration between nodes.
+  /// Skips whitespace, comments, PIs and the XML declaration between nodes.
   void skip_misc() {
     for (;;) {
       skip_ws();
@@ -239,167 +504,11 @@ class Parser {
     }
   }
 
-  static bool is_name_char(char c) noexcept {
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
-           c == '_' || c == '-' || c == '.' || c == ':';
-  }
-
-  std::string parse_name() {
+  std::string_view read_name() {
     const size_t start = pos_;
-    while (!eof() && is_name_char(peek())) ++pos_;
+    while (!eof() && kNameChars[static_cast<unsigned char>(text_[pos_])]) ++pos_;
     if (pos_ == start) fail("expected a name");
-    return std::string(text_.substr(start, pos_ - start));
-  }
-
-  std::string decode_entities(std::string_view raw) {
-    std::string out;
-    out.reserve(raw.size());
-    for (size_t i = 0; i < raw.size(); ++i) {
-      if (raw[i] != '&') {
-        out += raw[i];
-        continue;
-      }
-      const size_t semi = raw.find(';', i);
-      if (semi == std::string_view::npos) fail("unterminated entity reference");
-      const std::string_view entity = raw.substr(i + 1, semi - i - 1);
-      if (entity == "amp") out += '&';
-      else if (entity == "lt") out += '<';
-      else if (entity == "gt") out += '>';
-      else if (entity == "quot") out += '"';
-      else if (entity == "apos") out += '\'';
-      else if (!entity.empty() && entity[0] == '#') {
-        long code = 0;
-        const std::string_view digits = entity.substr(1);
-        if (!digits.empty() && (digits[0] == 'x' || digits[0] == 'X')) {
-          code = std::strtol(std::string(digits.substr(1)).c_str(), nullptr, 16);
-        } else {
-          code = std::strtol(std::string(digits).c_str(), nullptr, 10);
-        }
-        if (code <= 0 || code > 0x10FFFF) fail("bad character reference");
-        // UTF-8 encode.
-        const unsigned long cp = static_cast<unsigned long>(code);
-        if (cp < 0x80) {
-          out += static_cast<char>(cp);
-        } else if (cp < 0x800) {
-          out += static_cast<char>(0xC0 | (cp >> 6));
-          out += static_cast<char>(0x80 | (cp & 0x3F));
-        } else if (cp < 0x10000) {
-          out += static_cast<char>(0xE0 | (cp >> 12));
-          out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-          out += static_cast<char>(0x80 | (cp & 0x3F));
-        } else {
-          out += static_cast<char>(0xF0 | (cp >> 18));
-          out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-          out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-          out += static_cast<char>(0x80 | (cp & 0x3F));
-        }
-      } else {
-        fail("unknown entity '&" + std::string(entity) + ";'");
-      }
-      i = semi;
-    }
-    return out;
-  }
-
-  /// Parses a start tag into a new element; `closed` tells "<name .../>".
-  std::unique_ptr<Element> parse_start_tag(bool& closed) {
-    expect("<");
-    auto element = std::make_unique<Element>();
-    element->name = parse_name();
-    // Attributes.
-    for (;;) {
-      skip_ws();
-      if (eof()) fail("unterminated start tag");
-      if (consume("/>")) {
-        closed = true;
-        return element;
-      }
-      if (consume(">")) break;
-      std::string attr = parse_name();
-      skip_ws();
-      expect("=");
-      skip_ws();
-      const char quote = get();
-      if (quote != '"' && quote != '\'') fail("expected quoted attribute value");
-      const size_t start = pos_;
-      while (!eof() && peek() != quote) ++pos_;
-      if (eof()) fail("unterminated attribute value");
-      element->attributes.emplace_back(std::move(attr),
-                                       decode_entities(text_.substr(start, pos_ - start)));
-      ++pos_;  // closing quote
-    }
-    closed = false;
-    return element;
-  }
-
-  /// One piece of an element's content.
-  enum class Item { Closed, Child, Cdata, Text, Comment };
-
-  /// Parses the next piece of `element`'s content without adding it: a
-  /// child into `child`, CDATA or a text run (decoded, trimmed) into `text`.
-  Item parse_item(const Element& element, std::unique_ptr<Element>& child, std::string& text) {
-    if (eof()) fail("unterminated element '" + element.name + "'");
-    if (consume("<!--")) {
-      const size_t end = text_.find("-->", pos_);
-      if (end == std::string_view::npos) fail("unterminated comment");
-      pos_ = end + 3;
-      return Item::Comment;
-    }
-    if (consume("<![CDATA[")) {
-      const size_t end = text_.find("]]>", pos_);
-      if (end == std::string_view::npos) fail("unterminated CDATA section");
-      text.assign(text_.substr(pos_, end - pos_));
-      pos_ = end + 3;
-      return Item::Cdata;
-    }
-    if (consume("</")) {
-      const std::string closing = parse_name();
-      if (closing != element.name) {
-        fail("mismatched closing tag '" + closing + "' for '" + element.name + "'");
-      }
-      skip_ws();
-      expect(">");
-      return Item::Closed;
-    }
-    if (!eof() && peek() == '<') {
-      child = parse_element();
-      return Item::Child;
-    }
-    const size_t start = pos_;
-    while (!eof() && peek() != '<') ++pos_;
-    const std::string chunk = decode_entities(text_.substr(start, pos_ - start));
-    text.assign(trim(chunk));
-    return Item::Text;
-  }
-
-  /// Adds CDATA verbatim, and a non-empty text run after a space.
-  static void add_text(Element& element, Item item, const std::string& text) {
-    if (item == Item::Cdata) {
-      element.text += text;
-    } else if (item == Item::Text && !text.empty()) {
-      if (!element.text.empty()) element.text += ' ';
-      element.text += text;
-    }
-  }
-
-  /// Parses one element; its children go to `sink` when given, else into it.
-  std::unique_ptr<Element> parse_element(const ChildSink* sink = nullptr) {
-    bool closed = false;
-    auto element = parse_start_tag(closed);
-    std::unique_ptr<Element> child;
-    std::string text;
-    while (!closed) {
-      const Item item = parse_item(*element, child, text);
-      closed = item == Item::Closed;
-      if (item != Item::Child) {
-        add_text(*element, item, text);
-      } else if (sink != nullptr) {
-        (*sink)(*element, *child);
-      } else {
-        element->children.push_back(std::move(child));
-      }
-    }
-    return element;
+    return text_.substr(start, pos_ - start);
   }
 
   std::string_view text_;
@@ -411,28 +520,41 @@ class Parser {
   size_t window_ = 0;
   std::string buffer_;
   size_t line_base_ = 0;
-  bool at_end_ = false;
+  bool at_end_ = true;
+
+  enum class State { Prologue, Content, Done } state_ = State::Prologue;
+  /// Values of the current piece that held an entity, decoded, as (index in
+  /// events_, offset in scratch_): their views are set by finish_piece, as
+  /// scratch_ may move while it grows.
+  std::string scratch_;
+  std::vector<std::pair<size_t, size_t>> decoded_;
+  /// Indexes in events_ of the open elements' Start events.
+  std::vector<size_t> open_;
 };
 
-void write_element(const Element& element, Writer& writer) {
-  writer.start(element.name);
-  for (const auto& [k, v] : element.attributes) writer.attribute(k, v);
-  if (!element.text.empty()) writer.text(element.text);
-  for (const auto& child : element.children) write_element(*child, writer);
-  writer.end();
-}
+Reader::Reader(std::string_view text) : tokenizer_(std::make_unique<Tokenizer>(text)) {}
 
-}  // namespace
+Reader::Reader(std::istream& in, size_t window)
+    : tokenizer_(std::make_unique<Tokenizer>(in, window)) {}
 
-std::unique_ptr<Element> parse(std::string_view text) { return Parser(text).parse_document(); }
+Reader::~Reader() = default;
 
-std::unique_ptr<Element> parse_children(std::string_view text, const ChildSink& on_child) {
-  return Parser(text).parse_document(&on_child);
-}
+bool Reader::next() { return tokenizer_->next(); }
 
-std::unique_ptr<Element> parse_children(std::istream& in, const ChildSink& on_child,
-                                        size_t window) {
-  return Parser(in, window).parse_document(&on_child);
+const std::vector<Event>& Reader::events() const noexcept { return tokenizer_->events_; }
+
+const Element& Reader::root() const noexcept { return tokenizer_->root_; }
+
+std::unique_ptr<Element> parse(std::string_view text) {
+  Reader reader(text);
+  std::vector<std::unique_ptr<Element>> children;
+  while (reader.next()) children.push_back(build_element(reader.events()));
+  auto root = std::make_unique<Element>();
+  root->name = reader.root().name;
+  root->attributes = reader.root().attributes;
+  root->text = reader.root().text;
+  root->children = std::move(children);
+  return root;
 }
 
 std::unique_ptr<Element> parse_file(const std::string& path) {
@@ -471,13 +593,13 @@ void Writer::attribute(std::string_view name, std::string_view value) {
   out_ += ' ';
   out_ += name;
   out_ += "=\"";
-  out_ += escape(value);
+  append_escaped(out_, value);
   out_ += '"';
 }
 
 void Writer::text(std::string_view content) {
   out_ += '>';
-  out_ += escape(content);
+  append_escaped(out_, content);
   open_.back().state = Open::Text;
 }
 
@@ -499,22 +621,6 @@ void write_file(const std::string& path, const Element& root) {
   if (!out) throw IoError("cannot write XML file '" + path + "'");
   out << write(root);
   if (!out) throw IoError("failed while writing XML file '" + path + "'");
-}
-
-std::string escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\'': out += "&apos;"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace decisive::xml

@@ -69,9 +69,18 @@ class MetaClass {
   /// True when this class equals `other` or transitively inherits from it.
   [[nodiscard]] bool is_kind_of(const MetaClass& other) const noexcept;
 
-  /// All features, inherited first (declaration order within each class).
-  [[nodiscard]] std::vector<const MetaAttribute*> all_attributes() const;
-  [[nodiscard]] std::vector<const MetaReference*> all_references() const;
+  /// Calls `fn` on every feature, inherited first (declaration order within
+  /// each class), walking the super chain without building a list.
+  template <typename Fn>
+  void for_each_attribute(Fn&& fn) const {
+    if (super_ != nullptr) super_->for_each_attribute(fn);
+    for (const auto& attr : attributes_) fn(*attr);
+  }
+  template <typename Fn>
+  void for_each_reference(Fn&& fn) const {
+    if (super_ != nullptr) super_->for_each_reference(fn);
+    for (const auto& ref : references_) fn(*ref);
+  }
 
  private:
   std::string name_;

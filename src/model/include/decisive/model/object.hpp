@@ -20,9 +20,6 @@ inline constexpr ObjectId kNullObject = 0;
 /// A primitive attribute value. monostate means "unset".
 using Value = std::variant<std::monostate, std::string, long long, double, bool>;
 
-/// Converts a Value to its textual form for persistence and debugging.
-std::string value_to_string(const Value& value);
-
 /// Parses text into a Value of the given type; throws ParseError.
 Value value_from_string(AttrType type, std::string_view text);
 
@@ -44,6 +41,10 @@ class ModelObject {
   /// Sets an attribute; throws ModelError for unknown attributes and
   /// type-mismatched values.
   void set(std::string_view attr_name, Value value);
+
+  /// Sets `attr`, an attribute of this object's class resolved once by the
+  /// caller; throws ModelError for a type-mismatched value. Resolves no name.
+  void set(const MetaAttribute& attr, Value value);
 
   /// Typed setters (convenience).
   void set_string(std::string_view attr_name, std::string value);
@@ -72,6 +73,10 @@ class ModelObject {
   /// Appends a target to a many-reference (or sets a single-valued one;
   /// setting a second target on a single reference throws ModelError).
   void add_ref(std::string_view ref_name, ObjectId target);
+
+  /// add_ref for `ref`, a reference of this object's class resolved once by
+  /// the caller. Resolves no name.
+  void add_ref(const MetaReference& ref, ObjectId target);
 
   /// Replaces all targets of the reference with the single given target.
   void set_ref(std::string_view ref_name, ObjectId target);

@@ -3,6 +3,7 @@
 // classes come from a single MetaPackage.
 #pragma once
 
+#include <istream>
 #include <string>
 
 #include "decisive/model/repository.hpp"
@@ -22,9 +23,14 @@ void save_xmi_file(const std::string& path, const FullLoadRepository& repo,
 /// objects read before the fault stay in the repository.
 void load_xmi(FullLoadRepository& repo, const MetaPackage& package, std::string_view text);
 
-/// Loads an XMI file; throws IoError/ParseError/ModelError. The file is
-/// read through xml::parse_children's window, never held whole: the same
-/// objects, ids, references and errors as load_xmi on the file's text.
+/// load_xmi over a stream, read through an xml::Reader window of about
+/// `window` bytes, never held whole: the same objects, ids, references and
+/// errors as load_xmi on the stream's text.
+void load_xmi(FullLoadRepository& repo, const MetaPackage& package, std::istream& in,
+              size_t window = size_t{1} << 16);
+
+/// Loads an XMI file through the stream load's default window; throws
+/// IoError/ParseError/ModelError.
 void load_xmi_file(FullLoadRepository& repo, const MetaPackage& package,
                    const std::string& path);
 

@@ -93,20 +93,6 @@ bool MetaClass::is_kind_of(const MetaClass& other) const noexcept {
   return false;
 }
 
-std::vector<const MetaAttribute*> MetaClass::all_attributes() const {
-  std::vector<const MetaAttribute*> out;
-  if (super_ != nullptr) out = super_->all_attributes();
-  for (const auto& attr : attributes_) out.push_back(attr.get());
-  return out;
-}
-
-std::vector<const MetaReference*> MetaClass::all_references() const {
-  std::vector<const MetaReference*> out;
-  if (super_ != nullptr) out = super_->all_references();
-  for (const auto& ref : references_) out.push_back(ref.get());
-  return out;
-}
-
 MetaPackage::MetaPackage(std::string name) : name_(std::move(name)) {}
 
 MetaClass& MetaPackage::define(std::string class_name, const MetaClass* super) {

@@ -23,14 +23,6 @@ bool value_matches(AttrType type, const Value& value) {
 }
 }  // namespace
 
-std::string value_to_string(const Value& value) {
-  if (std::holds_alternative<std::monostate>(value)) return "";
-  if (const auto* s = std::get_if<std::string>(&value)) return *s;
-  if (const auto* i = std::get_if<long long>(&value)) return std::to_string(*i);
-  if (const auto* d = std::get_if<double>(&value)) return format_number(*d, 12);
-  return std::get<bool>(value) ? "true" : "false";
-}
-
 Value value_from_string(AttrType type, std::string_view text) {
   switch (type) {
     case AttrType::String: return Value(std::string(text));
@@ -48,7 +40,10 @@ ModelObject::ModelObject(const MetaClass& cls, ObjectId id) : cls_(&cls), id_(id
 }
 
 void ModelObject::set(std::string_view attr_name, Value value) {
-  const MetaAttribute& attr = cls_->attribute(attr_name);
+  set(cls_->attribute(attr_name), std::move(value));
+}
+
+void ModelObject::set(const MetaAttribute& attr, Value value) {
   if (!value_matches(attr.type, value)) {
     throw ModelError("type mismatch assigning attribute '" + attr.name + "' of class '" +
                      cls_->name() + "'");
@@ -124,7 +119,10 @@ bool ModelObject::has(std::string_view attr_name) const noexcept {
 }
 
 void ModelObject::add_ref(std::string_view ref_name, ObjectId target) {
-  const MetaReference& ref = cls_->reference(ref_name);
+  add_ref(cls_->reference(ref_name), target);
+}
+
+void ModelObject::add_ref(const MetaReference& ref, ObjectId target) {
   for (auto& [r, targets] : refs_) {
     if (r == &ref) {
       if (!ref.many && !targets.empty()) {

@@ -69,19 +69,23 @@ void check_component(const SsamModel& m, const model::ModelObject& comp,
   for (const ObjectId sub : comp.refs("subcomponents")) {
     for (const ObjectId node : m.obj(sub).refs("ioNodes")) in_scope.insert(node);
   }
+  // The messages are ssam::build_graph's errors for the same faults.
   for (const ObjectId rel : comp.refs("relationships")) {
+    const std::string relationship =
+        "relationship '" + m.obj(rel).get_string("name") + "' of '" + name + "'";
     const ObjectId source = m.obj(rel).ref("source");
     const ObjectId target = m.obj(rel).ref("target");
     if (source == model::kNullObject || target == model::kNullObject) {
-      findings.push_back({"rel-endpoint-missing", rel,
-                          "relationship in '" + name + "' is missing an endpoint"});
+      findings.push_back({"rel-endpoint-missing", rel, relationship + " is missing an endpoint"});
       continue;
     }
     for (const ObjectId endpoint : {source, target}) {
       if (!in_scope.contains(endpoint)) {
         findings.push_back({"rel-endpoint-scope", rel,
-                            "relationship in '" + name +
-                                "' references an IONode outside the component's scope"});
+                            relationship + " wires IONode '" +
+                                m.obj(endpoint).get_string("name") +
+                                "', which is neither an IONode of '" + name +
+                                "' nor of one of its subcomponents"});
       }
     }
   }

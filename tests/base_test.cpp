@@ -295,47 +295,61 @@ TEST(Xml, WriteLayoutIsPinned) {
             "</m>\n");
 }
 
-TEST(Xml, ParseChildrenHandsOverEachRootChildAndKeepsNone) {
+TEST(Xml, ReaderHandsOverEachRootChildComplete) {
+  xml::Reader reader("<?xml version=\"1.0\"?><m p=\"q\"><a k=\"1\"><x/></a>tail<b/></m>");
   std::vector<std::string> seen;
-  const auto root = xml::parse_children(
-      "<?xml version=\"1.0\"?><m p=\"q\"><a k=\"1\"><x/></a>tail<b/></m>",
-      [&](const xml::Element& doc, const xml::Element& child) {
-        seen.push_back(doc.name + "/" + doc.attribute_or("p", "") + ":" + child.name + "(" +
-                       std::to_string(child.children.size()) + ")");
-      });
-  EXPECT_EQ(seen, (std::vector<std::string>{"m/q:a(1)", "m/q:b(0)"}));
-  EXPECT_EQ(root->name, "m");
-  EXPECT_TRUE(root->children.empty());
-  EXPECT_EQ(root->text, "tail");
+  while (reader.next()) {
+    std::string events;
+    for (const xml::Event& event : reader.events()) {
+      events += std::to_string(static_cast<int>(event.kind)) + std::string(event.name) + " ";
+    }
+    seen.push_back(reader.root().name + "/" + reader.root().attribute_or("p", "") + ":" +
+                   events);
+  }
+  // Start 0, Attribute 1, End 4: the child "a" arrives whole, its own child
+  // "x" inside it.
+  EXPECT_EQ(seen, (std::vector<std::string>{"m/q:0a 1k 0x 4x 4a ", "m/q:0b 4b "}));
+  EXPECT_EQ(reader.root().name, "m");
+  EXPECT_TRUE(reader.root().children.empty());
+  EXPECT_EQ(reader.root().text, "tail");
+  EXPECT_FALSE(reader.next());
 
   // A fault after two complete children: both were handed over first.
   seen.clear();
-  EXPECT_THROW(xml::parse_children("<m><a/><b/><c>", [&](const xml::Element&,
-                                                          const xml::Element& child) {
-                 seen.push_back(child.name);
-               }),
-               ParseError);
+  xml::Reader faulty("<m><a/><b/><c>");
+  EXPECT_THROW(
+      [&] {
+        while (faulty.next()) seen.emplace_back(faulty.events().front().name);
+      }(),
+      ParseError);
   EXPECT_EQ(seen, (std::vector<std::string>{"a", "b"}));
 }
 
 namespace {
 
-/// Everything parse_children reports for `text`: each child (name,
-/// attributes, children, text) as the sink saw it, then the root's name,
-/// attributes and text, or the ParseError message.
-template <typename Parse>
-std::string parse_children_transcript(Parse parse) {
+/// Everything a Reader reports: each child's events as it handed them over,
+/// then the root's name, attributes and text, or the ParseError message.
+std::string reader_transcript(xml::Reader& reader) {
   std::string out;
-  const auto describe = [&](const xml::Element& element) {
-    out += "<" + element.name;
-    for (const auto& [k, v] : element.attributes) out += " " + k + "=" + v;
-    out += " children=" + std::to_string(element.children.size()) + " text=" + element.text +
-           ">\n";
-  };
   try {
-    const auto root =
-        parse([&](const xml::Element&, const xml::Element& child) { describe(child); });
-    describe(*root);
+    while (reader.next()) {
+      for (const xml::Event& event : reader.events()) {
+        const std::string name(event.name);
+        const std::string value(event.value);
+        switch (event.kind) {
+          case xml::Event::Kind::Start: out += "<" + name; break;
+          case xml::Event::Kind::Attribute: out += " " + name + "=" + value; break;
+          case xml::Event::Kind::Text: out += " text=" + value; break;
+          case xml::Event::Kind::Cdata: out += " cdata=" + value; break;
+          case xml::Event::Kind::End: out += " />" + name; break;
+        }
+      }
+      out += "\n";
+    }
+    const xml::Element& root = reader.root();
+    out += "root <" + root.name;
+    for (const auto& [k, v] : root.attributes) out += " " + k + "=" + v;
+    out += " children=" + std::to_string(root.children.size()) + " text=" + root.text + ">\n";
   } catch (const ParseError& error) {
     out += std::string("error: ") + error.what() + "\n";
   }
@@ -344,18 +358,18 @@ std::string parse_children_transcript(Parse parse) {
 
 std::string stream_transcript(const std::string& text, size_t window) {
   std::istringstream in(text);
-  return parse_children_transcript(
-      [&](const auto& on_child) { return xml::parse_children(in, on_child, window); });
+  xml::Reader reader(in, window);
+  return reader_transcript(reader);
 }
 
 std::string text_transcript(const std::string& text) {
-  return parse_children_transcript(
-      [&](const auto& on_child) { return xml::parse_children(text, on_child); });
+  xml::Reader reader(text);
+  return reader_transcript(reader);
 }
 
 }  // namespace
 
-TEST(Xml, StreamedParseChildrenMatchesTheWholeTextAtAnyWindow) {
+TEST(Xml, StreamedReaderMatchesTheWholeTextAtAnyWindow) {
   // Root text split by children, comments, CDATA, a DOCTYPE, entities, a
   // child longer than most windows, multi-line content (line numbers), and
   // trailing misc: every window size, including one byte, must report the
@@ -384,10 +398,10 @@ TEST(Xml, StreamedParseChildrenMatchesTheWholeTextAtAnyWindow) {
   }
 }
 
-TEST(Xml, StreamedParseStartsWhereTheStreamStandsSeekableOrNot) {
-  // The parser asks a seekable stream how much is left, to read a short one
+TEST(Xml, StreamedReaderStartsWhereTheStreamStandsSeekableOrNot) {
+  // The reader asks a seekable stream how much is left, to read a short one
   // whole: it must read on from the stream's position, and a stream that
-  // cannot seek must still parse through the window.
+  // cannot seek must still be read through the window.
   const std::string doc =
       "<?xml version=\"1.0\"?>\n<m p=\"1\">\n  <a/>\n  text\n  <b k=\"v\"/>\n</m>\n";
   const std::string expected = text_transcript(doc);
@@ -395,10 +409,8 @@ TEST(Xml, StreamedParseStartsWhereTheStreamStandsSeekableOrNot) {
 
   std::istringstream behind("HEADER" + doc);
   behind.ignore(6);
-  EXPECT_EQ(parse_children_transcript([&](const auto& on_child) {
-              return xml::parse_children(behind, on_child);
-            }),
-            expected);
+  xml::Reader behind_reader(behind);
+  EXPECT_EQ(reader_transcript(behind_reader), expected);
 
   struct ForwardOnly : std::streambuf {  // no seekoff/seekpos: reads only
     explicit ForwardOnly(std::string text) : text(std::move(text)) {
@@ -409,11 +421,8 @@ TEST(Xml, StreamedParseStartsWhereTheStreamStandsSeekableOrNot) {
   for (const size_t window : {size_t{4}, size_t{1} << 16}) {
     ForwardOnly buf(doc);
     std::istream forward(&buf);
-    EXPECT_EQ(parse_children_transcript([&](const auto& on_child) {
-                return xml::parse_children(forward, on_child, window);
-              }),
-              expected)
-        << "window " << window;
+    xml::Reader reader(forward, window);
+    EXPECT_EQ(reader_transcript(reader), expected) << "window " << window;
   }
 }
 

@@ -269,6 +269,41 @@ TEST(Cli, FtaRejectsNegativeMaxOrder) {
   }
 }
 
+TEST(Cli, BadNumbersExitTwoBeforeAnyInputIsRead) {
+  // A non-number used to exit 1 with "same: parse error: ..." once the
+  // inputs were read, and fmea's negative threshold with "same: analysis
+  // error: ..."; each is now a usage error naming its flag, on real and on
+  // missing inputs alike.
+  for (const std::string& dir : {kAssets, kAssets + "/missing"}) {
+    const std::string fmea =
+        "fmea " + dir + "/power_supply.mdl --reliability " + dir + "/reliability_workbook ";
+    const std::string graph_fmea =
+        "graph-fmea " + dir + "/brake_chain.ssam --component BrakeChain ";
+    const std::string sm_search = "sm-search " + dir + "/brake_chain.ssam --component " +
+                                  "BrakeChain --catalogue " + dir + "/catalogue.csv ";
+    const struct {
+      std::string command;
+      const char* message;
+    } cases[] = {
+        {fmea + "--jobs x", "error: --jobs must be in [0, 2147483647] (0 = all cores), got 'x'"},
+        {fmea + "--threshold x", "error: --threshold must be a finite number >= 0, got 'x'"},
+        {fmea + "--threshold -1", "error: --threshold must be a finite number >= 0, got '-1'"},
+        {fmea + "--retries x", "error: --retries must be in [0, 2147483647], got 'x'"},
+        {graph_fmea + "--jobs x", "error: --jobs must be in [0, 2147483647]"},
+        {sm_search + "--jobs 1.5", "error: --jobs must be in [0, 2147483647]"},
+        {sm_search + "--epsilon x", "error: --epsilon must be in [0, 1), got 'x'"},
+    };
+    for (const auto& c : cases) {
+      const auto result = run(c.command);
+      EXPECT_EQ(result.exit_code, 2) << c.command << ": " << result.output;
+      EXPECT_NE(result.output.find(c.message), std::string::npos)
+          << c.command << ": " << result.output;
+      EXPECT_EQ(result.output.find("same:"), std::string::npos)
+          << c.command << ": " << result.output;
+    }
+  }
+}
+
 TEST(Cli, OutOfScopeWireFailsGraphFmeaAndFtaAlike) {
   // Graph FMEA used to keep spare_subject's bypass through Spare.in (Driver
   // not safety-related, SPFM 40.00%) while the FTA dropped it ({Driver} an
@@ -281,9 +316,18 @@ TEST(Cli, OutOfScopeWireFailsGraphFmeaAndFtaAlike) {
     decisive::model::save_xmi_file(model, m.repo(), m.meta());
   }
 
+  // The validator names each wire and the IONode, as the analyses do: one
+  // line per bypass wire, no longer one identical line twice.
   const auto validate = run("validate " + model);
   EXPECT_EQ(validate.exit_code, 1) << validate.output;
-  EXPECT_NE(validate.output.find("[rel-endpoint-scope]"), std::string::npos) << validate.output;
+  for (const char* wire : {"bypass1", "bypass2"}) {
+    EXPECT_NE(validate.output.find(std::string("[rel-endpoint-scope] relationship '") + wire +
+                                   "' of 'BrakeChain' wires IONode 'Spare.in', which is "
+                                   "neither an IONode of 'BrakeChain' nor of one of its "
+                                   "subcomponents\n"),
+              std::string::npos)
+        << validate.output;
+  }
 
   const auto fmea = run("graph-fmea " + model + " --component BrakeChain");
   const auto fta = run("fta " + model + " --component BrakeChain");

@@ -30,12 +30,12 @@ struct ImpactIndex {
     const auto& relationship_cls = ssam.meta().get(ssam::cls::ComponentRelationship);
     const auto& requirement_cls = ssam.meta().get(ssam::cls::Requirement);
     ssam.repo().for_each([&](const model::ModelObject& obj) {
-      for (const auto* ref : obj.meta().all_references()) {
-        if (!ref->containment) continue;
-        for (const ObjectId target : obj.refs(ref->name)) {
+      obj.meta().for_each_reference([&](const model::MetaReference& ref) {
+        if (!ref.containment) return;
+        for (const ObjectId target : obj.refs(ref.name)) {
           containers[target].push_back(obj.id());
         }
-      }
+      });
       if (obj.is_kind_of(component_cls)) {
         for (const ObjectId node : obj.refs("ioNodes")) node_owner[node] = obj.id();
       } else if (obj.is_kind_of(relationship_cls)) {

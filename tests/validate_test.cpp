@@ -19,6 +19,14 @@ bool has_rule(const std::vector<ValidationFinding>& findings, const std::string&
   return false;
 }
 
+/// The message of the first finding of `rule`, or "" when there is none.
+std::string message_of(const std::vector<ValidationFinding>& findings, const std::string& rule) {
+  for (const auto& finding : findings) {
+    if (finding.rule == rule) return finding.message;
+  }
+  return "";
+}
+
 struct Fixture {
   SsamModel m;
   ObjectId pkg, sys;
@@ -89,11 +97,18 @@ TEST(Validate, RelationshipEndpoints) {
   const auto other_in = f.m.add_io_node(other, "o.in", "in");
   f.m.connect(f.sys, a_out, other_in);
   EXPECT_TRUE(has_rule(validate(f.m), "rel-endpoint-scope"));
+  // The finding names the relationship and the IONode, in the words of
+  // build_graph's error.
+  EXPECT_EQ(message_of(validate(f.m), "rel-endpoint-scope"),
+            "relationship 'wire' of 'sys' wires IONode 'o.in', which is neither an IONode of "
+            "'sys' nor of one of its subcomponents");
 
   // Missing endpoint (reflective corruption).
   const auto rel = f.m.obj(f.sys).refs("relationships")[0];
   f.m.obj(rel).set_ref("target", model::kNullObject);
   EXPECT_TRUE(has_rule(validate(f.m), "rel-endpoint-missing"));
+  EXPECT_EQ(message_of(validate(f.m), "rel-endpoint-missing"),
+            "relationship 'wire' of 'sys' is missing an endpoint");
 }
 
 TEST(Validate, CompositeWithoutBoundary) {

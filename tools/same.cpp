@@ -23,6 +23,7 @@
 // `same merge-metrics`).
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -232,13 +233,20 @@ int usage() {
 }
 
 /// Stores the integer `text` in `out`. Prints "error: <what> must be in
-/// [0, INT_MAX]<note>" and returns false when it is negative or does not fit
-/// in an int, instead of letting a cast wrap it to another value.
+/// [0, INT_MAX]<note>, got '<text>'" and returns false when it is not an
+/// integer, is negative or does not fit in an int, instead of letting a
+/// cast wrap it to another value.
 bool read_count(std::string_view text, const char* what, int& out, const char* note = "") {
-  const long long value = parse_int(text);
+  long long value = -1;
+  try {
+    value = parse_int(text);
+  } catch (const ParseError&) {
+    // Not an integer: reported below, as a negative one is.
+  }
   if (value < 0 || value > std::numeric_limits<int>::max()) {
-    std::fprintf(stderr, "error: %s must be in [0, %d]%s\n", what,
-                 std::numeric_limits<int>::max(), note);
+    std::fprintf(stderr, "error: %s must be in [0, %d]%s, got '%.*s'\n", what,
+                 std::numeric_limits<int>::max(), note, static_cast<int>(text.size()),
+                 text.data());
     return false;
   }
   out = static_cast<int>(value);
@@ -374,6 +382,9 @@ int cmd_graph_fmea(const Args& args) {
     std::fprintf(stderr, "error: --component <name> is required\n");
     return 2;
   }
+  core::GraphFmeaOptions options;
+  if (!read_jobs(args, options.jobs)) return 2;
+
   ssam::SsamModel model;
   model::load_xmi_file(model.repo(), model.meta(), args.positional[0]);
   const auto component = model.find_by_name(ssam::cls::Component, *component_name);
@@ -381,9 +392,6 @@ int cmd_graph_fmea(const Args& args) {
     std::fprintf(stderr, "error: no component named '%s'\n", component_name->c_str());
     return 1;
   }
-
-  core::GraphFmeaOptions options;
-  if (!read_jobs(args, options.jobs)) return 2;
   if (const auto heartbeat = args.get("heartbeat")) {
     if (*heartbeat == "true") {
       std::fprintf(stderr, "error: --heartbeat requires a file path\n");
@@ -450,9 +458,14 @@ int cmd_sm_search(const Args& args) {
   core::ParetoOptions options;
   if (!read_jobs(args, options.jobs)) return 2;
   if (const auto epsilon = args.get("epsilon")) {
-    options.epsilon = parse_double(*epsilon);
+    options.epsilon = -1.0;
+    try {
+      options.epsilon = parse_double(*epsilon);
+    } catch (const ParseError&) {
+      // Not a number: reported below, as one out of range is.
+    }
     if (!(options.epsilon >= 0.0 && options.epsilon < 1.0)) {  // NaN fails both
-      std::fprintf(stderr, "error: --epsilon must be in [0, 1)\n");
+      std::fprintf(stderr, "error: --epsilon must be in [0, 1), got '%s'\n", epsilon->c_str());
       return 2;
     }
   }
@@ -542,16 +555,7 @@ int cmd_fmea(const Args& args) {
     return 2;
   }
 
-  const auto mdl = drivers::parse_mdl_file(args.positional[0]);
-  const auto built = sim::build_circuit(mdl);
-  const auto workbook = drivers::DriverRegistry::global().open(*reliability_location);
-  const auto reliability = core::ReliabilityModel::from_source(*workbook, "Reliability");
-
-  std::optional<core::SafetyMechanismModel> sm_model;
-  if (args.has("sm-model")) {
-    sm_model = core::SafetyMechanismModel::from_source(*workbook, "SafetyMechanisms");
-  }
-
+  // Every argument is checked before any input is read.
   core::CircuitFmeaOptions options;
   if (const auto goals = args.get("goals")) {
     for (const auto& goal : split(*goals, ',')) {
@@ -559,7 +563,20 @@ int cmd_fmea(const Args& args) {
     }
   }
   if (const auto threshold = args.get("threshold")) {
-    options.relative_threshold = parse_double(*threshold);
+    // NaN compares false against every deviation (no row safety-related)
+    // and a negative threshold makes every row safety-related.
+    double threshold_value = -1.0;
+    try {
+      threshold_value = parse_double(*threshold);
+    } catch (const ParseError&) {
+      // Not a number: reported below, as a negative one is.
+    }
+    if (!std::isfinite(threshold_value) || threshold_value < 0.0) {
+      std::fprintf(stderr, "error: --threshold must be a finite number >= 0, got '%s'\n",
+                   threshold->c_str());
+      return 2;
+    }
+    options.relative_threshold = threshold_value;
   }
   if (!read_jobs(args, options.jobs)) return 2;
   if (const auto journal = args.get("journal")) {
@@ -601,6 +618,16 @@ int cmd_fmea(const Args& args) {
   }
   if (const auto interval = args.get("heartbeat-interval")) {
     options.execution.heartbeat_interval_seconds = parse_double(*interval);
+  }
+
+  const auto mdl = drivers::parse_mdl_file(args.positional[0]);
+  const auto built = sim::build_circuit(mdl);
+  const auto workbook = drivers::DriverRegistry::global().open(*reliability_location);
+  const auto reliability = core::ReliabilityModel::from_source(*workbook, "Reliability");
+
+  std::optional<core::SafetyMechanismModel> sm_model;
+  if (args.has("sm-model")) {
+    sm_model = core::SafetyMechanismModel::from_source(*workbook, "SafetyMechanisms");
   }
 
   core::FmedaResult result;
